@@ -126,13 +126,12 @@ class StepOperators:
     """Grid/parameter bundle with the factorised implicit solves.
 
     Shared by the forward step, its tangent, and the adjoint sweep; the
-    implicit operators do not depend on the state or the controls.
+    implicit operators do not depend on the state or the controls. Obtain it
+    through step_operators, which builds it once per discretisation.
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, kernel: KernelData,
                  dt: float, options: SolverOptions | None = None):
-        if kernel.grid != grid:
-            raise FieldShapeError("kernel built on a different grid")
         if dt <= 0.0:
             raise FieldShapeError(f"dt must be positive, got {dt}")
         self.grid = grid
@@ -163,6 +162,40 @@ class StepOperators:
 
     def conv(self, x: np.ndarray) -> np.ndarray:
         return convolve_array(self.kernel, x)
+
+
+def step_operators(grid: GridSpec, params: ModelParams, kernel: KernelData, dt: float,
+                   options: SolverOptions | None = None) -> StepOperators:
+    """The operator bundle for (kernel, params, dt, options), built once.
+
+    The kernel keeps the most recently used bundle together with its key, so
+    repeated sweeps of one discretisation share the factorisations; any
+    change of params, dt or solver options builds a fresh bundle.
+    """
+    if kernel.grid != grid:
+        raise FieldShapeError("kernel built on a different grid")
+    key = (params, dt, options or SolverOptions())
+    slot = kernel.operator_slot
+    if not slot or slot[0] != key:
+        ops = StepOperators(grid, params, kernel, dt, key[2])
+        slot[:] = [key, ops]
+    return slot[1]
+
+
+def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
+                       blowup_guard: float) -> None:
+    """Raise InstabilityError when |phi| passes the guard or a field is not finite."""
+    sup = float(np.max(np.abs(phi_new)))
+    if sup > blowup_guard:
+        raise InstabilityError(
+            f"step {n}: |phi| reached {sup:.3g} > guard {blowup_guard:.3g}; reduce dt",
+            step=n, sup_norm=sup, guard=blowup_guard,
+        )
+    if not (np.isfinite(sup) and np.all(np.isfinite(sigma_new))):
+        raise InstabilityError(
+            f"step {n}: phi or sigma is not finite; reduce dt or check the initial data",
+            step=n, sup_norm=sup, guard=blowup_guard,
+        )
 
 
 def chemical_potential(phi: ScalarField, sigma: ScalarField, params: ModelParams,
@@ -221,15 +254,10 @@ def step(state: State, u_n: ScalarField, v_n: ScalarField, params: ModelParams,
     grid = state.grid
     if u_n.grid != grid or v_n.grid != grid:
         raise FieldShapeError("controls on a different grid")
-    ops = StepOperators(grid, params, kernel, dt, solver_options)
+    ops = step_operators(grid, params, kernel, dt, solver_options)
     phi_new, sigma_new, _ = _step_core(ops, state.phi.values, state.sigma.values,
                                        u_n.values, v_n.values)
-    sup = float(np.max(np.abs(phi_new)))
-    if sup > blowup_guard:
-        raise InstabilityError(
-            f"|phi| reached {sup:.3g} > guard {blowup_guard:.3g}; reduce dt",
-            step=0, sup_norm=sup, guard=blowup_guard,
-        )
+    _guard_step(0, phi_new, sigma_new, blowup_guard)
     return State(ScalarField(grid, phi_new), ScalarField(grid, sigma_new))
 
 
@@ -326,7 +354,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         monitors.append(monitor_row(0))
 
     if tgrid.steps > 0:
-        ops = StepOperators(grid, params, kernel, tgrid.dt, options)
+        ops = step_operators(grid, params, kernel, tgrid.dt, options)
         for n in range(tgrid.steps):
             try:
                 phi_new, sigma_new, cache = _step_core(
@@ -334,12 +362,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                 )
             except SolverError as exc:
                 raise SolverError(f"step {n}: {exc}", exc.iterations, exc.residual) from exc
-            sup = float(np.max(np.abs(phi_new)))
-            if sup > blowup_guard:
-                raise InstabilityError(
-                    f"step {n}: |phi| reached {sup:.3g} > guard {blowup_guard:.3g}; reduce dt",
-                    step=n, sup_norm=sup, guard=blowup_guard,
-                )
+            _guard_step(n, phi_new, sigma_new, blowup_guard)
             phi[n + 1] = phi_new
             sigma[n + 1] = sigma_new
             caches.append(cache)

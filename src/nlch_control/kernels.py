@@ -4,8 +4,12 @@ convolution (J*f)(x) = integral over the domain of J(x-y) f(y) dy.
 On a uniform grid the operator matrix entry (i, j) depends only on x_i - x_j,
 so the whole operator is a tap table over index offsets. The fast path is
 zero-padded linear convolution (no periodic wraparound, matching the
-integral's zero extension outside the domain); a direct dense application is
-kept for cross-checking. Both paths agree to relative 1e-12 by contract.
+integral's zero extension outside the domain): `build_kernel` pads each axis
+of the tap table to a fast FFT length of at least 2n - 1, which is enough for
+the restricted window, and keeps its real FFT. Every later convolution is then
+one forward and one inverse transform of the field. A direct dense
+application is kept for cross-checking. Both paths agree to relative 1e-12 by
+contract.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
+import scipy.fft
 
 from .errors import FieldShapeError, KernelResolutionError
 from .geometry import GridSpec, ScalarField
@@ -84,16 +88,21 @@ class KernelData:
     """Kernel sampled on a grid, with the induced weight field and bounds.
 
     taps[k...] holds J evaluated at every index offset (length 2n-1 per
-    axis); a_field = J*1; a_star bounds sum_j |J(x_i-x_j)| vol and b_star the
-    same with |grad J|.
+    axis) and spectrum its zero-padded real FFT times the cell volume;
+    a_field = J*1; a_star bounds sum_j |J(x_i-x_j)| vol and b_star the same
+    with |grad J|. The time stepper keeps its most recent operator bundle in
+    the operator slot (see forward.step_operators).
     """
 
     spec: KernelSpec
     grid: GridSpec
     taps: np.ndarray = field(repr=False)
+    spectrum: np.ndarray = field(repr=False)
     a_field: ScalarField = field(repr=False)
     a_star: float
     b_star: float
+    operator_slot: list = field(default_factory=list, init=False, repr=False,
+                                compare=False)
 
     def __post_init__(self):
         if np.min(self.a_field.values) < 0.0:
@@ -116,11 +125,29 @@ def _offset_r2(grid: GridSpec) -> np.ndarray:
     return ox * ox + oy * oy
 
 
-def _linear_convolve(taps: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Zero-padded linear convolution with the given tap table, times volume."""
-    f = values.reshape(grid.cells_per_axis)
-    out = fftconvolve(f, taps, mode="same")
-    return out.reshape(-1) * grid.cell_volume
+def _fft_shape(grid: GridSpec) -> tuple[int, ...]:
+    """Per-axis transform length: the first fast length >= 2n - 1.
+
+    Output index i of the restricted window reads the linear convolution at
+    i + n - 1, which needs taps at offsets up to 2n - 2 from every input
+    index; a length of 2n - 1 or more keeps those free of wraparound.
+    """
+    return tuple(scipy.fft.next_fast_len(2 * n - 1, real=True) for n in grid.cells_per_axis)
+
+
+def _tap_spectrum(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Real FFT of a zero-padded tap table, times the cell volume."""
+    return scipy.fft.rfftn(taps, s=_fft_shape(grid)) * grid.cell_volume
+
+
+def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Zero-padded linear convolution with a tap spectrum, restricted to the grid."""
+    shape = grid.cells_per_axis
+    fft_shape = _fft_shape(grid)
+    f_hat = scipy.fft.rfftn(values.reshape(shape), s=fft_shape)
+    full = scipy.fft.irfftn(f_hat * spectrum, s=fft_shape)
+    window = tuple(slice(n - 1, 2 * n - 1) for n in shape)
+    return full[window].reshape(-1)
 
 
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
@@ -136,29 +163,29 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
         )
     r2 = _offset_r2(grid)
     taps = spec.evaluate_r2(r2)
+    spectrum = _tap_spectrum(taps, grid)
     ones = np.ones(grid.num_cells)
-    a_vals = _linear_convolve(taps, ones, grid)
     # positive kernel families: clip quadrature noise, never sign changes
-    a_vals = np.maximum(a_vals, 0.0)
-    a_field = ScalarField(grid, a_vals)
-    abs_row_sums = _linear_convolve(np.abs(taps), ones, grid)
-    a_star = float(np.max(abs_row_sums))
-    grad_taps = spec.gradient_magnitude_r2(r2)
-    b_star = float(np.max(_linear_convolve(grad_taps, ones, grid)))
-    return KernelData(spec=spec, grid=grid, taps=taps, a_field=a_field,
-                      a_star=a_star, b_star=b_star)
+    a_field = ScalarField(grid, np.maximum(_apply_spectrum(spectrum, ones, grid), 0.0))
+    abs_spectrum = _tap_spectrum(np.abs(taps), grid)
+    a_star = float(np.max(_apply_spectrum(abs_spectrum, ones, grid)))
+    grad_spectrum = _tap_spectrum(spec.gradient_magnitude_r2(r2), grid)
+    b_star = float(np.max(_apply_spectrum(grad_spectrum, ones, grid)))
+    return KernelData(spec=spec, grid=grid, taps=taps, spectrum=spectrum,
+                      a_field=a_field, a_star=a_star, b_star=b_star)
 
 
 def convolve(kernel: KernelData, f: ScalarField, method: str = "fft") -> ScalarField:
     """Apply the restricted-domain convolution J*f.
 
-    method "fft" is the zero-padded fast path; "direct" applies the dense
-    operator row by row and exists to witness that both agree.
+    method "fft" is the zero-padded fast path through the cached tap
+    spectrum; "direct" applies the dense operator row by row and exists to
+    witness that both agree.
     """
     if f.grid != kernel.grid:
         raise FieldShapeError("kernel and field grids differ")
     if method == "fft":
-        return ScalarField(f.grid, _linear_convolve(kernel.taps, f.values, f.grid))
+        return ScalarField(f.grid, _apply_spectrum(kernel.spectrum, f.values, f.grid))
     if method == "direct":
         mat = convolution_matrix(kernel)
         return ScalarField(f.grid, mat @ f.values)
@@ -167,7 +194,7 @@ def convolve(kernel: KernelData, f: ScalarField, method: str = "fft") -> ScalarF
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
     """Raw-array convolution used in solver hot paths."""
-    return _linear_convolve(kernel.taps, values, kernel.grid)
+    return _apply_spectrum(kernel.spectrum, values, kernel.grid)
 
 
 def convolution_matrix(kernel: KernelData) -> np.ndarray:

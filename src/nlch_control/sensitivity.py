@@ -22,7 +22,7 @@ import numpy as np
 from .errors import ChemotaxisScopeError, FieldShapeError, StaleTrajectoryError
 from .geometry import GridSpec, ScalarField
 from .forward import (ControlPair, StateTrajectory, StepCache, StepOperators,
-                      TimeGrid)
+                      TimeGrid, step_operators)
 from .kernels import KernelData
 from .physics import ModelParams
 from .solvers import SolverOptions
@@ -158,7 +158,7 @@ def tangent_step(tan: TangentState, cache: StepCache, dh_n: ScalarField, dk_n: S
     if cache is None:
         raise StaleTrajectoryError("step cache missing; rerun simulate")
     grid = tan.xi.grid
-    ops = StepOperators(grid, params, kernel, dt, solver_options)
+    ops = step_operators(grid, params, kernel, dt, solver_options)
     xi_new, rho_new = _tangent_core(ops, cache, tan.xi.values, tan.rho.values,
                                     dh_n.values, dk_n.values)
     return TangentState(ScalarField(grid, xi_new), ScalarField(grid, rho_new))
@@ -175,7 +175,7 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair, params: ModelP
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
     if traj.steps > 0:
-        ops = StepOperators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
+        ops = step_operators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
         for n in range(traj.steps):
             xi[n + 1], rho[n + 1] = _tangent_core(
                 ops, traj.caches[n], xi[n], rho[n], d_controls.u[n], d_controls.v[n]
@@ -198,7 +198,7 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarra
     v_bar = np.zeros((steps, grid.num_cells))
     if steps == 0:
         return u_bar, v_bar
-    ops = StepOperators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
+    ops = step_operators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
     p_bar = np.array(seed_phi[steps], dtype=np.float64)
     r_bar = np.array(seed_sigma[steps], dtype=np.float64)
     for n in range(steps - 1, -1, -1):
@@ -238,7 +238,7 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
     r[steps] = r_bar
 
     if steps > 0:
-        ops = StepOperators(grid, params, kernel, dt, traj.solver_options)
+        ops = step_operators(grid, params, kernel, dt, traj.solver_options)
         for n in range(steps - 1, -1, -1):
             xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
                 ops, traj.caches[n], p_bar, r_bar

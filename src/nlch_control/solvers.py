@@ -5,6 +5,7 @@ L the mirror-ghost Neumann Laplacian, which is symmetric negative
 semidefinite, so the system is SPD. Two interchangeable backends:
 
   direct: exact factorisation (banded Cholesky in 1D, sparse LU in 2D),
+          computed once per solver and reused by every solve,
   cg:     matrix-free conjugate gradients to a relative residual,
           with a fixed reduction order so runs are bitwise reproducible.
 
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solveh_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
@@ -86,27 +87,32 @@ class ShiftedLaplacianSolver:
         self.grid = grid
         self.diagonal = diagonal
         self.options = options
-        self._banded = None
+        self._banded_chol = None
         self._lu = None
-        if options.method == "direct":
-            if grid.dim == 1:
-                n = grid.cells_per_axis[0]
-                lap_diag, lap_off = _lap_1d_coeffs(n, grid.spacing[0])
-                ab = np.zeros((2, n))
-                ab[0, 1:] = -lap_off
-                ab[1, :] = diagonal - lap_diag
-                self._banded = ab
-            else:
-                mat = sp.diags(diagonal) - neumann_laplacian_sparse(grid)
-                self._lu = splu(mat.tocsc())
+        self._inv_jacobi = None
+        if options.method == "cg":
+            # Jacobi preconditioning keeps iteration counts flat across dt
+            self._inv_jacobi = 1.0 / (diagonal + self._lap_diagonal())
+        elif grid.dim == 1:
+            n = grid.cells_per_axis[0]
+            lap_diag, lap_off = _lap_1d_coeffs(n, grid.spacing[0])
+            ab = np.zeros((2, n))
+            ab[0, 1:] = -lap_off
+            ab[1, :] = diagonal - lap_diag
+            self._banded_chol = cholesky_banded(ab)
+        else:
+            mat = sp.diags(diagonal) - neumann_laplacian_sparse(grid)
+            self._lu = splu(mat.tocsc())
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.diagonal * x - laplacian_array(self.grid, x)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         if self.options.method == "direct":
-            if self._banded is not None:
-                return solveh_banded(self._banded, b)
+            if self._banded_chol is not None:
+                # non-finite input gives a non-finite solution, as in the 2D
+                # backend; the time stepper reports it as an instability
+                return cho_solve_banded((self._banded_chol, False), b, check_finite=False)
             return self._lu.solve(b)
         return self._solve_cg(b)
 
@@ -115,10 +121,13 @@ class ShiftedLaplacianSolver:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros_like(b)
+        if not np.isfinite(b_norm):
+            # no iteration converges on it; pass the non-finite input on, as
+            # the direct backends do
+            return np.full_like(b, np.nan)
         x = np.zeros_like(b)
         r = b.copy()
-        # Jacobi preconditioning keeps iteration counts flat across dt
-        inv_diag = 1.0 / (self.diagonal + self._lap_diagonal())
+        inv_diag = self._inv_jacobi
         z = r * inv_diag
         p = z.copy()
         rz = float(np.dot(r, z))

@@ -5,6 +5,7 @@ from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
                           ScalarField, SolverOptions, State, TimeGrid,
                           build_kernel, chemical_potential, free_energy, mass,
                           mass_balance_residual, simulate, step)
+from nlch_control.forward import step_operators
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError)
 from nlch_control.geometry import dense_laplacian_matrix
@@ -203,6 +204,28 @@ def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):
     assert exc_info.value.sup_norm > 0.5
 
 
+@pytest.mark.parametrize("cells,method", [((32,), "direct"), ((8, 8), "direct"),
+                                          ((8, 8), "cg")])
+def test_nonfinite_state_raises_instability(cells, method):
+    # phi**3 overflows: the step produces NaN, which no sup-norm comparison
+    # catches, and must still end in InstabilityError at the failing step
+    grid = GridSpec(cells, (1.0,) * len(cells))
+    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid)
+    params = ModelParams(A=0.5, B=1.0, chi=0.0)
+    phi0 = smooth_phi0(grid, amplitude=1e120)
+    sigma0 = ScalarField.constant(grid, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(InstabilityError) as exc_info:
+        simulate(phi0, sigma0, ControlPair.zeros(grid, 3), params, kernel,
+                 TimeGrid(0.03, 3), solver_options=SolverOptions(method=method),
+                 blowup_guard=np.inf)
+    assert exc_info.value.step == 0
+    assert "not finite" in str(exc_info.value)
+    zero = ScalarField.constant(grid, 0.0)
+    with np.errstate(all="ignore"), pytest.raises(InstabilityError):
+        step(State(phi0, sigma0), zero, zero, params, kernel, 0.01,
+             solver_options=SolverOptions(method=method))
+
+
 def test_cg_solver_matches_direct(rng, grid2d, kernel2d):
     params = ModelParams(A=0.5, B=1.0, chi=0.0)
     tgrid = TimeGrid(0.1, 5)
@@ -316,3 +339,68 @@ def test_solver_rejects_nonpositive_diagonal(grid1d):
 
     with pytest.raises(SolverError):
         ShiftedLaplacianSolver(grid1d, np.zeros(grid1d.num_cells), SolverOptions())
+
+
+def test_step_operators_reused_per_key(grid1d, kernel1d, params):
+    ops = step_operators(grid1d, params, kernel1d, 0.01)
+    assert step_operators(grid1d, params, kernel1d, 0.01, SolverOptions()) is ops
+    other = step_operators(grid1d, params, kernel1d, 0.02)
+    assert other is not ops and other.dt == 0.02
+    with pytest.raises(FieldShapeError):
+        step_operators(GridSpec((16,), (1.0,)), params, kernel1d, 0.02)
+
+
+def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
+    from nlch_control import CostSpec
+    from nlch_control.gradcheck import run_gradcheck
+    from nlch_control.solvers import ShiftedLaplacianSolver
+
+    builds = []
+    init = ShiftedLaplacianSolver.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ShiftedLaplacianSolver, "__init__", counting_init)
+    grid = GridSpec((8, 6), (1.0, 0.75))
+    kernel = build_kernel(KernelSpec("mollifier", 100.0, 0.3), grid)
+    params = ModelParams(A=0.5, B=1.0, chi=0.0)
+    steps = 4
+    spec = CostSpec.tracking(grid, steps, alpha_omega=1.0, beta_q=0.5,
+                             alpha_u=1e-2, beta_v=1e-2,
+                             phi_omega=ScalarField.constant(grid, -0.2))
+    result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
+                           random_controls(rng, grid, steps), spec, params, kernel,
+                           TimeGrid(0.05, steps), rng, n_duality=3, n_fd=2, n_taylor=2)
+    assert result.passed
+    assert len(builds) <= 2
+
+
+@pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
+def test_alternating_keys_match_fresh_kernel(rng, request, grid_name):
+    # one kernel shared by runs that differ in dt, params or solver options
+    # must give exactly what a kernel built for each run alone gives
+    grid = request.getfixturevalue(grid_name)
+    spec = KernelSpec("gaussian", 4.0, 0.25)
+    shared = build_kernel(spec, grid)
+    phi0 = smooth_phi0(grid)
+    sigma0 = ScalarField.constant(grid, 0.3)
+    controls = random_controls(rng, grid, 6)
+    base = (ModelParams(A=0.5, B=1.0, chi=0.0), TimeGrid(0.1, 6), SolverOptions())
+    variants = [
+        base,
+        (base[0], TimeGrid(0.2, 6), base[2]),
+        base,
+        (ModelParams(A=0.5, B=1.3, chi=0.0, lambda_s=3.0), base[1], base[2]),
+        base,
+        (base[0], base[1], SolverOptions(method="cg", cg_tol=1e-6)),
+        base,
+    ]
+    for params, tgrid, options in variants:
+        got = simulate(phi0, sigma0, controls, params, shared, tgrid,
+                       solver_options=options)
+        want = simulate(phi0, sigma0, controls, params, build_kernel(spec, grid), tgrid,
+                        solver_options=options)
+        assert np.array_equal(got.phi, want.phi)
+        assert np.array_equal(got.sigma, want.sigma)

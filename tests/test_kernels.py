@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import nlch_control
 from nlch_control import (GridSpec, KernelSpec, ScalarField, build_kernel,
                           convolution_adjoint_check, convolve, inner_product)
 from nlch_control.errors import FieldShapeError, KernelResolutionError
@@ -74,7 +80,9 @@ def test_convolve_spike_gives_kernel_column(grid1d_small):
 
 @pytest.mark.parametrize("family", ["gaussian", "mollifier"])
 def test_fft_matches_direct_loop(rng, family, grid1d_small, grid2d):
-    for grid in (grid1d_small, grid2d):
+    # 2n - 1 is a fast FFT length on the first grid only; on the others the
+    # cached spectrum is padded past the minimum on some axis
+    for grid in (grid1d_small, grid2d, GridSpec((50,), (1.0,)), GridSpec((13, 9), (1.3, 0.7))):
         spec = KernelSpec(family, 2.0, 0.3)
         k = build_kernel(spec, grid)
         f_vals = rng.standard_normal(grid.num_cells)
@@ -85,6 +93,16 @@ def test_fft_matches_direct_loop(rng, family, grid1d_small, grid2d):
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(fft_result - direct_result)) <= 1e-12 * scale
         assert np.max(np.abs(fft_result - oracle)) <= 1e-12 * scale
+
+
+def test_cli_import_leaves_scipy_signal_out():
+    src = str(Path(nlch_control.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import sys, nlch_control.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_convolve_linearity(rng, kernel1d, grid1d):
