@@ -10,8 +10,8 @@ from .physics import (DistributionSpec, ModelParams, PotentialSpec,
 from .forward import (ControlPair, State, StateTrajectory, TimeGrid,
                       chemical_potential, free_energy, mass_balance_residual,
                       simulate, step)
-from .sensitivity import (AdjointTrajectory, TangentState, TangentTrajectory,
-                          adjoint_sweep, duality_gap, tangent_step, tangent_sweep)
+from .sensitivity import (AdjointTrajectory, TangentTrajectory, adjoint_sweep,
+                          duality_gap, tangent_sweep)
 from .control import (BoxConstraints, CostSpec, OptimizeReport, PgdOptions,
                       cost, pgd_optimize, project_box, projection_formula_defect,
                       reduced_gradient, stationarity_residual)
@@ -25,8 +25,8 @@ __all__ = [
     "ellipticity_margin", "require_ellipticity",
     "ControlPair", "State", "StateTrajectory", "TimeGrid", "chemical_potential",
     "free_energy", "mass_balance_residual", "simulate", "step",
-    "AdjointTrajectory", "TangentState", "TangentTrajectory", "adjoint_sweep",
-    "duality_gap", "tangent_step", "tangent_sweep",
+    "AdjointTrajectory", "TangentTrajectory", "adjoint_sweep",
+    "duality_gap", "tangent_sweep",
     "BoxConstraints", "CostSpec", "OptimizeReport", "PgdOptions", "cost",
     "pgd_optimize", "project_box", "projection_formula_defect", "reduced_gradient",
     "stationarity_residual",

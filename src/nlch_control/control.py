@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ChemotaxisScopeError, FieldShapeError,
-                     HypothesisViolationError, StaleTrajectoryError)
+                     HypothesisViolationError, SolverError, StaleTrajectoryError)
 from .forward import (ControlPair, StateTrajectory, TimeGrid, simulate)
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData
@@ -218,12 +218,11 @@ def reduced_gradient(controls: ControlPair, traj: StateTrajectory, adj: AdjointT
     spec.require_grid(traj)
     if controls.steps != traj.steps:
         raise FieldShapeError("controls and trajectory step counts differ")
+    traj.require_inputs(params)
     steps = traj.steps
-    g_u = np.empty_like(controls.u)
-    g_v = np.empty_like(controls.v)
-    for n in range(steps):
-        g_u[n] = -traj.caches[n].distrib * adj.p[n] + spec.alpha_u * controls.u[n]
-        g_v[n] = adj.r[n] + spec.beta_v * controls.v[n]
+    distrib = params.distribution.evaluate(traj.phi[:steps], 0)
+    g_u = -distrib * adj.p[:steps] + spec.alpha_u * controls.u
+    g_v = adj.r[:steps] + spec.beta_v * controls.v
     return ControlPair(traj.grid, g_u, g_v)
 
 
@@ -265,9 +264,10 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
     defect_v = None
     steps = traj.steps
     if spec.alpha_u > 0.0:
+        distrib = traj.params.distribution.evaluate(traj.phi[:steps], 0)
         worst = 0.0
         for n in range(steps):
-            target = traj.caches[n].distrib * adj.p[n] / spec.alpha_u
+            target = distrib[n] * adj.p[n] / spec.alpha_u
             clamped = np.minimum(np.maximum(target, box.u_min[n]), box.u_max[n])
             worst = max(worst, float(np.max(np.abs(controls.u[n] - clamped))))
         defect_u = worst
@@ -292,7 +292,8 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     Each iterate stays in the box bitwise (produced by the clamp, never
     perturbed afterwards). The accepted step seeds the next trial step
     doubled. An exhausted line search terminates the run with reason
-    "flat_gradient" rather than raising.
+    "flat_gradient" rather than raising. An accepted iterate k (k = 0 is the
+    start) with a non-finite cost or residual raises SolverError naming k.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
@@ -310,14 +311,19 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                         solver_options=solver_options, record_monitors=False)
         return traj, cost(traj, controls, spec)
 
-    def gradient(controls: ControlPair, traj: StateTrajectory) -> ControlPair:
+    def gradient(k: int, controls: ControlPair, traj: StateTrajectory, j_val: float):
+        """Gradient and stationarity residual of accepted iterate k."""
         adj = adjoint_sweep(traj, spec, params, kernel)
-        return reduced_gradient(controls, traj, adj, spec, params)
+        g = reduced_gradient(controls, traj, adj, spec, params)
+        resid = stationarity_residual(controls, g, box, dt)
+        if not (np.isfinite(j_val) and np.isfinite(resid)):
+            raise SolverError(f"PGD iterate {k}: cost {j_val!r} or stationarity residual "
+                              f"{resid!r} is not finite", iterations=k, residual=resid)
+        return g, resid
 
     c = project_box(c0, box)
     traj, j_val = run(c)
-    g = gradient(c, traj)
-    resid = stationarity_residual(c, g, box, dt)
+    g, resid = gradient(0, c, traj, j_val)
 
     costs = [j_val]
     residuals = [resid]
@@ -351,8 +357,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
             break
         c, traj, j_val = trial, traj_trial, j_trial
         tau_start = 2.0 * tau
-        g = gradient(c, traj)
-        resid = stationarity_residual(c, g, box, dt)
+        g, resid = gradient(len(costs), c, traj, j_val)
         costs.append(j_val)
         residuals.append(resid)
         step_sizes.append(tau)

@@ -34,7 +34,7 @@ class HypothesisViolationError(NLCHError):
 
 
 class SolverError(NLCHError):
-    """Linear solver failed to converge; carries iteration diagnostics."""
+    """Linear solver or optimiser failed; carries iteration diagnostics."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)
@@ -53,8 +53,7 @@ class InstabilityError(NLCHError):
 
 
 class StaleTrajectoryError(NLCHError):
-    """Sensitivity data requested against a trajectory whose caches are
-    missing or belong to different inputs."""
+    """Sensitivity data requested for a trajectory simulated from other inputs."""
 
 
 class ChemotaxisScopeError(NLCHError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeError, InstabilityError, SolverError
+from .errors import FieldShapeError, InstabilityError, SolverError, StaleTrajectoryError
 from .geometry import GridSpec, ScalarField, inner_product, laplacian_array, mass
 from .kernels import KernelData, convolve_array
 from .physics import ModelParams, require_ellipticity
@@ -103,23 +103,6 @@ class ControlPair:
         vol = self.grid.cell_volume
         total = (np.sum(self.u * self.u) + np.sum(self.v * self.v)) * vol * dt
         return float(np.sqrt(max(total, 0.0)))
-
-
-@dataclass(frozen=True)
-class StepCache:
-    """Everything the tangent/adjoint of one step needs from the base point."""
-
-    phi: np.ndarray
-    sigma: np.ndarray
-    mu: np.ndarray
-    gap: np.ndarray        # sigma + chi (1 - phi) - mu
-    prolif: np.ndarray     # P(phi)
-    prolif_d: np.ndarray   # P'(phi)
-    distrib: np.ndarray    # h(phi)
-    distrib_du: np.ndarray  # h'(phi) * u_n
-    f2: np.ndarray         # F''(phi)
-    u: np.ndarray
-    v: np.ndarray
 
 
 class StepOperators:
@@ -217,16 +200,38 @@ def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelP
     )
 
 
-def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
-               u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, StepCache]:
-    params = ops.params
-    mu = _chemical_potential_array(phi, sigma, params, ops.kernel)
+def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The explicit factors of one step: mu, gap = sigma + chi (1 - phi) - mu,
+    P(phi) and h(phi)."""
+    mu = _chemical_potential_array(phi, sigma, params, kernel)
     gap = sigma + params.chi * (1.0 - phi) - mu
     prolif = params.proliferation.evaluate(phi, 0)
+    distrib = (prolif if params.distribution_is_proliferation
+               else params.distribution.evaluate(phi, 0))
+    return mu, gap, prolif, distrib
+
+
+def linearise_step(params: ModelParams, kernel: KernelData, phi: np.ndarray,
+                   sigma: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What the tangent and adjoint of one step need from its base point:
+    (gap, P, P', h, h' u, F''), recomputed from the state and the control.
+
+    Uses the forward step's own expressions, so the factors are bitwise the
+    ones the forward step used.
+    """
+    _, gap, prolif, distrib = _step_terms(params, kernel, phi, sigma)
     prolif_d = params.proliferation.evaluate(phi, 1)
-    distrib = params.distribution.evaluate(phi, 0)
-    distrib_d = params.distribution.evaluate(phi, 1)
+    distrib_d = (prolif_d if params.distribution_is_proliferation
+                 else params.distribution.evaluate(phi, 1))
     f2 = params.potential.evaluate(phi, 2)
+    return gap, prolif, prolif_d, distrib, distrib_d * u, f2
+
+
+def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
+               u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    params = ops.params
+    mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma)
 
     source_phi = prolif * gap - distrib * u
     rhs_phi = ops.lap(mu) + source_phi
@@ -235,14 +240,7 @@ def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
 
     rhs_sigma = sigma / ops.dt - params.chi * ops.lap(phi_new) - prolif * gap + v
     sigma_new = ops.solve_sigma(rhs_sigma)
-
-    cache = StepCache(
-        phi=phi, sigma=sigma, mu=mu, gap=gap,
-        prolif=prolif, prolif_d=prolif_d,
-        distrib=distrib, distrib_du=distrib_d * u,
-        f2=f2, u=u, v=v,
-    )
-    return phi_new, sigma_new, cache
+    return phi_new, sigma_new
 
 
 def step(state: State, u_n: ScalarField, v_n: ScalarField, params: ModelParams,
@@ -255,26 +253,30 @@ def step(state: State, u_n: ScalarField, v_n: ScalarField, params: ModelParams,
     if u_n.grid != grid or v_n.grid != grid:
         raise FieldShapeError("controls on a different grid")
     ops = step_operators(grid, params, kernel, dt, solver_options)
-    phi_new, sigma_new, _ = _step_core(ops, state.phi.values, state.sigma.values,
-                                       u_n.values, v_n.values)
+    phi_new, sigma_new = _step_core(ops, state.phi.values, state.sigma.values,
+                                    u_n.values, v_n.values)
     _guard_step(0, phi_new, sigma_new, blowup_guard)
     return State(ScalarField(grid, phi_new), ScalarField(grid, sigma_new))
 
 
 @dataclass(frozen=True)
 class StateTrajectory:
-    """Discrete trajectory with per-step caches and run monitors.
+    """Discrete trajectory and run monitors.
 
-    phi and sigma have shape (steps + 1, cells); caches[n] belongs to the
-    step from t_n to t_{n+1}. monitors rows: (step, time, energy, mass_phi,
-    mass_sigma, sup_phi, sup_sigma).
+    phi and sigma have shape (steps + 1, cells); they are the only per-step
+    data kept. controls, params and kernel are references to the inputs of
+    the run, from which the derivative sweeps recompute each step's factors.
+    monitors rows: (step, time, energy, mass_phi, mass_sigma, sup_phi,
+    sup_sigma).
     """
 
     grid: GridSpec
     tgrid: TimeGrid
     phi: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
-    caches: tuple[StepCache, ...] = field(repr=False)
+    controls: ControlPair = field(repr=False)
+    params: ModelParams
+    kernel: KernelData = field(repr=False)
     monitors: tuple[tuple, ...] = field(repr=False)
     solver_options: SolverOptions
     fingerprint: str
@@ -288,6 +290,15 @@ class StateTrajectory:
 
     def final_state(self) -> State:
         return self.state(self.steps)
+
+    def require_inputs(self, params: ModelParams, kernel: KernelData | None = None) -> None:
+        """Raise StaleTrajectoryError unless params (and the kernel, if given)
+        are the ones this trajectory was simulated with."""
+        if params != self.params:
+            raise StaleTrajectoryError("trajectory was simulated with other model parameters")
+        if kernel is not None and (kernel.spec, kernel.grid) != (self.kernel.spec,
+                                                                 self.kernel.grid):
+            raise StaleTrajectoryError("trajectory was simulated with another kernel")
 
 
 def trajectory_fingerprint(phi0: np.ndarray, sigma0: np.ndarray, controls: ControlPair,
@@ -312,8 +323,9 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
              record_monitors: bool = True) -> StateTrajectory:
     """March the state system over the whole time grid.
 
-    Records per-step caches for the sensitivity module and monitor rows for
-    the CLI. Propagates solver failures with the failing step index.
+    Stores the states and monitor rows for the CLI; the trajectory refers to
+    (does not copy) controls, params and kernel. Propagates solver failures
+    with the failing step index.
     record_monitors=False skips the per-step energy evaluation; optimisation
     inner loops use it, artifact-producing runs keep it on.
     """
@@ -335,7 +347,6 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     phi[0] = phi0.values
     sigma[0] = sigma0.values
 
-    caches: list[StepCache] = []
     monitors: list[tuple] = []
 
     def monitor_row(n: int) -> tuple:
@@ -357,7 +368,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         ops = step_operators(grid, params, kernel, tgrid.dt, options)
         for n in range(tgrid.steps):
             try:
-                phi_new, sigma_new, cache = _step_core(
+                phi_new, sigma_new = _step_core(
                     ops, phi[n], sigma[n], controls.u[n], controls.v[n]
                 )
             except SolverError as exc:
@@ -365,7 +376,6 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
             _guard_step(n, phi_new, sigma_new, blowup_guard)
             phi[n + 1] = phi_new
             sigma[n + 1] = sigma_new
-            caches.append(cache)
             if record_monitors:
                 monitors.append(monitor_row(n + 1))
 
@@ -374,7 +384,9 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         tgrid=tgrid,
         phi=phi,
         sigma=sigma,
-        caches=tuple(caches),
+        controls=controls,
+        params=params,
+        kernel=kernel,
         monitors=tuple(monitors),
         solver_options=options,
         fingerprint=trajectory_fingerprint(phi0.values, sigma0.values, controls,
@@ -408,12 +420,14 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
     """
     if controls.steps != traj.steps:
         raise FieldShapeError("controls and trajectory step counts differ")
+    traj.require_inputs(params)
     vol = traj.grid.cell_volume
     dt = traj.tgrid.dt
     worst = 0.0
-    for n, cache in enumerate(traj.caches):
+    for n in range(traj.steps):
         rate = (np.sum(traj.phi[n + 1]) - np.sum(traj.phi[n])) * vol / dt
-        source = float(np.sum(cache.prolif * cache.gap - cache.distrib * controls.u[n])) * vol
+        _, gap, prolif, distrib = _step_terms(params, traj.kernel, traj.phi[n], traj.sigma[n])
+        source = float(np.sum(prolif * gap - distrib * controls.u[n])) * vol
         scale = max(1.0, abs(rate), abs(source))
         worst = max(worst, abs(rate - source) / scale)
     return worst

@@ -153,18 +153,12 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     f = values.reshape(grid.cells_per_axis)
     out = np.zeros_like(f)
     for axis, h in enumerate(grid.spacing):
-        padded = np.concatenate(
-            [
-                np.take(f, [0], axis=axis),
-                f,
-                np.take(f, [-1], axis=axis),
-            ],
-            axis=axis,
-        )
-        n = grid.cells_per_axis[axis]
-        lo = np.take(padded, range(0, n), axis=axis)
-        hi = np.take(padded, range(2, n + 2), axis=axis)
-        out += (lo - 2.0 * f + hi) / (h * h)
+        # views with this axis first; the ghost rows repeat the edge rows
+        g = f.swapaxes(0, axis)
+        n = g.shape[0]
+        padded = np.concatenate((g[:1], g, g[n - 1:]))
+        acc = out.swapaxes(0, axis)
+        acc += (padded[:n] - 2.0 * g + padded[2:]) / (h * h)
     return out.reshape(-1)
 
 

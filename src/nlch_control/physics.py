@@ -158,6 +158,13 @@ class ModelParams:
         if failures:
             raise HypothesisViolationError("; ".join(failures))
 
+    @property
+    def distribution_is_proliferation(self) -> bool:
+        """True when h and P are one function, so h, h' can reuse P, P'. With
+        constant_zero P, same_as_p still makes h the ramp."""
+        return (self.distribution.family == "same_as_p"
+                and self.proliferation.family == "smoothed_ramp")
+
 
 def ellipticity_margin(params: ModelParams, kernel: KernelData) -> float:
     """Lower bound c0 of A F''(s) + B a(x) over all s and grid points.

@@ -6,7 +6,9 @@ replaying the same two SPD solves on linearised right-hand sides; the
 transpose reverses the elementary operations, reusing the self-transposed
 implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
-truncation error, which is the property the optimiser relies on.
+truncation error, which is the property the optimiser relies on. The
+trajectory stores only the states; each sweep recomputes a step's
+linearisation from phi_n, sigma_n and u_n right before using it.
 
 Cotangent bookkeeping for one step (bars denote cotangents, primes the step
 outputs): the phi solve transposes to K^-1 (w_bar / c) with the same SPD
@@ -19,29 +21,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChemotaxisScopeError, FieldShapeError, StaleTrajectoryError
-from .geometry import GridSpec, ScalarField
-from .forward import (ControlPair, StateTrajectory, StepCache, StepOperators,
-                      TimeGrid, step_operators)
+from .errors import ChemotaxisScopeError, FieldShapeError
+from .geometry import GridSpec, laplacian_array
+from .forward import (ControlPair, StateTrajectory, StepOperators, TimeGrid,
+                      linearise_step, step_operators)
 from .kernels import KernelData
 from .physics import ModelParams
-from .solvers import SolverOptions
-
-
-@dataclass(frozen=True)
-class TangentState:
-    """Perturbation of the state, advanced alongside the base trajectory."""
-
-    xi: ScalarField
-    rho: ScalarField
-
-    def __post_init__(self):
-        if self.xi.grid != self.rho.grid:
-            raise FieldShapeError("tangent components on different grids")
-
-    @classmethod
-    def zero(cls, grid: GridSpec) -> "TangentState":
-        return cls(ScalarField.constant(grid, 0.0), ScalarField.constant(grid, 0.0))
 
 
 @dataclass(frozen=True)
@@ -79,21 +64,22 @@ class AdjointTrajectory:
 
     def q_slice(self, traj: StateTrajectory, params: ModelParams, n: int) -> np.ndarray:
         """Transient diagnostic q_n = -Lap p_n + P(phi_n)(p_n - r_n)."""
-        from .geometry import laplacian_array
-
-        cache = traj.caches[n]
-        return -laplacian_array(self.grid, self.p[n]) + cache.prolif * (self.p[n] - self.r[n])
+        prolif = params.proliferation.evaluate(traj.phi[n], 0)
+        return -laplacian_array(self.grid, self.p[n]) + prolif * (self.p[n] - self.r[n])
 
 
-def _tangent_core(ops: StepOperators, cache: StepCache, xi: np.ndarray, rho: np.ndarray,
-                  du: np.ndarray, dv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
+                  rho: np.ndarray, du: np.ndarray, dv: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Tangent of one step at the base point linearised by linearise_step."""
     params = ops.params
     chi = params.chi
-    eta = (params.A * cache.f2 + params.B * ops.kernel.a_field.values) * xi \
+    gap, prolif, prolif_d, distrib, distrib_du, f2 = lin
+    eta = (params.A * f2 + params.B * ops.kernel.a_field.values) * xi \
         - params.B * ops.conv(xi) - chi * rho
     dgap = rho - chi * xi - eta
-    d_prolif_gap = cache.prolif_d * cache.gap * xi + cache.prolif * dgap
-    d_source = d_prolif_gap - cache.distrib_du * xi - cache.distrib * du
+    d_prolif_gap = prolif_d * gap * xi + prolif * dgap
+    d_source = d_prolif_gap - distrib_du * xi - distrib * du
     rhs_phi = ops.lap(eta) + d_source
     dw = ops.solve_phi_increment(rhs_phi)
     xi_new = xi + dw
@@ -102,7 +88,7 @@ def _tangent_core(ops: StepOperators, cache: StepCache, xi: np.ndarray, rho: np.
     return xi_new, rho_new
 
 
-def _adjoint_core(ops: StepOperators, cache: StepCache, p_bar: np.ndarray,
+def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.ndarray,
                   r_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
                                               np.ndarray, np.ndarray, np.ndarray]:
     """Exact transpose of _tangent_core.
@@ -114,6 +100,7 @@ def _adjoint_core(ops: StepOperators, cache: StepCache, p_bar: np.ndarray,
     """
     params = ops.params
     chi = params.chi
+    gap, prolif, prolif_d, distrib, distrib_du, f2 = lin
 
     t_sigma = ops.solve_sigma(r_bar)
     v_bar = t_sigma
@@ -128,46 +115,32 @@ def _adjoint_core(ops: StepOperators, cache: StepCache, p_bar: np.ndarray,
     d_source_bar = phi_solve_bar
 
     d_prolif_gap_bar = d_prolif_gap_bar + d_source_bar
-    xi_bar += -cache.distrib_du * d_source_bar
-    u_bar = -cache.distrib * d_source_bar
+    xi_bar += -distrib_du * d_source_bar
+    u_bar = -distrib * d_source_bar
 
-    xi_bar += cache.prolif_d * cache.gap * d_prolif_gap_bar
-    dgap_bar = cache.prolif * d_prolif_gap_bar
+    xi_bar += prolif_d * gap * d_prolif_gap_bar
+    dgap_bar = prolif * d_prolif_gap_bar
     rho_bar = rho_bar + dgap_bar
     xi_bar += -chi * dgap_bar
     eta_bar = eta_bar - dgap_bar
 
-    xi_bar += (params.A * cache.f2 + params.B * ops.kernel.a_field.values) * eta_bar \
+    xi_bar += (params.A * f2 + params.B * ops.kernel.a_field.values) * eta_bar \
         - params.B * ops.conv(eta_bar)
     rho_bar = rho_bar - chi * eta_bar
 
     return xi_bar, rho_bar, u_bar, v_bar, phi_solve_bar, t_sigma
 
 
-def _require_caches(traj: StateTrajectory):
-    if len(traj.caches) != traj.steps:
-        raise StaleTrajectoryError(
-            f"trajectory carries {len(traj.caches)} step caches for {traj.steps} steps"
-        )
-
-
-def tangent_step(tan: TangentState, cache: StepCache, dh_n: ScalarField, dk_n: ScalarField,
-                 params: ModelParams, kernel: KernelData, dt: float,
-                 solver_options: SolverOptions | None = None) -> TangentState:
-    """Differentiate one forward step at the cached base point."""
-    if cache is None:
-        raise StaleTrajectoryError("step cache missing; rerun simulate")
-    grid = tan.xi.grid
-    ops = step_operators(grid, params, kernel, dt, solver_options)
-    xi_new, rho_new = _tangent_core(ops, cache, tan.xi.values, tan.rho.values,
-                                    dh_n.values, dk_n.values)
-    return TangentState(ScalarField(grid, xi_new), ScalarField(grid, rho_new))
+def _linearise(ops: StepOperators, traj: StateTrajectory, n: int) -> tuple[np.ndarray, ...]:
+    """Step n's factors, recomputed from the stored state and the run's control."""
+    return linearise_step(ops.params, ops.kernel, traj.phi[n], traj.sigma[n],
+                          traj.controls.u[n])
 
 
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair, params: ModelParams,
                   kernel: KernelData) -> TangentTrajectory:
     """Accumulate the tangent over the whole trajectory from zero initial data."""
-    _require_caches(traj)
+    traj.require_inputs(params, kernel)
     if d_controls.steps != traj.steps:
         raise FieldShapeError("perturbation step count does not match trajectory")
     grid = traj.grid
@@ -178,7 +151,7 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair, params: ModelP
         ops = step_operators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
         for n in range(traj.steps):
             xi[n + 1], rho[n + 1] = _tangent_core(
-                ops, traj.caches[n], xi[n], rho[n], d_controls.u[n], d_controls.v[n]
+                ops, _linearise(ops, traj, n), xi[n], rho[n], d_controls.u[n], d_controls.v[n]
             )
     return TangentTrajectory(grid=grid, tgrid=traj.tgrid, xi=xi, rho=rho)
 
@@ -191,7 +164,7 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarra
     initial slice and is ignored. Returns per-step control cotangents in the
     raw per-slice pairing (no dt weight).
     """
-    _require_caches(traj)
+    traj.require_inputs(params, kernel)
     grid = traj.grid
     steps = traj.steps
     u_bar = np.zeros((steps, grid.num_cells))
@@ -203,7 +176,7 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarra
     r_bar = np.array(seed_sigma[steps], dtype=np.float64)
     for n in range(steps - 1, -1, -1):
         xi_bar, rho_bar, u_bar[n], v_bar[n], _, _ = _adjoint_core(
-            ops, traj.caches[n], p_bar, r_bar
+            ops, _linearise(ops, traj, n), p_bar, r_bar
         )
         p_bar = xi_bar + seed_phi[n]
         r_bar = rho_bar + seed_sigma[n]
@@ -223,7 +196,7 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
         raise ChemotaxisScopeError(
             "adjoint/control machinery requires chi = 0 (chemotaxis-free regime)"
         )
-    _require_caches(traj)
+    traj.require_inputs(params, kernel)
     cost.require_grid(traj)
     grid = traj.grid
     steps = traj.steps
@@ -241,7 +214,7 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
         ops = step_operators(grid, params, kernel, dt, traj.solver_options)
         for n in range(steps - 1, -1, -1):
             xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
-                ops, traj.caches[n], p_bar, r_bar
+                ops, _linearise(ops, traj, n), p_bar, r_bar
             )
             p[n] = phi_solve_bar / dt
             r[n] = sigma_solve_bar / dt

@@ -8,7 +8,9 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           simulate, stationarity_residual)
 from nlch_control.control import control_inner_qt
 from nlch_control.errors import (ChemotaxisScopeError, FieldShapeError,
-                                 HypothesisViolationError, StaleTrajectoryError)
+                                 HypothesisViolationError, SolverError,
+                                 StaleTrajectoryError)
+from nlch_control.physics import ProliferationSpec
 
 from conftest import random_controls, smooth_phi0
 
@@ -289,3 +291,23 @@ def test_pgd_flat_gradient_termination(grid1d, kernel1d, params):
     assert report.termination == "flat_gradient"
     assert report.iterations == 0
     assert np.all(report.final_controls.u == 0.3)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_pgd_nonfinite_cost_raises():
+    # sigma grows to ~1e200 under v = 1e200, so its tracking term overflows to
+    # inf at the starting iterate; this must fail loudly, not end "flat_gradient"
+    from nlch_control import KernelSpec, build_kernel
+
+    grid = GridSpec((16,), (1.0,))
+    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
+    params = ModelParams(A=0.5, B=1.0, chi=0.0,
+                         proliferation=ProliferationSpec("constant_zero"))
+    tgrid = TimeGrid(0.1, 5)
+    c0 = ControlPair(grid, np.zeros((5, 16)), np.full((5, 16), 1e200))
+    box = BoxConstraints.constant(grid, 5, -1.0, 1.0, -1e201, 1e201)
+    spec = CostSpec.tracking(grid, 5, beta_omega=1.0)
+    with pytest.raises(SolverError, match="iterate 0") as info:
+        pgd_optimize(c0, box, spec, params, kernel, tgrid, smooth_phi0(grid),
+                     ScalarField.constant(grid, 0.0))
+    assert info.value.iterations == 0

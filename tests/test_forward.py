@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError)
 from nlch_control.geometry import dense_laplacian_matrix
 from nlch_control.kernels import convolution_matrix
+from nlch_control.physics import ProliferationSpec
 
 from conftest import random_controls, smooth_phi0
 
@@ -100,19 +103,22 @@ def test_step_conserves_mass_without_reactions(rng, grid1d, kernel1d, params_gra
 
 
 def test_step_matches_dense_oracle(rng, grid1d_small, kernel1d_small):
-    params = ModelParams(A=0.5, B=1.2, chi=0.0)
-    dt = 0.02
-    phi = 0.5 * rng.standard_normal(8)
-    sigma = 0.3 * rng.standard_normal(8)
-    u = rng.standard_normal(8)
-    v = rng.standard_normal(8)
-    oracle_phi, oracle_sigma = dense_step_oracle(grid1d_small, params, kernel1d_small,
-                                                 dt, phi, sigma, u, v)
-    state = State(ScalarField(grid1d_small, phi), ScalarField(grid1d_small, sigma))
-    new = step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
-               params, kernel1d_small, dt)
-    assert np.max(np.abs(new.phi.values - oracle_phi)) < 1e-10
-    assert np.max(np.abs(new.sigma.values - oracle_sigma)) < 1e-10
+    # the second parameter set switches P off but keeps h = ramp (same_as_p)
+    for params in (ModelParams(A=0.5, B=1.2, chi=0.0),
+                   ModelParams(A=0.5, B=1.2, chi=0.0,
+                               proliferation=ProliferationSpec("constant_zero"))):
+        dt = 0.02
+        phi = 0.5 * rng.standard_normal(8)
+        sigma = 0.3 * rng.standard_normal(8)
+        u = rng.standard_normal(8)
+        v = rng.standard_normal(8)
+        oracle_phi, oracle_sigma = dense_step_oracle(grid1d_small, params, kernel1d_small,
+                                                     dt, phi, sigma, u, v)
+        state = State(ScalarField(grid1d_small, phi), ScalarField(grid1d_small, sigma))
+        new = step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
+                   params, kernel1d_small, dt)
+        assert np.max(np.abs(new.phi.values - oracle_phi)) < 1e-10
+        assert np.max(np.abs(new.sigma.values - oracle_sigma)) < 1e-10
 
 
 def test_step_matches_dense_oracle_with_chemotaxis(rng, grid1d_small):
@@ -192,6 +198,24 @@ def test_simulate_deterministic(rng, grid1d, kernel1d, params, tgrid20):
     assert np.array_equal(t1.phi, t2.phi)
     assert np.array_equal(t1.sigma, t2.sigma)
     assert t1.fingerprint == t2.fingerprint
+
+
+def test_simulate_stores_only_states(rng, grid1d, kernel1d, params, tgrid20):
+    controls = random_controls(rng, grid1d, 20)
+    traj = simulate(smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3), controls,
+                    params, kernel1d, tgrid20)
+
+    def holds_array(value):
+        if isinstance(value, (tuple, list)):
+            return any(holds_array(item) for item in value)
+        return isinstance(value, np.ndarray)
+
+    stored = {f.name for f in dataclasses.fields(traj) if holds_array(getattr(traj, f.name))}
+    assert stored == {"phi", "sigma"}
+    # the run's inputs are referenced, not copied
+    assert traj.controls is controls
+    assert traj.params is params
+    assert traj.kernel is kernel1d
 
 
 def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):

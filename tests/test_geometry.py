@@ -99,11 +99,33 @@ def test_laplacian_conservation_and_symmetry(rng, grid1d, grid2d):
             assert inner_product(lap_f, f) <= 1e-12
 
 
+def neumann_second_difference(n, h):
+    """1D mirror-ghost second-difference matrix, assembled entry by entry."""
+    mat = np.zeros((n, n))
+    for i in range(n):
+        for j in (i - 1, i + 1):
+            if 0 <= j < n:
+                mat[i, j] += 1.0
+                mat[i, i] -= 1.0
+    return mat / (h * h)
+
+
 def test_dense_laplacian_matrix_matches_operator(rng, grid1d_small):
-    mat = dense_laplacian_matrix(grid1d_small)
-    assert np.allclose(mat, mat.T)
-    f = rng.standard_normal(8)
-    assert np.allclose(mat @ f, laplacian_neumann(ScalarField(grid1d_small, f)).values)
+    # the anisotropic 2D grid catches a stencil applied along the wrong axis
+    for grid in (grid1d_small, GridSpec((5, 3), (1.3, 0.7))):
+        mat = dense_laplacian_matrix(grid)
+        assert np.allclose(mat, mat.T)
+        f = rng.standard_normal(grid.num_cells)
+        assert np.allclose(mat @ f, laplacian_neumann(ScalarField(grid, f)).values)
+        # Kronecker sum of the per-axis 1D operators (row-major flattening)
+        axes = [neumann_second_difference(n, h)
+                for n, h in zip(grid.cells_per_axis, grid.spacing)]
+        if len(axes) == 1:
+            expected = axes[0]
+        else:
+            expected = (np.kron(axes[0], np.eye(grid.cells_per_axis[1]))
+                        + np.kron(np.eye(grid.cells_per_axis[0]), axes[1]))
+        assert np.allclose(mat, expected, rtol=1e-13, atol=1e-10)
 
 
 def test_inner_product_measures_domain():

@@ -3,12 +3,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from nlch_control import (ControlPair, CostSpec, ModelParams, ScalarField,
-                          TimeGrid, adjoint_sweep, duality_gap, simulate,
-                          tangent_step, tangent_sweep)
+from nlch_control import (ControlPair, CostSpec, KernelSpec, ModelParams,
+                          ScalarField, TimeGrid, adjoint_sweep, build_kernel,
+                          duality_gap, simulate, tangent_sweep)
 from nlch_control.errors import ChemotaxisScopeError, StaleTrajectoryError
 from nlch_control.gradcheck import taylor_remainder_order, trajectory_qt_norm
-from nlch_control.sensitivity import TangentState, vjp_sweep
+from nlch_control.sensitivity import vjp_sweep
 
 from conftest import random_controls, smooth_phi0
 
@@ -22,53 +22,19 @@ def base_setup(rng, grid1d, kernel1d, params, tgrid20):
     return phi0, sigma0, controls, traj
 
 
-def test_tangent_step_zero_input(base_setup, grid1d, kernel1d, params, tgrid20):
-    _, _, _, traj = base_setup
-    tan = TangentState.zero(grid1d)
-    zero = ScalarField.constant(grid1d, 0.0)
-    out = tangent_step(tan, traj.caches[0], zero, zero, params, kernel1d, tgrid20.dt)
-    assert np.all(out.xi.values == 0.0)
-    assert np.all(out.rho.values == 0.0)
-
-
-def test_tangent_step_homogeneity(rng, base_setup, grid1d, kernel1d, params, tgrid20):
-    _, _, _, traj = base_setup
-    xi = rng.standard_normal(grid1d.num_cells)
-    rho = rng.standard_normal(grid1d.num_cells)
-    dh = rng.standard_normal(grid1d.num_cells)
-    dk = rng.standard_normal(grid1d.num_cells)
-
-    def advance(scale):
-        tan = TangentState(ScalarField(grid1d, scale * xi), ScalarField(grid1d, scale * rho))
-        out = tangent_step(tan, traj.caches[3],
-                           ScalarField(grid1d, scale * dh), ScalarField(grid1d, scale * dk),
-                           params, kernel1d, tgrid20.dt)
-        return out.xi.values, out.rho.values
-
-    xi1, rho1 = advance(1.0)
-    xi2, rho2 = advance(2.0)
-    assert np.max(np.abs(xi2 - 2.0 * xi1)) <= 1e-13 * max(1.0, np.max(np.abs(xi1)))
-    assert np.max(np.abs(rho2 - 2.0 * rho1)) <= 1e-13 * max(1.0, np.max(np.abs(rho1)))
-
-
-def test_tangent_step_requires_cache(grid1d, kernel1d, params, tgrid20):
-    tan = TangentState.zero(grid1d)
-    zero = ScalarField.constant(grid1d, 0.0)
-    with pytest.raises(StaleTrajectoryError):
-        tangent_step(tan, None, zero, zero, params, kernel1d, tgrid20.dt)
-
-
 def test_tangent_sweep_linearity(rng, base_setup, grid1d, kernel1d, params):
     _, _, _, traj = base_setup
     d1 = random_controls(rng, grid1d, 20)
-    d2 = random_controls(rng, grid1d, 20)
-    combined = ControlPair(grid1d, 2.0 * d1.u - 0.5 * d2.u, 2.0 * d1.v - 0.5 * d2.v)
     t1 = tangent_sweep(traj, d1, params, kernel1d)
-    t2 = tangent_sweep(traj, d2, params, kernel1d)
-    tc = tangent_sweep(traj, combined, params, kernel1d)
-    scale = max(1.0, np.max(np.abs(tc.xi)))
-    assert np.max(np.abs(tc.xi - (2.0 * t1.xi - 0.5 * t2.xi))) <= 1e-13 * scale
-    assert np.max(np.abs(tc.rho - (2.0 * t1.rho - 0.5 * t2.rho))) <= 1e-13 * scale
+    for d2 in (random_controls(rng, grid1d, 20), ControlPair.zeros(grid1d, 20)):
+        combined = ControlPair(grid1d, 2.0 * d1.u - 0.5 * d2.u, 2.0 * d1.v - 0.5 * d2.v)
+        t2 = tangent_sweep(traj, d2, params, kernel1d)
+        tc = tangent_sweep(traj, combined, params, kernel1d)
+        scale = max(1.0, np.max(np.abs(tc.xi)))
+        assert np.max(np.abs(tc.xi - (2.0 * t1.xi - 0.5 * t2.xi))) <= 1e-13 * scale
+        assert np.max(np.abs(tc.rho - (2.0 * t1.rho - 0.5 * t2.rho))) <= 1e-13 * scale
+    # the last d2 is zero: zero in, zero out
+    assert np.all(t2.xi == 0.0) and np.all(t2.rho == 0.0)
 
 
 def test_tangent_matches_finite_differences(rng, base_setup, grid1d, kernel1d, params,
@@ -205,13 +171,20 @@ def test_adjoint_rejects_chemotaxis(grid1d, rng, tgrid20):
 
 
 def test_sweeps_reject_stale_trajectory(base_setup, grid1d, kernel1d, params):
+    # sweeps given other inputs than the trajectory was simulated with
     _, _, _, traj = base_setup
-    stale = dataclasses.replace(traj, caches=traj.caches[:5])
-    with pytest.raises(StaleTrajectoryError):
-        tangent_sweep(stale, ControlPair.zeros(grid1d, 20), params, kernel1d)
+    other_params = dataclasses.replace(params, A=0.6)
+    other_kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid1d)
     spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
-    with pytest.raises(StaleTrajectoryError):
-        adjoint_sweep(stale, spec, params, kernel1d)
+    for p, k in ((other_params, kernel1d), (params, other_kernel)):
+        with pytest.raises(StaleTrajectoryError):
+            tangent_sweep(traj, ControlPair.zeros(grid1d, 20), p, k)
+        with pytest.raises(StaleTrajectoryError):
+            adjoint_sweep(traj, spec, p, k)
+    # an equal kernel built afresh is the same input
+    same_kernel = build_kernel(kernel1d.spec, grid1d)
+    adj = adjoint_sweep(traj, spec, params, same_kernel)
+    assert np.array_equal(adj.p, adjoint_sweep(traj, spec, params, kernel1d).p)
 
 
 def test_q_slice_structure(base_setup, grid1d, kernel1d, params):
@@ -223,5 +196,5 @@ def test_q_slice_structure(base_setup, grid1d, kernel1d, params):
     n = 7
     q = adj.q_slice(traj, params, n)
     expected = -laplacian_array(grid1d, adj.p[n]) \
-        + traj.caches[n].prolif * (adj.p[n] - adj.r[n])
+        + params.proliferation.evaluate(traj.phi[n], 0) * (adj.p[n] - adj.r[n])
     assert np.array_equal(q, expected)
