@@ -115,8 +115,8 @@ class StepOperators:
 
     def __init__(self, grid: GridSpec, params: ModelParams, kernel: KernelData,
                  dt: float, options: SolverOptions | None = None):
-        if dt <= 0.0:
-            raise FieldShapeError(f"dt must be positive, got {dt}")
+        if not (np.isfinite(dt) and dt > 0.0):
+            raise FieldShapeError(f"dt must be finite and positive, got {dt}")
         self.grid = grid
         self.params = params
         self.kernel = kernel
@@ -192,19 +192,23 @@ def chemical_potential(phi: ScalarField, sigma: ScalarField, params: ModelParams
 
 
 def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelParams,
-                              kernel: KernelData) -> np.ndarray:
+                              kernel: KernelData, j_phi: np.ndarray | None = None
+                              ) -> np.ndarray:
+    if j_phi is None:
+        j_phi = convolve_array(kernel, phi)
     return (
         params.A * params.potential.evaluate(phi, 1)
-        + params.B * (kernel.a_field.values * phi - convolve_array(kernel, phi))
+        + params.B * (kernel.a_field.values * phi - j_phi)
         - params.chi * sigma
     )
 
 
-def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray
+def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
+                j_phi: np.ndarray | None = None
                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The explicit factors of one step: mu, gap = sigma + chi (1 - phi) - mu,
-    P(phi) and h(phi)."""
-    mu = _chemical_potential_array(phi, sigma, params, kernel)
+    P(phi) and h(phi). j_phi is J*phi when the caller already has it."""
+    mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
     gap = sigma + params.chi * (1.0 - phi) - mu
     prolif = params.proliferation.evaluate(phi, 0)
     distrib = (prolif if params.distribution_is_proliferation
@@ -229,9 +233,10 @@ def linearise_step(params: ModelParams, kernel: KernelData, phi: np.ndarray,
 
 
 def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
-               u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+               u: np.ndarray, v: np.ndarray, j_phi: np.ndarray | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
     params = ops.params
-    mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma)
+    mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
 
     source_phi = prolif * gap - distrib * u
     rhs_phi = ops.lap(mu) + source_phi
@@ -348,13 +353,16 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     sigma[0] = sigma0.values
 
     monitors: list[tuple] = []
+    # with monitors on, J*phi_n is computed once, for the energy of state n
+    # and for the step from it
+    j_phi = None
 
     def monitor_row(n: int) -> tuple:
         state = State(ScalarField(grid, phi[n]), ScalarField(grid, sigma[n]))
         return (
             n,
             n * tgrid.dt,
-            free_energy(state, params, kernel),
+            free_energy(state, params, kernel, j_phi=j_phi),
             mass(state.phi),
             mass(state.sigma),
             state.phi.sup_norm(),
@@ -362,6 +370,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         )
 
     if record_monitors:
+        j_phi = convolve_array(kernel, phi[0])
         monitors.append(monitor_row(0))
 
     if tgrid.steps > 0:
@@ -369,7 +378,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         for n in range(tgrid.steps):
             try:
                 phi_new, sigma_new = _step_core(
-                    ops, phi[n], sigma[n], controls.u[n], controls.v[n]
+                    ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
                 )
             except SolverError as exc:
                 raise SolverError(f"step {n}: {exc}", exc.iterations, exc.residual) from exc
@@ -377,6 +386,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
             phi[n + 1] = phi_new
             sigma[n + 1] = sigma_new
             if record_monitors:
+                j_phi = convolve_array(kernel, phi[n + 1])
                 monitors.append(monitor_row(n + 1))
 
     return StateTrajectory(
@@ -394,18 +404,22 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     )
 
 
-def free_energy(state: State, params: ModelParams, kernel: KernelData) -> float:
+def free_energy(state: State, params: ModelParams, kernel: KernelData,
+                j_phi: np.ndarray | None = None) -> float:
     """Ginzburg-Landau energy of the nonlocal model.
 
     The pairwise penalty sum_{ij} J(x_i - x_j)(phi_i - phi_j)^2 vol^2 / 4 is
     folded into convolutions: it equals (B/2)(<a phi, phi> - <J*phi, phi>).
+    j_phi is the convolution J*phi when the caller already has it.
     """
     phi, sigma = state.phi, state.sigma
     grid = phi.grid
     bulk = params.A * float(np.sum(params.potential.evaluate(phi.values, 0))) * grid.cell_volume
     a_phi = ScalarField(grid, kernel.a_field.values * phi.values)
-    j_phi = ScalarField(grid, convolve_array(kernel, phi.values))
-    nonlocal_term = 0.5 * params.B * (inner_product(a_phi, phi) - inner_product(j_phi, phi))
+    if j_phi is None:
+        j_phi = convolve_array(kernel, phi.values)
+    j_field = ScalarField(grid, j_phi)
+    nonlocal_term = 0.5 * params.B * (inner_product(a_phi, phi) - inner_product(j_field, phi))
     coupling = 0.5 * sigma.values * sigma.values + params.chi * sigma.values * (1.0 - phi.values)
     return bulk + nonlocal_term + float(np.sum(coupling)) * grid.cell_volume
 

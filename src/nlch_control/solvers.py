@@ -4,10 +4,20 @@ Every implicit update reduces to (D - L) x = b with D a positive diagonal and
 L the mirror-ghost Neumann Laplacian, which is symmetric negative
 semidefinite, so the system is SPD. Two interchangeable backends:
 
-  direct: exact factorisation (banded Cholesky in 1D, sparse LU in 2D),
-          computed once per solver and reused by every solve,
+  direct: exact, set up once per solver and reused by every solve:
+            1D                  banded Cholesky,
+            2D, constant d      DCT-II diagonalisation (no factorisation),
+            2D, varying d       sparse LU with a minimum-degree ordering,
   cg:     matrix-free conjugate gradients to a relative residual,
           with a fixed reduction order so runs are bitwise reproducible.
+
+On the cell-centred grid the mirror-ghost Laplacian is diagonalised by the
+orthonormal DCT-II along each axis, with eigenvalues (2 cos(pi k/n) - 2)/h^2
+(Strang, "The discrete cosine transform", SIAM Rev. 1999). A constant shift
+keeps that basis, so the nutrient solve is two transforms and a division.
+The phi operator's diagonal varies in space; its LU is ordered by minimum
+degree on A + A^T, the ordering for symmetric matrices, and strict diagonal
+dominance keeps SuperLU's pivots on the diagonal.
 
 The direct backend is the default: the transpose-exactness and mass-balance
 contracts need solver error at machine level, which an iterative tolerance
@@ -19,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
@@ -69,15 +80,16 @@ def neumann_laplacian_sparse(grid: GridSpec) -> sp.csr_matrix:
 class ShiftedLaplacianSolver:
     """Solver for (diag(d) - L) x = b on a fixed grid.
 
-    The diagonal d must be strictly positive. Factorisations are built once
-    and reused across time steps and sensitivity sweeps.
+    The diagonal d must be finite and strictly positive. Factorisations (or
+    the DCT denominators) are built once and reused across time steps and
+    sensitivity sweeps.
     """
 
     def __init__(self, grid: GridSpec, diagonal: np.ndarray, options: SolverOptions):
         diagonal = np.asarray(diagonal, dtype=np.float64).reshape(-1)
         if diagonal.size != grid.num_cells:
             raise SolverError("diagonal size does not match grid", 0, float("nan"))
-        if np.min(diagonal) <= 0.0:
+        if not np.all(np.isfinite(diagonal) & (diagonal > 0.0)):
             raise SolverError(
                 "implicit diagonal must be strictly positive "
                 "(increase lambda_s or check the kernel weight field)",
@@ -89,6 +101,7 @@ class ShiftedLaplacianSolver:
         self.options = options
         self._banded_chol = None
         self._lu = None
+        self._dct_denominator = None
         self._inv_jacobi = None
         if options.method == "cg":
             # Jacobi preconditioning keeps iteration counts flat across dt
@@ -100,9 +113,13 @@ class ShiftedLaplacianSolver:
             ab[0, 1:] = -lap_off
             ab[1, :] = diagonal - lap_diag
             self._banded_chol = cholesky_banded(ab)
+        elif np.all(diagonal == diagonal[0]):
+            eig = [(2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / (h * h)
+                   for n, h in zip(grid.cells_per_axis, grid.spacing)]
+            self._dct_denominator = diagonal[0] - (eig[0][:, None] + eig[1][None, :])
         else:
             mat = sp.diags(diagonal) - neumann_laplacian_sparse(grid)
-            self._lu = splu(mat.tocsc())
+            self._lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         return self.diagonal * x - laplacian_array(self.grid, x)
@@ -113,6 +130,11 @@ class ShiftedLaplacianSolver:
                 # non-finite input gives a non-finite solution, as in the 2D
                 # backend; the time stepper reports it as an instability
                 return cho_solve_banded((self._banded_chol, False), b, check_finite=False)
+            if self._dct_denominator is not None:
+                coeffs = scipy.fft.dctn(b.reshape(self.grid.cells_per_axis), type=2,
+                                        norm="ortho")
+                x = scipy.fft.idctn(coeffs / self._dct_denominator, type=2, norm="ortho")
+                return x.reshape(-1)
             return self._lu.solve(b)
         return self._solve_cg(b)
 

@@ -198,8 +198,26 @@ def test_cmd_simulate_energy_nonincreasing_gradient_flow(tmp_path, monkeypatch):
 
 
 def test_cmd_simulate_bitwise_deterministic(tmp_path, monkeypatch):
+    assert_simulate_runs_identical(tmp_path, monkeypatch)
+
+
+def test_cmd_simulate_bitwise_deterministic_2d(tmp_path, monkeypatch):
+    # the 2D solves (DCT for sigma, LU for phi) on an anisotropic grid
+    assert_simulate_runs_identical(tmp_path, monkeypatch, {
+        "grid": {"cells": [12, 7], "extent": [1.3, 0.7]},
+        "kernel": {"width": 0.25},
+        "initial": {"phi": {"kind": "bumps", "background": -0.4,
+                            "centers": [[0.6, 0.3]], "amplitudes": [0.9],
+                            "widths": [0.2]},
+                    "sigma": {"kind": "constant", "value": 0.3}},
+        "time": {"T": 0.1, "steps": 8},
+        "output": {"directory": "out", "snapshot_stride": 4},
+    })
+
+
+def assert_simulate_runs_identical(tmp_path, monkeypatch, overrides=None):
     monkeypatch.chdir(tmp_path)
-    path = write_cfg(tmp_path)
+    path = write_cfg(tmp_path, overrides)
     assert main(["simulate", "--config", str(path), "--out", "r1", "--quiet"]) == EXIT_OK
     assert main(["simulate", "--config", str(path), "--out", "r2", "--quiet"]) == EXIT_OK
     r1, r2 = tmp_path / "r1", tmp_path / "r2"

@@ -200,6 +200,30 @@ def test_simulate_deterministic(rng, grid1d, kernel1d, params, tgrid20):
     assert t1.fingerprint == t2.fingerprint
 
 
+@pytest.mark.parametrize("record_monitors", [True, False])
+def test_simulate_convolves_each_state_once(monkeypatch, rng, grid2d, kernel2d, params,
+                                            record_monitors):
+    from nlch_control import forward
+
+    calls = []
+    convolve = forward.convolve_array
+
+    def counted(kernel, values):
+        calls.append(1)
+        return convolve(kernel, values)
+
+    monkeypatch.setattr(forward, "convolve_array", counted)
+    steps = 6
+    traj = simulate(smooth_phi0(grid2d), ScalarField.constant(grid2d, 0.3),
+                    random_controls(rng, grid2d, steps), params, kernel2d,
+                    TimeGrid(0.06, steps), record_monitors=record_monitors)
+    assert len(calls) == (steps + 1 if record_monitors else steps)
+    monkeypatch.undo()
+    # the monitor energy is the public free_energy of each stored state
+    for n, row in enumerate(traj.monitors):
+        assert row[2] == free_energy(traj.state(n), params, kernel2d)
+
+
 def test_simulate_stores_only_states(rng, grid1d, kernel1d, params, tgrid20):
     controls = random_controls(rng, grid1d, 20)
     traj = simulate(smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3), controls,

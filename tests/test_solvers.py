@@ -1,0 +1,93 @@
+import numpy as np
+import pytest
+
+from nlch_control import GridSpec, KernelSpec, ModelParams, SolverOptions, build_kernel
+from nlch_control.errors import FieldShapeError, SolverError
+from nlch_control.forward import StepOperators
+from nlch_control.geometry import dense_laplacian_matrix
+from nlch_control.solvers import ShiftedLaplacianSolver
+
+GRIDS_2D = [GridSpec((5, 3), (1.3, 0.7)), GridSpec((13, 9), (1.3, 0.7)),
+            GridSpec((2, 2), (1.3, 0.7))]
+
+
+def grid_id(grid):
+    return "x".join(map(str, grid.cells_per_axis))
+
+
+def diagonals(rng, grid):
+    """A constant diagonal (DCT path) and a varying one (LU path)."""
+    n = grid.num_cells
+    return {"constant": np.full(n, 7.5), "varying": 2.0 + 20.0 * rng.random(n)}
+
+
+def dense_solve(grid, diagonal, b):
+    return np.linalg.solve(np.diag(diagonal) - dense_laplacian_matrix(grid), b)
+
+
+def rel_err(x, ref):
+    return float(np.max(np.abs(x - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("grid", GRIDS_2D, ids=grid_id)
+@pytest.mark.parametrize("kind", ["constant", "varying"])
+def test_2d_direct_solve_matches_dense(rng, grid, kind):
+    diagonal = diagonals(rng, grid)[kind]
+    solver = ShiftedLaplacianSolver(grid, diagonal, SolverOptions())
+    assert (solver._lu is None) == (kind == "constant")
+    for _ in range(3):
+        b = rng.standard_normal(grid.num_cells)
+        assert rel_err(solver.solve(b), dense_solve(grid, diagonal, b)) <= 1e-12
+
+
+def test_almost_constant_diagonal_takes_lu_path(rng):
+    grid = GRIDS_2D[1]
+    diagonal = np.full(grid.num_cells, 7.5)
+    diagonal[17] = 7.5 * (1.0 + 1e-15)
+    solver = ShiftedLaplacianSolver(grid, diagonal, SolverOptions())
+    assert solver._lu is not None
+    b = rng.standard_normal(grid.num_cells)
+    assert rel_err(solver.solve(b), dense_solve(grid, diagonal, b)) <= 1e-12
+
+
+@pytest.mark.parametrize("grid", GRIDS_2D[:2], ids=grid_id)
+@pytest.mark.parametrize("kind", ["constant", "varying"])
+def test_2d_direct_solve_is_symmetric(rng, grid, kind):
+    solver = ShiftedLaplacianSolver(grid, diagonals(rng, grid)[kind], SolverOptions())
+    x = rng.standard_normal(grid.num_cells)
+    y = rng.standard_normal(grid.num_cells)
+    sx, sy = solver.solve(x), solver.solve(y)
+    scale = max(np.linalg.norm(sx) * np.linalg.norm(y), np.linalg.norm(x) * np.linalg.norm(sy))
+    assert abs(np.dot(sx, y) - np.dot(x, sy)) <= 1e-13 * scale
+
+
+def test_dct_path_passes_nonfinite_rhs_on():
+    grid = GRIDS_2D[1]
+    solver = ShiftedLaplacianSolver(grid, np.full(grid.num_cells, 3.0), SolverOptions())
+    b = np.zeros(grid.num_cells)
+    b[4] = np.nan
+    assert not np.all(np.isfinite(solver.solve(b)))
+
+
+@pytest.mark.parametrize("grid", [GridSpec((8,), (1.0,)), GridSpec((5, 3), (1.3, 0.7))],
+                         ids=grid_id)
+@pytest.mark.parametrize("bad", ["nan_entry", "inf_entry", "all_inf", "all_nan"])
+@pytest.mark.parametrize("method", ["direct", "cg"])
+def test_solver_rejects_nonfinite_diagonal(grid, bad, method):
+    diagonal = np.full(grid.num_cells, 4.0)
+    if bad == "nan_entry":
+        diagonal[1] = np.nan
+    elif bad == "inf_entry":
+        diagonal[1] = np.inf
+    else:
+        diagonal[:] = np.nan if bad == "all_nan" else np.inf
+    with pytest.raises(SolverError, match="strictly positive"):
+        ShiftedLaplacianSolver(grid, diagonal, SolverOptions(method=method))
+
+
+@pytest.mark.parametrize("dt", [np.nan, np.inf, -np.inf, 0.0])
+def test_step_operators_reject_bad_dt(dt):
+    grid = GridSpec((5, 3), (1.3, 0.7))
+    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid)
+    with pytest.raises(FieldShapeError, match="dt must be"):
+        StepOperators(grid, ModelParams(A=0.5, B=1.0, chi=0.0), kernel, dt)
