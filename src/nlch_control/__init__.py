@@ -15,7 +15,6 @@ from .sensitivity import (AdjointTrajectory, TangentTrajectory, adjoint_sweep,
 from .control import (BoxConstraints, CostSpec, OptimizeReport, PgdOptions,
                       cost, pgd_optimize, project_box, projection_formula_defect,
                       reduced_gradient, stationarity_residual)
-from .solvers import SolverOptions
 from .config import RunConfig, config_from_dict, load_config, write_config
 
 __all__ = [
@@ -30,6 +29,5 @@ __all__ = [
     "BoxConstraints", "CostSpec", "OptimizeReport", "PgdOptions", "cost",
     "pgd_optimize", "project_box", "projection_formula_defect", "reduced_gradient",
     "stationarity_residual",
-    "SolverOptions",
     "RunConfig", "config_from_dict", "load_config", "write_config",
 ]

@@ -79,7 +79,6 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
     out = _prepare_outdir(cfg)
 
     traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                    solver_options=cfg.solver_options(),
                     blowup_guard=cfg.blowup_guard)
 
     outputs = ["monitors.csv"]
@@ -113,7 +112,6 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
     rng = np.random.default_rng(cfg.seed)
 
     result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid, rng,
-                           solver_options=cfg.solver_options(),
                            corrupt_adjoint=_corrupt_adjoint)
 
     _say(quiet, f"duality gap (max over {len(result.duality_gaps)} probes): "
@@ -147,15 +145,12 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
                     f"tau {tau:.3e}  ls {ls}")
 
     report = pgd_optimize(c0, box, spec, params, kernel, tgrid, phi0, sigma0,
-                          opts=cfg.pgd_options(),
-                          solver_options=cfg.solver_options(),
-                          callback=progress)
+                          opts=cfg.pgd_options(), callback=progress)
 
     outputs = ["iterations.csv", "projection_report.json"]
     snapshots.write_iterations_csv(out / "iterations.csv", report)
 
     final_traj = simulate(phi0, sigma0, report.final_controls, params, kernel, tgrid,
-                          solver_options=cfg.solver_options(),
                           blowup_guard=cfg.blowup_guard)
     adj = adjoint_sweep(final_traj, spec, params, kernel)
     defect_u, defect_v = projection_formula_defect(report.final_controls, final_traj,

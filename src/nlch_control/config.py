@@ -11,8 +11,7 @@ Top-level keys (all optional, defaults below):
   time       {"T": 0.25, "steps": 25}
   initial    {"phi": FIELD, "sigma": FIELD}
   controls   {"u": FIELD, "v": FIELD}              initial guess / manufactured
-  solver     {"method": "direct", "cg_tol": 1e-10, "cg_max_iter": 10000,
-              "blowup_guard": 10.0}
+  solver     {"blowup_guard": 10.0}
   cost       {"alpha_omega": 1.0, "alpha_q": 0.0, "beta_omega": 0.0,
               "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
               "targets": {"kind": "zero"}}
@@ -55,7 +54,6 @@ from .geometry import GridSpec, ScalarField
 from .kernels import KernelData, KernelSpec, build_kernel
 from .physics import (DistributionSpec, ModelParams, PotentialSpec,
                       ProliferationSpec)
-from .solvers import SolverOptions
 
 
 @dataclass(frozen=True)
@@ -125,9 +123,6 @@ class RunConfig:
     initial_sigma: FieldSpec
     control_u: FieldSpec
     control_v: FieldSpec
-    solver_method: str
-    cg_tol: float
-    cg_max_iter: int
     blowup_guard: float
     cost: CostConfig
     u_min: BoxBound
@@ -165,9 +160,9 @@ class RunConfig:
     def build_tgrid(self) -> TimeGrid:
         return TimeGrid(self.T, self.steps)
 
-    def solver_options(self) -> SolverOptions:
-        return SolverOptions(method=self.solver_method, cg_tol=self.cg_tol,
-                             cg_max_iter=self.cg_max_iter)
+    def solver_options(self) -> None:
+        # kept, returning None, until perfbench/workloads.py stops calling it
+        return None
 
     def pgd_options(self) -> PgdOptions:
         return PgdOptions(tol=self.opt_tol, max_iter=self.opt_max_iter, tau0=self.opt_tau0)
@@ -262,7 +257,6 @@ class RunConfig:
                 np.tile(v_field.values, (tgrid.steps, 1)),
             )
             traj = simulate(phi0, sigma0, target_controls, params, kernel, tgrid,
-                            solver_options=self.solver_options(),
                             blowup_guard=self.blowup_guard)
             return CostSpec.tracking(
                 grid, tgrid.steps, **weights,
@@ -289,8 +283,7 @@ _DEFAULTS = {
                 "sigma": {"kind": "constant", "value": 0.0}},
     "controls": {"u": {"kind": "constant", "value": 0.0},
                  "v": {"kind": "constant", "value": 0.0}},
-    "solver": {"method": "direct", "cg_tol": 1e-10, "cg_max_iter": 10000,
-               "blowup_guard": 10.0},
+    "solver": {"blowup_guard": 10.0},
     "cost": {"alpha_omega": 1.0, "alpha_q": 0.0, "beta_omega": 0.0,
              "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
              "targets": {"kind": "zero"}},
@@ -405,7 +398,6 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     k = merged["kernel"]
     m = merged["model"]
     t = merged["time"]
-    sol = merged["solver"]
     c = merged["cost"]
     box = merged["box"]
     opt = merged["optimizer"]
@@ -427,10 +419,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         initial_sigma=_field_spec(merged["initial"]["sigma"], "initial.sigma", failures),
         control_u=_field_spec(merged["controls"]["u"], "controls.u", failures),
         control_v=_field_spec(merged["controls"]["v"], "controls.v", failures),
-        solver_method=str(sol["method"]),
-        cg_tol=float(sol["cg_tol"]),
-        cg_max_iter=int(sol["cg_max_iter"]),
-        blowup_guard=float(sol["blowup_guard"]),
+        blowup_guard=float(merged["solver"]["blowup_guard"]),
         cost=CostConfig(
             alpha_omega=float(c["alpha_omega"]), alpha_q=float(c["alpha_q"]),
             beta_omega=float(c["beta_omega"]), beta_q=float(c["beta_q"]),
@@ -456,7 +445,24 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+def _nonfinite_entries(value, key: str = "") -> list[tuple[str, float]]:
+    """(key, value) of every non-finite number in a config_to_dict tree."""
+    if isinstance(value, dict):
+        return [bad for name, item in value.items()
+                for bad in _nonfinite_entries(item, f"{key}.{name}" if key else name)]
+    if isinstance(value, list):
+        return [bad for i, item in enumerate(value)
+                for bad in _nonfinite_entries(item, f"{key}[{i}]")]
+    if isinstance(value, float) and not np.isfinite(value):
+        return [(key, value)]
+    return []
+
+
 def _validate(cfg: RunConfig, failures: list[str]):
+    # JSON admits NaN, Infinity and overflowing literals such as 1e400, and
+    # NaN passes every comparison below
+    failures.extend(f"{key} must be a finite number, got {value}"
+                    for key, value in _nonfinite_entries(config_to_dict(cfg)))
     grid = None
     try:
         grid = cfg.build_grid()
@@ -490,10 +496,6 @@ def _validate(cfg: RunConfig, failures: list[str]):
         failures.append(f"time.T must be positive, got {cfg.T}")
     if cfg.steps <= 0:
         failures.append(f"time.steps must be positive, got {cfg.steps}")
-    if cfg.solver_method not in ("direct", "cg"):
-        failures.append(f"solver.method must be 'direct' or 'cg', got {cfg.solver_method!r}")
-    if cfg.cg_tol <= 0.0:
-        failures.append("solver.cg_tol must be positive")
     if cfg.blowup_guard <= 0.0:
         failures.append("solver.blowup_guard must be positive")
     weights = (cfg.cost.alpha_omega, cfg.cost.alpha_q, cfg.cost.beta_omega,
@@ -590,8 +592,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "initial": {"phi": field_dict(cfg.initial_phi),
                     "sigma": field_dict(cfg.initial_sigma)},
         "controls": {"u": field_dict(cfg.control_u), "v": field_dict(cfg.control_v)},
-        "solver": {"method": cfg.solver_method, "cg_tol": cfg.cg_tol,
-                   "cg_max_iter": cfg.cg_max_iter, "blowup_guard": cfg.blowup_guard},
+        "solver": {"blowup_guard": cfg.blowup_guard},
         "cost": {"alpha_omega": cfg.cost.alpha_omega, "alpha_q": cfg.cost.alpha_q,
                  "beta_omega": cfg.cost.beta_omega, "beta_q": cfg.cost.beta_q,
                  "alpha_u": cfg.cost.alpha_u, "beta_v": cfg.cost.beta_v,

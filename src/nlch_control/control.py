@@ -20,7 +20,6 @@ from .geometry import GridSpec, ScalarField
 from .kernels import KernelData
 from .physics import ModelParams, require_ellipticity
 from .sensitivity import AdjointTrajectory, adjoint_sweep
-from .solvers import SolverOptions
 
 
 @dataclass(frozen=True)
@@ -285,7 +284,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                  params: ModelParams, kernel: KernelData, tgrid: TimeGrid,
                  phi0: ScalarField, sigma0: ScalarField,
                  opts: PgdOptions | None = None,
-                 solver_options: SolverOptions | None = None,
+                 solver_options: None = None,
                  callback=None) -> OptimizeReport:
     """Projected gradient descent with Armijo backtracking.
 
@@ -299,6 +298,9 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     linesearch_count, iterate) after the starting point and every accepted
     step.
     """
+    # solver_options stays, as None only, until perfbench/workloads.py stops passing it
+    if solver_options is not None:
+        raise TypeError("pgd_optimize: solver_options must be None; there is no solver choice")
     if params.chi != 0.0:
         raise ChemotaxisScopeError("optimal control requires chi = 0")
     require_ellipticity(params, kernel)
@@ -308,7 +310,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
 
     def run(controls: ControlPair):
         traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                        solver_options=solver_options, record_monitors=False)
+                        record_monitors=False)
         return traj, cost(traj, controls, spec)
 
     def gradient(k: int, controls: ControlPair, traj: StateTrajectory, j_val: float):

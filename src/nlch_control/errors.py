@@ -34,7 +34,9 @@ class HypothesisViolationError(NLCHError):
 
 
 class SolverError(NLCHError):
-    """Linear solver or optimiser failed; carries iteration diagnostics."""
+    """A solver could not be set up (its implicit diagonal is not positive and
+    finite) or an optimiser iterate is not finite; carries the iteration count
+    (the PGD iterate, 0 for a solver) and a residual (NaN for a solver)."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)

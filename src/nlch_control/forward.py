@@ -25,11 +25,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeError, InstabilityError, SolverError, StaleTrajectoryError
+from .errors import FieldShapeError, InstabilityError, StaleTrajectoryError
 from .geometry import GridSpec, ScalarField, inner_product, laplacian_array, mass
 from .kernels import KernelData, convolve_array
 from .physics import ModelParams, require_ellipticity
-from .solvers import ShiftedLaplacianSolver, SolverOptions
+from .solvers import ShiftedLaplacianSolver
 
 DEFAULT_BLOWUP_GUARD = 10.0
 
@@ -113,20 +113,16 @@ class StepOperators:
     through step_operators, which builds it once per discretisation.
     """
 
-    def __init__(self, grid: GridSpec, params: ModelParams, kernel: KernelData,
-                 dt: float, options: SolverOptions | None = None):
+    def __init__(self, grid: GridSpec, params: ModelParams, kernel: KernelData, dt: float):
         if not (np.isfinite(dt) and dt > 0.0):
             raise FieldShapeError(f"dt must be finite and positive, got {dt}")
         self.grid = grid
         self.params = params
         self.kernel = kernel
         self.dt = dt
-        self.options = options or SolverOptions()
         self.c = params.A * params.lambda_s + params.B * kernel.a_field.values
-        self.phi_solver = ShiftedLaplacianSolver(grid, 1.0 / (dt * self.c), self.options)
-        self.sigma_solver = ShiftedLaplacianSolver(
-            grid, np.full(grid.num_cells, 1.0 / dt), self.options
-        )
+        self.phi_solver = ShiftedLaplacianSolver(grid, 1.0 / (dt * self.c))
+        self.sigma_solver = ShiftedLaplacianSolver(grid, np.full(grid.num_cells, 1.0 / dt))
 
     def solve_phi_increment(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I/dt - Lap diag(c)) w = rhs through the SPD form."""
@@ -147,20 +143,20 @@ class StepOperators:
         return convolve_array(self.kernel, x)
 
 
-def step_operators(grid: GridSpec, params: ModelParams, kernel: KernelData, dt: float,
-                   options: SolverOptions | None = None) -> StepOperators:
-    """The operator bundle for (kernel, params, dt, options), built once.
+def step_operators(grid: GridSpec, params: ModelParams, kernel: KernelData,
+                   dt: float) -> StepOperators:
+    """The operator bundle for (kernel, params, dt), built once.
 
-    The kernel keeps the most recently used bundle together with its key, so
-    repeated sweeps of one discretisation share the factorisations; any
-    change of params, dt or solver options builds a fresh bundle.
+    The kernel keeps the most recently used bundle together with its key
+    (params, dt), so repeated sweeps of one discretisation share the
+    factorisations; any change of params or dt builds a fresh bundle.
     """
     if kernel.grid != grid:
         raise FieldShapeError("kernel built on a different grid")
-    key = (params, dt, options or SolverOptions())
+    key = (params, dt)
     slot = kernel.operator_slot
     if not slot or slot[0] != key:
-        ops = StepOperators(grid, params, kernel, dt, key[2])
+        ops = StepOperators(grid, params, kernel, dt)
         slot[:] = [key, ops]
     return slot[1]
 
@@ -250,14 +246,13 @@ def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
 
 def step(state: State, u_n: ScalarField, v_n: ScalarField, params: ModelParams,
          kernel: KernelData, dt: float,
-         solver_options: SolverOptions | None = None,
          blowup_guard: float = DEFAULT_BLOWUP_GUARD) -> State:
     """Advance one time step. Validates the ellipticity gate on entry."""
     require_ellipticity(params, kernel)
     grid = state.grid
     if u_n.grid != grid or v_n.grid != grid:
         raise FieldShapeError("controls on a different grid")
-    ops = step_operators(grid, params, kernel, dt, solver_options)
+    ops = step_operators(grid, params, kernel, dt)
     phi_new, sigma_new = _step_core(ops, state.phi.values, state.sigma.values,
                                     u_n.values, v_n.values)
     _guard_step(0, phi_new, sigma_new, blowup_guard)
@@ -283,7 +278,6 @@ class StateTrajectory:
     params: ModelParams
     kernel: KernelData = field(repr=False)
     monitors: tuple[tuple, ...] = field(repr=False)
-    solver_options: SolverOptions
     fingerprint: str
 
     @property
@@ -323,17 +317,19 @@ def trajectory_fingerprint(phi0: np.ndarray, sigma0: np.ndarray, controls: Contr
 
 def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
              params: ModelParams, kernel: KernelData, tgrid: TimeGrid,
-             solver_options: SolverOptions | None = None,
+             solver_options: None = None,
              blowup_guard: float = DEFAULT_BLOWUP_GUARD,
              record_monitors: bool = True) -> StateTrajectory:
     """March the state system over the whole time grid.
 
     Stores the states and monitor rows for the CLI; the trajectory refers to
-    (does not copy) controls, params and kernel. Propagates solver failures
-    with the failing step index.
+    (does not copy) controls, params and kernel.
     record_monitors=False skips the per-step energy evaluation; optimisation
     inner loops use it, artifact-producing runs keep it on.
     """
+    # solver_options stays, as None only, until perfbench/workloads.py stops passing it
+    if solver_options is not None:
+        raise TypeError("simulate: solver_options must be None; there is no solver choice")
     require_ellipticity(params, kernel)
     grid = phi0.grid
     if sigma0.grid != grid:
@@ -344,7 +340,6 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         raise FieldShapeError(
             f"controls carry {controls.steps} steps, time grid has {tgrid.steps}"
         )
-    options = solver_options or SolverOptions()
 
     n_cells = grid.num_cells
     phi = np.empty((tgrid.steps + 1, n_cells))
@@ -374,14 +369,11 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         monitors.append(monitor_row(0))
 
     if tgrid.steps > 0:
-        ops = step_operators(grid, params, kernel, tgrid.dt, options)
+        ops = step_operators(grid, params, kernel, tgrid.dt)
         for n in range(tgrid.steps):
-            try:
-                phi_new, sigma_new = _step_core(
-                    ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
-                )
-            except SolverError as exc:
-                raise SolverError(f"step {n}: {exc}", exc.iterations, exc.residual) from exc
+            phi_new, sigma_new = _step_core(
+                ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
+            )
             _guard_step(n, phi_new, sigma_new, blowup_guard)
             phi[n + 1] = phi_new
             sigma[n + 1] = sigma_new
@@ -398,7 +390,6 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         params=params,
         kernel=kernel,
         monitors=tuple(monitors),
-        solver_options=options,
         fingerprint=trajectory_fingerprint(phi0.values, sigma0.values, controls,
                                            params, kernel, tgrid),
     )

@@ -16,7 +16,6 @@ from .geometry import ScalarField
 from .kernels import KernelData
 from .physics import ModelParams
 from .sensitivity import adjoint_sweep, duality_gap, tangent_sweep
-from .solvers import SolverOptions
 
 DUALITY_TOL = 1e-10
 FD_PLATEAU_TOL = 1e-5
@@ -65,15 +64,14 @@ def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> floa
 
 def taylor_remainder_order(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                            direction: ControlPair, params: ModelParams, kernel: KernelData,
-                           tgrid: TimeGrid, solver_options: SolverOptions | None = None,
+                           tgrid: TimeGrid,
                            epsilons=TAYLOR_EPSILONS) -> tuple[float, tuple[float, ...]]:
     """Observed order of || S(c + eps d) - S(c) - eps T(d) || in eps.
 
     An exact tangent makes the remainder quadratic; the fitted log-log slope
     is returned together with the raw remainders.
     """
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                    solver_options=solver_options, record_monitors=False)
+    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
     tangent = tangent_sweep(base, direction, params, kernel)
     grid = controls.grid
     dt = tgrid.dt
@@ -82,7 +80,7 @@ def taylor_remainder_order(phi0: ScalarField, sigma0: ScalarField, controls: Con
         perturbed = ControlPair(grid, controls.u + eps * direction.u,
                                 controls.v + eps * direction.v)
         traj = simulate(phi0, sigma0, perturbed, params, kernel, tgrid,
-                        solver_options=solver_options, record_monitors=False)
+                        record_monitors=False)
         rem_phi = traj.phi - base.phi - eps * tangent.xi
         rem_sigma = traj.sigma - base.sigma - eps * tangent.rho
         remainders.append(trajectory_qt_norm(rem_phi, rem_sigma, grid, dt))
@@ -94,9 +92,8 @@ def taylor_remainder_order(phi0: ScalarField, sigma0: ScalarField, controls: Con
 
 def fd_gradient_errors(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                        direction: ControlPair, spec: CostSpec, params: ModelParams,
-                       kernel: KernelData, tgrid: TimeGrid,
-                       solver_options: SolverOptions | None = None,
-                       epsilons=FD_EPSILONS, corrupt_adjoint: bool = False) -> tuple[float, ...]:
+                       kernel: KernelData, tgrid: TimeGrid, epsilons=FD_EPSILONS,
+                       corrupt_adjoint: bool = False) -> tuple[float, ...]:
     """Relative error of the adjoint directional derivative against central
     finite differences of cost(simulate(c)), one entry per epsilon.
 
@@ -107,12 +104,10 @@ def fd_gradient_errors(phi0: ScalarField, sigma0: ScalarField, controls: Control
     dt = tgrid.dt
 
     def reduced_cost(ctrl: ControlPair) -> float:
-        traj = simulate(phi0, sigma0, ctrl, params, kernel, tgrid,
-                        solver_options=solver_options, record_monitors=False)
+        traj = simulate(phi0, sigma0, ctrl, params, kernel, tgrid, record_monitors=False)
         return cost(traj, ctrl, spec)
 
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                    solver_options=solver_options, record_monitors=False)
+    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
     adj = adjoint_sweep(base, spec, params, kernel)
     grad = reduced_gradient(controls, base, adj, spec, params)
     if corrupt_adjoint:
@@ -137,7 +132,7 @@ def fd_gradient_errors(phi0: ScalarField, sigma0: ScalarField, controls: Control
 def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                   spec: CostSpec, params: ModelParams, kernel: KernelData,
                   tgrid: TimeGrid, rng: np.random.Generator,
-                  solver_options: SolverOptions | None = None,
+                  solver_options: None = None,
                   n_duality: int = 20, n_fd: int = 3, n_taylor: int = 3,
                   corrupt_adjoint: bool = False) -> GradcheckResult:
     """Full verification sweep from one seeded generator.
@@ -145,10 +140,12 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient before the FD comparison, which a healthy check must flag.
     """
+    # solver_options stays, as None only, until perfbench/workloads.py stops passing it
+    if solver_options is not None:
+        raise TypeError("run_gradcheck: solver_options must be None; there is no solver choice")
     grid = controls.grid
     steps = tgrid.steps
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                    solver_options=solver_options, record_monitors=False)
+    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
 
     gaps = []
     for _ in range(n_duality):
@@ -161,7 +158,7 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     per_dir_errors = []
     for d in fd_dirs:
         errs = fd_gradient_errors(phi0, sigma0, controls, d, spec, params, kernel,
-                                  tgrid, solver_options, corrupt_adjoint=corrupt_adjoint)
+                                  tgrid, corrupt_adjoint=corrupt_adjoint)
         per_dir_errors.append(errs)
     fd_table = tuple(
         (eps, tuple(per_dir_errors[j][i] for j in range(n_fd)))
@@ -174,7 +171,7 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     for _ in range(n_taylor):
         d = _random_controls(rng, grid, steps)
         slope, rems = taylor_remainder_order(phi0, sigma0, controls, d, params,
-                                             kernel, tgrid, solver_options)
+                                             kernel, tgrid)
         orders.append(slope)
         remainders.append(rems)
 

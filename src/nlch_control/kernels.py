@@ -91,7 +91,7 @@ class KernelData:
     axis) and spectrum its zero-padded real FFT times the cell volume;
     a_field = J*1; a_star bounds sum_j |J(x_i-x_j)| vol and b_star the same
     with |grad J|. The time stepper keeps its most recent operator bundle in
-    the operator slot (see forward.step_operators).
+    the operator slot, keyed on (params, dt) (see forward.step_operators).
     """
 
     spec: KernelSpec

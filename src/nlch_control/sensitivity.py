@@ -148,7 +148,7 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair, params: ModelP
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
     if traj.steps > 0:
-        ops = step_operators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
+        ops = step_operators(grid, params, kernel, traj.tgrid.dt)
         for n in range(traj.steps):
             xi[n + 1], rho[n + 1] = _tangent_core(
                 ops, _linearise(ops, traj, n), xi[n], rho[n], d_controls.u[n], d_controls.v[n]
@@ -171,7 +171,7 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarra
     v_bar = np.zeros((steps, grid.num_cells))
     if steps == 0:
         return u_bar, v_bar
-    ops = step_operators(grid, params, kernel, traj.tgrid.dt, traj.solver_options)
+    ops = step_operators(grid, params, kernel, traj.tgrid.dt)
     p_bar = np.array(seed_phi[steps], dtype=np.float64)
     r_bar = np.array(seed_sigma[steps], dtype=np.float64)
     for n in range(steps - 1, -1, -1):
@@ -211,7 +211,7 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
     r[steps] = r_bar
 
     if steps > 0:
-        ops = step_operators(grid, params, kernel, dt, traj.solver_options)
+        ops = step_operators(grid, params, kernel, dt)
         for n in range(steps - 1, -1, -1):
             xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
                 ops, _linearise(ops, traj, n), p_bar, r_bar

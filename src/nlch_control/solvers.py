@@ -2,14 +2,12 @@
 
 Every implicit update reduces to (D - L) x = b with D a positive diagonal and
 L the mirror-ghost Neumann Laplacian, which is symmetric negative
-semidefinite, so the system is SPD. Two interchangeable backends:
+semidefinite, so the system is SPD. Each solver is exact, is set up once and
+is reused by every solve; the grid and the diagonal choose its method:
 
-  direct: exact, set up once per solver and reused by every solve:
-            1D                  banded Cholesky,
-            2D, constant d      DCT-II diagonalisation (no factorisation),
-            2D, varying d       sparse LU with a minimum-degree ordering,
-  cg:     matrix-free conjugate gradients to a relative residual,
-          with a fixed reduction order so runs are bitwise reproducible.
+  1D                  banded Cholesky,
+  2D, constant d      DCT-II diagonalisation (no factorisation),
+  2D, varying d       sparse LU with a minimum-degree ordering.
 
 On the cell-centred grid the mirror-ghost Laplacian is diagonalised by the
 orthonormal DCT-II along each axis, with eigenvalues (2 cos(pi k/n) - 2)/h^2
@@ -19,14 +17,12 @@ The phi operator's diagonal varies in space; its LU is ordered by minimum
 degree on A + A^T, the ordering for symmetric matrices, and strict diagonal
 dominance keeps SuperLU's pivots on the diagonal.
 
-The direct backend is the default: the transpose-exactness and mass-balance
+The solves are direct because the transpose-exactness and mass-balance
 contracts need solver error at machine level, which an iterative tolerance
 cannot guarantee after accumulation over a trajectory.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -35,18 +31,7 @@ from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .geometry import GridSpec, laplacian_array
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    method: str = "direct"
-    cg_tol: float = 1e-10
-    cg_max_iter: int = 10_000
-
-    def __post_init__(self):
-        if self.method not in ("direct", "cg"):
-            raise ValueError(f"unknown solver method {self.method!r}")
+from .geometry import GridSpec
 
 
 def _lap_1d_coeffs(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -85,7 +70,7 @@ class ShiftedLaplacianSolver:
     sensitivity sweeps.
     """
 
-    def __init__(self, grid: GridSpec, diagonal: np.ndarray, options: SolverOptions):
+    def __init__(self, grid: GridSpec, diagonal: np.ndarray):
         diagonal = np.asarray(diagonal, dtype=np.float64).reshape(-1)
         if diagonal.size != grid.num_cells:
             raise SolverError("diagonal size does not match grid", 0, float("nan"))
@@ -97,16 +82,10 @@ class ShiftedLaplacianSolver:
                 float("nan"),
             )
         self.grid = grid
-        self.diagonal = diagonal
-        self.options = options
         self._banded_chol = None
         self._lu = None
         self._dct_denominator = None
-        self._inv_jacobi = None
-        if options.method == "cg":
-            # Jacobi preconditioning keeps iteration counts flat across dt
-            self._inv_jacobi = 1.0 / (diagonal + self._lap_diagonal())
-        elif grid.dim == 1:
+        if grid.dim == 1:
             n = grid.cells_per_axis[0]
             lap_diag, lap_off = _lap_1d_coeffs(n, grid.spacing[0])
             ab = np.zeros((2, n))
@@ -121,68 +100,13 @@ class ShiftedLaplacianSolver:
             mat = sp.diags(diagonal) - neumann_laplacian_sparse(grid)
             self._lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.diagonal * x - laplacian_array(self.grid, x)
-
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.options.method == "direct":
-            if self._banded_chol is not None:
-                # non-finite input gives a non-finite solution, as in the 2D
-                # backend; the time stepper reports it as an instability
-                return cho_solve_banded((self._banded_chol, False), b, check_finite=False)
-            if self._dct_denominator is not None:
-                coeffs = scipy.fft.dctn(b.reshape(self.grid.cells_per_axis), type=2,
-                                        norm="ortho")
-                x = scipy.fft.idctn(coeffs / self._dct_denominator, type=2, norm="ortho")
-                return x.reshape(-1)
-            return self._lu.solve(b)
-        return self._solve_cg(b)
-
-    def _solve_cg(self, b: np.ndarray) -> np.ndarray:
-        tol = self.options.cg_tol
-        b_norm = float(np.linalg.norm(b))
-        if b_norm == 0.0:
-            return np.zeros_like(b)
-        if not np.isfinite(b_norm):
-            # no iteration converges on it; pass the non-finite input on, as
-            # the direct backends do
-            return np.full_like(b, np.nan)
-        x = np.zeros_like(b)
-        r = b.copy()
-        inv_diag = self._inv_jacobi
-        z = r * inv_diag
-        p = z.copy()
-        rz = float(np.dot(r, z))
-        for it in range(1, self.options.cg_max_iter + 1):
-            ap = self.apply(p)
-            alpha = rz / float(np.dot(p, ap))
-            x = x + alpha * p
-            r = r - alpha * ap
-            res = float(np.linalg.norm(r))
-            if res <= tol * b_norm:
-                return x
-            z = r * inv_diag
-            rz_new = float(np.dot(r, z))
-            p = z + (rz_new / rz) * p
-            rz = rz_new
-        raise SolverError(
-            f"conjugate gradient did not reach relative residual {tol} "
-            f"in {self.options.cg_max_iter} iterations (last residual {res / b_norm:.3e})",
-            self.options.cg_max_iter,
-            res / b_norm,
-        )
-
-    def _lap_diagonal(self) -> np.ndarray:
-        """Diagonal of -L (positive), used by the Jacobi preconditioner."""
-        diag = np.zeros(self.grid.num_cells)
-        arr = diag.reshape(self.grid.cells_per_axis)
-        for axis, h in enumerate(self.grid.spacing):
-            inv_h2 = 1.0 / (h * h)
-            arr += 2.0 * inv_h2
-            lo = [slice(None)] * self.grid.dim
-            lo[axis] = 0
-            arr[tuple(lo)] -= inv_h2
-            hi = [slice(None)] * self.grid.dim
-            hi[axis] = -1
-            arr[tuple(hi)] -= inv_h2
-        return diag
+        if self._banded_chol is not None:
+            # non-finite input gives a non-finite solution, as in 2D; the
+            # time stepper reports it as an instability
+            return cho_solve_banded((self._banded_chol, False), b, check_finite=False)
+        if self._dct_denominator is not None:
+            coeffs = scipy.fft.dctn(b.reshape(self.grid.cells_per_axis), type=2, norm="ortho")
+            x = scipy.fft.idctn(coeffs / self._dct_denominator, type=2, norm="ortho")
+            return x.reshape(-1)
+        return self._lu.solve(b)

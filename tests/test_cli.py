@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +52,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.grid_cells == (64,)
     assert cfg.kernel_family == "gaussian"
-    assert cfg.solver_method == "direct"
+    assert cfg.blowup_guard == 10.0
     assert cfg.opt_max_iter == 200
     assert cfg.seed == 0
     assert cfg.snapshot_stride == 0
@@ -75,6 +77,42 @@ def test_config_collects_multiple_failures(tmp_path):
         load_config(path)
     failures = exc_info.value.failures
     assert len(failures) >= 4
+
+
+@pytest.mark.parametrize("key", ["method", "cg_tol", "cg_max_iter"])
+def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
+    # the solver choice is gone; a config that still sets one of its keys
+    # must fail loudly rather than be ignored
+    path = write_cfg(tmp_path, {"solver": {key: 1, "blowup_guard": 10.0}})
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"solver: unknown keys ['{key}']" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,literal", [
+    ("solver", "blowup_guard", "NaN"),
+    ("optimizer", "tol", "Infinity"),
+    ("cost", "alpha_u", "1e400"),
+])
+def test_config_rejects_nonfinite_numbers(tmp_path, capsys, section, key, literal):
+    # JSON accepts NaN, Infinity and overflowing literals; NaN in particular
+    # passes every "must be positive" comparison
+    path = write_cfg(tmp_path, {section: {key: "PLACEHOLDER"}})
+    path.write_text(path.read_text().replace('"PLACEHOLDER"', literal))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert any(f.startswith(f"{section}.{key} must be a finite number")
+               for f in exc_info.value.failures)
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) == 1
+    raw = json.loads(blocks[0])
+    cfg = config_from_dict(raw)
+    assert config_to_dict(cfg)["solver"] == raw["solver"]
 
 
 def test_config_parse_error_carries_line(tmp_path):
@@ -328,14 +366,19 @@ def test_seed_override_changes_manifest(tmp_path, monkeypatch):
     assert m1["config_sha256"] != m2["config_sha256"]
 
 
-def test_solver_failure_exit_code(tmp_path, monkeypatch):
+def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
+    # a blow-up guard below the initial |phi| trips on the first step
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, {
-        "solver": {"method": "cg", "cg_tol": 1e-10, "cg_max_iter": 1,
-                   "blowup_guard": 10.0},
+        "grid": {"cells": [16], "extent": [1.0]},
+        "initial": {"phi": {"kind": "constant", "value": 0.9},
+                    "sigma": {"kind": "constant", "value": 0.3}},
+        "solver": {"blowup_guard": 0.5},
         "output": {"directory": "fail", "snapshot_stride": 0},
     })
     assert main(["simulate", "--config", str(path), "--quiet"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert "step 0: |phi| reached 0.9" in err and "> guard 0.5" in err
 
 
 def test_config_to_dict_is_stable(tmp_path):

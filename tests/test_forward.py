@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
-                          ScalarField, SolverOptions, State, TimeGrid,
+                          ScalarField, State, TimeGrid,
                           build_kernel, chemical_potential, free_energy, mass,
                           mass_balance_residual, simulate, step)
 from nlch_control.forward import step_operators
@@ -252,9 +252,9 @@ def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):
     assert exc_info.value.sup_norm > 0.5
 
 
-@pytest.mark.parametrize("cells,method", [((32,), "direct"), ((8, 8), "direct"),
-                                          ((8, 8), "cg")])
-def test_nonfinite_state_raises_instability(cells, method):
+# the ids keep the "direct" label they had when a CG backend was also tested
+@pytest.mark.parametrize("cells", [(32,), (8, 8)], ids=["cells0-direct", "cells1-direct"])
+def test_nonfinite_state_raises_instability(cells):
     # phi**3 overflows: the step produces NaN, which no sup-norm comparison
     # catches, and must still end in InstabilityError at the failing step
     grid = GridSpec(cells, (1.0,) * len(cells))
@@ -264,39 +264,12 @@ def test_nonfinite_state_raises_instability(cells, method):
     sigma0 = ScalarField.constant(grid, 0.0)
     with np.errstate(all="ignore"), pytest.raises(InstabilityError) as exc_info:
         simulate(phi0, sigma0, ControlPair.zeros(grid, 3), params, kernel,
-                 TimeGrid(0.03, 3), solver_options=SolverOptions(method=method),
-                 blowup_guard=np.inf)
+                 TimeGrid(0.03, 3), blowup_guard=np.inf)
     assert exc_info.value.step == 0
     assert "not finite" in str(exc_info.value)
     zero = ScalarField.constant(grid, 0.0)
     with np.errstate(all="ignore"), pytest.raises(InstabilityError):
-        step(State(phi0, sigma0), zero, zero, params, kernel, 0.01,
-             solver_options=SolverOptions(method=method))
-
-
-def test_cg_solver_matches_direct(rng, grid2d, kernel2d):
-    params = ModelParams(A=0.5, B=1.0, chi=0.0)
-    tgrid = TimeGrid(0.1, 5)
-    phi0 = smooth_phi0(grid2d, amplitude=0.4)
-    sigma0 = ScalarField.constant(grid2d, 0.2)
-    controls = random_controls(rng, grid2d, 5)
-    t_direct = simulate(phi0, sigma0, controls, params, kernel2d, tgrid,
-                        solver_options=SolverOptions(method="direct"))
-    t_cg = simulate(phi0, sigma0, controls, params, kernel2d, tgrid,
-                    solver_options=SolverOptions(method="cg", cg_tol=1e-13))
-    assert np.max(np.abs(t_direct.phi - t_cg.phi)) < 1e-9
-    assert np.max(np.abs(t_direct.sigma - t_cg.sigma)) < 1e-9
-
-
-def test_cg_nonconvergence_raises(grid1d, kernel1d, params, tgrid20):
-    phi0 = smooth_phi0(grid1d)
-    sigma0 = ScalarField.constant(grid1d, 0.1)
-    opts = SolverOptions(method="cg", cg_tol=1e-14, cg_max_iter=1)
-    with pytest.raises(SolverError) as exc_info:
-        simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel1d,
-                 tgrid20, solver_options=opts)
-    assert exc_info.value.iterations == 1
-    assert "step 0" in str(exc_info.value)
+        step(State(phi0, sigma0), zero, zero, params, kernel, 0.01)
 
 
 def test_free_energy_reference_values(grid1d, kernel1d, params):
@@ -386,16 +359,41 @@ def test_solver_rejects_nonpositive_diagonal(grid1d):
     from nlch_control.solvers import ShiftedLaplacianSolver
 
     with pytest.raises(SolverError):
-        ShiftedLaplacianSolver(grid1d, np.zeros(grid1d.num_cells), SolverOptions())
+        ShiftedLaplacianSolver(grid1d, np.zeros(grid1d.num_cells))
 
 
 def test_step_operators_reused_per_key(grid1d, kernel1d, params):
     ops = step_operators(grid1d, params, kernel1d, 0.01)
-    assert step_operators(grid1d, params, kernel1d, 0.01, SolverOptions()) is ops
+    assert step_operators(grid1d, params, kernel1d, 0.01) is ops
     other = step_operators(grid1d, params, kernel1d, 0.02)
     assert other is not ops and other.dt == 0.02
     with pytest.raises(FieldShapeError):
         step_operators(GridSpec((16,), (1.0,)), params, kernel1d, 0.02)
+
+
+def test_solver_options_accepts_only_none(grid1d, kernel1d, params):
+    # the entry points keep a solver_options parameter that takes only None
+    from nlch_control import BoxConstraints, CostSpec, config_from_dict, pgd_optimize
+    from nlch_control.gradcheck import run_gradcheck
+
+    tgrid = TimeGrid(0.02, 2)
+    phi0 = smooth_phi0(grid1d)
+    sigma0 = ScalarField.constant(grid1d, 0.1)
+    controls = ControlPair.zeros(grid1d, 2)
+    spec = CostSpec.tracking(grid1d, 2, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    box = BoxConstraints.constant(grid1d, 2, -1.0, 1.0, -1.0, 1.0)
+    assert config_from_dict({}).solver_options() is None
+    simulate(phi0, sigma0, controls, params, kernel1d, tgrid, solver_options=None)
+    for call in (
+        lambda opts: simulate(phi0, sigma0, controls, params, kernel1d, tgrid,
+                              solver_options=opts),
+        lambda opts: pgd_optimize(controls, box, spec, params, kernel1d, tgrid, phi0,
+                                  sigma0, solver_options=opts),
+        lambda opts: run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d, tgrid,
+                                   np.random.default_rng(0), solver_options=opts),
+    ):
+        with pytest.raises(TypeError, match="solver_options must be None"):
+            call({"method": "direct"})
 
 
 def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
@@ -427,28 +425,24 @@ def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
 
 @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])
 def test_alternating_keys_match_fresh_kernel(rng, request, grid_name):
-    # one kernel shared by runs that differ in dt, params or solver options
-    # must give exactly what a kernel built for each run alone gives
+    # one kernel shared by runs that differ in dt or params must give
+    # exactly what a kernel built for each run alone gives
     grid = request.getfixturevalue(grid_name)
     spec = KernelSpec("gaussian", 4.0, 0.25)
     shared = build_kernel(spec, grid)
     phi0 = smooth_phi0(grid)
     sigma0 = ScalarField.constant(grid, 0.3)
     controls = random_controls(rng, grid, 6)
-    base = (ModelParams(A=0.5, B=1.0, chi=0.0), TimeGrid(0.1, 6), SolverOptions())
+    base = (ModelParams(A=0.5, B=1.0, chi=0.0), TimeGrid(0.1, 6))
     variants = [
         base,
-        (base[0], TimeGrid(0.2, 6), base[2]),
+        (base[0], TimeGrid(0.2, 6)),
         base,
-        (ModelParams(A=0.5, B=1.3, chi=0.0, lambda_s=3.0), base[1], base[2]),
-        base,
-        (base[0], base[1], SolverOptions(method="cg", cg_tol=1e-6)),
+        (ModelParams(A=0.5, B=1.3, chi=0.0, lambda_s=3.0), base[1]),
         base,
     ]
-    for params, tgrid, options in variants:
-        got = simulate(phi0, sigma0, controls, params, shared, tgrid,
-                       solver_options=options)
-        want = simulate(phi0, sigma0, controls, params, build_kernel(spec, grid), tgrid,
-                        solver_options=options)
+    for params, tgrid in variants:
+        got = simulate(phi0, sigma0, controls, params, shared, tgrid)
+        want = simulate(phi0, sigma0, controls, params, build_kernel(spec, grid), tgrid)
         assert np.array_equal(got.phi, want.phi)
         assert np.array_equal(got.sigma, want.sigma)
