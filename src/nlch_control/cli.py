@@ -140,9 +140,9 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     spec.validate()
     out = _prepare_outdir(cfg)
 
-    def progress(k, j_val, resid, tau, ls, _iterate):
+    def progress(k, j_val, resid, step, ls, _iterate):
         _say(quiet, f"iter {k:4d}  cost {j_val:.6e}  residual {resid:.3e}  "
-                    f"tau {tau:.3e}  ls {ls}")
+                    f"step {step:.3e}  ls {ls}")
 
     report = pgd_optimize(c0, box, spec, params, kernel, tgrid, phi0, sigma0,
                           opts=cfg.pgd_options(), callback=progress)

@@ -18,6 +18,8 @@ Top-level keys (all optional, defaults below):
   box        {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0}
              (each bound a number, or {"file": "bound.snap"})
   optimizer  {"tol": 1e-4, "max_iter": 200, "tau0": 1.0}
+             monotone spectral projected gradient; tau0 is its first
+             spectral step (see control.pgd_optimize)
   output     {"directory": "out", "snapshot_stride": 0}
   seed       0
 
@@ -389,6 +391,15 @@ def _bound(raw, label: str, failures: list[str]) -> BoxBound:
         return BoxBound(value=0.0)
 
 
+def _integer(raw, key: str, default: int, failures: list[str]) -> int:
+    """raw as an int if it is an integral number; otherwise a failure naming
+    key and the documented default, so later checks do not report it again."""
+    if type(raw) is int or (isinstance(raw, float) and raw.is_integer()):
+        return int(raw)
+    failures.append(f"{key} must be an integer, got {raw!r}")
+    return default
+
+
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     """Build and validate a RunConfig; raises ConfigError with every failure."""
     failures: list[str] = []
@@ -404,7 +415,8 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     out = merged["output"]
 
     cfg = RunConfig(
-        grid_cells=tuple(int(n) for n in g["cells"]),
+        grid_cells=tuple(_integer(n, f"grid.cells[{i}]", 64, failures)
+                         for i, n in enumerate(g["cells"])),
         grid_extent=tuple(float(e) for e in g["extent"]),
         kernel_family=str(k["family"]),
         kernel_amplitude=float(k["amplitude"]),
@@ -414,7 +426,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         potential_family=str(m["potential"]),
         proliferation_family=str(m["proliferation"]),
         distribution_family=str(m["distribution"]),
-        T=float(t["T"]), steps=int(t["steps"]),
+        T=float(t["T"]), steps=_integer(t["steps"], "time.steps", 25, failures),
         initial_phi=_field_spec(merged["initial"]["phi"], "initial.phi", failures),
         initial_sigma=_field_spec(merged["initial"]["sigma"], "initial.sigma", failures),
         control_u=_field_spec(merged["controls"]["u"], "controls.u", failures),
@@ -431,11 +443,12 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         v_min=_bound(box["v_min"], "v_min", failures),
         v_max=_bound(box["v_max"], "v_max", failures),
         opt_tol=float(opt["tol"]),
-        opt_max_iter=int(opt["max_iter"]),
+        opt_max_iter=_integer(opt["max_iter"], "optimizer.max_iter", 200, failures),
         opt_tau0=float(opt["tau0"]),
         output_directory=str(out["directory"]),
-        snapshot_stride=int(out["snapshot_stride"]),
-        seed=int(merged["seed"]),
+        snapshot_stride=_integer(out["snapshot_stride"], "output.snapshot_stride", 0,
+                                 failures),
+        seed=_integer(merged["seed"], "seed", 0, failures),
         base_dir=base_dir,
     )
 

@@ -1,5 +1,5 @@
-"""Tracking cost, reduced gradient, box projection, and projected gradient
-descent with Armijo backtracking for the therapy optimisation problem.
+"""Tracking cost, reduced gradient, box projection, and a monotone spectral
+projected gradient method for the therapy optimisation problem.
 
 Conventions: controls are piecewise constant per step, the time quadrature of
 every running cost term is the left-endpoint rectangle rule, and gradients
@@ -152,9 +152,10 @@ class BoxConstraints:
 class OptimizeReport:
     """Iteration history of one projected-gradient run.
 
-    costs[k] is the cost of iterate k; accepted Armijo steps make the
-    sequence non-increasing. step_sizes[k] and linesearch_counts[k] describe
-    the move from iterate k-1 to k (zero for the starting iterate).
+    costs[k] is the cost of iterate k; accepted steps make the sequence
+    strictly decreasing. step_sizes[k] (the accepted lambda * alpha) and
+    linesearch_counts[k] describe the move from iterate k-1 to k (zero for
+    the starting iterate).
     """
 
     costs: tuple[float, ...]
@@ -264,19 +265,13 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
     steps = traj.steps
     if spec.alpha_u > 0.0:
         distrib = traj.params.distribution.evaluate(traj.phi[:steps], 0)
-        worst = 0.0
-        for n in range(steps):
-            target = distrib[n] * adj.p[n] / spec.alpha_u
-            clamped = np.minimum(np.maximum(target, box.u_min[n]), box.u_max[n])
-            worst = max(worst, float(np.max(np.abs(controls.u[n] - clamped))))
-        defect_u = worst
+        target = distrib * adj.p[:steps] / spec.alpha_u
+        clamped = np.minimum(np.maximum(target, box.u_min), box.u_max)
+        defect_u = float(np.max(np.abs(controls.u - clamped)))
     if spec.beta_v > 0.0:
-        worst = 0.0
-        for n in range(steps):
-            target = -adj.r[n] / spec.beta_v
-            clamped = np.minimum(np.maximum(target, box.v_min[n]), box.v_max[n])
-            worst = max(worst, float(np.max(np.abs(controls.v[n] - clamped))))
-        defect_v = worst
+        target = -adj.r[:steps] / spec.beta_v
+        clamped = np.minimum(np.maximum(target, box.v_min), box.v_max)
+        defect_v = float(np.max(np.abs(controls.v - clamped)))
     return defect_u, defect_v
 
 
@@ -286,13 +281,22 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                  opts: PgdOptions | None = None,
                  solver_options: None = None,
                  callback=None) -> OptimizeReport:
-    """Projected gradient descent with Armijo backtracking.
+    """Monotone spectral projected gradient (Birgin, Martinez & Raydan, SIAM
+    J. Optim. 2000).
+
+    From iterate c with gradient g and spectral step lambda (tau0 at first),
+    trials project_box(c + alpha d), d = P(c - lambda g) - c, alpha = 1, 1/2,
+    1/4, ..., are accepted when J(trial) <= J(c) + armijo_c alpha <g, d> and
+    J(trial) < J(c), so accepted costs strictly decrease. The next lambda is
+    the Barzilai-Borwein step <s, s> / <s, y> in L2(Q_T) (s, y the changes of
+    iterate and gradient), clamped to [1e-6 tau0, 1e6 tau0]; 1e6 tau0 when
+    <s, y> <= 0.
 
     Each iterate stays in the box bitwise (produced by the clamp, never
-    perturbed afterwards). The accepted step seeds the next trial step
-    doubled. An exhausted line search terminates the run with reason
-    "flat_gradient" rather than raising. An accepted iterate k (k = 0 is the
-    start) with a non-finite cost or residual raises SolverError naming k.
+    perturbed afterwards). A line search that halves alpha below
+    tau_exhaust_factor terminates the run with reason "flat_gradient" rather
+    than raising. An accepted iterate k (k = 0 is the start) with a
+    non-finite cost or residual raises SolverError naming k.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
@@ -332,7 +336,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     step_sizes = [0.0]
     ls_counts = [0]
     termination = "max_iterations"
-    tau_start = opts.tau0
+    lam = opts.tau0
 
     if callback is not None:
         callback(0, j_val, resid, 0.0, 0, c)
@@ -341,33 +345,34 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         if resid <= opts.tol:
             termination = "converged"
             break
-        tau = tau_start
+        target = project_box(ControlPair(c.grid, c.u - lam * g.u, c.v - lam * g.v), box)
+        d = ControlPair(c.grid, target.u - c.u, target.v - c.v)
+        slope = control_inner_qt(g, d, dt)
+        alpha = 1.0
         ls_count = 0
-        accepted = False
-        while tau >= opts.tau_exhaust_factor * opts.tau0:
-            trial = project_box(ControlPair(c.grid, c.u - tau * g.u, c.v - tau * g.v), box)
+        while alpha >= opts.tau_exhaust_factor:
+            trial = project_box(ControlPair(c.grid, c.u + alpha * d.u, c.v + alpha * d.v), box)
             ls_count += 1
             traj_trial, j_trial = run(trial)
-            move = ControlPair(c.grid, c.u - trial.u, c.v - trial.v)
-            decrease_ref = control_inner_qt(g, move, dt)
-            if j_trial <= j_val - opts.armijo_c * decrease_ref and j_trial < j_val:
-                accepted = True
+            if j_trial <= j_val + opts.armijo_c * alpha * slope and j_trial < j_val:
                 break
-            tau *= 0.5
-        if not accepted:
+            alpha *= 0.5
+        else:
             termination = "flat_gradient"
             break
-        c, traj, j_val = trial, traj_trial, j_trial
-        tau_start = 2.0 * tau
-        g, resid = gradient(len(costs), c, traj, j_val)
-        costs.append(j_val)
+        g_new, resid = gradient(len(costs), trial, traj_trial, j_trial)
+        costs.append(j_trial)
         residuals.append(resid)
-        step_sizes.append(tau)
+        step_sizes.append(lam * alpha)
         ls_counts.append(ls_count)
+        s = ControlPair(c.grid, trial.u - c.u, trial.v - c.v)
+        y = ControlPair(c.grid, g_new.u - g.u, g_new.v - g.v)
+        sy = control_inner_qt(s, y, dt)
+        lam = 1e6 * opts.tau0 if sy <= 0.0 else min(
+            max(control_inner_qt(s, s, dt) / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0)
+        c, j_val, g = trial, j_trial, g_new
         if callback is not None:
-            callback(len(costs) - 1, j_val, resid, tau, ls_count, c)
-    else:
-        termination = "max_iterations"
+            callback(len(costs) - 1, j_val, resid, step_sizes[-1], ls_count, c)
 
     if termination == "max_iterations" and resid <= opts.tol:
         termination = "converged"

@@ -106,6 +106,34 @@ def test_config_rejects_nonfinite_numbers(tmp_path, capsys, section, key, litera
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,overrides,literal", [
+    ("time.steps", {"time": {"steps": "PLACEHOLDER"}}, "1e400"),
+    ("time.steps", {"time": {"steps": "PLACEHOLDER"}}, "NaN"),
+    ("time.steps", {"time": {"steps": "PLACEHOLDER"}}, "2.5"),
+    ("optimizer.max_iter", {"optimizer": {"max_iter": "PLACEHOLDER"}}, "Infinity"),
+    ("output.snapshot_stride", {"output": {"snapshot_stride": "PLACEHOLDER"}}, "0.5"),
+    ("seed", {"seed": "PLACEHOLDER"}, "1e400"),
+    ("grid.cells[0]", {"grid": {"cells": ["PLACEHOLDER"]}}, "24.5"),
+])
+def test_config_rejects_nonintegral_counts(tmp_path, capsys, key, overrides, literal):
+    # JSON admits overflowing, non-finite and fractional numbers where a count
+    # is due; each must be a collected failure, never truncated or a traceback
+    path = write_cfg(tmp_path, overrides)
+    path.write_text(path.read_text().replace('"PLACEHOLDER"', literal))
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert exc_info.value.failures == [f"{key} must be an integer, got {float(literal)!r}"]
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert key in capsys.readouterr().err
+
+
+def test_config_accepts_integral_floats(tmp_path):
+    path = write_cfg(tmp_path, {"time": {"steps": 16.0}, "grid": {"cells": [24.0]}})
+    cfg = load_config(path)
+    assert cfg.steps == 16 and type(cfg.steps) is int
+    assert cfg.grid_cells == (24,) and type(cfg.grid_cells[0]) is int
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)

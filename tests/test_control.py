@@ -197,14 +197,18 @@ def test_pgd_rejects_chemotaxis(grid1d, params):
 
 @pytest.fixture
 def manufactured(grid1d, kernel1d, params):
-    tgrid = TimeGrid(0.4, 24)
-    x = grid1d.cell_centers()[0]
-    phi0 = smooth_phi0(grid1d)
-    sigma0 = ScalarField.constant(grid1d, 0.3)
+    return manufactured_problem(grid1d, kernel1d, params, TimeGrid(0.4, 24))
+
+
+def manufactured_problem(grid, kernel, params, tgrid):
+    x = grid.cell_centers()[0]
+    phi0 = smooth_phi0(grid)
+    sigma0 = ScalarField.constant(grid, 0.3)
     u_star = 0.3 * np.exp(-((x - 0.3) ** 2) / (2 * 0.1 ** 2))
     v_star = -0.2 * np.exp(-((x - 0.7) ** 2) / (2 * 0.15 ** 2))
-    c_star = ControlPair(grid1d, np.tile(u_star, (24, 1)), np.tile(v_star, (24, 1)))
-    traj_star = simulate(phi0, sigma0, c_star, params, kernel1d, tgrid)
+    steps = tgrid.steps
+    c_star = ControlPair(grid, np.tile(u_star, (steps, 1)), np.tile(v_star, (steps, 1)))
+    traj_star = simulate(phi0, sigma0, c_star, params, kernel, tgrid)
     return tgrid, phi0, sigma0, c_star, traj_star
 
 
@@ -311,3 +315,95 @@ def test_pgd_nonfinite_cost_raises():
         pgd_optimize(c0, box, spec, params, kernel, tgrid, smooth_phi0(grid),
                      ScalarField.constant(grid, 0.0))
     assert info.value.iterations == 0
+
+
+def projection_formula_defect_loop(controls, traj, adj, spec, box):
+    """The per-step loop form of projection_formula_defect."""
+    steps = traj.steps
+    distrib = traj.params.distribution.evaluate(traj.phi[:steps], 0)
+    worst_u = worst_v = 0.0
+    for n in range(steps):
+        target = distrib[n] * adj.p[n] / spec.alpha_u
+        clamped = np.minimum(np.maximum(target, box.u_min[n]), box.u_max[n])
+        worst_u = max(worst_u, float(np.max(np.abs(controls.u[n] - clamped))))
+        target = -adj.r[n] / spec.beta_v
+        clamped = np.minimum(np.maximum(target, box.v_min[n]), box.v_max[n])
+        worst_v = max(worst_v, float(np.max(np.abs(controls.v[n] - clamped))))
+    return worst_u, worst_v
+
+
+@pytest.fixture(scope="module")
+def criterion5_run():
+    """The acceptance criterion-5 problem solved to 1e-9, with every
+    simulate and adjoint_sweep call made inside pgd_optimize counted."""
+    import nlch_control.control as control
+    from nlch_control import KernelSpec, build_kernel
+
+    grid = GridSpec((32,), (1.0,))
+    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
+    params = ModelParams(A=0.5, B=1.0, chi=0.0)
+    tgrid = TimeGrid(0.3, 24)
+    _, phi0, sigma0, _, traj_star = manufactured_problem(grid, kernel, params, tgrid)
+    spec = manufactured_spec(grid, traj_star, 1e-2, 1e-2)
+    box = BoxConstraints.constant(grid, 24, -1.0, 1.0, -1.0, 1.0)
+    sweeps = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            sweeps.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    iterates = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(control, "simulate", counted(control.simulate))
+        mp.setattr(control, "adjoint_sweep", counted(control.adjoint_sweep))
+        report = pgd_optimize(ControlPair.zeros(grid, 24), box, spec, params, kernel, tgrid,
+                              phi0, sigma0, opts=PgdOptions(tol=1e-9, max_iter=400),
+                              callback=lambda k, j, r, t, ls, c: iterates.append(c))
+    problem = (grid, kernel, params, tgrid, phi0, sigma0, spec, box)
+    return problem, report, iterates, sweeps
+
+
+def test_pgd_spectral_steps_on_criterion5(criterion5_run):
+    (grid, kernel, params, tgrid, phi0, sigma0, spec, box), report, iterates, sweeps = \
+        criterion5_run
+    assert report.termination == "converged"
+    # step doubling needed 359 sweeps here; the spectral step needs 120
+    assert len(sweeps) <= 130
+    assert len(sweeps) == sum(report.linesearch_counts) + 2 + report.iterations
+    assert np.all(np.diff(report.costs) < 0)
+    dt = tgrid.dt
+
+    def gradient(c):
+        traj = simulate(phi0, sigma0, c, params, kernel, tgrid, record_monitors=False)
+        return reduced_gradient(c, traj, adjoint_sweep(traj, spec, params, kernel),
+                                spec, params)
+
+    grads = [gradient(c) for c in iterates]
+    lam = 1.0  # tau0
+    for k in range(1, len(iterates)):
+        prev, g = iterates[k - 1], grads[k - 1]
+        if k >= 2:
+            s = ControlPair(grid, prev.u - iterates[k - 2].u, prev.v - iterates[k - 2].v)
+            y = ControlPair(grid, g.u - grads[k - 2].u, g.v - grads[k - 2].v)
+            sy = control_inner_qt(s, y, dt)
+            lam = 1e6 if sy <= 0.0 else min(max(control_inner_qt(s, s, dt) / sy, 1e-6), 1e6)
+        alpha = 0.5 ** (report.linesearch_counts[k] - 1)
+        assert report.step_sizes[k] == lam * alpha
+        target = project_box(ControlPair(grid, prev.u - lam * g.u, prev.v - lam * g.v), box)
+        moved = project_box(ControlPair(grid, prev.u + alpha * (target.u - prev.u),
+                                        prev.v + alpha * (target.v - prev.v)), box)
+        assert np.array_equal(moved.u, iterates[k].u) and np.array_equal(moved.v, iterates[k].v)
+        clamped = project_box(iterates[k], box)
+        assert np.array_equal(clamped.u, iterates[k].u)
+        assert np.array_equal(clamped.v, iterates[k].v)
+
+
+def test_projection_formula_defect_matches_loop(criterion5_run):
+    (grid, kernel, params, tgrid, phi0, sigma0, spec, box), report, iterates, _ = criterion5_run
+    for c in (iterates[0], iterates[1], report.final_controls):
+        traj = simulate(phi0, sigma0, c, params, kernel, tgrid)
+        adj = adjoint_sweep(traj, spec, params, kernel)
+        assert (projection_formula_defect(c, traj, adj, spec, box)
+                == projection_formula_defect_loop(c, traj, adj, spec, box))
