@@ -21,7 +21,8 @@ from pathlib import Path
 import numpy as np
 
 from . import snapshots
-from .config import RunConfig, config_json, load_config
+from .config import (RunConfig, config_from_dict, config_json, config_to_dict,
+                     load_config)
 from .control import pgd_optimize, projection_formula_defect
 from .errors import (ChemotaxisScopeError, ConfigError, FieldShapeError,
                      GridError, HypothesisViolationError, InstabilityError,
@@ -231,7 +232,9 @@ def main(argv=None) -> int:
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_directory=args.out)
         if args.seed is not None:
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+            # through the parser again, so a bad seed is a collected failure
+            cfg = config_from_dict({**config_to_dict(cfg), "seed": args.seed},
+                                   base_dir=cfg.base_dir)
         handler = {
             "simulate": cmd_simulate,
             "optimize": cmd_optimize,

@@ -44,6 +44,7 @@ cost.targets kinds:
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -322,20 +323,23 @@ def _field_spec(raw, label: str, failures: list[str]) -> FieldSpec:
         return FieldSpec(kind="constant", value=0.0)
     kind = raw["kind"]
     if kind == "constant":
-        return FieldSpec(kind="constant", value=float(raw.get("value", 0.0)))
+        return FieldSpec(kind="constant",
+                         value=_number(raw.get("value", 0.0), f"{label}.value", 0.0, failures))
     if kind == "bumps":
-        centers = raw.get("centers", [])
-        amplitudes = raw.get("amplitudes", [])
-        widths = raw.get("widths", [])
+        centers = tuple(_numbers(c, f"{label}.centers[{i}]", failures)
+                        for i, c in enumerate(_list(raw.get("centers", []),
+                                                    f"{label}.centers", failures)))
+        amplitudes = _numbers(raw.get("amplitudes", []), f"{label}.amplitudes", failures)
+        widths = _numbers(raw.get("widths", []), f"{label}.widths", failures)
         if not (len(centers) == len(amplitudes) == len(widths)):
             failures.append(f"{label}: bumps need matching centers/amplitudes/widths")
         if any(w <= 0 for w in widths):
             failures.append(f"{label}: bump widths must be positive")
         return FieldSpec(
-            kind="bumps", background=float(raw.get("background", 0.0)),
-            centers=tuple(tuple(float(x) for x in c) for c in centers),
-            amplitudes=tuple(float(a) for a in amplitudes),
-            widths=tuple(float(w) for w in widths),
+            kind="bumps",
+            background=_number(raw.get("background", 0.0), f"{label}.background", 0.0,
+                               failures),
+            centers=centers, amplitudes=amplitudes, widths=widths,
         )
     if kind == "file":
         path = raw.get("path", "")
@@ -354,13 +358,9 @@ def _targets(raw, failures: list[str]) -> TargetsConfig:
     if kind == "zero":
         return TargetsConfig(kind="zero")
     if kind == "constant":
-        return TargetsConfig(
-            kind="constant",
-            phi_omega=float(raw.get("phi_omega", 0.0)),
-            sigma_omega=float(raw.get("sigma_omega", 0.0)),
-            phi_q=float(raw.get("phi_q", 0.0)),
-            sigma_q=float(raw.get("sigma_q", 0.0)),
-        )
+        return TargetsConfig(kind="constant", **{
+            name: _number(raw.get(name, 0.0), f"cost.targets.{name}", 0.0, failures)
+            for name in ("phi_omega", "sigma_omega", "phi_q", "sigma_q")})
     if kind == "files":
         phi_path = raw.get("phi_omega", "")
         sigma_path = raw.get("sigma_omega", "")
@@ -384,11 +384,7 @@ def _bound(raw, label: str, failures: list[str]) -> BoxBound:
         if not path:
             failures.append(f"box.{label}: object bound needs a 'file' key")
         return BoxBound(path=str(path))
-    try:
-        return BoxBound(value=float(raw))
-    except (TypeError, ValueError):
-        failures.append(f"box.{label}: must be a number or {{'file': path}}")
-        return BoxBound(value=0.0)
+    return BoxBound(value=_number(raw, f"box.{label}", 0.0, failures))
 
 
 def _integer(raw, key: str, default: int, failures: list[str]) -> int:
@@ -398,6 +394,33 @@ def _integer(raw, key: str, default: int, failures: list[str]) -> int:
         return int(raw)
     failures.append(f"{key} must be an integer, got {raw!r}")
     return default
+
+
+def _number(raw, key: str, default: float, failures: list[str]) -> float:
+    """raw as a float if it is a real number (not a bool); otherwise a failure
+    naming key, and default in its place. An integer beyond the float range
+    becomes an infinity, which _validate reports as non-finite."""
+    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
+        try:
+            return float(raw)
+        except OverflowError:
+            return np.inf if raw > 0 else -np.inf
+    failures.append(f"{key} must be a number, got {raw!r}")
+    return default
+
+
+def _list(raw, key: str, failures: list[str]) -> list:
+    """raw if it is a list (or tuple); otherwise a failure naming key, and []."""
+    if isinstance(raw, (list, tuple)):
+        return list(raw)
+    failures.append(f"{key} must be a list, got {raw!r}")
+    return []
+
+
+def _numbers(raw, key: str, failures: list[str]) -> tuple[float, ...]:
+    """A list of numbers, each read by _number (default 0.0)."""
+    return tuple(_number(x, f"{key}[{i}]", 0.0, failures)
+                 for i, x in enumerate(_list(raw, key, failures)))
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
@@ -414,37 +437,40 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     opt = merged["optimizer"]
     out = merged["output"]
 
+    def number(section: str, name: str) -> float:
+        return _number(merged[section][name], f"{section}.{name}",
+                       _DEFAULTS[section][name], failures)
+
     cfg = RunConfig(
         grid_cells=tuple(_integer(n, f"grid.cells[{i}]", 64, failures)
-                         for i, n in enumerate(g["cells"])),
-        grid_extent=tuple(float(e) for e in g["extent"]),
+                         for i, n in enumerate(_list(g["cells"], "grid.cells", failures))),
+        grid_extent=_numbers(g["extent"], "grid.extent", failures),
         kernel_family=str(k["family"]),
-        kernel_amplitude=float(k["amplitude"]),
-        kernel_width=float(k["width"]),
-        A=float(m["A"]), B=float(m["B"]), chi=float(m["chi"]),
-        lambda_s=float(m["lambda_s"]),
+        kernel_amplitude=number("kernel", "amplitude"),
+        kernel_width=number("kernel", "width"),
+        A=number("model", "A"), B=number("model", "B"), chi=number("model", "chi"),
+        lambda_s=number("model", "lambda_s"),
         potential_family=str(m["potential"]),
         proliferation_family=str(m["proliferation"]),
         distribution_family=str(m["distribution"]),
-        T=float(t["T"]), steps=_integer(t["steps"], "time.steps", 25, failures),
+        T=number("time", "T"), steps=_integer(t["steps"], "time.steps", 25, failures),
         initial_phi=_field_spec(merged["initial"]["phi"], "initial.phi", failures),
         initial_sigma=_field_spec(merged["initial"]["sigma"], "initial.sigma", failures),
         control_u=_field_spec(merged["controls"]["u"], "controls.u", failures),
         control_v=_field_spec(merged["controls"]["v"], "controls.v", failures),
-        blowup_guard=float(merged["solver"]["blowup_guard"]),
+        blowup_guard=number("solver", "blowup_guard"),
         cost=CostConfig(
-            alpha_omega=float(c["alpha_omega"]), alpha_q=float(c["alpha_q"]),
-            beta_omega=float(c["beta_omega"]), beta_q=float(c["beta_q"]),
-            alpha_u=float(c["alpha_u"]), beta_v=float(c["beta_v"]),
+            **{name: number("cost", name) for name in ("alpha_omega", "alpha_q", "beta_omega",
+                                                        "beta_q", "alpha_u", "beta_v")},
             targets=_targets(c["targets"], failures),
         ),
         u_min=_bound(box["u_min"], "u_min", failures),
         u_max=_bound(box["u_max"], "u_max", failures),
         v_min=_bound(box["v_min"], "v_min", failures),
         v_max=_bound(box["v_max"], "v_max", failures),
-        opt_tol=float(opt["tol"]),
+        opt_tol=number("optimizer", "tol"),
         opt_max_iter=_integer(opt["max_iter"], "optimizer.max_iter", 200, failures),
-        opt_tau0=float(opt["tau0"]),
+        opt_tau0=number("optimizer", "tau0"),
         output_directory=str(out["directory"]),
         snapshot_stride=_integer(out["snapshot_stride"], "output.snapshot_stride", 0,
                                  failures),
@@ -509,6 +535,8 @@ def _validate(cfg: RunConfig, failures: list[str]):
         failures.append(f"time.T must be positive, got {cfg.T}")
     if cfg.steps <= 0:
         failures.append(f"time.steps must be positive, got {cfg.steps}")
+    if cfg.seed < 0:
+        failures.append(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.blowup_guard <= 0.0:
         failures.append("solver.blowup_guard must be positive")
     weights = (cfg.cost.alpha_omega, cfg.cost.alpha_q, cfg.cost.beta_omega,

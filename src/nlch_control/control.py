@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (ChemotaxisScopeError, FieldShapeError,
-                     HypothesisViolationError, SolverError, StaleTrajectoryError)
-from .forward import (ControlPair, StateTrajectory, TimeGrid, simulate)
+                     HypothesisViolationError, SolverError)
+from .forward import ControlPair, StateTrajectory, TimeGrid, simulate
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData
 from .physics import ModelParams, require_ellipticity
@@ -179,11 +179,10 @@ class PgdOptions:
     tau_exhaust_factor: float = 1e-14
 
 
-def cost(traj: StateTrajectory, controls: ControlPair, spec: CostSpec) -> float:
-    """Evaluate the full discrete cost along a trajectory."""
+def cost(traj: StateTrajectory, spec: CostSpec) -> float:
+    """Evaluate the full discrete cost of a trajectory and its controls."""
     spec.require_grid(traj)
-    if controls.steps != traj.steps:
-        raise FieldShapeError("controls and trajectory step counts differ")
+    controls = traj.controls
     vol = traj.grid.cell_volume
     dt = traj.tgrid.dt
     steps = traj.steps
@@ -209,18 +208,14 @@ def cost(traj: StateTrajectory, controls: ControlPair, spec: CostSpec) -> float:
     return total
 
 
-def reduced_gradient(controls: ControlPair, traj: StateTrajectory, adj: AdjointTrajectory,
-                     spec: CostSpec, params: ModelParams) -> ControlPair:
-    """L2(Q_T) gradient of the reduced cost:
+def reduced_gradient(adj: AdjointTrajectory, spec: CostSpec) -> ControlPair:
+    """L2(Q_T) gradient of the reduced cost at the controls of adj.traj:
     g_u[n] = -h(phi_n) p_n + alpha_u u_n,  g_v[n] = r_n + beta_v v_n."""
-    if adj.trajectory_fingerprint != traj.fingerprint:
-        raise StaleTrajectoryError("adjoint was computed for a different trajectory")
+    traj = adj.traj
     spec.require_grid(traj)
-    if controls.steps != traj.steps:
-        raise FieldShapeError("controls and trajectory step counts differ")
-    traj.require_inputs(params)
+    controls = traj.controls
     steps = traj.steps
-    distrib = params.distribution.evaluate(traj.phi[:steps], 0)
+    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
     g_u = -distrib * adj.p[:steps] + spec.alpha_u * controls.u
     g_v = adj.r[:steps] + spec.beta_v * controls.v
     return ControlPair(traj.grid, g_u, g_v)
@@ -264,7 +259,7 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
     defect_v = None
     steps = traj.steps
     if spec.alpha_u > 0.0:
-        distrib = traj.params.distribution.evaluate(traj.phi[:steps], 0)
+        distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
         target = distrib * adj.p[:steps] / spec.alpha_u
         clamped = np.minimum(np.maximum(target, box.u_min), box.u_max)
         defect_u = float(np.max(np.abs(controls.u - clamped)))
@@ -315,13 +310,12 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     def run(controls: ControlPair):
         traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
                         record_monitors=False)
-        return traj, cost(traj, controls, spec)
+        return traj, cost(traj, spec)
 
-    def gradient(k: int, controls: ControlPair, traj: StateTrajectory, j_val: float):
+    def gradient(k: int, traj: StateTrajectory, j_val: float):
         """Gradient and stationarity residual of accepted iterate k."""
-        adj = adjoint_sweep(traj, spec, params, kernel)
-        g = reduced_gradient(controls, traj, adj, spec, params)
-        resid = stationarity_residual(controls, g, box, dt)
+        g = reduced_gradient(adjoint_sweep(traj, spec, params, kernel), spec)
+        resid = stationarity_residual(traj.controls, g, box, dt)
         if not (np.isfinite(j_val) and np.isfinite(resid)):
             raise SolverError(f"PGD iterate {k}: cost {j_val!r} or stationarity residual "
                               f"{resid!r} is not finite", iterations=k, residual=resid)
@@ -329,7 +323,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
 
     c = project_box(c0, box)
     traj, j_val = run(c)
-    g, resid = gradient(0, c, traj, j_val)
+    g, resid = gradient(0, traj, j_val)
 
     costs = [j_val]
     residuals = [resid]
@@ -360,7 +354,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         else:
             termination = "flat_gradient"
             break
-        g_new, resid = gradient(len(costs), trial, traj_trial, j_trial)
+        g_new, resid = gradient(len(costs), traj_trial, j_trial)
         costs.append(j_trial)
         residuals.append(resid)
         step_sizes.append(lam * alpha)

@@ -55,7 +55,9 @@ class InstabilityError(NLCHError):
 
 
 class StaleTrajectoryError(NLCHError):
-    """Sensitivity data requested for a trajectory simulated from other inputs."""
+    """adjoint_sweep or mass_balance_residual given other model parameters (or
+    another kernel) than the trajectory was simulated with; every other
+    consumer of a trajectory reads them from it."""
 
 
 class ChemotaxisScopeError(NLCHError):

@@ -20,7 +20,6 @@ The phi solve is symmetrised through y = c (phi' - phi):
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -212,15 +211,16 @@ def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
     return mu, gap, prolif, distrib
 
 
-def linearise_step(params: ModelParams, kernel: KernelData, phi: np.ndarray,
-                   sigma: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, ...]:
+def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
+                   u: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the tangent and adjoint of one step need from its base point:
     (gap, P, P', h, h' u, F''), recomputed from the state and the control.
 
     Uses the forward step's own expressions, so the factors are bitwise the
     ones the forward step used.
     """
-    _, gap, prolif, distrib = _step_terms(params, kernel, phi, sigma)
+    params = ops.params
+    _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma)
     prolif_d = params.proliferation.evaluate(phi, 1)
     distrib_d = (prolif_d if params.distribution_is_proliferation
                  else params.distribution.evaluate(phi, 1))
@@ -264,8 +264,10 @@ class StateTrajectory:
     """Discrete trajectory and run monitors.
 
     phi and sigma have shape (steps + 1, cells); they are the only per-step
-    data kept. controls, params and kernel are references to the inputs of
-    the run, from which the derivative sweeps recompute each step's factors.
+    data kept. controls and ops (the operator bundle the run stepped with,
+    which holds its params, kernel and dt; None for a run of zero steps) are
+    references to the run's inputs, from which the derivative sweeps
+    recompute each step's factors without being passed them again.
     monitors rows: (step, time, energy, mass_phi, mass_sigma, sup_phi,
     sup_sigma).
     """
@@ -275,10 +277,8 @@ class StateTrajectory:
     phi: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     controls: ControlPair = field(repr=False)
-    params: ModelParams
-    kernel: KernelData = field(repr=False)
+    ops: StepOperators | None = field(repr=False)
     monitors: tuple[tuple, ...] = field(repr=False)
-    fingerprint: str
 
     @property
     def steps(self) -> int:
@@ -292,27 +292,15 @@ class StateTrajectory:
 
     def require_inputs(self, params: ModelParams, kernel: KernelData | None = None) -> None:
         """Raise StaleTrajectoryError unless params (and the kernel, if given)
-        are the ones this trajectory was simulated with."""
-        if params != self.params:
+        are the ones this trajectory was simulated with; a run of zero steps
+        used neither."""
+        if self.ops is None:
+            return
+        if params != self.ops.params:
             raise StaleTrajectoryError("trajectory was simulated with other model parameters")
-        if kernel is not None and (kernel.spec, kernel.grid) != (self.kernel.spec,
-                                                                 self.kernel.grid):
+        if kernel is not None and (kernel.spec, kernel.grid) != (self.ops.kernel.spec,
+                                                                 self.ops.kernel.grid):
             raise StaleTrajectoryError("trajectory was simulated with another kernel")
-
-
-def trajectory_fingerprint(phi0: np.ndarray, sigma0: np.ndarray, controls: ControlPair,
-                           params: ModelParams, kernel: KernelData, tgrid: TimeGrid) -> str:
-    """Content hash of everything the trajectory depends on."""
-    digest = hashlib.sha256()
-    digest.update(np.ascontiguousarray(phi0).tobytes())
-    digest.update(np.ascontiguousarray(sigma0).tobytes())
-    digest.update(controls.u.tobytes())
-    digest.update(controls.v.tobytes())
-    digest.update(repr(params).encode())
-    digest.update(repr(kernel.spec).encode())
-    digest.update(repr(kernel.grid).encode())
-    digest.update(f"{tgrid.T!r}/{tgrid.steps}".encode())
-    return digest.hexdigest()
 
 
 def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
@@ -323,7 +311,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     """March the state system over the whole time grid.
 
     Stores the states and monitor rows for the CLI; the trajectory refers to
-    (does not copy) controls, params and kernel.
+    (does not copy) the controls and the operator bundle it stepped with.
     record_monitors=False skips the per-step energy evaluation; optimisation
     inner loops use it, artifact-producing runs keep it on.
     """
@@ -368,6 +356,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         j_phi = convolve_array(kernel, phi[0])
         monitors.append(monitor_row(0))
 
+    ops = None
     if tgrid.steps > 0:
         ops = step_operators(grid, params, kernel, tgrid.dt)
         for n in range(tgrid.steps):
@@ -387,11 +376,8 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         phi=phi,
         sigma=sigma,
         controls=controls,
-        params=params,
-        kernel=kernel,
+        ops=ops,
         monitors=tuple(monitors),
-        fingerprint=trajectory_fingerprint(phi0.values, sigma0.values, controls,
-                                           params, kernel, tgrid),
     )
 
 
@@ -431,7 +417,8 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
     worst = 0.0
     for n in range(traj.steps):
         rate = (np.sum(traj.phi[n + 1]) - np.sum(traj.phi[n])) * vol / dt
-        _, gap, prolif, distrib = _step_terms(params, traj.kernel, traj.phi[n], traj.sigma[n])
+        _, gap, prolif, distrib = _step_terms(params, traj.ops.kernel, traj.phi[n],
+                                              traj.sigma[n])
         source = float(np.sum(prolif * gap - distrib * controls.u[n])) * vol
         scale = max(1.0, abs(rate), abs(source))
         worst = max(worst, abs(rate - source) / scale)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import CostSpec, control_inner_qt, cost, reduced_gradient
-from .forward import ControlPair, TimeGrid, simulate
+from .forward import ControlPair, StateTrajectory, TimeGrid, simulate
 from .geometry import ScalarField
 from .kernels import KernelData
 from .physics import ModelParams
@@ -62,57 +62,47 @@ def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> floa
     return float(np.sqrt((np.sum(xi[1:] ** 2) + np.sum(rho[1:] ** 2)) * vol * dt))
 
 
-def taylor_remainder_order(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
-                           direction: ControlPair, params: ModelParams, kernel: KernelData,
-                           tgrid: TimeGrid,
+def _rerun(base: StateTrajectory, controls: ControlPair) -> StateTrajectory:
+    """simulate with base's initial state, operators and time grid."""
+    start = base.state(0)
+    return simulate(start.phi, start.sigma, controls, base.ops.params, base.ops.kernel,
+                    base.tgrid, record_monitors=False)
+
+
+def taylor_remainder_order(base: StateTrajectory, direction: ControlPair,
                            epsilons=TAYLOR_EPSILONS) -> tuple[float, tuple[float, ...]]:
-    """Observed order of || S(c + eps d) - S(c) - eps T(d) || in eps.
+    """Observed order of || S(c + eps d) - S(c) - eps T(d) || in eps, with
+    S(c) the trajectory base.
 
     An exact tangent makes the remainder quadratic; the fitted log-log slope
     is returned together with the raw remainders.
     """
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
-    tangent = tangent_sweep(base, direction, params, kernel)
-    grid = controls.grid
-    dt = tgrid.dt
+    tangent = tangent_sweep(base, direction)
+    controls = base.controls
+    grid = base.grid
     remainders = []
     for eps in epsilons:
         perturbed = ControlPair(grid, controls.u + eps * direction.u,
                                 controls.v + eps * direction.v)
-        traj = simulate(phi0, sigma0, perturbed, params, kernel, tgrid,
-                        record_monitors=False)
+        traj = _rerun(base, perturbed)
         rem_phi = traj.phi - base.phi - eps * tangent.xi
         rem_sigma = traj.sigma - base.sigma - eps * tangent.rho
-        remainders.append(trajectory_qt_norm(rem_phi, rem_sigma, grid, dt))
+        remainders.append(trajectory_qt_norm(rem_phi, rem_sigma, grid, base.tgrid.dt))
     log_eps = np.log(np.asarray(epsilons))
     log_rem = np.log(np.maximum(np.asarray(remainders), 1e-300))
     slope = float(np.polyfit(log_eps, log_rem, 1)[0])
     return slope, tuple(remainders)
 
 
-def fd_gradient_errors(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
-                       direction: ControlPair, spec: CostSpec, params: ModelParams,
-                       kernel: KernelData, tgrid: TimeGrid, epsilons=FD_EPSILONS,
-                       corrupt_adjoint: bool = False) -> tuple[float, ...]:
-    """Relative error of the adjoint directional derivative against central
-    finite differences of cost(simulate(c)), one entry per epsilon.
-
-    corrupt_adjoint biases the gradient by 0.1% plus an offset before the
-    comparison; a working check must then report errors above threshold.
+def fd_gradient_errors(base: StateTrajectory, grad: ControlPair, direction: ControlPair,
+                       spec: CostSpec, epsilons=FD_EPSILONS) -> tuple[float, ...]:
+    """Relative error of the directional derivative <grad, direction> against
+    central finite differences of cost(simulate(c)) around the controls c of
+    base, one entry per epsilon.
     """
-    grid = controls.grid
-    dt = tgrid.dt
-
-    def reduced_cost(ctrl: ControlPair) -> float:
-        traj = simulate(phi0, sigma0, ctrl, params, kernel, tgrid, record_monitors=False)
-        return cost(traj, ctrl, spec)
-
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
-    adj = adjoint_sweep(base, spec, params, kernel)
-    grad = reduced_gradient(controls, base, adj, spec, params)
-    if corrupt_adjoint:
-        grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
-    directional = control_inner_qt(grad, direction, dt)
+    controls = base.controls
+    grid = base.grid
+    directional = control_inner_qt(grad, direction, base.tgrid.dt)
 
     errors = []
     for eps in epsilons:
@@ -120,7 +110,7 @@ def fd_gradient_errors(phi0: ScalarField, sigma0: ScalarField, controls: Control
                            controls.v + eps * direction.v)
         minus = ControlPair(grid, controls.u - eps * direction.u,
                             controls.v - eps * direction.v)
-        fd = (reduced_cost(plus) - reduced_cost(minus)) / (2.0 * eps)
+        fd = (cost(_rerun(base, plus), spec) - cost(_rerun(base, minus), spec)) / (2.0 * eps)
         scale = max(abs(directional), abs(fd))
         if scale < 1e-14:
             errors.append(0.0)
@@ -137,8 +127,11 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                   corrupt_adjoint: bool = False) -> GradcheckResult:
     """Full verification sweep from one seeded generator.
 
+    The base trajectory, its adjoint and the reduced gradient are computed
+    once and shared by every duality, finite-difference and Taylor probe.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
-    gradient before the FD comparison, which a healthy check must flag.
+    gradient by 0.1% plus an offset before the FD comparison, which a healthy
+    check must flag.
     """
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
@@ -146,20 +139,19 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     grid = controls.grid
     steps = tgrid.steps
     base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
+    grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
+    if corrupt_adjoint:
+        grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
 
     gaps = []
     for _ in range(n_duality):
         d = _random_controls(rng, grid, steps)
         seed_phi = rng.standard_normal((steps + 1, grid.num_cells))
         seed_sigma = rng.standard_normal((steps + 1, grid.num_cells))
-        gaps.append(duality_gap(base, params, kernel, d.u, d.v, seed_phi, seed_sigma))
+        gaps.append(duality_gap(base, d.u, d.v, seed_phi, seed_sigma))
 
     fd_dirs = [_random_controls(rng, grid, steps) for _ in range(n_fd)]
-    per_dir_errors = []
-    for d in fd_dirs:
-        errs = fd_gradient_errors(phi0, sigma0, controls, d, spec, params, kernel,
-                                  tgrid, corrupt_adjoint=corrupt_adjoint)
-        per_dir_errors.append(errs)
+    per_dir_errors = [fd_gradient_errors(base, grad, d, spec) for d in fd_dirs]
     fd_table = tuple(
         (eps, tuple(per_dir_errors[j][i] for j in range(n_fd)))
         for i, eps in enumerate(FD_EPSILONS)
@@ -170,8 +162,7 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     remainders = []
     for _ in range(n_taylor):
         d = _random_controls(rng, grid, steps)
-        slope, rems = taylor_remainder_order(phi0, sigma0, controls, d, params,
-                                             kernel, tgrid)
+        slope, rems = taylor_remainder_order(base, d)
         orders.append(slope)
         remainders.append(rems)
 

@@ -23,8 +23,7 @@ import numpy as np
 
 from .errors import ChemotaxisScopeError, FieldShapeError
 from .geometry import GridSpec, laplacian_array
-from .forward import (ControlPair, StateTrajectory, StepOperators, TimeGrid,
-                      linearise_step, step_operators)
+from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
 
@@ -48,24 +47,24 @@ class TangentTrajectory:
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward-swept adjoint slices.
+    """Backward-swept adjoint slices of the state trajectory traj.
 
     p[n], r[n] for n < steps are the slices paired with step n's explicit
     terms (the ones the reduced gradient contracts against); p[steps] and
     r[steps] hold the terminal data alpha_Om (phi(T) - phi_Om) and
-    beta_Om (sigma(T) - sigma_Om).
+    beta_Om (sigma(T) - sigma_Om). traj is the trajectory the sweep ran
+    along, so everything evaluated at its states reads them from here.
     """
 
-    grid: GridSpec
-    tgrid: TimeGrid
+    traj: StateTrajectory = field(repr=False)
     p: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
-    trajectory_fingerprint: str
 
-    def q_slice(self, traj: StateTrajectory, params: ModelParams, n: int) -> np.ndarray:
+    def q_slice(self, n: int) -> np.ndarray:
         """Transient diagnostic q_n = -Lap p_n + P(phi_n)(p_n - r_n)."""
-        prolif = params.proliferation.evaluate(traj.phi[n], 0)
-        return -laplacian_array(self.grid, self.p[n]) + prolif * (self.p[n] - self.r[n])
+        traj = self.traj
+        prolif = traj.ops.params.proliferation.evaluate(traj.phi[n], 0)
+        return -laplacian_array(traj.grid, self.p[n]) + prolif * (self.p[n] - self.r[n])
 
 
 def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
@@ -131,53 +130,40 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     return xi_bar, rho_bar, u_bar, v_bar, phi_solve_bar, t_sigma
 
 
-def _linearise(ops: StepOperators, traj: StateTrajectory, n: int) -> tuple[np.ndarray, ...]:
-    """Step n's factors, recomputed from the stored state and the run's control."""
-    return linearise_step(ops.params, ops.kernel, traj.phi[n], traj.sigma[n],
-                          traj.controls.u[n])
-
-
-def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair, params: ModelParams,
-                  kernel: KernelData) -> TangentTrajectory:
+def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
     """Accumulate the tangent over the whole trajectory from zero initial data."""
-    traj.require_inputs(params, kernel)
     if d_controls.steps != traj.steps:
         raise FieldShapeError("perturbation step count does not match trajectory")
     grid = traj.grid
+    ops = traj.ops
     n_cells = grid.num_cells
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
-    if traj.steps > 0:
-        ops = step_operators(grid, params, kernel, traj.tgrid.dt)
-        for n in range(traj.steps):
-            xi[n + 1], rho[n + 1] = _tangent_core(
-                ops, _linearise(ops, traj, n), xi[n], rho[n], d_controls.u[n], d_controls.v[n]
-            )
+    for n in range(traj.steps):
+        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+        xi[n + 1], rho[n + 1] = _tangent_core(ops, lin, xi[n], rho[n],
+                                              d_controls.u[n], d_controls.v[n])
     return TangentTrajectory(grid=grid, tgrid=traj.tgrid, xi=xi, rho=rho)
 
 
-def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray,
-              params: ModelParams, kernel: KernelData) -> tuple[np.ndarray, np.ndarray]:
+def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
+              seed_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transpose of tangent_sweep: pull trajectory cotangents back to controls.
 
     seed arrays have shape (steps + 1, cells); row 0 pairs with the fixed
     initial slice and is ignored. Returns per-step control cotangents in the
     raw per-slice pairing (no dt weight).
     """
-    traj.require_inputs(params, kernel)
     grid = traj.grid
+    ops = traj.ops
     steps = traj.steps
     u_bar = np.zeros((steps, grid.num_cells))
     v_bar = np.zeros((steps, grid.num_cells))
-    if steps == 0:
-        return u_bar, v_bar
-    ops = step_operators(grid, params, kernel, traj.tgrid.dt)
     p_bar = np.array(seed_phi[steps], dtype=np.float64)
     r_bar = np.array(seed_sigma[steps], dtype=np.float64)
     for n in range(steps - 1, -1, -1):
-        xi_bar, rho_bar, u_bar[n], v_bar[n], _, _ = _adjoint_core(
-            ops, _linearise(ops, traj, n), p_bar, r_bar
-        )
+        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+        xi_bar, rho_bar, u_bar[n], v_bar[n], _, _ = _adjoint_core(ops, lin, p_bar, r_bar)
         p_bar = xi_bar + seed_phi[n]
         r_bar = rho_bar + seed_sigma[n]
     return u_bar, v_bar
@@ -190,7 +176,8 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
     Terminal slices carry the final-time tracking data; every earlier slice
     receives the running tracking sources weighted by dt (matching the
     left-endpoint time quadrature of the cost). Restricted to chi = 0, the
-    regime where the optimality theory lives.
+    regime where the optimality theory lives. params and kernel must be the
+    ones traj was simulated with (StaleTrajectoryError otherwise).
     """
     if params.chi != 0.0:
         raise ChemotaxisScopeError(
@@ -210,36 +197,33 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
     p[steps] = p_bar
     r[steps] = r_bar
 
-    if steps > 0:
-        ops = step_operators(grid, params, kernel, dt)
-        for n in range(steps - 1, -1, -1):
-            xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
-                ops, _linearise(ops, traj, n), p_bar, r_bar
-            )
-            p[n] = phi_solve_bar / dt
-            r[n] = sigma_solve_bar / dt
-            p_bar = xi_bar + dt * cost.alpha_q * (traj.phi[n] - cost.phi_q[n])
-            r_bar = rho_bar + dt * cost.beta_q * (traj.sigma[n] - cost.sigma_q[n])
+    ops = traj.ops
+    for n in range(steps - 1, -1, -1):
+        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+        xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
+            ops, lin, p_bar, r_bar
+        )
+        p[n] = phi_solve_bar / dt
+        r[n] = sigma_solve_bar / dt
+        p_bar = xi_bar + dt * cost.alpha_q * (traj.phi[n] - cost.phi_q[n])
+        r_bar = rho_bar + dt * cost.beta_q * (traj.sigma[n] - cost.sigma_q[n])
 
-    return AdjointTrajectory(grid=grid, tgrid=traj.tgrid, p=p, r=r,
-                             trajectory_fingerprint=traj.fingerprint)
+    return AdjointTrajectory(traj=traj, p=p, r=r)
 
 
-def duality_gap(traj: StateTrajectory, params: ModelParams, kernel: KernelData,
-                dh: np.ndarray, dk: np.ndarray,
+def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
                 seed_phi: np.ndarray, seed_sigma: np.ndarray) -> float:
     """Normalised defect of <seed, JVP(dh, dk)> = <VJP(seed), (dh, dk)>.
 
     Both sides are evaluated independently (full tangent sweep vs full
     reverse sweep); agreement certifies exact transposition.
     """
-    if params.chi != 0.0:
+    if traj.steps and traj.ops.params.chi != 0.0:
         raise ChemotaxisScopeError("duality check restricted to chi = 0")
     grid = traj.grid
-    d_controls = ControlPair(grid, dh, dk)
-    tangent = tangent_sweep(traj, d_controls, params, kernel)
+    tangent = tangent_sweep(traj, ControlPair(grid, dh, dk))
     forward_side = tangent.pair_with_seed(seed_phi, seed_sigma)
-    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma, params, kernel)
+    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
     vol = grid.cell_volume
     reverse_side = float((np.sum(u_bar * dh) + np.sum(v_bar * dk)) * vol)
     return abs(forward_side - reverse_side) / (1.0 + max(abs(forward_side), abs(reverse_side)))

@@ -134,6 +134,38 @@ def test_config_accepts_integral_floats(tmp_path):
     assert cfg.grid_cells == (24,) and type(cfg.grid_cells[0]) is int
 
 
+@pytest.mark.parametrize("key,overrides,message", [
+    ("model.A", {"model": {"A": "x"}}, "must be a number, got 'x'"),
+    ("initial.phi.value", {"initial": {"phi": {"kind": "constant", "value": "x"}}},
+     "must be a number, got 'x'"),
+    ("grid.cells", {"grid": {"cells": 32}}, "must be a list, got 32"),
+    ("grid.extent", {"grid": {"extent": 1.0}}, "must be a list, got 1.0"),
+])
+def test_config_rejects_ill_typed_values(tmp_path, capsys, key, overrides, message):
+    # a string where a number is due, or a number where a list is due, is a
+    # collected failure naming the key, not a ValueError or TypeError
+    path = write_cfg(tmp_path, overrides)
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert f"{key} {message}" in exc_info.value.failures
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert f"{key} {message}" in capsys.readouterr().err
+
+
+def test_negative_seed_in_config_is_a_collected_failure(tmp_path, capsys):
+    path = write_cfg(tmp_path, {"seed": -1})
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_negative_seed_override_is_a_collected_failure(tmp_path, capsys):
+    # the --seed override is validated like the file's seed
+    good = write_cfg(tmp_path, {"time": {"T": 0.02, "steps": 2}})
+    assert main(["gradcheck", "--config", str(good), "--seed", "-1",
+                 "--quiet"]) == EXIT_VALIDATION
+    assert "seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_readme_example_config_loads():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)

@@ -8,8 +8,7 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           simulate, stationarity_residual)
 from nlch_control.control import control_inner_qt
 from nlch_control.errors import (ChemotaxisScopeError, FieldShapeError,
-                                 HypothesisViolationError, SolverError,
-                                 StaleTrajectoryError)
+                                 HypothesisViolationError, SolverError)
 from nlch_control.physics import ProliferationSpec
 
 from conftest import random_controls, smooth_phi0
@@ -49,23 +48,23 @@ def cost_direct_oracle(traj, controls, spec):
     return total
 
 
-def test_cost_zero_cases(setup, grid1d):
+def test_cost_zero_cases(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
     all_zero = CostSpec.tracking(grid1d, 20)
-    assert cost(traj, controls, all_zero) == 0.0
+    assert cost(traj, all_zero) == 0.0
     with pytest.raises(HypothesisViolationError):
         all_zero.validate()
 
-    # targets equal to the trajectory, zero controls: cost vanishes
-    zero_controls = ControlPair.zeros(grid1d, 20)
+    # targets equal to the trajectory of zero controls: cost vanishes
+    traj0 = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel1d, tgrid)
     spec = CostSpec.tracking(
         grid1d, 20, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=1.0, beta_v=1.0,
-        phi_omega=ScalarField(grid1d, traj.phi[20]),
-        sigma_omega=ScalarField(grid1d, traj.sigma[20]),
-        phi_q=traj.phi[:20].copy(), sigma_q=traj.sigma[:20].copy(),
+        phi_omega=ScalarField(grid1d, traj0.phi[20]),
+        sigma_omega=ScalarField(grid1d, traj0.sigma[20]),
+        phi_q=traj0.phi[:20].copy(), sigma_q=traj0.sigma[:20].copy(),
     )
-    assert cost(traj, zero_controls, spec) == 0.0
+    assert cost(traj0, spec) == 0.0
 
 
 def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
@@ -83,7 +82,7 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
         phi_q=rng.standard_normal((6, 8)), sigma_q=rng.standard_normal((6, 8)),
     )
     oracle = cost_direct_oracle(traj, controls, spec)
-    assert cost(traj, controls, spec) == pytest.approx(oracle, rel=1e-12)
+    assert cost(traj, spec) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_cost_spec_validation(grid1d):
@@ -101,26 +100,14 @@ def test_reduced_gradient_tikhonov_only(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
     # zero tracking weights: adjoint is identically zero
     spec = CostSpec.tracking(grid1d, 20, alpha_u=0.3, beta_v=0.7)
-    adj = adjoint_sweep(traj, spec, params, kernel1d)
-    g = reduced_gradient(controls, traj, adj, spec, params)
+    g = reduced_gradient(adjoint_sweep(traj, spec, params, kernel1d), spec)
     assert np.allclose(g.u, 0.3 * controls.u, rtol=0, atol=0)
     assert np.allclose(g.v, 0.7 * controls.v, rtol=0, atol=0)
 
     zero_controls = ControlPair.zeros(grid1d, 20)
     traj0 = simulate(phi0, sigma0, zero_controls, params, kernel1d, tgrid)
-    adj0 = adjoint_sweep(traj0, spec, params, kernel1d)
-    g0 = reduced_gradient(zero_controls, traj0, adj0, spec, params)
+    g0 = reduced_gradient(adjoint_sweep(traj0, spec, params, kernel1d), spec)
     assert np.all(g0.u == 0.0) and np.all(g0.v == 0.0)
-
-
-def test_reduced_gradient_rejects_stale_adjoint(setup, rng, grid1d, kernel1d, params):
-    tgrid, phi0, sigma0, controls, traj = setup
-    spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
-    adj = adjoint_sweep(traj, spec, params, kernel1d)
-    other_controls = random_controls(rng, grid1d, 20)
-    other_traj = simulate(phi0, sigma0, other_controls, params, kernel1d, tgrid)
-    with pytest.raises(StaleTrajectoryError):
-        reduced_gradient(other_controls, other_traj, adj, spec, params)
 
 
 def test_project_box_cases(rng, grid1d):
@@ -320,7 +307,7 @@ def test_pgd_nonfinite_cost_raises():
 def projection_formula_defect_loop(controls, traj, adj, spec, box):
     """The per-step loop form of projection_formula_defect."""
     steps = traj.steps
-    distrib = traj.params.distribution.evaluate(traj.phi[:steps], 0)
+    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
     worst_u = worst_v = 0.0
     for n in range(steps):
         target = distrib[n] * adj.p[n] / spec.alpha_u
@@ -377,8 +364,7 @@ def test_pgd_spectral_steps_on_criterion5(criterion5_run):
 
     def gradient(c):
         traj = simulate(phi0, sigma0, c, params, kernel, tgrid, record_monitors=False)
-        return reduced_gradient(c, traj, adjoint_sweep(traj, spec, params, kernel),
-                                spec, params)
+        return reduced_gradient(adjoint_sweep(traj, spec, params, kernel), spec)
 
     grads = [gradient(c) for c in iterates]
     lam = 1.0  # tau0

@@ -102,7 +102,6 @@ def test_tangent_and_adjoint_are_exact_transposes(run):
     rng = np.random.default_rng(run.seed + 1)
     shape = (run.tgrid.steps, run.grid.num_cells)
     seeds = (run.tgrid.steps + 1, run.grid.num_cells)
-    gap = duality_gap(traj, run.params, kernel,
-                      rng.standard_normal(shape), rng.standard_normal(shape),
+    gap = duality_gap(traj, rng.standard_normal(shape), rng.standard_normal(shape),
                       rng.standard_normal(seeds), rng.standard_normal(seeds))
     assert gap <= 1e-10

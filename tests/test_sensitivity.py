@@ -25,11 +25,11 @@ def base_setup(rng, grid1d, kernel1d, params, tgrid20):
 def test_tangent_sweep_linearity(rng, base_setup, grid1d, kernel1d, params):
     _, _, _, traj = base_setup
     d1 = random_controls(rng, grid1d, 20)
-    t1 = tangent_sweep(traj, d1, params, kernel1d)
+    t1 = tangent_sweep(traj, d1)
     for d2 in (random_controls(rng, grid1d, 20), ControlPair.zeros(grid1d, 20)):
         combined = ControlPair(grid1d, 2.0 * d1.u - 0.5 * d2.u, 2.0 * d1.v - 0.5 * d2.v)
-        t2 = tangent_sweep(traj, d2, params, kernel1d)
-        tc = tangent_sweep(traj, combined, params, kernel1d)
+        t2 = tangent_sweep(traj, d2)
+        tc = tangent_sweep(traj, combined)
         scale = max(1.0, np.max(np.abs(tc.xi)))
         assert np.max(np.abs(tc.xi - (2.0 * t1.xi - 0.5 * t2.xi))) <= 1e-13 * scale
         assert np.max(np.abs(tc.rho - (2.0 * t1.rho - 0.5 * t2.rho))) <= 1e-13 * scale
@@ -41,7 +41,7 @@ def test_tangent_matches_finite_differences(rng, base_setup, grid1d, kernel1d, p
                                             tgrid20):
     phi0, sigma0, controls, traj = base_setup
     direction = random_controls(rng, grid1d, 20, scale=1.0)
-    tangent = tangent_sweep(traj, direction, params, kernel1d)
+    tangent = tangent_sweep(traj, direction)
 
     errors = []
     eps_list = (1e-2, 1e-3, 1e-4)
@@ -60,11 +60,10 @@ def test_tangent_matches_finite_differences(rng, base_setup, grid1d, kernel1d, p
     assert order >= 0.9
 
 
-def test_taylor_remainder_quadratic(rng, base_setup, grid1d, kernel1d, params, tgrid20):
-    phi0, sigma0, controls, _ = base_setup
+def test_taylor_remainder_quadratic(rng, base_setup, grid1d):
+    _, _, _, traj = base_setup
     direction = random_controls(rng, grid1d, 20, scale=1.0)
-    order, remainders = taylor_remainder_order(phi0, sigma0, controls, direction,
-                                               params, kernel1d, tgrid20)
+    order, remainders = taylor_remainder_order(traj, direction)
     assert order >= 1.9
     assert all(r2 < r1 for r1, r2 in zip(remainders, remainders[1:]))
 
@@ -75,7 +74,7 @@ def test_duality_gap_probes(rng, base_setup, grid1d, kernel1d, params):
         d = random_controls(rng, grid1d, 20, scale=1.0)
         seed_phi = rng.standard_normal((21, grid1d.num_cells))
         seed_sigma = rng.standard_normal((21, grid1d.num_cells))
-        gap = duality_gap(traj, params, kernel1d, d.u, d.v, seed_phi, seed_sigma)
+        gap = duality_gap(traj, d.u, d.v, seed_phi, seed_sigma)
         assert gap <= 1e-10
 
 
@@ -84,15 +83,15 @@ def test_duality_gap_zero_perturbation(base_setup, grid1d, kernel1d, params, rng
     zeros = np.zeros((20, grid1d.num_cells))
     seed_phi = rng.standard_normal((21, grid1d.num_cells))
     seed_sigma = rng.standard_normal((21, grid1d.num_cells))
-    assert duality_gap(traj, params, kernel1d, zeros, zeros, seed_phi, seed_sigma) == 0.0
+    assert duality_gap(traj, zeros, zeros, seed_phi, seed_sigma) == 0.0
 
 
 def test_duality_gap_aligned_seed(rng, base_setup, grid1d, kernel1d, params):
     # seed equal to the tangent output: pairing strictly positive, gap tiny
     _, _, _, traj = base_setup
     d = random_controls(rng, grid1d, 20, scale=1.0)
-    tangent = tangent_sweep(traj, d, params, kernel1d)
-    gap = duality_gap(traj, params, kernel1d, d.u, d.v, tangent.xi, tangent.rho)
+    tangent = tangent_sweep(traj, d)
+    gap = duality_gap(traj, d.u, d.v, tangent.xi, tangent.rho)
     assert gap <= 1e-10
     assert tangent.pair_with_seed(tangent.xi, tangent.rho) > 0.0
 
@@ -107,7 +106,7 @@ def test_duality_gap_orthogonal_seed(base_setup, grid1d, kernel1d, params):
     seed_phi = np.zeros((21, grid1d.num_cells))
     seed_sigma = np.zeros((21, grid1d.num_cells))
     seed_sigma[1, 10] = 1.0
-    gap = duality_gap(traj, params, kernel1d, dh, dk, seed_phi, seed_sigma)
+    gap = duality_gap(traj, dh, dk, seed_phi, seed_sigma)
     assert gap <= 1e-10
 
 
@@ -117,11 +116,11 @@ def test_vjp_transposes_tangent_matrix_entry(rng, base_setup, grid1d, kernel1d, 
     dh = np.zeros((20, grid1d.num_cells))
     dh[2, 7] = 1.0
     dk = np.zeros_like(dh)
-    tangent = tangent_sweep(traj, ControlPair(grid1d, dh, dk), params, kernel1d)
+    tangent = tangent_sweep(traj, ControlPair(grid1d, dh, dk))
     seed_phi = np.zeros((21, grid1d.num_cells))
     seed_sigma = np.zeros((21, grid1d.num_cells))
     seed_phi[17, 23] = 1.0
-    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma, params, kernel1d)
+    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
     assert u_bar[2, 7] == pytest.approx(tangent.xi[17, 23], rel=1e-12, abs=1e-15)
 
 
@@ -167,18 +166,17 @@ def test_adjoint_rejects_chemotaxis(grid1d, rng, tgrid20):
     zeros = np.zeros((20, grid1d.num_cells))
     seeds = np.zeros((21, grid1d.num_cells))
     with pytest.raises(ChemotaxisScopeError):
-        duality_gap(traj, params, kernel, zeros, zeros, seeds, seeds)
+        duality_gap(traj, zeros, zeros, seeds, seeds)
 
 
 def test_sweeps_reject_stale_trajectory(base_setup, grid1d, kernel1d, params):
-    # sweeps given other inputs than the trajectory was simulated with
+    # the adjoint sweep still takes params and kernel; given other ones than
+    # the trajectory was simulated with, it refuses
     _, _, _, traj = base_setup
     other_params = dataclasses.replace(params, A=0.6)
     other_kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid1d)
     spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
     for p, k in ((other_params, kernel1d), (params, other_kernel)):
-        with pytest.raises(StaleTrajectoryError):
-            tangent_sweep(traj, ControlPair.zeros(grid1d, 20), p, k)
         with pytest.raises(StaleTrajectoryError):
             adjoint_sweep(traj, spec, p, k)
     # an equal kernel built afresh is the same input
@@ -194,7 +192,38 @@ def test_q_slice_structure(base_setup, grid1d, kernel1d, params):
     spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0, beta_q=0.5)
     adj = adjoint_sweep(traj, spec, params, kernel1d)
     n = 7
-    q = adj.q_slice(traj, params, n)
+    q = adj.q_slice(n)
     expected = -laplacian_array(grid1d, adj.p[n]) \
         + params.proliferation.evaluate(traj.phi[n], 0) * (adj.p[n] - adj.r[n])
     assert np.array_equal(q, expected)
+
+
+def test_gradcheck_sweep_count(monkeypatch, rng, base_setup, grid1d, kernel1d, params,
+                               tgrid20):
+    # the base trajectory, its adjoint and the gradient are computed once and
+    # shared by every probe; each probe pays only for its own sweeps
+    from nlch_control import gradcheck, sensitivity
+
+    phi0, sigma0, controls, _ = base_setup
+    sweeps = []
+
+    def counted(module, name):
+        fn = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            sweeps.append(name)
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((gradcheck, "simulate"), (gradcheck, "adjoint_sweep"),
+                         (gradcheck, "tangent_sweep"), (sensitivity, "tangent_sweep"),
+                         (sensitivity, "vjp_sweep")):
+        counted(module, name)
+    spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    n_duality, n_fd, n_taylor = 3, 2, 2
+    result = gradcheck.run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d,
+                                     tgrid20, rng, n_duality=n_duality, n_fd=n_fd,
+                                     n_taylor=n_taylor)
+    assert result.passed
+    assert len(sweeps) == (2 + 2 * n_duality + 2 * n_fd * len(gradcheck.FD_EPSILONS)
+                           + n_taylor * (1 + len(gradcheck.TAYLOR_EPSILONS)))
