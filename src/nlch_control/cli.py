@@ -32,7 +32,6 @@ from .forward import simulate
 from .geometry import ScalarField
 from .gradcheck import run_gradcheck
 from .physics import require_ellipticity
-from .sensitivity import adjoint_sweep
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -113,7 +112,7 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
     rng = np.random.default_rng(cfg.seed)
 
     result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid, rng,
-                           corrupt_adjoint=_corrupt_adjoint)
+                           blowup_guard=cfg.blowup_guard, corrupt_adjoint=_corrupt_adjoint)
 
     _say(quiet, f"duality gap (max over {len(result.duality_gaps)} probes): "
                 f"{result.max_duality_gap:.3e}")
@@ -146,14 +145,14 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
                     f"step {step:.3e}  ls {ls}")
 
     report = pgd_optimize(c0, box, spec, params, kernel, tgrid, phi0, sigma0,
-                          opts=cfg.pgd_options(), callback=progress)
+                          opts=cfg.pgd_options(), blowup_guard=cfg.blowup_guard,
+                          callback=progress)
 
     outputs = ["iterations.csv", "projection_report.json"]
     snapshots.write_iterations_csv(out / "iterations.csv", report)
 
-    final_traj = simulate(phi0, sigma0, report.final_controls, params, kernel, tgrid,
-                          blowup_guard=cfg.blowup_guard)
-    adj = adjoint_sweep(final_traj, spec, params, kernel)
+    adj = report.final_adjoint
+    final_traj = adj.traj
     defect_u, defect_v = projection_formula_defect(report.final_controls, final_traj,
                                                    adj, spec, box)
     projection_report = {

@@ -15,11 +15,17 @@ import numpy as np
 
 from .errors import (ChemotaxisScopeError, FieldShapeError,
                      HypothesisViolationError, SolverError)
-from .forward import ControlPair, StateTrajectory, TimeGrid, simulate
+from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
+                      simulate)
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData
 from .physics import ModelParams, require_ellipticity
 from .sensitivity import AdjointTrajectory, adjoint_sweep
+
+# Armijo sufficient-decrease constant of the line search
+ARMIJO_FRACTION = 1e-4
+# a line search whose step fraction alpha halves below this is exhausted
+ALPHA_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -155,7 +161,8 @@ class OptimizeReport:
     costs[k] is the cost of iterate k; accepted steps make the sequence
     strictly decreasing. step_sizes[k] (the accepted lambda * alpha) and
     linesearch_counts[k] describe the move from iterate k-1 to k (zero for
-    the starting iterate).
+    the starting iterate). final_adjoint is the adjoint of the last accepted
+    iterate; its traj is that iterate's trajectory.
     """
 
     costs: tuple[float, ...]
@@ -163,6 +170,7 @@ class OptimizeReport:
     step_sizes: tuple[float, ...]
     linesearch_counts: tuple[int, ...]
     final_controls: ControlPair
+    final_adjoint: AdjointTrajectory = field(repr=False)
     termination: str
 
     @property
@@ -175,8 +183,6 @@ class PgdOptions:
     tol: float = 1e-4
     max_iter: int = 200
     tau0: float = 1.0
-    armijo_c: float = 1e-4
-    tau_exhaust_factor: float = 1e-14
 
 
 def cost(traj: StateTrajectory, spec: CostSpec) -> float:
@@ -275,23 +281,25 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                  phi0: ScalarField, sigma0: ScalarField,
                  opts: PgdOptions | None = None,
                  solver_options: None = None,
+                 blowup_guard: float = DEFAULT_BLOWUP_GUARD,
                  callback=None) -> OptimizeReport:
     """Monotone spectral projected gradient (Birgin, Martinez & Raydan, SIAM
     J. Optim. 2000).
 
     From iterate c with gradient g and spectral step lambda (tau0 at first),
     trials project_box(c + alpha d), d = P(c - lambda g) - c, alpha = 1, 1/2,
-    1/4, ..., are accepted when J(trial) <= J(c) + armijo_c alpha <g, d> and
-    J(trial) < J(c), so accepted costs strictly decrease. The next lambda is
-    the Barzilai-Borwein step <s, s> / <s, y> in L2(Q_T) (s, y the changes of
-    iterate and gradient), clamped to [1e-6 tau0, 1e6 tau0]; 1e6 tau0 when
-    <s, y> <= 0.
+    1/4, ..., are accepted when J(trial) <= J(c) + 1e-4 alpha <g, d> (the
+    Armijo constant ARMIJO_FRACTION) and J(trial) < J(c), so accepted costs
+    strictly decrease. The next lambda is the Barzilai-Borwein step
+    <s, s> / <s, y> in L2(Q_T) (s, y the changes of iterate and gradient),
+    clamped to [1e-6 tau0, 1e6 tau0]; 1e6 tau0 when <s, y> <= 0.
 
     Each iterate stays in the box bitwise (produced by the clamp, never
     perturbed afterwards). A line search that halves alpha below
-    tau_exhaust_factor terminates the run with reason "flat_gradient" rather
-    than raising. An accepted iterate k (k = 0 is the start) with a
-    non-finite cost or residual raises SolverError naming k.
+    ALPHA_FLOOR terminates the run with reason "flat_gradient" rather than
+    raising. An accepted iterate k (k = 0 is the start) with a non-finite
+    cost or residual raises SolverError naming k. Every forward sweep runs
+    under blowup_guard, as in simulate.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
@@ -309,21 +317,22 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
 
     def run(controls: ControlPair):
         traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
-                        record_monitors=False)
+                        blowup_guard=blowup_guard, record_monitors=False)
         return traj, cost(traj, spec)
 
     def gradient(k: int, traj: StateTrajectory, j_val: float):
-        """Gradient and stationarity residual of accepted iterate k."""
-        g = reduced_gradient(adjoint_sweep(traj, spec, params, kernel), spec)
+        """Adjoint, gradient and stationarity residual of accepted iterate k."""
+        adj = adjoint_sweep(traj, spec, params, kernel)
+        g = reduced_gradient(adj, spec)
         resid = stationarity_residual(traj.controls, g, box, dt)
         if not (np.isfinite(j_val) and np.isfinite(resid)):
             raise SolverError(f"PGD iterate {k}: cost {j_val!r} or stationarity residual "
                               f"{resid!r} is not finite", iterations=k, residual=resid)
-        return g, resid
+        return adj, g, resid
 
     c = project_box(c0, box)
     traj, j_val = run(c)
-    g, resid = gradient(0, traj, j_val)
+    adj, g, resid = gradient(0, traj, j_val)
 
     costs = [j_val]
     residuals = [resid]
@@ -344,17 +353,17 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         slope = control_inner_qt(g, d, dt)
         alpha = 1.0
         ls_count = 0
-        while alpha >= opts.tau_exhaust_factor:
+        while alpha >= ALPHA_FLOOR:
             trial = project_box(ControlPair(c.grid, c.u + alpha * d.u, c.v + alpha * d.v), box)
             ls_count += 1
             traj_trial, j_trial = run(trial)
-            if j_trial <= j_val + opts.armijo_c * alpha * slope and j_trial < j_val:
+            if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
                 break
             alpha *= 0.5
         else:
             termination = "flat_gradient"
             break
-        g_new, resid = gradient(len(costs), traj_trial, j_trial)
+        adj_new, g_new, resid = gradient(len(costs), traj_trial, j_trial)
         costs.append(j_trial)
         residuals.append(resid)
         step_sizes.append(lam * alpha)
@@ -364,7 +373,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         sy = control_inner_qt(s, y, dt)
         lam = 1e6 * opts.tau0 if sy <= 0.0 else min(
             max(control_inner_qt(s, s, dt) / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0)
-        c, j_val, g = trial, j_trial, g_new
+        c, j_val, g, adj = trial, j_trial, g_new, adj_new
         if callback is not None:
             callback(len(costs) - 1, j_val, resid, step_sizes[-1], ls_count, c)
 
@@ -377,5 +386,6 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         step_sizes=tuple(step_sizes),
         linesearch_counts=tuple(ls_counts),
         final_controls=c,
+        final_adjoint=adj,
         termination=termination,
     )

@@ -50,9 +50,6 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.steps if self.steps > 0 else 0.0
 
-    def times(self) -> np.ndarray:
-        return np.arange(self.steps + 1) * self.dt
-
 
 @dataclass(frozen=True)
 class State:
@@ -96,12 +93,6 @@ class ControlPair:
     @property
     def steps(self) -> int:
         return self.u.shape[0]
-
-    def norm_qt(self, dt: float) -> float:
-        """Discrete L2(Q_T)^2 norm with left-endpoint time quadrature."""
-        vol = self.grid.cell_volume
-        total = (np.sum(self.u * self.u) + np.sum(self.v * self.v)) * vol * dt
-        return float(np.sqrt(max(total, 0.0)))
 
 
 class StepOperators:
@@ -244,21 +235,6 @@ def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     return phi_new, sigma_new
 
 
-def step(state: State, u_n: ScalarField, v_n: ScalarField, params: ModelParams,
-         kernel: KernelData, dt: float,
-         blowup_guard: float = DEFAULT_BLOWUP_GUARD) -> State:
-    """Advance one time step. Validates the ellipticity gate on entry."""
-    require_ellipticity(params, kernel)
-    grid = state.grid
-    if u_n.grid != grid or v_n.grid != grid:
-        raise FieldShapeError("controls on a different grid")
-    ops = step_operators(grid, params, kernel, dt)
-    phi_new, sigma_new = _step_core(ops, state.phi.values, state.sigma.values,
-                                    u_n.values, v_n.values)
-    _guard_step(0, phi_new, sigma_new, blowup_guard)
-    return State(ScalarField(grid, phi_new), ScalarField(grid, sigma_new))
-
-
 @dataclass(frozen=True)
 class StateTrajectory:
     """Discrete trajectory and run monitors.
@@ -267,7 +243,8 @@ class StateTrajectory:
     data kept. controls and ops (the operator bundle the run stepped with,
     which holds its params, kernel and dt; None for a run of zero steps) are
     references to the run's inputs, from which the derivative sweeps
-    recompute each step's factors without being passed them again.
+    recompute each step's factors without being passed them again;
+    blowup_guard is the guard the run stepped under, which reruns keep.
     monitors rows: (step, time, energy, mass_phi, mass_sigma, sup_phi,
     sup_sigma).
     """
@@ -278,6 +255,7 @@ class StateTrajectory:
     sigma: np.ndarray = field(repr=False)
     controls: ControlPair = field(repr=False)
     ops: StepOperators | None = field(repr=False)
+    blowup_guard: float
     monitors: tuple[tuple, ...] = field(repr=False)
 
     @property
@@ -286,9 +264,6 @@ class StateTrajectory:
 
     def state(self, n: int) -> State:
         return State(ScalarField(self.grid, self.phi[n]), ScalarField(self.grid, self.sigma[n]))
-
-    def final_state(self) -> State:
-        return self.state(self.steps)
 
     def require_inputs(self, params: ModelParams, kernel: KernelData | None = None) -> None:
         """Raise StaleTrajectoryError unless params (and the kernel, if given)
@@ -377,6 +352,7 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         sigma=sigma,
         controls=controls,
         ops=ops,
+        blowup_guard=blowup_guard,
         monitors=tuple(monitors),
     )
 

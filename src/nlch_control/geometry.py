@@ -97,41 +97,8 @@ class ScalarField:
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.num_cells, float(value)))
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        """Sample fn at cell centers; fn takes one coordinate array per axis."""
-        return cls(grid, np.asarray(fn(*grid.mesh()), dtype=np.float64).reshape(-1))
-
-    def reshaped(self) -> np.ndarray:
-        return self.values.reshape(self.grid.cells_per_axis)
-
-    def with_values(self, values: np.ndarray) -> "ScalarField":
-        return ScalarField(self.grid, values)
-
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
-
-    def __add__(self, other):
-        return ScalarField(self.grid, self.values + _coerce(other, self.grid))
-
-    def __sub__(self, other):
-        return ScalarField(self.grid, self.values - _coerce(other, self.grid))
-
-    def __mul__(self, other):
-        return ScalarField(self.grid, self.values * _coerce(other, self.grid))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return ScalarField(self.grid, -self.values)
-
-
-def _coerce(other, grid: GridSpec) -> np.ndarray | float:
-    if isinstance(other, ScalarField):
-        if other.grid != grid:
-            raise FieldShapeError("fields live on different grids")
-        return other.values
-    return float(other)
 
 
 def require_same_grid(*fields: ScalarField) -> GridSpec:
@@ -176,10 +143,6 @@ def inner_product(f: ScalarField, g: ScalarField) -> float:
 def mass(f: ScalarField) -> float:
     """Integral of f over the domain (equals inner_product(f, 1))."""
     return float(np.sum(f.values) * f.grid.cell_volume)
-
-
-def norm_l2(f: ScalarField) -> float:
-    return float(np.sqrt(max(inner_product(f, f), 0.0)))
 
 
 def dense_laplacian_matrix(grid: GridSpec) -> np.ndarray:

@@ -11,7 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .control import CostSpec, control_inner_qt, cost, reduced_gradient
-from .forward import ControlPair, StateTrajectory, TimeGrid, simulate
+from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
+                      simulate)
 from .geometry import ScalarField
 from .kernels import KernelData
 from .physics import ModelParams
@@ -63,16 +64,16 @@ def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> floa
 
 
 def _rerun(base: StateTrajectory, controls: ControlPair) -> StateTrajectory:
-    """simulate with base's initial state, operators and time grid."""
+    """simulate with base's initial state, operators, time grid and guard."""
     start = base.state(0)
     return simulate(start.phi, start.sigma, controls, base.ops.params, base.ops.kernel,
-                    base.tgrid, record_monitors=False)
+                    base.tgrid, blowup_guard=base.blowup_guard, record_monitors=False)
 
 
-def taylor_remainder_order(base: StateTrajectory, direction: ControlPair,
-                           epsilons=TAYLOR_EPSILONS) -> tuple[float, tuple[float, ...]]:
+def taylor_remainder_order(base: StateTrajectory, direction: ControlPair
+                           ) -> tuple[float, tuple[float, ...]]:
     """Observed order of || S(c + eps d) - S(c) - eps T(d) || in eps, with
-    S(c) the trajectory base.
+    S(c) the trajectory base, over eps in TAYLOR_EPSILONS.
 
     An exact tangent makes the remainder quadratic; the fitted log-log slope
     is returned together with the raw remainders.
@@ -81,31 +82,31 @@ def taylor_remainder_order(base: StateTrajectory, direction: ControlPair,
     controls = base.controls
     grid = base.grid
     remainders = []
-    for eps in epsilons:
+    for eps in TAYLOR_EPSILONS:
         perturbed = ControlPair(grid, controls.u + eps * direction.u,
                                 controls.v + eps * direction.v)
         traj = _rerun(base, perturbed)
         rem_phi = traj.phi - base.phi - eps * tangent.xi
         rem_sigma = traj.sigma - base.sigma - eps * tangent.rho
         remainders.append(trajectory_qt_norm(rem_phi, rem_sigma, grid, base.tgrid.dt))
-    log_eps = np.log(np.asarray(epsilons))
+    log_eps = np.log(np.asarray(TAYLOR_EPSILONS))
     log_rem = np.log(np.maximum(np.asarray(remainders), 1e-300))
     slope = float(np.polyfit(log_eps, log_rem, 1)[0])
     return slope, tuple(remainders)
 
 
 def fd_gradient_errors(base: StateTrajectory, grad: ControlPair, direction: ControlPair,
-                       spec: CostSpec, epsilons=FD_EPSILONS) -> tuple[float, ...]:
+                       spec: CostSpec) -> tuple[float, ...]:
     """Relative error of the directional derivative <grad, direction> against
     central finite differences of cost(simulate(c)) around the controls c of
-    base, one entry per epsilon.
+    base, one entry per epsilon of FD_EPSILONS.
     """
     controls = base.controls
     grid = base.grid
     directional = control_inner_qt(grad, direction, base.tgrid.dt)
 
     errors = []
-    for eps in epsilons:
+    for eps in FD_EPSILONS:
         plus = ControlPair(grid, controls.u + eps * direction.u,
                            controls.v + eps * direction.v)
         minus = ControlPair(grid, controls.u - eps * direction.u,
@@ -123,12 +124,14 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                   spec: CostSpec, params: ModelParams, kernel: KernelData,
                   tgrid: TimeGrid, rng: np.random.Generator,
                   solver_options: None = None,
+                  blowup_guard: float = DEFAULT_BLOWUP_GUARD,
                   n_duality: int = 20, n_fd: int = 3, n_taylor: int = 3,
                   corrupt_adjoint: bool = False) -> GradcheckResult:
     """Full verification sweep from one seeded generator.
 
     The base trajectory, its adjoint and the reduced gradient are computed
-    once and shared by every duality, finite-difference and Taylor probe.
+    once and shared by every duality, finite-difference and Taylor probe;
+    every forward sweep runs under blowup_guard, as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient by 0.1% plus an offset before the FD comparison, which a healthy
     check must flag.
@@ -138,7 +141,8 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         raise TypeError("run_gradcheck: solver_options must be None; there is no solver choice")
     grid = controls.grid
     steps = tgrid.steps
-    base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
+    base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
+                    blowup_guard=blowup_guard, record_monitors=False)
     grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)

@@ -6,10 +6,11 @@ so the whole operator is a tap table over index offsets. The fast path is
 zero-padded linear convolution (no periodic wraparound, matching the
 integral's zero extension outside the domain): `build_kernel` pads each axis
 of the tap table to a fast FFT length of at least 2n - 1, which is enough for
-the restricted window, and keeps its real FFT. Every later convolution is then
-one forward and one inverse transform of the field. A direct dense
-application is kept for cross-checking. Both paths agree to relative 1e-12 by
-contract.
+the restricted window, and keeps its real FFT together with the weight
+a = J*1 and its bound a* that the ellipticity gate reads. Every later
+convolution is then one forward and one inverse transform of the field. A
+direct dense application is kept for cross-checking. Both paths agree to
+relative 1e-12 by contract.
 """
 
 from __future__ import annotations
@@ -62,36 +63,17 @@ class KernelSpec:
             out[inside] = self.amplitude * np.exp(-1.0 / (1.0 - t2[inside]))
         return out
 
-    def gradient_magnitude_r2(self, r2: np.ndarray) -> np.ndarray:
-        """|grad J| as a function of squared distance (analytic)."""
-        r2 = np.asarray(r2, dtype=np.float64)
-        r = np.sqrt(r2)
-        d2 = self.width * self.width
-        if self.family == "gaussian":
-            return self.evaluate_r2(r2) * r / d2
-        t2 = r2 / d2
-        inside = t2 < 1.0
-        out = np.zeros_like(r2)
-        with np.errstate(divide="ignore", over="ignore"):
-            one_minus = 1.0 - t2[inside]
-            out[inside] = (
-                self.evaluate_r2(r2)[inside]
-                * 2.0
-                * (r[inside] / self.width)
-                / (self.width * one_minus * one_minus)
-            )
-        return out
-
 
 @dataclass(frozen=True)
 class KernelData:
-    """Kernel sampled on a grid, with the induced weight field and bounds.
+    """Kernel sampled on a grid, with the induced weight field and its bound.
 
     taps[k...] holds J evaluated at every index offset (length 2n-1 per
     axis) and spectrum its zero-padded real FFT times the cell volume;
-    a_field = J*1; a_star bounds sum_j |J(x_i-x_j)| vol and b_star the same
-    with |grad J|. The time stepper keeps its most recent operator bundle in
-    the operator slot, keyed on (params, dt) (see forward.step_operators).
+    a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound the
+    ellipticity gate reads. The time stepper keeps its most recent operator
+    bundle in the operator slot, keyed on (params, dt) (see
+    forward.step_operators).
     """
 
     spec: KernelSpec
@@ -100,7 +82,6 @@ class KernelData:
     spectrum: np.ndarray = field(repr=False)
     a_field: ScalarField = field(repr=False)
     a_star: float
-    b_star: float
     operator_slot: list = field(default_factory=list, init=False, repr=False,
                                 compare=False)
 
@@ -109,8 +90,6 @@ class KernelData:
             raise KernelResolutionError("induced weight field a = J*1 must be nonnegative")
         if self.a_star < np.max(self.a_field.values) - 1e-12 * max(1.0, self.a_star):
             raise KernelResolutionError("a_star must dominate max(a_field)")
-        if not np.isfinite(self.b_star):
-            raise KernelResolutionError("b_star must be finite")
 
 
 def _offset_r2(grid: GridSpec) -> np.ndarray:
@@ -151,7 +130,7 @@ def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray, grid: GridSpec) ->
 
 
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
-    """Sample the kernel on the grid and derive a = J*1, a_star and b_star.
+    """Sample the kernel on the grid and derive a = J*1 and a_star.
 
     Rejects widths below half a cell spacing: such kernels alias (the grid
     cannot resolve them).
@@ -161,18 +140,16 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             f"kernel width {spec.width} under-resolved on spacing {grid.spacing}; "
             "need width >= spacing / 2"
         )
-    r2 = _offset_r2(grid)
-    taps = spec.evaluate_r2(r2)
+    taps = spec.evaluate_r2(_offset_r2(grid))
     spectrum = _tap_spectrum(taps, grid)
-    ones = np.ones(grid.num_cells)
-    # positive kernel families: clip quadrature noise, never sign changes
-    a_field = ScalarField(grid, np.maximum(_apply_spectrum(spectrum, ones, grid), 0.0))
-    abs_spectrum = _tap_spectrum(np.abs(taps), grid)
-    a_star = float(np.max(_apply_spectrum(abs_spectrum, ones, grid)))
-    grad_spectrum = _tap_spectrum(spec.gradient_magnitude_r2(r2), grid)
-    b_star = float(np.max(_apply_spectrum(grad_spectrum, ones, grid)))
+    j_one = _apply_spectrum(spectrum, np.ones(grid.num_cells), grid)
+    # both families are nonnegative, so |taps| == taps and the bound
+    # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
+    a_star = float(np.max(j_one))
+    # clip quadrature noise, never sign changes
+    a_field = ScalarField(grid, np.maximum(j_one, 0.0))
     return KernelData(spec=spec, grid=grid, taps=taps, spectrum=spectrum,
-                      a_field=a_field, a_star=a_star, b_star=b_star)
+                      a_field=a_field, a_star=a_star)
 
 
 def convolve(kernel: KernelData, f: ScalarField, method: str = "fft") -> ScalarField:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
-                          ScalarField, TimeGrid, build_kernel)
+                          ScalarField, State, TimeGrid, build_kernel, simulate)
 from nlch_control.physics import ProliferationSpec
 
 
@@ -68,6 +68,15 @@ def random_controls(rng, grid: GridSpec, steps: int, scale: float = 0.1) -> Cont
         scale * rng.standard_normal((steps, grid.num_cells)),
         scale * rng.standard_normal((steps, grid.num_cells)),
     )
+
+
+def one_step(state: State, u: ScalarField, v: ScalarField, params: ModelParams,
+             kernel, dt: float) -> State:
+    """One time step of the scheme, taken by simulate over a one-step grid."""
+    controls = ControlPair(state.grid, u.values[None], v.values[None])
+    traj = simulate(state.phi, state.sigma, controls, params, kernel, TimeGrid(dt, 1),
+                    record_monitors=False)
+    return traj.state(1)
 
 
 @pytest.fixture

@@ -18,6 +18,7 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           pgd_optimize, project_box, projection_formula_defect,
                           reduced_gradient, simulate)
 from nlch_control.cli import EXIT_OK, main
+from nlch_control.control import control_inner_qt
 from nlch_control.gradcheck import fd_gradient_errors, taylor_remainder_order
 from nlch_control.physics import ProliferationSpec
 
@@ -242,7 +243,8 @@ def test_criterion_8_continuous_dependence_analog():
                 diff = np.sqrt((np.sum((traj.phi - traj0.phi) ** 2)
                                 + np.sum((traj.sigma - traj0.sigma) ** 2))
                                * grid.cell_volume * tgrid.dt)
-                return diff / (eps * direction.norm_qt(tgrid.dt))
+                return diff / (eps * np.sqrt(control_inner_qt(direction, direction,
+                                                              tgrid.dt)))
 
             eps0 = 1e-2
             ratios = [lipschitz_ratio(e) for e in (eps0, eps0 / 2, eps0 / 4)]

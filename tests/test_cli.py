@@ -441,6 +441,82 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch, capsys):
     assert "step 0: |phi| reached 0.9" in err and "> guard 0.5" in err
 
 
+GUARDED_GRADCHECK = {
+    # a smooth 16x16 field near 0.49 everywhere: |phi| stays above 0.45
+    "grid": {"cells": [16, 16], "extent": [1.0, 1.0]},
+    "kernel": {"amplitude": 8.0, "width": 0.25},
+    "time": {"T": 0.1, "steps": 8},
+    "initial": {"phi": {"kind": "bumps", "background": 0.4, "centers": [[0.5, 0.5]],
+                        "amplitudes": [0.1], "widths": [0.2]},
+                "sigma": {"kind": "constant", "value": 0.3}},
+    "controls": {"u": {"kind": "constant", "value": 0.05},
+                 "v": {"kind": "constant", "value": -0.05}},
+}
+
+
+def test_gradcheck_runs_under_config_guard(tmp_path, capsys):
+    path = write_cfg(tmp_path, GUARDED_GRADCHECK)
+    assert main(["gradcheck", "--config", str(path)]) == EXIT_OK
+    assert "gradcheck PASS" in capsys.readouterr().out
+    guarded = write_cfg(tmp_path, {**GUARDED_GRADCHECK, "solver": {"blowup_guard": 0.3}},
+                        name="guarded.json")
+    assert main(["gradcheck", "--config", str(guarded)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "step 0: |phi| reached 0.47" in captured.err and "> guard 0.3" in captured.err
+    assert "gradcheck" not in captured.out
+
+
+def test_optimize_runs_under_config_guard(tmp_path, monkeypatch, capsys):
+    # the initial |phi| is about 0.5: the first forward sweep, at iterate 0, trips
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"solver": {"blowup_guard": 0.3},
+                                "output": {"directory": "guarded", "snapshot_stride": 0}})
+    assert main(["optimize", "--config", str(path)]) == EXIT_SOLVER
+    captured = capsys.readouterr()
+    assert "> guard 0.3" in captured.err
+    assert "iter" not in captured.out
+    assert not (tmp_path / "guarded" / "iterations.csv").exists()
+
+
+def count_sweeps(monkeypatch) -> dict:
+    """Count calls of every sweep entry point at each site that names it."""
+    import sys
+
+    from nlch_control import forward, sensitivity
+
+    counts = {}
+    for fn in (forward.simulate, sensitivity.tangent_sweep, sensitivity.vjp_sweep,
+               sensitivity.adjoint_sweep):
+        counts[fn.__name__] = 0
+
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "nlch_control" or name.startswith("nlch_control."):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_cmd_optimize_sweeps_once_per_trial_and_iterate(tmp_path, monkeypatch):
+    # the report's final adjoint serves the projection report and the final
+    # snapshots: no sweep runs after the optimiser returns
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"optimizer": {"tol": 1e-6, "max_iter": 30, "tau0": 1.0},
+                                "output": {"directory": "opt", "snapshot_stride": 0}})
+    counts = count_sweeps(monkeypatch)
+    assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_OK
+    rows = (tmp_path / "opt" / "iterations.csv").read_text().splitlines()[1:]
+    linesearch_counts = [int(row.split(",")[-1]) for row in rows]
+    iterations = len(rows) - 1
+    assert iterations >= 2
+    assert counts == {"simulate": 1 + sum(linesearch_counts), "tangent_sweep": 0,
+                      "vjp_sweep": 0, "adjoint_sweep": 1 + iterations}
+
+
 def test_config_to_dict_is_stable(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_config(path)

@@ -167,6 +167,18 @@ def test_pgd_zero_gradient_terminates_immediately(grid1d, kernel1d, params):
     assert report.iterations == 0
     assert report.termination == "converged"
     assert report.residuals[0] == 0.0
+    assert_final_adjoint_is_fresh(report, (phi0, sigma0), spec, params, kernel1d, tgrid)
+
+
+def assert_final_adjoint_is_fresh(report, initial, spec, params, kernel, tgrid):
+    """final_adjoint is bitwise a fresh adjoint sweep at the final controls."""
+    adj = report.final_adjoint
+    assert adj.traj.controls is report.final_controls
+    traj = simulate(*initial, report.final_controls, params, kernel, tgrid,
+                    record_monitors=False)
+    fresh = adjoint_sweep(traj, spec, params, kernel)
+    assert np.array_equal(adj.traj.phi, traj.phi) and np.array_equal(adj.traj.sigma, traj.sigma)
+    assert np.array_equal(adj.p, fresh.p) and np.array_equal(adj.r, fresh.r)
 
 
 def test_pgd_rejects_chemotaxis(grid1d, params):
@@ -384,6 +396,12 @@ def test_pgd_spectral_steps_on_criterion5(criterion5_run):
         clamped = project_box(iterates[k], box)
         assert np.array_equal(clamped.u, iterates[k].u)
         assert np.array_equal(clamped.v, iterates[k].v)
+
+
+def test_pgd_final_adjoint_on_criterion5(criterion5_run):
+    (grid, kernel, params, tgrid, phi0, sigma0, spec, box), report, _, _ = criterion5_run
+    assert report.termination == "converged" and report.iterations > 0
+    assert_final_adjoint_is_fresh(report, (phi0, sigma0), spec, params, kernel, tgrid)
 
 
 def test_projection_formula_defect_matches_loop(criterion5_run):

@@ -6,15 +6,16 @@ import pytest
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
                           ScalarField, State, TimeGrid,
                           build_kernel, chemical_potential, free_energy, mass,
-                          mass_balance_residual, simulate, step)
-from nlch_control.forward import step_operators
+                          mass_balance_residual, simulate)
+from nlch_control.control import control_inner_qt
+from nlch_control.forward import DEFAULT_BLOWUP_GUARD, step_operators
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError)
 from nlch_control.geometry import dense_laplacian_matrix
 from nlch_control.kernels import convolution_matrix
 from nlch_control.physics import ProliferationSpec
 
-from conftest import random_controls, smooth_phi0
+from conftest import one_step, random_controls, smooth_phi0
 
 
 def dense_step_oracle(grid, params, kernel, dt, phi, sigma, u, v):
@@ -88,7 +89,7 @@ def test_chemical_potential_matches_dense_operator(rng, grid1d_small, kernel1d_s
 def test_step_constant_state_is_fixed_point(grid1d, kernel1d, params_gradient_flow):
     state = State(ScalarField.constant(grid1d, 0.4), ScalarField.constant(grid1d, -0.1))
     zero = ScalarField.constant(grid1d, 0.0)
-    new = step(state, zero, zero, params_gradient_flow, kernel1d, dt=0.01)
+    new = one_step(state, zero, zero, params_gradient_flow, kernel1d, dt=0.01)
     assert np.max(np.abs(new.phi.values - 0.4)) < 1e-13
     assert np.max(np.abs(new.sigma.values + 0.1)) < 1e-13
 
@@ -97,7 +98,7 @@ def test_step_conserves_mass_without_reactions(rng, grid1d, kernel1d, params_gra
     phi0 = smooth_phi0(grid1d)
     state = State(phi0, ScalarField.constant(grid1d, 0.2))
     zero = ScalarField.constant(grid1d, 0.0)
-    new = step(state, zero, zero, params_gradient_flow, kernel1d, dt=0.01)
+    new = one_step(state, zero, zero, params_gradient_flow, kernel1d, dt=0.01)
     m0, m1 = mass(phi0), mass(new.phi)
     assert abs(m1 - m0) <= 1e-13 * max(1.0, abs(m0))
 
@@ -115,8 +116,8 @@ def test_step_matches_dense_oracle(rng, grid1d_small, kernel1d_small):
         oracle_phi, oracle_sigma = dense_step_oracle(grid1d_small, params, kernel1d_small,
                                                      dt, phi, sigma, u, v)
         state = State(ScalarField(grid1d_small, phi), ScalarField(grid1d_small, sigma))
-        new = step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
-                   params, kernel1d_small, dt)
+        new = one_step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
+                       params, kernel1d_small, dt)
         assert np.max(np.abs(new.phi.values - oracle_phi)) < 1e-10
         assert np.max(np.abs(new.sigma.values - oracle_sigma)) < 1e-10
 
@@ -132,8 +133,8 @@ def test_step_matches_dense_oracle_with_chemotaxis(rng, grid1d_small):
     oracle_phi, oracle_sigma = dense_step_oracle(grid1d_small, params, kernel,
                                                  dt, phi, sigma, u, v)
     state = State(ScalarField(grid1d_small, phi), ScalarField(grid1d_small, sigma))
-    new = step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
-               params, kernel, dt)
+    new = one_step(state, ScalarField(grid1d_small, u), ScalarField(grid1d_small, v),
+                   params, kernel, dt)
     assert np.max(np.abs(new.phi.values - oracle_phi)) < 1e-10
     assert np.max(np.abs(new.sigma.values - oracle_sigma)) < 1e-10
 
@@ -143,7 +144,7 @@ def test_step_rejects_inadmissible_params(grid1d, kernel1d):
     state = State(ScalarField.constant(grid1d, 0.1), ScalarField.constant(grid1d, 0.0))
     zero = ScalarField.constant(grid1d, 0.0)
     with pytest.raises(HypothesisViolationError):
-        step(state, zero, zero, params, kernel1d, dt=0.01)
+        one_step(state, zero, zero, params, kernel1d, dt=0.01)
 
 
 def test_simulate_zero_steps(grid1d, kernel1d, params):
@@ -239,6 +240,7 @@ def test_simulate_stores_only_states(rng, grid1d, kernel1d, params, tgrid20):
     assert traj.controls is controls
     assert traj.ops is step_operators(grid1d, params, kernel1d, tgrid20.dt)
     assert traj.ops.params == params and traj.ops.kernel is kernel1d
+    assert traj.blowup_guard == DEFAULT_BLOWUP_GUARD
 
 
 def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):
@@ -249,6 +251,26 @@ def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):
                  tgrid20, blowup_guard=0.5)
     assert exc_info.value.guard == 0.5
     assert exc_info.value.sup_norm > 0.5
+
+
+def test_reruns_keep_the_guard(rng, grid1d, kernel1d, params, tgrid20):
+    # a guard just above the base run's |phi| holds for it and trips in the
+    # perturbed reruns of the Taylor check, which step under the same guard
+    from nlch_control.gradcheck import taylor_remainder_order
+
+    phi0 = smooth_phi0(grid1d)
+    sigma0 = ScalarField.constant(grid1d, 0.3)
+    controls = random_controls(rng, grid1d, 20)
+    free = simulate(phi0, sigma0, controls, params, kernel1d, tgrid20)
+    guard = float(np.max(np.abs(free.phi[1:]))) * (1.0 + 1e-9)
+    base = simulate(phi0, sigma0, controls, params, kernel1d, tgrid20, blowup_guard=guard)
+    assert base.blowup_guard == guard
+    # lowering the treatment u raises phi (its source is -h(phi) u)
+    direction = ControlPair(grid1d, -np.ones((20, grid1d.num_cells)),
+                            np.zeros((20, grid1d.num_cells)))
+    with pytest.raises(InstabilityError) as exc_info:
+        taylor_remainder_order(base, direction)
+    assert exc_info.value.guard == guard
 
 
 # the ids keep the "direct" label they had when a CG backend was also tested
@@ -268,7 +290,7 @@ def test_nonfinite_state_raises_instability(cells):
     assert "not finite" in str(exc_info.value)
     zero = ScalarField.constant(grid, 0.0)
     with np.errstate(all="ignore"), pytest.raises(InstabilityError):
-        step(State(phi0, sigma0), zero, zero, params, kernel, 0.01)
+        one_step(State(phi0, sigma0), zero, zero, params, kernel, 0.01)
 
 
 def test_free_energy_reference_values(grid1d, kernel1d, params):
@@ -347,7 +369,7 @@ def test_continuous_dependence_ratios(rng, grid1d, kernel1d, params):
         diff = np.sqrt((np.sum((traj.phi - traj0.phi) ** 2)
                         + np.sum((traj.sigma - traj0.sigma) ** 2))
                        * grid1d.cell_volume * tgrid.dt)
-        d_ctrl = eps * direction.norm_qt(tgrid.dt)
+        d_ctrl = eps * np.sqrt(control_inner_qt(direction, direction, tgrid.dt))
         return diff / d_ctrl
 
     ratios = [perturbed_norm(eps) for eps in (1e-2, 5e-3, 2.5e-3)]

@@ -55,7 +55,9 @@ def test_a_field_nonnegative_and_bounds(grid1d, grid2d):
             k = build_kernel(KernelSpec(family, 2.0, 0.25), grid)
             assert np.all(k.a_field.values >= 0.0)
             assert k.a_star >= np.max(k.a_field.values) - 1e-12
-            assert np.isfinite(k.b_star) and k.b_star > 0.0
+            # a_star is the row-sum bound max_i sum_j |J(x_i-x_j)| vol
+            row_sums = np.abs(convolution_matrix(k)).sum(axis=1)
+            assert k.a_star == pytest.approx(np.max(row_sums), rel=1e-12)
 
 
 def test_convolve_zero_and_ones(kernel1d, grid1d):

@@ -8,11 +8,11 @@ import pytest
 from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec,
                           ModelParams, ScalarField, State, TimeGrid,
                           adjoint_sweep, build_kernel, duality_gap, free_energy,
-                          mass_balance_residual, reduced_gradient, simulate, step)
+                          mass_balance_residual, reduced_gradient, simulate)
 from nlch_control.gradcheck import fd_gradient_errors, taylor_remainder_order
 from nlch_control.physics import ProliferationSpec
 
-from conftest import random_controls, smooth_phi0
+from conftest import one_step, random_controls, smooth_phi0
 from test_forward import dense_step_oracle, energy_double_loop_oracle
 
 
@@ -39,8 +39,8 @@ def test_step_matches_dense_oracle_2d(rng, grid, kernel, params):
     v = rng.standard_normal(grid.num_cells)
     oracle_phi, oracle_sigma = dense_step_oracle(grid, params, kernel, dt,
                                                  phi, sigma, u, v)
-    new = step(State(ScalarField(grid, phi), ScalarField(grid, sigma)),
-               ScalarField(grid, u), ScalarField(grid, v), params, kernel, dt)
+    new = one_step(State(ScalarField(grid, phi), ScalarField(grid, sigma)),
+                   ScalarField(grid, u), ScalarField(grid, v), params, kernel, dt)
     assert np.max(np.abs(new.phi.values - oracle_phi)) < 1e-10
     assert np.max(np.abs(new.sigma.values - oracle_sigma)) < 1e-10
 
