@@ -186,19 +186,29 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     snapshots.write_manifest(out, "optimize",
                              snapshots.sha256_bytes(config_json(cfg).encode()),
                              cfg.seed, outputs)
-    _say(quiet, f"optimize: {report.termination} after {report.iterations} iterations, "
+    _say(quiet, f"optimize: {report.termination} after {report.iterations} iterations "
+                f"({report.exhausted_trials} trials in an exhausted line search), "
                 f"cost {report.costs[-1]:.6e}, outputs in {out}")
     return EXIT_OK
 
 
 def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
+    """Build every input a run reads, files included, short of simulating:
+    manufactured cost targets realise their controls but are not run."""
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
     params = cfg.build_params()
     margin = require_ellipticity(params, kernel)
-    cfg.build_tgrid()
+    tgrid = cfg.build_tgrid()
     cfg.build_initial_state(grid)
+    cfg.build_initial_controls(grid)
     cfg.build_box(grid)
+    targets = cfg.cost.targets
+    if targets.kind == "manufactured":
+        cfg.realize_field(targets.u, grid)
+        cfg.realize_field(targets.v, grid)
+    else:
+        cfg.build_cost(grid, kernel, params, tgrid)
     _say(quiet, f"configuration OK (ellipticity margin c0 = {margin:.6g}, "
                 f"chi^2 = {params.chi ** 2:.6g})")
     return EXIT_OK

@@ -45,14 +45,14 @@ from __future__ import annotations
 
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .control import BoxConstraints, CostSpec, PgdOptions
 from .errors import ConfigError, NLCHError
-from .forward import ControlPair, TimeGrid, simulate
+from .forward import DEFAULT_BLOWUP_GUARD, ControlPair, TimeGrid, simulate
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData, KernelSpec, build_kernel
 from .physics import (DistributionSpec, ModelParams, PotentialSpec,
@@ -85,13 +85,13 @@ class TargetsConfig:
 
 @dataclass(frozen=True)
 class CostConfig:
-    alpha_omega: float = 1.0
-    alpha_q: float = 0.0
-    beta_omega: float = 0.0
-    beta_q: float = 0.0
-    alpha_u: float = 0.01
-    beta_v: float = 0.01
-    targets: TargetsConfig = field(default_factory=lambda: TargetsConfig(kind="zero"))
+    alpha_omega: float
+    alpha_q: float
+    beta_omega: float
+    beta_q: float
+    alpha_u: float
+    beta_v: float
+    targets: TargetsConfig
 
 
 @dataclass(frozen=True)
@@ -183,13 +183,17 @@ class RunConfig:
                 vals = vals + amp * np.exp(-r2 / (2.0 * width * width))
             return ScalarField(grid, vals.reshape(-1))
         if spec.kind == "file":
-            from .snapshots import read_snapshot
-
-            fld, _, _ = read_snapshot(self.resolve_path(spec.path))
-            if fld.grid != grid:
-                raise ConfigError([f"field file {spec.path} was written on a different grid"])
-            return fld
+            return self._read_on_grid(spec.path, grid, "field file")
         raise ConfigError([f"unknown field kind {spec.kind!r}"])
+
+    def _read_on_grid(self, path: str, grid: GridSpec, what: str) -> ScalarField:
+        """The snapshot at path; ConfigError naming it unless it lies on grid."""
+        from .snapshots import read_snapshot
+
+        fld, _, _ = read_snapshot(self.resolve_path(path))
+        if fld.grid != grid:
+            raise ConfigError([f"{what} {path} was written on a different grid"])
+        return fld
 
     def resolve_path(self, path: str) -> Path:
         p = Path(path)
@@ -208,11 +212,7 @@ class RunConfig:
 
     def _bound_array(self, bound: BoxBound, grid: GridSpec) -> np.ndarray:
         if bound.from_file:
-            from .snapshots import read_snapshot
-
-            fld, _, _ = read_snapshot(self.resolve_path(bound.path))
-            if fld.grid != grid:
-                raise ConfigError([f"box bound file {bound.path} on a different grid"])
+            fld = self._read_on_grid(bound.path, grid, "box bound file")
             return np.tile(fld.values, (self.steps, 1))
         return np.full((self.steps, grid.num_cells), bound.value)
 
@@ -245,12 +245,11 @@ class RunConfig:
                 sigma_q=np.full((tgrid.steps, n), t.sigma_q),
             )
         if t.kind == "files":
-            from .snapshots import read_snapshot
-
-            phi_om, _, _ = read_snapshot(self.resolve_path(t.phi_omega_path))
-            sigma_om, _, _ = read_snapshot(self.resolve_path(t.sigma_omega_path))
-            return CostSpec.tracking(grid, tgrid.steps, **weights,
-                                     phi_omega=phi_om, sigma_omega=sigma_om)
+            return CostSpec.tracking(
+                grid, tgrid.steps, **weights,
+                phi_omega=self._read_on_grid(t.phi_omega_path, grid, "cost target file"),
+                sigma_omega=self._read_on_grid(t.sigma_omega_path, grid, "cost target file"),
+            )
         if t.kind == "manufactured":
             phi0, sigma0 = self.build_initial_state(grid)
             u_field = self.realize_field(t.u, grid)
@@ -286,12 +285,12 @@ _DEFAULTS = {
                 "sigma": {"kind": "constant", "value": 0.0}},
     "controls": {"u": {"kind": "constant", "value": 0.0},
                  "v": {"kind": "constant", "value": 0.0}},
-    "solver": {"blowup_guard": 10.0},
+    "solver": {"blowup_guard": DEFAULT_BLOWUP_GUARD},
     "cost": {"alpha_omega": 1.0, "alpha_q": 0.0, "beta_omega": 0.0,
              "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
              "targets": {"kind": "zero"}},
     "box": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
-    "optimizer": {"tol": 1e-4, "max_iter": 200, "tau0": 1.0},
+    "optimizer": asdict(PgdOptions()),
     "output": {"directory": "out", "snapshot_stride": 0},
     "seed": 0,
 }
@@ -431,18 +430,21 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     g = merged["grid"]
     k = merged["kernel"]
     m = merged["model"]
-    t = merged["time"]
     c = merged["cost"]
     box = merged["box"]
-    opt = merged["optimizer"]
     out = merged["output"]
 
     def number(section: str, name: str) -> float:
         return _number(merged[section][name], f"{section}.{name}",
                        _DEFAULTS[section][name], failures)
 
+    def integer(section: str, name: str) -> int:
+        return _integer(merged[section][name], f"{section}.{name}",
+                        _DEFAULTS[section][name], failures)
+
     cfg = RunConfig(
-        grid_cells=tuple(_integer(n, f"grid.cells[{i}]", 64, failures)
+        grid_cells=tuple(_integer(n, f"grid.cells[{i}]", _DEFAULTS["grid"]["cells"][0],
+                                  failures)
                          for i, n in enumerate(_list(g["cells"], "grid.cells", failures))),
         grid_extent=_numbers(g["extent"], "grid.extent", failures),
         kernel_family=str(k["family"]),
@@ -453,7 +455,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         potential_family=str(m["potential"]),
         proliferation_family=str(m["proliferation"]),
         distribution_family=str(m["distribution"]),
-        T=number("time", "T"), steps=_integer(t["steps"], "time.steps", 25, failures),
+        T=number("time", "T"), steps=integer("time", "steps"),
         initial_phi=_field_spec(merged["initial"]["phi"], "initial.phi", failures),
         initial_sigma=_field_spec(merged["initial"]["sigma"], "initial.sigma", failures),
         control_u=_field_spec(merged["controls"]["u"], "controls.u", failures),
@@ -469,12 +471,11 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         v_min=_bound(box["v_min"], "v_min", failures),
         v_max=_bound(box["v_max"], "v_max", failures),
         opt_tol=number("optimizer", "tol"),
-        opt_max_iter=_integer(opt["max_iter"], "optimizer.max_iter", 200, failures),
+        opt_max_iter=integer("optimizer", "max_iter"),
         opt_tau0=number("optimizer", "tau0"),
         output_directory=str(out["directory"]),
-        snapshot_stride=_integer(out["snapshot_stride"], "output.snapshot_stride", 0,
-                                 failures),
-        seed=_integer(merged["seed"], "seed", 0, failures),
+        snapshot_stride=integer("output", "snapshot_stride"),
+        seed=_integer(merged["seed"], "seed", _DEFAULTS["seed"], failures),
         base_dir=base_dir,
     )
 

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (ChemotaxisScopeError, FieldShapeError,
-                     HypothesisViolationError, SolverError)
+from .errors import FieldShapeError, HypothesisViolationError, SolverError
 from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
                       simulate)
 from .geometry import GridSpec, ScalarField
@@ -161,7 +160,10 @@ class OptimizeReport:
     costs[k] is the cost of iterate k; accepted steps make the sequence
     strictly decreasing. step_sizes[k] (the accepted lambda * alpha) and
     linesearch_counts[k] describe the move from iterate k-1 to k (zero for
-    the starting iterate). final_adjoint is the adjoint of the last accepted
+    the starting iterate). exhausted_trials is the trial count of the line
+    search that ended the run "flat_gradient", 0 for any other ending, so the
+    run made 1 + sum(linesearch_counts) + exhausted_trials forward sweeps.
+    final_adjoint is the cost-seeded reverse sweep of the last accepted
     iterate; its traj is that iterate's trajectory.
     """
 
@@ -172,6 +174,7 @@ class OptimizeReport:
     final_controls: ControlPair
     final_adjoint: AdjointTrajectory = field(repr=False)
     termination: str
+    exhausted_trials: int
 
     @property
     def iterations(self) -> int:
@@ -297,9 +300,11 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     Each iterate stays in the box bitwise (produced by the clamp, never
     perturbed afterwards). A line search that halves alpha below
     ALPHA_FLOOR terminates the run with reason "flat_gradient" rather than
-    raising. An accepted iterate k (k = 0 is the start) with a non-finite
-    cost or residual raises SolverError naming k. Every forward sweep runs
-    under blowup_guard, as in simulate.
+    raising; its trial count is the report's exhausted_trials. An accepted
+    iterate k (k = 0 is the start) with a non-finite cost or residual raises
+    SolverError naming k. Every forward sweep runs under blowup_guard, as in
+    simulate; a model with chi != 0 fails its first adjoint sweep with
+    ChemotaxisScopeError.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
@@ -308,8 +313,6 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
         raise TypeError("pgd_optimize: solver_options must be None; there is no solver choice")
-    if params.chi != 0.0:
-        raise ChemotaxisScopeError("optimal control requires chi = 0")
     require_ellipticity(params, kernel)
     spec.validate()
     opts = opts or PgdOptions()
@@ -339,6 +342,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     step_sizes = [0.0]
     ls_counts = [0]
     termination = "max_iterations"
+    exhausted_trials = 0
     lam = opts.tau0
 
     if callback is not None:
@@ -362,6 +366,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
             alpha *= 0.5
         else:
             termination = "flat_gradient"
+            exhausted_trials = ls_count
             break
         adj_new, g_new, resid = gradient(len(costs), traj_trial, j_trial)
         costs.append(j_trial)
@@ -388,4 +393,5 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         final_controls=c,
         final_adjoint=adj,
         termination=termination,
+        exhausted_trials=exhausted_trials,
     )

@@ -10,6 +10,11 @@ truncation error, which is the property the optimiser relies on. The
 trajectory stores only the states; each sweep recomputes a step's
 linearisation from phi_n, sigma_n and u_n right before using it.
 
+One backward loop, _reverse_sweep, serves both transposed products: the
+VJP is that loop seeded by arbitrary trajectory cotangents, and the discrete
+adjoint system is the same loop seeded by the cost's derivative with respect
+to the state.
+
 Cotangent bookkeeping for one step (bars denote cotangents, primes the step
 outputs): the phi solve transposes to K^-1 (w_bar / c) with the same SPD
 factorisation K used forward, and the sigma solve is its own transpose.
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChemotaxisScopeError, FieldShapeError
-from .geometry import GridSpec, laplacian_array
+from .geometry import GridSpec
 from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
@@ -47,24 +52,19 @@ class TangentTrajectory:
 
 @dataclass(frozen=True)
 class AdjointTrajectory:
-    """Backward-swept adjoint slices of the state trajectory traj.
+    """Cost-seeded reverse sweep along the state trajectory traj.
 
-    p[n], r[n] for n < steps are the slices paired with step n's explicit
-    terms (the ones the reduced gradient contracts against); p[steps] and
-    r[steps] hold the terminal data alpha_Om (phi(T) - phi_Om) and
-    beta_Om (sigma(T) - sigma_Om). traj is the trajectory the sweep ran
-    along, so everything evaluated at its states reads them from here.
+    p[n], r[n] for n < steps are the transposed phi and sigma solves of step
+    n divided by dt, the slices paired with step n's explicit terms (the ones
+    the reduced gradient contracts against); p[steps] and r[steps] hold the
+    terminal data alpha_Om (phi(T) - phi_Om) and beta_Om (sigma(T) - sigma_Om).
+    traj is the trajectory the sweep ran along, so everything evaluated at
+    its states reads them from here.
     """
 
     traj: StateTrajectory = field(repr=False)
     p: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
-
-    def q_slice(self, n: int) -> np.ndarray:
-        """Transient diagnostic q_n = -Lap p_n + P(phi_n)(p_n - r_n)."""
-        traj = self.traj
-        prolif = traj.ops.params.proliferation.evaluate(traj.phi[n], 0)
-        return -laplacian_array(traj.grid, self.p[n]) + prolif * (self.p[n] - self.r[n])
 
 
 def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
@@ -88,21 +88,19 @@ def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarra
 
 
 def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.ndarray,
-                  r_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
-                                              np.ndarray, np.ndarray, np.ndarray]:
+                  r_bar: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Exact transpose of _tangent_core.
 
-    Returns (xi_bar, rho_bar, u_bar, v_bar, phi_solve_bar, sigma_solve_bar);
-    the last two are the transposed implicit solves, from which the
-    gradient-facing adjoint slices are read off as phi_solve_bar / dt and
-    sigma_solve_bar / dt.
+    Returns (xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar): the cotangents
+    of the step's inputs and its two transposed implicit solves. The control
+    cotangents are -h(phi_n) phi_solve_bar and sigma_solve_bar; the adjoint
+    slices are the solves divided by dt.
     """
     params = ops.params
     chi = params.chi
-    gap, prolif, prolif_d, distrib, distrib_du, f2 = lin
+    gap, prolif, prolif_d, _, distrib_du, f2 = lin
 
     t_sigma = ops.solve_sigma(r_bar)
-    v_bar = t_sigma
     rho_bar = t_sigma / ops.dt
     d_prolif_gap_bar = -t_sigma
 
@@ -115,7 +113,6 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
 
     d_prolif_gap_bar = d_prolif_gap_bar + d_source_bar
     xi_bar += -distrib_du * d_source_bar
-    u_bar = -distrib * d_source_bar
 
     xi_bar += prolif_d * gap * d_prolif_gap_bar
     dgap_bar = prolif * d_prolif_gap_bar
@@ -127,7 +124,7 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
         - params.B * ops.conv(eta_bar)
     rho_bar = rho_bar - chi * eta_bar
 
-    return xi_bar, rho_bar, u_bar, v_bar, phi_solve_bar, t_sigma
+    return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
@@ -146,6 +143,32 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTraj
     return TangentTrajectory(grid=grid, tgrid=traj.tgrid, xi=xi, rho=rho)
 
 
+def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
+                   seed_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The backward loop: transpose every step of traj, last step first.
+
+    seed arrays have shape (steps + 1, cells); row n is added to the state
+    cotangent of slice n, and row 0 (the fixed initial slice) is ignored.
+    Returns the transposed phi and sigma solves of each step, shape
+    (steps, cells). Restricted to chi = 0, the regime where the optimality
+    theory lives.
+    """
+    steps = traj.steps
+    ops = traj.ops
+    if steps and ops.params.chi != 0.0:
+        raise ChemotaxisScopeError("adjoint and control machinery require chi = 0")
+    s_phi = np.zeros((steps, traj.grid.num_cells))
+    s_sigma = np.zeros((steps, traj.grid.num_cells))
+    p_bar = np.array(seed_phi[steps], dtype=np.float64)
+    r_bar = np.array(seed_sigma[steps], dtype=np.float64)
+    for n in range(steps - 1, -1, -1):
+        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+        xi_bar, rho_bar, s_phi[n], s_sigma[n] = _adjoint_core(ops, lin, p_bar, r_bar)
+        p_bar = xi_bar + seed_phi[n]
+        r_bar = rho_bar + seed_sigma[n]
+    return s_phi, s_sigma
+
+
 def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
               seed_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Transpose of tangent_sweep: pull trajectory cotangents back to controls.
@@ -154,61 +177,35 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     initial slice and is ignored. Returns per-step control cotangents in the
     raw per-slice pairing (no dt weight).
     """
-    grid = traj.grid
-    ops = traj.ops
-    steps = traj.steps
-    u_bar = np.zeros((steps, grid.num_cells))
-    v_bar = np.zeros((steps, grid.num_cells))
-    p_bar = np.array(seed_phi[steps], dtype=np.float64)
-    r_bar = np.array(seed_sigma[steps], dtype=np.float64)
-    for n in range(steps - 1, -1, -1):
-        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
-        xi_bar, rho_bar, u_bar[n], v_bar[n], _, _ = _adjoint_core(ops, lin, p_bar, r_bar)
-        p_bar = xi_bar + seed_phi[n]
-        r_bar = rho_bar + seed_sigma[n]
-    return u_bar, v_bar
+    s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
+    if traj.ops is None:
+        return s_phi, s_sigma
+    distrib = traj.ops.params.distribution.evaluate(traj.phi[:traj.steps], 0)
+    return -distrib * s_phi, s_sigma
 
 
 def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
                   kernel: KernelData) -> AdjointTrajectory:
-    """Backward sweep seeded by the cost: the discrete adjoint system.
+    """The discrete adjoint system: the reverse sweep seeded by the cost's
+    derivative with respect to the state.
 
-    Terminal slices carry the final-time tracking data; every earlier slice
-    receives the running tracking sources weighted by dt (matching the
-    left-endpoint time quadrature of the cost). Restricted to chi = 0, the
-    regime where the optimality theory lives. params and kernel must be the
-    ones traj was simulated with (StaleTrajectoryError otherwise).
+    The terminal row carries the final-time tracking data; every earlier row
+    the running tracking sources weighted by dt (matching the left-endpoint
+    time quadrature of the cost). params and kernel must be the ones traj
+    was simulated with (StaleTrajectoryError otherwise).
     """
-    if params.chi != 0.0:
-        raise ChemotaxisScopeError(
-            "adjoint/control machinery requires chi = 0 (chemotaxis-free regime)"
-        )
     traj.require_inputs(params, kernel)
     cost.require_grid(traj)
-    grid = traj.grid
     steps = traj.steps
     dt = traj.tgrid.dt
-    n_cells = grid.num_cells
-
-    p = np.zeros((steps + 1, n_cells))
-    r = np.zeros((steps + 1, n_cells))
-    p_bar = cost.alpha_omega * (traj.phi[steps] - cost.phi_omega.values)
-    r_bar = cost.beta_omega * (traj.sigma[steps] - cost.sigma_omega.values)
-    p[steps] = p_bar
-    r[steps] = r_bar
-
-    ops = traj.ops
-    for n in range(steps - 1, -1, -1):
-        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
-        xi_bar, rho_bar, _, _, phi_solve_bar, sigma_solve_bar = _adjoint_core(
-            ops, lin, p_bar, r_bar
-        )
-        p[n] = phi_solve_bar / dt
-        r[n] = sigma_solve_bar / dt
-        p_bar = xi_bar + dt * cost.alpha_q * (traj.phi[n] - cost.phi_q[n])
-        r_bar = rho_bar + dt * cost.beta_q * (traj.sigma[n] - cost.sigma_q[n])
-
-    return AdjointTrajectory(traj=traj, p=p, r=r)
+    term_phi = cost.alpha_omega * (traj.phi[steps] - cost.phi_omega.values)
+    term_sigma = cost.beta_omega * (traj.sigma[steps] - cost.sigma_omega.values)
+    seed_phi = np.vstack([dt * cost.alpha_q * (traj.phi[:steps] - cost.phi_q), term_phi])
+    seed_sigma = np.vstack([dt * cost.beta_q * (traj.sigma[:steps] - cost.sigma_q),
+                            term_sigma])
+    s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
+    return AdjointTrajectory(traj=traj, p=np.vstack([s_phi / dt, term_phi]),
+                             r=np.vstack([s_sigma / dt, term_sigma]))
 
 
 def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
@@ -218,8 +215,6 @@ def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
     Both sides are evaluated independently (full tangent sweep vs full
     reverse sweep); agreement certifies exact transposition.
     """
-    if traj.steps and traj.ops.params.chi != 0.0:
-        raise ChemotaxisScopeError("duality check restricted to chi = 0")
     grid = traj.grid
     tangent = tangent_sweep(traj, ControlPair(grid, dh, dk))
     forward_side = tangent.pair_with_seed(seed_phi, seed_sigma)

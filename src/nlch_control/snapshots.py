@@ -51,12 +51,20 @@ def write_snapshot(path, field: ScalarField, name: str, time: float):
 
 
 def read_snapshot(path) -> tuple[ScalarField, str, float]:
-    blob = Path(path).read_bytes()
+    """The field, name and time of a snapshot file; FieldShapeError naming
+    path when the file cannot be read or its header is malformed."""
+    try:
+        blob = Path(path).read_bytes()
+    except OSError as exc:
+        raise FieldShapeError(f"{path}: cannot read snapshot ({exc.strerror})") from None
     marker = b"\ndata\n"
     split = blob.find(marker)
     if split < 0:
         raise FieldShapeError(f"{path}: not a snapshot file (missing data marker)")
-    header = blob[:split].decode("ascii").splitlines()
+    try:
+        header = blob[:split].decode("ascii").splitlines()
+    except UnicodeDecodeError:
+        raise FieldShapeError(f"{path}: snapshot header is not ASCII") from None
     payload = blob[split + len(marker):]
 
     fields = {}
@@ -65,13 +73,18 @@ def read_snapshot(path) -> tuple[ScalarField, str, float]:
         fields[key] = rest
     if MAGIC not in fields or header[0].split() != [MAGIC, str(VERSION)]:
         raise FieldShapeError(f"{path}: bad snapshot magic/version")
-    dim = int(fields["dim"])
-    cells = tuple(int(n) for n in fields["cells"].split())
-    spacing = tuple(float(s) for s in fields["spacing"].split())
+    try:
+        dim = int(fields["dim"])
+        cells = tuple(int(n) for n in fields["cells"].split())
+        spacing = tuple(float(s) for s in fields["spacing"].split())
+        time = float(fields.get("time", "0.0"))
+    except KeyError as exc:
+        raise FieldShapeError(f"{path}: snapshot header has no {exc.args[0]!r} line") from None
+    except ValueError as exc:
+        raise FieldShapeError(f"{path}: snapshot header holds a non-number ({exc})") from None
     if len(cells) != dim or len(spacing) != dim:
         raise FieldShapeError(f"{path}: header dim/cells/spacing mismatch")
     name = fields.get("field", "")
-    time = float(fields.get("time", "0.0"))
 
     count = int(np.prod(cells))
     if len(payload) != 8 * count:

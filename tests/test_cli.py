@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from nlch_control import GridSpec, ScalarField, load_config, write_config
+from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config,
+                          write_config)
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                               cmd_gradcheck, main)
 from nlch_control.config import config_from_dict, config_to_dict
 from nlch_control.errors import ConfigError, FieldShapeError
+from nlch_control.forward import DEFAULT_BLOWUP_GUARD
 from nlch_control.snapshots import (MANIFEST_NAME, read_snapshot, write_snapshot)
 
 
@@ -52,8 +54,9 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     cfg = load_config(path)
     assert cfg.grid_cells == (64,)
     assert cfg.kernel_family == "gaussian"
-    assert cfg.blowup_guard == 10.0
+    assert cfg.blowup_guard == 10.0 == DEFAULT_BLOWUP_GUARD
     assert cfg.opt_max_iter == 200
+    assert cfg.pgd_options() == PgdOptions()
     assert cfg.seed == 0
     assert cfg.snapshot_stride == 0
 
@@ -408,6 +411,52 @@ def test_cmd_validate(tmp_path):
     assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_OK
     bad = write_cfg(tmp_path, {"model": {"A": 5.0}}, name="bad.json")
     assert main(["validate", "--config", str(bad), "--quiet"]) == EXIT_VALIDATION
+
+
+def _snapshot_with_header(path, header: bytes):
+    path.write_bytes(header + b"\ndata\n" + np.zeros(24).astype("<f8").tobytes())
+
+
+_GOOD_HEADER = b"NLCH-SNAPSHOT 1\ndim 1\ncells 24\nspacing 0.041666666666666664\ntime 0.0"
+
+
+@pytest.mark.parametrize("case", [
+    "missing_dim", "nonnumeric_dim", "nonnumeric_cells", "nonnumeric_spacing",
+    "nonnumeric_time", "non_ascii_header", "directory", "controls_other_grid",
+    "files_target_other_grid", "manufactured_other_grid",
+])
+def test_cmd_validate_reports_bad_input_files(tmp_path, capsys, case):
+    # every input file a run would read is read by validate; a bad one ends
+    # with exit 2 and a message naming the file, never a traceback or exit 0
+    bad = tmp_path / "bad.snap"
+    headers = {
+        "missing_dim": _GOOD_HEADER.replace(b"dim 1\n", b""),
+        "nonnumeric_dim": _GOOD_HEADER.replace(b"dim 1", b"dim one"),
+        "nonnumeric_cells": _GOOD_HEADER.replace(b"cells 24", b"cells 2x4"),
+        "nonnumeric_spacing": _GOOD_HEADER.replace(b"spacing 0.0416", b"spacing h0.0416"),
+        "nonnumeric_time": _GOOD_HEADER.replace(b"time 0.0", b"time zero"),
+        "non_ascii_header": _GOOD_HEADER + b"\nfield \xcf\x86",
+    }
+    if case in headers:
+        _snapshot_with_header(bad, headers[case])
+    elif case == "directory":
+        bad.mkdir()
+    else:
+        # a well-formed snapshot on an 8-cell grid, the run has 24 cells
+        write_snapshot(bad, ScalarField.constant(GridSpec((8,), (1.0,)), 0.1), "u", 0.0)
+    file_field = {"kind": "file", "path": bad.name}
+    overrides = {"initial": {"phi": file_field, "sigma": {"kind": "constant", "value": 0.3}}}
+    if case == "controls_other_grid":
+        overrides = {"controls": {"u": file_field, "v": {"kind": "constant", "value": 0.0}}}
+    elif case == "files_target_other_grid":
+        overrides = {"cost": {"targets": {"kind": "files", "phi_omega": bad.name,
+                                          "sigma_omega": bad.name}}}
+    elif case == "manufactured_other_grid":
+        overrides = {"cost": {"targets": {"kind": "manufactured", "u": file_field}}}
+    path = write_cfg(tmp_path, overrides)
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert bad.name in err, err
 
 
 def test_main_missing_config_file(tmp_path):

@@ -279,11 +279,19 @@ def test_pgd_scaling_consistency_bitwise(grid1d, kernel1d, params, manufactured)
     assert np.array_equal(r1.final_controls.v, r2.final_controls.v)
 
 
-def test_pgd_flat_gradient_termination(grid1d, kernel1d, params):
+def test_pgd_flat_gradient_termination(monkeypatch, grid1d, kernel1d, params):
     # box reduced to a single point: the iterate is pinned, every projected
     # trial step returns it and no decrease is possible; with the residual
     # exit disabled (tol < 0) the line search must exhaust and be recorded
-    # as flat_gradient, not raised
+    # as flat_gradient, not raised, with the trials it spent
+    import nlch_control.control as control
+
+    sweeps = []
+
+    def counted(*args, **kwargs):
+        sweeps.append(1)
+        return simulate(*args, **kwargs)
+    monkeypatch.setattr(control, "simulate", counted)
     tgrid = TimeGrid(0.1, 5)
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.3)
@@ -294,6 +302,9 @@ def test_pgd_flat_gradient_termination(grid1d, kernel1d, params):
     assert report.termination == "flat_gradient"
     assert report.iterations == 0
     assert np.all(report.final_controls.u == 0.3)
+    # alpha = 1, 1/2, ..., 2^-46 >= ALPHA_FLOOR = 1e-14 > 2^-47
+    assert report.exhausted_trials == 47
+    assert len(sweeps) == 1 + sum(report.linesearch_counts) + report.exhausted_trials
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
