@@ -1,9 +1,8 @@
 """Nonlocal Cahn-Hilliard tumour-growth simulation and adjoint-based optimal
 control of radiotherapy/chemotherapy sources."""
 
-from .geometry import GridSpec, ScalarField, inner_product, laplacian_neumann, mass
-from .kernels import (KernelData, KernelSpec, build_kernel, convolution_adjoint_check,
-                      convolve)
+from .geometry import GridSpec, ScalarField, inner_product, mass
+from .kernels import KernelData, KernelSpec, build_kernel, convolve
 from .physics import (DistributionSpec, ModelParams, PotentialSpec,
                       ProliferationSpec, ellipticity_margin, require_ellipticity)
 from .forward import (ControlPair, State, StateTrajectory, TimeGrid,
@@ -17,8 +16,8 @@ from .control import (BoxConstraints, CostSpec, OptimizeReport, PgdOptions,
 from .config import RunConfig, config_from_dict, load_config, write_config
 
 __all__ = [
-    "GridSpec", "ScalarField", "inner_product", "laplacian_neumann", "mass",
-    "KernelData", "KernelSpec", "build_kernel", "convolution_adjoint_check", "convolve",
+    "GridSpec", "ScalarField", "inner_product", "mass",
+    "KernelData", "KernelSpec", "build_kernel", "convolve",
     "DistributionSpec", "ModelParams", "PotentialSpec", "ProliferationSpec",
     "ellipticity_margin", "require_ellipticity",
     "ControlPair", "State", "StateTrajectory", "TimeGrid", "chemical_potential",

@@ -16,6 +16,11 @@ transposes of each other.
 
 The phi solve is symmetrised through y = c (phi' - phi):
     [diag(1/(dt c)) - Lap] y = Lap mu + S_phi,   phi' = phi + y / c.
+
+StepOperators holds every operator a step applies. On a 1D grid of at most
+geometry.DENSE_MAX_CELLS cells each one is a dense matrix (the Laplacian L
+here, the convolution on the kernel, the two solves as symmetrised
+inverses), so a step is a handful of matvecs and elementwise arithmetic.
 """
 
 from __future__ import annotations
@@ -25,10 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError, InstabilityError, StaleTrajectoryError
-from .geometry import GridSpec, ScalarField, inner_product, laplacian_array, mass
+from .geometry import (GridSpec, ScalarField, inner_product, laplacian_array, mass,
+                       uses_dense_operators)
 from .kernels import KernelData, convolve_array
 from .physics import ModelParams, require_ellipticity
-from .solvers import ShiftedLaplacianSolver
+from .solvers import ShiftedLaplacianSolver, dense_laplacian_matrix
 
 DEFAULT_BLOWUP_GUARD = 10.0
 
@@ -100,7 +106,9 @@ class StepOperators:
 
     Shared by the forward step, its tangent, and the adjoint sweep; the
     implicit operators do not depend on the state or the controls. Obtain it
-    through step_operators, which builds it once per discretisation.
+    through step_operators, which builds it once per discretisation. L is
+    the dense Laplacian on grids with dense operators, None otherwise (the
+    stencil applies).
     """
 
     def __init__(self, grid: GridSpec, params: ModelParams, kernel: KernelData, dt: float):
@@ -113,6 +121,7 @@ class StepOperators:
         self.c = params.A * params.lambda_s + params.B * kernel.a_field.values
         self.phi_solver = ShiftedLaplacianSolver(grid, 1.0 / (dt * self.c))
         self.sigma_solver = ShiftedLaplacianSolver(grid, np.full(grid.num_cells, 1.0 / dt))
+        self.L = dense_laplacian_matrix(grid) if uses_dense_operators(grid) else None
 
     def solve_phi_increment(self, rhs: np.ndarray) -> np.ndarray:
         """Solve (I/dt - Lap diag(c)) w = rhs through the SPD form."""
@@ -127,6 +136,8 @@ class StepOperators:
         return self.sigma_solver.solve(rhs)
 
     def lap(self, x: np.ndarray) -> np.ndarray:
+        if self.L is not None:
+            return self.L @ x
         return laplacian_array(self.grid, x)
 
     def conv(self, x: np.ndarray) -> np.ndarray:
@@ -207,8 +218,11 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     """What the tangent and adjoint of one step need from its base point:
     (gap, P, P', h, h' u, F''), recomputed from the state and the control.
 
-    Uses the forward step's own expressions, so the factors are bitwise the
-    ones the forward step used.
+    phi, sigma and u are one step's rows (cells,) or the rows of a block of
+    steps (rows, cells); the factors come back in the same shape. Uses the
+    forward step's own expressions, and convolve_array gives a stacked row
+    the bits of a lone one, so every row of a block is bitwise the factors
+    the forward step used.
     """
     params = ops.params
     _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma)

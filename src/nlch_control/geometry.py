@@ -5,15 +5,26 @@ row-major (C-order) vectors. The Laplacian closes the boundary with mirror
 ghost cells, which makes the zero-flux condition exact at cell faces and the
 operator matrix symmetric with exactly vanishing row sums; quadrature is the
 midpoint rule (value times cell volume).
+
+A 1D grid of at most DENSE_MAX_CELLS cells holds each operator of the scheme
+(convolution, Laplacian, implicit solves) as a dense matrix and applies it as
+one matvec, which needs numpy alone. Larger 1D grids and every 2D grid use
+FFTs and banded, DCT or sparse LU solvers from scipy, imported by
+load_scipy when the first such operator is built.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import FieldShapeError, GridError
+
+# Crossover of the per-call cost: at 256 cells a dense matvec is cheaper than
+# an FFT convolution or a banded solve, at 512 it is dearer than both.
+DENSE_MAX_CELLS = 256
 
 
 @dataclass(frozen=True)
@@ -101,6 +112,27 @@ class ScalarField:
         return float(np.max(np.abs(self.values)))
 
 
+def uses_dense_operators(grid: GridSpec) -> bool:
+    """True on the 1D grids whose operators are dense matrices."""
+    return grid.dim == 1 and grid.num_cells <= DENSE_MAX_CELLS
+
+
+@functools.cache
+def load_scipy():
+    """Import every scipy module the FFT, banded, DCT and LU paths use, and
+    return scipy.
+
+    Each builder of such an operator calls this, so the first one built
+    (the kernel, while a command sets up) pays the whole import and no sweep
+    pays part of it.
+    """
+    import scipy.fft
+    import scipy.linalg
+    import scipy.sparse
+    import scipy.sparse.linalg
+    return scipy
+
+
 def require_same_grid(*fields: ScalarField) -> GridSpec:
     grid = fields[0].grid
     for f in fields[1:]:
@@ -129,11 +161,6 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def laplacian_neumann(f: ScalarField) -> ScalarField:
-    """Discrete Laplacian with homogeneous Neumann closure."""
-    return ScalarField(f.grid, laplacian_array(f.grid, f.values))
-
-
 def inner_product(f: ScalarField, g: ScalarField) -> float:
     """Midpoint-quadrature L2 inner product: sum_i f_i g_i * cell_volume."""
     grid = require_same_grid(f, g)
@@ -144,12 +171,3 @@ def mass(f: ScalarField) -> float:
     """Integral of f over the domain (equals inner_product(f, 1))."""
     return float(np.sum(f.values) * f.grid.cell_volume)
 
-
-def dense_laplacian_matrix(grid: GridSpec) -> np.ndarray:
-    """Dense Neumann Laplacian matrix; test/oracle helper, small grids only."""
-    n = grid.num_cells
-    mat = np.zeros((n, n))
-    eye = np.eye(n)
-    for j in range(n):
-        mat[:, j] = laplacian_array(grid, eye[:, j])
-    return mat

@@ -2,15 +2,26 @@
 convolution (J*f)(x) = integral over the domain of J(x-y) f(y) dy.
 
 On a uniform grid the operator matrix entry (i, j) depends only on x_i - x_j,
-so the whole operator is a tap table over index offsets. The fast path is
-zero-padded linear convolution (no periodic wraparound, matching the
-integral's zero extension outside the domain): `build_kernel` pads each axis
-of the tap table to a fast FFT length of at least 2n - 1, which is enough for
-the restricted window, and keeps its real FFT together with the weight
-a = J*1 and its bound a* that the ellipticity gate reads. Every later
-convolution is then one forward and one inverse transform of the field. A
-direct dense application is kept for cross-checking. Both paths agree to
-relative 1e-12 by contract.
+so the whole operator is a tap table over index offsets. `build_kernel`
+keeps one of two forms of it, together with the weight a = J*1 and its
+bound a* that the ellipticity gate reads:
+
+  1D, <= 256 cells   the dense matrix K = convolution_matrix(kernel); a
+                     convolution is one matvec (numpy only),
+  otherwise          the real FFT of the tap table zero-padded to a fast
+                     length of at least 2n - 1 per axis: linear convolution
+                     with no periodic wraparound, matching the integral's
+                     zero extension outside the domain, and long enough for
+                     the restricted window. A convolution is one forward and
+                     one inverse transform of the field.
+
+convolve_array also takes a stack of fields, shape (rows, cells), and gives
+each row the bits it gets alone: the transforms act on each row
+independently, and the dense product multiplies row by row (a BLAS
+matrix-matrix product rounds differently from the matrix-vector one). A
+direct dense application from the taps is kept for cross-checking; both
+paths agree with it to relative 1e-12 by contract. The crossover is
+geometry.DENSE_MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -18,10 +29,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import FieldShapeError, KernelResolutionError
-from .geometry import GridSpec, ScalarField
+from .geometry import GridSpec, ScalarField, load_scipy, uses_dense_operators
 
 _FAMILIES = ("gaussian", "mollifier")
 
@@ -69,9 +79,11 @@ class KernelData:
     """Kernel sampled on a grid, with the induced weight field and its bound.
 
     taps[k...] holds J evaluated at every index offset (length 2n-1 per
-    axis) and spectrum its zero-padded real FFT times the cell volume;
-    a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound the
-    ellipticity gate reads. The time stepper keeps its most recent operator
+    axis). The operator is kept in one form: matrix, the dense operator
+    matrix, on the 1D grids with dense operators, otherwise spectrum, the
+    zero-padded real FFT of the taps times the cell volume; the other is
+    None. a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound
+    the ellipticity gate reads. The time stepper keeps its most recent operator
     bundle in the operator slot, keyed on (params, dt) (see
     forward.step_operators).
     """
@@ -79,7 +91,8 @@ class KernelData:
     spec: KernelSpec
     grid: GridSpec
     taps: np.ndarray = field(repr=False)
-    spectrum: np.ndarray = field(repr=False)
+    spectrum: np.ndarray | None = field(repr=False)
+    matrix: np.ndarray | None = field(repr=False)
     a_field: ScalarField = field(repr=False)
     a_star: float
     operator_slot: list = field(default_factory=list, init=False, repr=False,
@@ -111,22 +124,54 @@ def _fft_shape(grid: GridSpec) -> tuple[int, ...]:
     i + n - 1, which needs taps at offsets up to 2n - 2 from every input
     index; a length of 2n - 1 or more keeps those free of wraparound.
     """
-    return tuple(scipy.fft.next_fast_len(2 * n - 1, real=True) for n in grid.cells_per_axis)
+    fft = load_scipy().fft
+    return tuple(fft.next_fast_len(2 * n - 1, real=True) for n in grid.cells_per_axis)
 
 
 def _tap_spectrum(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Real FFT of a zero-padded tap table, times the cell volume."""
-    return scipy.fft.rfftn(taps, s=_fft_shape(grid)) * grid.cell_volume
+    return load_scipy().fft.rfftn(taps, s=_fft_shape(grid)) * grid.cell_volume
 
 
 def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Zero-padded linear convolution with a tap spectrum, restricted to the grid."""
+    """Zero-padded linear convolution with a tap spectrum, restricted to the
+    grid; values is one field (cells,) or a stack of fields (rows, cells)."""
+    fft = load_scipy().fft
     shape = grid.cells_per_axis
     fft_shape = _fft_shape(grid)
-    f_hat = scipy.fft.rfftn(values.reshape(shape), s=fft_shape)
-    full = scipy.fft.irfftn(f_hat * spectrum, s=fft_shape)
-    window = tuple(slice(n - 1, 2 * n - 1) for n in shape)
-    return full[window].reshape(-1)
+    lead = values.shape[:-1]
+    # with s given and no axes, the transforms run over the last grid.dim axes
+    f_hat = fft.rfftn(values.reshape(lead + shape), s=fft_shape)
+    full = fft.irfftn(f_hat * spectrum, s=fft_shape)
+    window = (Ellipsis,) + tuple(slice(n - 1, 2 * n - 1) for n in shape)
+    return full[window].reshape(lead + (-1,))
+
+
+def _taps_matrix(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
+    """Dense operator matrix of a tap table: K[i, j] = J(x_i - x_j) * cell_volume."""
+    if grid.dim == 1:
+        n = grid.cells_per_axis[0]
+        idx = np.arange(n)
+        off = idx[:, None] - idx[None, :] + (n - 1)
+        return taps[off] * grid.cell_volume
+    n0, n1 = grid.cells_per_axis
+    i0 = np.arange(n0)
+    i1 = np.arange(n1)
+    off0 = i0[:, None] - i0[None, :] + (n0 - 1)
+    off1 = i1[:, None] - i1[None, :] + (n1 - 1)
+    mat = taps[off0[:, None, :, None], off1[None, :, None, :]]
+    n = grid.num_cells
+    return mat.reshape(n, n) * grid.cell_volume
+
+
+def _apply_matrix(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Dense operator times one field, or times each row of a stack of fields."""
+    if values.ndim == 1:
+        return matrix @ values
+    out = np.empty_like(values)
+    for row, field_values in zip(out, values):
+        row[:] = matrix @ field_values
+    return out
 
 
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
@@ -141,65 +186,50 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             "need width >= spacing / 2"
         )
     taps = spec.evaluate_r2(_offset_r2(grid))
-    spectrum = _tap_spectrum(taps, grid)
-    j_one = _apply_spectrum(spectrum, np.ones(grid.num_cells), grid)
+    spectrum = matrix = None
+    if uses_dense_operators(grid):
+        matrix = _taps_matrix(taps, grid)
+        j_one = _apply_matrix(matrix, np.ones(grid.num_cells))
+    else:
+        spectrum = _tap_spectrum(taps, grid)
+        j_one = _apply_spectrum(spectrum, np.ones(grid.num_cells), grid)
     # both families are nonnegative, so |taps| == taps and the bound
     # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
     a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
     a_field = ScalarField(grid, np.maximum(j_one, 0.0))
-    return KernelData(spec=spec, grid=grid, taps=taps, spectrum=spectrum,
+    return KernelData(spec=spec, grid=grid, taps=taps, spectrum=spectrum, matrix=matrix,
                       a_field=a_field, a_star=a_star)
 
 
-def convolve(kernel: KernelData, f: ScalarField, method: str = "fft") -> ScalarField:
+def convolve(kernel: KernelData, f: ScalarField, method: str = "auto") -> ScalarField:
     """Apply the restricted-domain convolution J*f.
 
-    method "fft" is the zero-padded fast path through the cached tap
-    spectrum; "direct" applies the dense operator row by row and exists to
-    witness that both agree.
+    method "auto" goes through the form the kernel keeps (convolve_array);
+    "direct" builds the dense operator from the taps and exists to witness
+    that both agree.
     """
     if f.grid != kernel.grid:
         raise FieldShapeError("kernel and field grids differ")
-    if method == "fft":
-        return ScalarField(f.grid, _apply_spectrum(kernel.spectrum, f.values, f.grid))
+    if method == "auto":
+        return ScalarField(f.grid, convolve_array(kernel, f.values))
     if method == "direct":
-        mat = convolution_matrix(kernel)
-        return ScalarField(f.grid, mat @ f.values)
+        return ScalarField(f.grid, convolution_matrix(kernel) @ f.values)
     raise ValueError(f"unknown convolution method {method!r}")
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
-    """Raw-array convolution used in solver hot paths."""
+    """Raw-array convolution used in solver hot paths; values is one field
+    (cells,) or a stack of fields (rows, cells)."""
+    if kernel.matrix is not None:
+        return _apply_matrix(kernel.matrix, values)
     return _apply_spectrum(kernel.spectrum, values, kernel.grid)
 
 
 def convolution_matrix(kernel: KernelData) -> np.ndarray:
     """Dense operator matrix K[i, j] = J(x_i - x_j) * cell_volume.
 
-    Symmetric because J is even and the grid uniform. Intended for small
-    grids (oracles and the direct convolution path).
+    Symmetric because J is even and the grid uniform. Built afresh from the
+    taps; intended for small grids (oracles and the direct convolution path).
     """
-    grid = kernel.grid
-    if grid.dim == 1:
-        n = grid.cells_per_axis[0]
-        idx = np.arange(n)
-        off = idx[:, None] - idx[None, :] + (n - 1)
-        return kernel.taps[off] * grid.cell_volume
-    n0, n1 = grid.cells_per_axis
-    i0 = np.arange(n0)
-    i1 = np.arange(n1)
-    off0 = i0[:, None] - i0[None, :] + (n0 - 1)
-    off1 = i1[:, None] - i1[None, :] + (n1 - 1)
-    mat = kernel.taps[off0[:, None, :, None], off1[None, :, None, :]]
-    n = grid.num_cells
-    return mat.reshape(n, n) * grid.cell_volume
-
-
-def convolution_adjoint_check(kernel: KernelData, f: ScalarField, g: ScalarField) -> float:
-    """Normalised self-adjointness defect |<J*f, g> - <f, J*g>| / (1 + |<J*f, g>|)."""
-    from .geometry import inner_product
-
-    lhs = inner_product(convolve(kernel, f), g)
-    rhs = inner_product(f, convolve(kernel, g))
-    return abs(lhs - rhs) / (1.0 + abs(lhs))
+    return _taps_matrix(kernel.taps, kernel.grid)

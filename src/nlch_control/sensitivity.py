@@ -7,8 +7,11 @@ transpose reverses the elementary operations, reusing the self-transposed
 implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
 truncation error, which is the property the optimiser relies on. The
-trajectory stores only the states; each sweep recomputes a step's
-linearisation from phi_n, sigma_n and u_n right before using it.
+trajectory stores only the states; each sweep recomputes the steps'
+linearisations from phi_n, sigma_n and u_n, one block of at most
+LINEARISE_CHUNK_VALUES values per array at a time (one evaluation per block
+instead of one per step, and O(chunk) memory however long the trajectory).
+Every row of a block is bitwise the per-step linearisation.
 
 One backward loop, _reverse_sweep, serves both transposed products: the
 VJP is that loop seeded by arbitrary trajectory cotangents, and the discrete
@@ -31,6 +34,12 @@ from .geometry import GridSpec
 from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
+
+# Values per array in one block of linearised steps (32 kB): the whole of
+# most small 1D trajectories, one row of a 64 x 64 field. Larger blocks push
+# the FFT work arrays of a 2D block out of cache: on a 2-vCPU x86 machine,
+# blocks of 8 rows at 64 x 64 cost more per row than single rows.
+LINEARISE_CHUNK_VALUES = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -127,6 +136,26 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
+def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
+    """Yield (n, linearise_step of step n) for every step of traj, in time
+    order or reversed, evaluating the linearisation block by block."""
+    rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
+    starts = range(0, traj.steps, rows)
+    for start in (reversed(starts) if reverse else starts):
+        stop = min(start + rows, traj.steps)
+        if stop == start + 1:
+            # a lone step goes in as 1D rows, whose elementwise loops skip
+            # numpy's broadcasting set-up
+            yield start, linearise_step(traj.ops, traj.phi[start], traj.sigma[start],
+                                        traj.controls.u[start])
+            continue
+        lin = linearise_step(traj.ops, traj.phi[start:stop], traj.sigma[start:stop],
+                             traj.controls.u[start:stop])
+        offsets = range(stop - start)
+        for k in (reversed(offsets) if reverse else offsets):
+            yield start + k, tuple(factor[k] for factor in lin)
+
+
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
     """Accumulate the tangent over the whole trajectory from zero initial data."""
     if d_controls.steps != traj.steps:
@@ -136,8 +165,7 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTraj
     n_cells = grid.num_cells
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
-    for n in range(traj.steps):
-        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+    for n, lin in _linearised_steps(traj):
         xi[n + 1], rho[n + 1] = _tangent_core(ops, lin, xi[n], rho[n],
                                               d_controls.u[n], d_controls.v[n])
     return TangentTrajectory(grid=grid, tgrid=traj.tgrid, xi=xi, rho=rho)
@@ -161,8 +189,7 @@ def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     s_sigma = np.zeros((steps, traj.grid.num_cells))
     p_bar = np.array(seed_phi[steps], dtype=np.float64)
     r_bar = np.array(seed_sigma[steps], dtype=np.float64)
-    for n in range(steps - 1, -1, -1):
-        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+    for n, lin in _linearised_steps(traj, reverse=True):
         xi_bar, rho_bar, s_phi[n], s_sigma[n] = _adjoint_core(ops, lin, p_bar, r_bar)
         p_bar = xi_bar + seed_phi[n]
         r_bar = rho_bar + seed_sigma[n]

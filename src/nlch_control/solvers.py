@@ -5,9 +5,15 @@ L the mirror-ghost Neumann Laplacian, which is symmetric negative
 semidefinite, so the system is SPD. Each solver is exact, is set up once and
 is reused by every solve; the grid and the diagonal choose its method:
 
-  1D                  banded Cholesky,
+  1D, <= 256 cells    dense inverse, symmetrised (numpy only),
+  1D, larger          banded Cholesky,
   2D, constant d      DCT-II diagonalisation (no factorisation),
   2D, varying d       sparse LU with a minimum-degree ordering.
+
+On a small 1D grid a solve is one matvec with 0.5 (M^-1 + M^-T): the two
+halves make the matrix symmetric to the last bit, so the same product serves
+as its own transpose in the adjoint. The crossover is
+geometry.DENSE_MAX_CELLS.
 
 On the cell-centred grid the mirror-ghost Laplacian is diagonalised by the
 orthonormal DCT-II along each axis, with eigenvalues (2 cos(pi k/n) - 2)/h^2
@@ -25,13 +31,9 @@ cannot guarantee after accumulation over a trajectory.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
-import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu
 
 from .errors import SolverError
-from .geometry import GridSpec
+from .geometry import GridSpec, load_scipy, uses_dense_operators
 
 
 def _lap_1d_coeffs(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -44,30 +46,40 @@ def _lap_1d_coeffs(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return diag, off
 
 
-def _lap_sparse_1d(n: int, h: float) -> sp.csr_matrix:
-    diag, off = _lap_1d_coeffs(n, h)
-    return sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr")
-
-
-def neumann_laplacian_sparse(grid: GridSpec) -> sp.csr_matrix:
-    """Sparse Neumann Laplacian acting on flat C-order fields."""
+def dense_laplacian_matrix(grid: GridSpec) -> np.ndarray:
+    """Dense Neumann Laplacian acting on flat C-order fields: the Kronecker
+    sum of the per-axis tridiagonal operators."""
+    axes = []
+    for n, h in zip(grid.cells_per_axis, grid.spacing):
+        diag, off = _lap_1d_coeffs(n, h)
+        axes.append(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
     if grid.dim == 1:
-        return _lap_sparse_1d(grid.cells_per_axis[0], grid.spacing[0])
+        return axes[0]
     n0, n1 = grid.cells_per_axis
-    h0, h1 = grid.spacing
-    lap0 = _lap_sparse_1d(n0, h0)
-    lap1 = _lap_sparse_1d(n1, h1)
+    return np.kron(axes[0], np.eye(n1)) + np.kron(np.eye(n0), axes[1])
+
+
+def neumann_laplacian_sparse(grid: GridSpec):
+    """Sparse (CSR) Neumann Laplacian acting on flat C-order fields."""
+    sp = load_scipy().sparse
+    axes = []
+    for n, h in zip(grid.cells_per_axis, grid.spacing):
+        diag, off = _lap_1d_coeffs(n, h)
+        axes.append(sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr"))
+    if grid.dim == 1:
+        return axes[0]
+    n0, n1 = grid.cells_per_axis
     eye0 = sp.identity(n0, format="csr")
     eye1 = sp.identity(n1, format="csr")
-    return (sp.kron(lap0, eye1) + sp.kron(eye0, lap1)).tocsr()
+    return (sp.kron(axes[0], eye1) + sp.kron(eye0, axes[1])).tocsr()
 
 
 class ShiftedLaplacianSolver:
     """Solver for (diag(d) - L) x = b on a fixed grid.
 
-    The diagonal d must be finite and strictly positive. Factorisations (or
-    the DCT denominators) are built once and reused across time steps and
-    sensitivity sweeps.
+    The diagonal d must be finite and strictly positive. The inverse,
+    factorisation or DCT denominators are built once and reused across time
+    steps and sensitivity sweeps.
     """
 
     def __init__(self, grid: GridSpec, diagonal: np.ndarray):
@@ -82,31 +94,41 @@ class ShiftedLaplacianSolver:
                 float("nan"),
             )
         self.grid = grid
+        self._inverse = None
         self._banded_chol = None
         self._lu = None
         self._dct_denominator = None
+        if uses_dense_operators(grid):
+            inverse = np.linalg.inv(np.diag(diagonal) - dense_laplacian_matrix(grid))
+            self._inverse = 0.5 * (inverse + inverse.T)
+            return
+        scipy = load_scipy()
         if grid.dim == 1:
             n = grid.cells_per_axis[0]
             lap_diag, lap_off = _lap_1d_coeffs(n, grid.spacing[0])
             ab = np.zeros((2, n))
             ab[0, 1:] = -lap_off
             ab[1, :] = diagonal - lap_diag
-            self._banded_chol = cholesky_banded(ab)
+            self._banded_chol = scipy.linalg.cholesky_banded(ab)
         elif np.all(diagonal == diagonal[0]):
             eig = [(2.0 * np.cos(np.pi * np.arange(n) / n) - 2.0) / (h * h)
                    for n, h in zip(grid.cells_per_axis, grid.spacing)]
             self._dct_denominator = diagonal[0] - (eig[0][:, None] + eig[1][None, :])
         else:
-            mat = sp.diags(diagonal) - neumann_laplacian_sparse(grid)
-            self._lu = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
+            mat = scipy.sparse.diags(diagonal) - neumann_laplacian_sparse(grid)
+            self._lu = scipy.sparse.linalg.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A")
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        # non-finite input gives a non-finite solution on every path; the
+        # time stepper reports it as an instability
+        if self._inverse is not None:
+            return self._inverse @ b
         if self._banded_chol is not None:
-            # non-finite input gives a non-finite solution, as in 2D; the
-            # time stepper reports it as an instability
-            return cho_solve_banded((self._banded_chol, False), b, check_finite=False)
+            return load_scipy().linalg.cho_solve_banded((self._banded_chol, False), b,
+                                                        check_finite=False)
         if self._dct_denominator is not None:
-            coeffs = scipy.fft.dctn(b.reshape(self.grid.cells_per_axis), type=2, norm="ortho")
-            x = scipy.fft.idctn(coeffs / self._dct_denominator, type=2, norm="ortho")
+            fft = load_scipy().fft
+            coeffs = fft.dctn(b.reshape(self.grid.cells_per_axis), type=2, norm="ortho")
+            x = fft.idctn(coeffs / self._dct_denominator, type=2, norm="ortho")
             return x.reshape(-1)
         return self._lu.solve(b)

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
-                          ScalarField, State, TimeGrid, build_kernel, simulate)
+                          ScalarField, State, TimeGrid, build_kernel, convolve,
+                          inner_product, simulate)
+from nlch_control.geometry import laplacian_array
 from nlch_control.physics import ProliferationSpec
 
 
@@ -62,12 +64,31 @@ def smooth_phi0(grid: GridSpec, amplitude: float = 0.5) -> ScalarField:
     return ScalarField(grid, amplitude * vals.reshape(-1))
 
 
+def laplacian_neumann(f: ScalarField) -> ScalarField:
+    """Discrete Laplacian with homogeneous Neumann closure, as a field."""
+    return ScalarField(f.grid, laplacian_array(f.grid, f.values))
+
+
+def convolution_adjoint_check(kernel, f: ScalarField, g: ScalarField) -> float:
+    """Normalised self-adjointness defect |<J*f, g> - <f, J*g>| / (1 + |<J*f, g>|)."""
+    lhs = inner_product(convolve(kernel, f), g)
+    rhs = inner_product(f, convolve(kernel, g))
+    return abs(lhs - rhs) / (1.0 + abs(lhs))
+
+
 def random_controls(rng, grid: GridSpec, steps: int, scale: float = 0.1) -> ControlPair:
     return ControlPair(
         grid,
         scale * rng.standard_normal((steps, grid.num_cells)),
         scale * rng.standard_normal((steps, grid.num_cells)),
     )
+
+
+def random_run(rng, grid: GridSpec, params: ModelParams, steps: int = 20):
+    """A run over T = 0.25 from a smooth phi0 under random controls."""
+    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
+    return simulate(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
+                    random_controls(rng, grid, steps), params, kernel, TimeGrid(0.25, steps))
 
 
 def one_step(state: State, u: ScalarField, v: ScalarField, params: ModelParams,

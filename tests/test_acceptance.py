@@ -4,17 +4,22 @@ around 32x32, horizons of 20-100 steps).
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
+import nlch_control
 from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           KernelSpec, ModelParams, PgdOptions, ScalarField,
                           TimeGrid, adjoint_sweep, build_kernel,
-                          convolution_adjoint_check, convolve, duality_gap,
+                          convolve, duality_gap,
                           ellipticity_margin, inner_product,
-                          laplacian_neumann, mass, mass_balance_residual,
+                          mass, mass_balance_residual,
                           pgd_optimize, project_box, projection_formula_defect,
                           reduced_gradient, simulate)
 from nlch_control.cli import EXIT_OK, main
@@ -22,7 +27,8 @@ from nlch_control.control import control_inner_qt
 from nlch_control.gradcheck import fd_gradient_errors, taylor_remainder_order
 from nlch_control.physics import ProliferationSpec
 
-from conftest import random_controls, smooth_phi0
+from conftest import (convolution_adjoint_check, laplacian_neumann, random_controls,
+                      smooth_phi0)
 
 
 @contextmanager
@@ -52,9 +58,9 @@ def test_criterion_1_discrete_operator_exactness():
                 gap_sym = abs(inner_product(lap_f, g) - inner_product(f, laplacian_neumann(g)))
                 assert gap_sym <= 1e-12 * max(1.0, abs(inner_product(lap_f, g)))
                 assert convolution_adjoint_check(kernel, f, g) <= 1e-12
-                fft = convolve(kernel, f, method="fft").values
+                fast = convolve(kernel, f).values
                 direct = convolve(kernel, f, method="direct").values
-                assert np.max(np.abs(fft - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+                assert np.max(np.abs(fast - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
 
 
 def test_criterion_2_conservation_dissipation():
@@ -251,40 +257,41 @@ def test_criterion_8_continuous_dependence_analog():
             assert max(ratios) / min(ratios) < 1.1
 
 
-def test_criterion_9_bitwise_determinism(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    sim_cfg = {
-        "grid": {"cells": [32], "extent": [1.0]},
-        "kernel": {"family": "gaussian", "amplitude": 4.0, "width": 0.2},
-        "model": {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0},
-        "time": {"T": 0.25, "steps": 20},
-        "initial": {"phi": {"kind": "bumps", "background": -0.4, "centers": [[0.5]],
-                            "amplitudes": [0.9], "widths": [0.12]},
-                    "sigma": {"kind": "constant", "value": 0.3}},
-        "output": {"directory": "unused", "snapshot_stride": 5},
-        "seed": 11,
-    }
-    opt_cfg = json.loads(json.dumps(sim_cfg))
-    opt_cfg["time"] = {"T": 0.2, "steps": 12}
-    opt_cfg["cost"] = {
+CRITERION_9_SIMULATE = {
+    "grid": {"cells": [32], "extent": [1.0]},
+    "kernel": {"family": "gaussian", "amplitude": 4.0, "width": 0.2},
+    "model": {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0},
+    "time": {"T": 0.25, "steps": 20},
+    "initial": {"phi": {"kind": "bumps", "background": -0.4, "centers": [[0.5]],
+                        "amplitudes": [0.9], "widths": [0.12]},
+                "sigma": {"kind": "constant", "value": 0.3}},
+    "output": {"directory": "unused", "snapshot_stride": 5},
+    "seed": 11,
+}
+CRITERION_9_OPTIMIZE = {
+    **CRITERION_9_SIMULATE,
+    "time": {"T": 0.2, "steps": 12},
+    "cost": {
         "alpha_omega": 1.0, "alpha_q": 1.0, "beta_omega": 1.0, "beta_q": 1.0,
         "alpha_u": 1e-4, "beta_v": 1e-4,
         "targets": {"kind": "manufactured",
                     "u": {"kind": "bumps", "background": 0.0, "centers": [[0.3]],
                           "amplitudes": [0.3], "widths": [0.1]},
                     "v": {"kind": "constant", "value": -0.1}},
-    }
-    opt_cfg["optimizer"] = {"tol": 1e-8, "max_iter": 8, "tau0": 1.0}
-    (tmp_path / "sim.json").write_text(json.dumps(sim_cfg))
-    (tmp_path / "opt.json").write_text(json.dumps(opt_cfg))
+    },
+    "optimizer": {"tol": 1e-8, "max_iter": 8, "tau0": 1.0},
+}
 
+
+def assert_same_artifacts(*runs):
+    """Every output file bitwise equal across run directories; the manifests
+    (whose config hash covers the output directory) agree on the outputs."""
     def tree_bytes(root):
         return {p.name: p.read_bytes() for p in sorted(root.iterdir())}
 
-    with criterion(9, "bitwise determinism of CLI artifacts"):
-        assert main(["simulate", "--config", "sim.json", "--out", "sim1", "--quiet"]) == EXIT_OK
-        assert main(["simulate", "--config", "sim.json", "--out", "sim2", "--quiet"]) == EXIT_OK
-        t1, t2 = tree_bytes(tmp_path / "sim1"), tree_bytes(tmp_path / "sim2")
+    t1 = tree_bytes(runs[0])
+    for run in runs[1:]:
+        t2 = tree_bytes(run)
         assert set(t1) == set(t2)
         for name in t1:
             if name != "run_manifest.json":
@@ -293,10 +300,33 @@ def test_criterion_9_bitwise_determinism(tmp_path, monkeypatch):
         m2 = json.loads(t2["run_manifest.json"])
         assert m1["outputs"] == m2["outputs"]
 
+
+def test_criterion_9_bitwise_determinism(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.json").write_text(json.dumps(CRITERION_9_SIMULATE))
+    (tmp_path / "opt.json").write_text(json.dumps(CRITERION_9_OPTIMIZE))
+
+    with criterion(9, "bitwise determinism of CLI artifacts"):
+        assert main(["simulate", "--config", "sim.json", "--out", "sim1", "--quiet"]) == EXIT_OK
+        assert main(["simulate", "--config", "sim.json", "--out", "sim2", "--quiet"]) == EXIT_OK
+        assert_same_artifacts(tmp_path / "sim1", tmp_path / "sim2")
+
         assert main(["optimize", "--config", "opt.json", "--out", "o1", "--quiet"]) == EXIT_OK
         assert main(["optimize", "--config", "opt.json", "--out", "o2", "--quiet"]) == EXIT_OK
-        t1, t2 = tree_bytes(tmp_path / "o1"), tree_bytes(tmp_path / "o2")
-        assert set(t1) == set(t2)
-        for name in t1:
-            if name != "run_manifest.json":
-                assert t1[name] == t2[name], name
+        assert_same_artifacts(tmp_path / "o1", tmp_path / "o2")
+
+
+def test_criterion_9_identity_across_blas_threads(tmp_path):
+    # the dense 1D operators are BLAS matrix-vector products: the optimize
+    # artifacts must not depend on the run or on the OpenBLAS thread count
+    (tmp_path / "opt.json").write_text(json.dumps(CRITERION_9_OPTIMIZE))
+    src = str(Path(nlch_control.__file__).resolve().parents[1])
+    runs = []
+    for i, threads in enumerate(("1", "1", "2", "2")):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        runs.append(tmp_path / f"o{i}")
+        subprocess.run([sys.executable, "-m", "nlch_control", "optimize", "--config", "opt.json",
+                        "--out", runs[-1].name, "--quiet"],
+                       cwd=tmp_path, env=env, check=True, timeout=300)
+    assert_same_artifacts(*runs)

@@ -1,11 +1,15 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nlch_control
 from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config,
                           write_config)
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
@@ -332,6 +336,39 @@ def assert_simulate_runs_identical(tmp_path, monkeypatch, overrides=None):
     m2 = json.loads((r2 / MANIFEST_NAME).read_text())
     assert m1["outputs"] == m2["outputs"]
     assert m1["config_sha256"] != ""
+
+
+# runs the CLI in a fresh interpreter and prints the scipy modules it loaded
+_SCIPY_AFTER_CLI = ("import json, sys\nfrom nlch_control.cli import main\n"
+                    "assert main(sys.argv[1:]) == 0\n"
+                    "print(json.dumps([m for m in sys.modules"
+                    " if m.split('.')[0].startswith('scipy')]))")
+_GRID_2D = {"grid": {"cells": [12, 7], "extent": [1.3, 0.7]}, "kernel": {"width": 0.25},
+            "initial": {"phi": {"kind": "bumps", "background": -0.4, "centers": [[0.6, 0.3]],
+                                "amplitudes": [0.9], "widths": [0.2]},
+                        "sigma": {"kind": "constant", "value": 0.3}}}
+
+
+@pytest.mark.parametrize("command,overrides,loads_scipy", [
+    ("simulate", {"grid": {"cells": [256]}, "time": {"T": 0.05, "steps": 4}}, False),
+    ("optimize", {"optimizer": {"max_iter": 3}}, False),
+    ("simulate", _GRID_2D, True),
+], ids=["simulate-1d-256", "optimize-1d", "simulate-2d"])
+def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, loads_scipy):
+    # small 1D runs apply dense numpy operators only; a 2D run builds FFT,
+    # DCT and LU operators and loads scipy for them
+    path = write_cfg(tmp_path, overrides)
+    src = str(Path(nlch_control.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_CLI, command, "--config", str(path),
+                          "--quiet"], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True, timeout=300)
+    loaded = set(json.loads(out.stdout))
+    if loads_scipy:
+        assert {"scipy.fft", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
+    else:
+        assert loaded == set()
 
 
 def test_cmd_gradcheck_passes_and_corruption_detected(tmp_path):

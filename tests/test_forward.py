@@ -9,13 +9,14 @@ from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
                           mass_balance_residual, simulate)
 from nlch_control.control import control_inner_qt
 from nlch_control.forward import DEFAULT_BLOWUP_GUARD, step_operators
+from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError)
-from nlch_control.geometry import dense_laplacian_matrix
 from nlch_control.kernels import convolution_matrix
 from nlch_control.physics import ProliferationSpec
+from nlch_control.solvers import dense_laplacian_matrix
 
-from conftest import one_step, random_controls, smooth_phi0
+from conftest import one_step, random_controls, random_run, smooth_phi0
 
 
 def dense_step_oracle(grid, params, kernel, dt, phi, sigma, u, v):
@@ -467,3 +468,13 @@ def test_alternating_keys_match_fresh_kernel(rng, request, grid_name):
         want = simulate(phi0, sigma0, controls, params, build_kernel(spec, grid), tgrid)
         assert np.array_equal(got.phi, want.phi)
         assert np.array_equal(got.sigma, want.sigma)
+
+
+@pytest.mark.parametrize("cells", [256, 257])
+@pytest.mark.parametrize("chi", [0.0, 0.3])
+def test_mass_balance_at_dense_crossover(rng, cells, chi):
+    # dense operators up to the crossover, FFT and banded Cholesky past it
+    params = ModelParams(A=0.5, B=1.0, chi=chi)
+    traj = random_run(rng, GridSpec((cells,), (1.0,)), params)
+    assert (traj.ops.L is not None) == (cells <= DENSE_MAX_CELLS)
+    assert mass_balance_residual(traj, traj.controls, params) <= 1e-12

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from nlch_control import (GridSpec, ScalarField, inner_product, laplacian_neumann,
-                          mass)
+from nlch_control import GridSpec, ScalarField, inner_product, mass
 from nlch_control.errors import FieldShapeError, GridError
-from nlch_control.geometry import dense_laplacian_matrix
+from nlch_control.solvers import dense_laplacian_matrix
+
+from conftest import laplacian_neumann
 
 
 def test_grid_spec_derived_quantities():

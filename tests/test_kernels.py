@@ -7,23 +7,24 @@ import numpy as np
 import pytest
 
 import nlch_control
-from nlch_control import (GridSpec, KernelSpec, ScalarField, build_kernel,
-                          convolution_adjoint_check, convolve, inner_product)
+from nlch_control import (GridSpec, KernelSpec, ScalarField, build_kernel, convolve,
+                          inner_product)
 from nlch_control.errors import FieldShapeError, KernelResolutionError
-from nlch_control.kernels import convolution_matrix
+from nlch_control.geometry import DENSE_MAX_CELLS
+from nlch_control.kernels import convolution_matrix, convolve_array
+
+from conftest import convolution_adjoint_check
 
 
 def direct_convolution_oracle(spec: KernelSpec, grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Double loop over cell pairs, independent of the tap/FFT machinery."""
+    """Loop over target cells, each summing over every source cell from the
+    cell centres; independent of the tap, FFT and dense-matrix machinery."""
     centers = grid.mesh()
     coords = np.stack([c.reshape(-1) for c in centers], axis=1)
     out = np.zeros(grid.num_cells)
     for i in range(grid.num_cells):
-        acc = 0.0
-        for j in range(grid.num_cells):
-            r2 = float(np.sum((coords[i] - coords[j]) ** 2))
-            acc += float(spec.evaluate_r2(np.array(r2))) * values[j]
-        out[i] = acc * grid.cell_volume
+        r2 = np.sum((coords[i] - coords) ** 2, axis=1)
+        out[i] = float(np.sum(spec.evaluate_r2(r2) * values)) * grid.cell_volume
     return out
 
 
@@ -82,19 +83,22 @@ def test_convolve_spike_gives_kernel_column(grid1d_small):
 
 @pytest.mark.parametrize("family", ["gaussian", "mollifier"])
 def test_fft_matches_direct_loop(rng, family, grid1d_small, grid2d):
-    # 2n - 1 is a fast FFT length on the first grid only; on the others the
-    # cached spectrum is padded past the minimum on some axis
-    for grid in (grid1d_small, grid2d, GridSpec((50,), (1.0,)), GridSpec((13, 9), (1.3, 0.7))):
+    # the two small 1D grids hold the dense matrix, the others the FFT
+    # spectrum; 2n - 1 is a fast FFT length on the 313-cell grid only, on the
+    # others the spectrum is padded past the minimum on some axis
+    for grid in (grid1d_small, GridSpec((50,), (1.0,)), grid2d, GridSpec((13, 9), (1.3, 0.7)),
+                 GridSpec((313,), (1.0,)), GridSpec((300,), (1.0,))):
         spec = KernelSpec(family, 2.0, 0.3)
         k = build_kernel(spec, grid)
+        assert (k.matrix is not None) == (grid.dim == 1 and grid.num_cells <= 256)
         f_vals = rng.standard_normal(grid.num_cells)
         f = ScalarField(grid, f_vals)
-        fft_result = convolve(k, f, method="fft").values
+        fast_result = convolve(k, f).values
         direct_result = convolve(k, f, method="direct").values
         oracle = direct_convolution_oracle(spec, grid, f_vals)
         scale = max(1.0, np.max(np.abs(oracle)))
-        assert np.max(np.abs(fft_result - direct_result)) <= 1e-12 * scale
-        assert np.max(np.abs(fft_result - oracle)) <= 1e-12 * scale
+        assert np.max(np.abs(fast_result - direct_result)) <= 1e-12 * scale
+        assert np.max(np.abs(fast_result - oracle)) <= 1e-12 * scale
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -172,3 +176,28 @@ def test_kernel_adjoint_in_inner_product(rng, grid2d, kernel2d):
     lhs = inner_product(convolve(kernel2d, f), g)
     rhs = inner_product(f, convolve(kernel2d, g))
     assert abs(lhs - rhs) <= 1e-12 * (1.0 + abs(lhs))
+
+
+@pytest.mark.parametrize("cells", [256, 257])
+def test_convolution_at_dense_crossover(rng, cells):
+    # up to the crossover the kernel keeps the dense matrix, past it the
+    # FFT spectrum
+    grid = GridSpec((cells,), (1.0,))
+    k = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
+    assert (k.matrix is not None) == (cells <= DENSE_MAX_CELLS)
+    assert (k.spectrum is not None) == (cells > DENSE_MAX_CELLS)
+    f = ScalarField(grid, rng.standard_normal(cells))
+    direct = convolve(k, f, method="direct").values
+    assert np.max(np.abs(convolve(k, f).values - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("cells", [(256,), (257,), (12, 10)], ids=str)
+def test_convolve_array_stacked_rows_bitwise(rng, cells):
+    # a stacked row gets the bits of the lone field on every path
+    grid = GridSpec(cells, (1.0,) * len(cells))
+    k = build_kernel(KernelSpec("mollifier", 4.0, 0.3), grid)
+    block = rng.standard_normal((5, grid.num_cells))
+    stacked = convolve_array(k, block)
+    assert stacked.shape == block.shape
+    for row, values in zip(stacked, block):
+        assert np.array_equal(row, convolve_array(k, values))

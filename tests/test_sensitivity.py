@@ -1,16 +1,17 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from nlch_control import (ControlPair, CostSpec, KernelSpec, ModelParams,
+from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec, ModelParams,
                           ScalarField, TimeGrid, adjoint_sweep, build_kernel,
                           duality_gap, simulate, tangent_sweep)
 from nlch_control.errors import ChemotaxisScopeError, StaleTrajectoryError
 from nlch_control.gradcheck import taylor_remainder_order, trajectory_qt_norm
 from nlch_control.sensitivity import vjp_sweep
 
-from conftest import random_controls, smooth_phi0
+from conftest import random_controls, random_run, smooth_phi0
 
 
 @pytest.fixture
@@ -264,3 +265,37 @@ def test_gradcheck_sweep_count(monkeypatch, rng, base_setup, grid1d, kernel1d, p
     assert result.passed
     assert len(sweeps) == (2 + 2 * n_duality + 2 * n_fd * len(gradcheck.FD_EPSILONS)
                            + n_taylor * (1 + len(gradcheck.TAYLOR_EPSILONS)))
+
+
+@pytest.mark.parametrize("cells", [256, 257])
+def test_duality_at_dense_crossover(rng, cells, params):
+    grid = GridSpec((cells,), (1.0,))
+    traj = random_run(rng, grid, params)
+    for _ in range(3):
+        gap = duality_gap(traj, rng.standard_normal((20, cells)), rng.standard_normal((20, cells)),
+                          rng.standard_normal((21, cells)), rng.standard_normal((21, cells)))
+        assert gap <= 1e-10
+
+
+@pytest.mark.parametrize("cells", [(256,), (257,), (12, 10)], ids=str)
+def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells):
+    # the sweeps linearise a block of steps at once; every row must be
+    # bitwise the per-step linearisation, in either sweep direction, across
+    # block boundaries and for a lone last step (blocks of 7 and of 19 of
+    # the 20 steps)
+    import nlch_control.sensitivity as sensitivity
+    from nlch_control.forward import linearise_step
+
+    grid = GridSpec(cells, (1.0,) * len(cells))
+    traj = random_run(rng, grid, ModelParams(A=0.05, B=1.0, chi=0.3))
+    ops, steps = traj.ops, traj.steps
+    whole = linearise_step(ops, traj.phi[:steps], traj.sigma[:steps], traj.controls.u[:steps])
+    for rows, reverse in itertools.product((7, 19), (False, True)):
+        monkeypatch.setattr(sensitivity, "LINEARISE_CHUNK_VALUES", rows * grid.num_cells)
+        order = []
+        for n, lin in sensitivity._linearised_steps(traj, reverse):
+            per_step = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+            for blocked, single, full in zip(lin, per_step, whole):
+                assert np.array_equal(blocked, single) and np.array_equal(full[n], single)
+            order.append(n)
+        assert order == sorted(range(steps), reverse=reverse)

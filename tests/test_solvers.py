@@ -4,8 +4,8 @@ import pytest
 from nlch_control import GridSpec, KernelSpec, ModelParams, build_kernel
 from nlch_control.errors import FieldShapeError, SolverError
 from nlch_control.forward import StepOperators
-from nlch_control.geometry import dense_laplacian_matrix
-from nlch_control.solvers import ShiftedLaplacianSolver
+from nlch_control.geometry import DENSE_MAX_CELLS
+from nlch_control.solvers import ShiftedLaplacianSolver, dense_laplacian_matrix
 
 GRIDS_2D = [GridSpec((5, 3), (1.3, 0.7)), GridSpec((13, 9), (1.3, 0.7)),
             GridSpec((2, 2), (1.3, 0.7))]
@@ -92,3 +92,20 @@ def test_step_operators_reject_bad_dt(dt):
     kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid)
     with pytest.raises(FieldShapeError, match="dt must be"):
         StepOperators(grid, ModelParams(A=0.5, B=1.0, chi=0.0), kernel, dt)
+
+
+@pytest.mark.parametrize("cells", [256, 257])
+def test_1d_solve_at_dense_crossover_matches_dense(rng, cells):
+    # up to the crossover the solver keeps the symmetrised dense inverse,
+    # past it the banded Cholesky factor
+    grid = GridSpec((cells,), (1.0,))
+    diagonal = 2.0 + 20.0 * rng.random(cells)
+    solver = ShiftedLaplacianSolver(grid, diagonal)
+    assert (solver._inverse is not None) == (cells <= DENSE_MAX_CELLS)
+    assert (solver._banded_chol is not None) == (cells > DENSE_MAX_CELLS)
+    if solver._inverse is not None:
+        assert np.array_equal(solver._inverse, solver._inverse.T)
+    for _ in range(3):
+        b = rng.standard_normal(cells)
+        assert rel_err(solver.solve(b), dense_solve(grid, diagonal, b)) <= 1e-12
+
