@@ -8,9 +8,10 @@ implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
 truncation error, which is the property the optimiser relies on. The
 trajectory stores only the states; each sweep recomputes the steps'
-linearisations from phi_n, sigma_n and u_n, one block of at most
-LINEARISE_CHUNK_VALUES values per array at a time (one evaluation per block
-instead of one per step, and O(chunk) memory however long the trajectory).
+linearisations from phi_n, sigma_n and u_n. On a grid with dense operators
+it does so for a block of steps at a time, at most LINEARISE_CHUNK_VALUES
+values per array (one evaluation per block instead of one per step, and
+O(chunk) memory however long the trajectory); elsewhere step by step.
 Every row of a block is bitwise the per-step linearisation.
 
 One backward loop, _reverse_sweep, serves both transposed products: the
@@ -30,15 +31,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ChemotaxisScopeError, FieldShapeError
-from .geometry import GridSpec
+from .geometry import GridSpec, uses_dense_operators
 from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
 
-# Values per array in one block of linearised steps (32 kB): the whole of
-# most small 1D trajectories, one row of a 64 x 64 field. Larger blocks push
-# the FFT work arrays of a 2D block out of cache: on a 2-vCPU x86 machine,
-# blocks of 8 rows at 64 x 64 cost more per row than single rows.
+# Values per array in one block of linearised steps on a dense-operator grid
+# (32 kB): the whole of most small 1D trajectories. Elsewhere each step is
+# its own block: on a 2-vCPU x86 machine, batched FFTs of 8 rows at 64 x 64
+# cost more per row than single rows.
 LINEARISE_CHUNK_VALUES = 1 << 12
 
 
@@ -139,16 +140,11 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
 def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
     """Yield (n, linearise_step of step n) for every step of traj, in time
     order or reversed, evaluating the linearisation block by block."""
-    rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
+    grid = traj.grid
+    rows = LINEARISE_CHUNK_VALUES // grid.num_cells if uses_dense_operators(grid) else 1
     starts = range(0, traj.steps, rows)
     for start in (reversed(starts) if reverse else starts):
         stop = min(start + rows, traj.steps)
-        if stop == start + 1:
-            # a lone step goes in as 1D rows, whose elementwise loops skip
-            # numpy's broadcasting set-up
-            yield start, linearise_step(traj.ops, traj.phi[start], traj.sigma[start],
-                                        traj.controls.u[start])
-            continue
         lin = linearise_step(traj.ops, traj.phi[start:stop], traj.sigma[start:stop],
                              traj.controls.u[start:stop])
         offsets = range(stop - start)

@@ -76,6 +76,18 @@ def convolution_adjoint_check(kernel, f: ScalarField, g: ScalarField) -> float:
     return abs(lhs - rhs) / (1.0 + abs(lhs))
 
 
+def direct_convolution_oracle(spec: KernelSpec, grid: GridSpec, values: np.ndarray) -> np.ndarray:
+    """Loop over target cells, each summing over every source cell from the
+    cell centres; independent of the tap, FFT and dense-matrix machinery."""
+    centers = grid.mesh()
+    coords = np.stack([c.reshape(-1) for c in centers], axis=1)
+    out = np.zeros(grid.num_cells)
+    for i in range(grid.num_cells):
+        r2 = np.sum((coords[i] - coords) ** 2, axis=1)
+        out[i] = float(np.sum(spec.evaluate_r2(r2) * values)) * grid.cell_volume
+    return out
+
+
 def random_controls(rng, grid: GridSpec, steps: int, scale: float = 0.1) -> ControlPair:
     return ControlPair(
         grid,

@@ -12,6 +12,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import nlch_control
 from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
@@ -24,11 +25,13 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           reduced_gradient, simulate)
 from nlch_control.cli import EXIT_OK, main
 from nlch_control.control import control_inner_qt
+from nlch_control.forward import step_operators
+from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.gradcheck import fd_gradient_errors, taylor_remainder_order
 from nlch_control.physics import ProliferationSpec
 
-from conftest import (convolution_adjoint_check, laplacian_neumann, random_controls,
-                      smooth_phi0)
+from conftest import (convolution_adjoint_check, direct_convolution_oracle, laplacian_neumann,
+                      random_controls, smooth_phi0)
 
 
 @contextmanager
@@ -46,21 +49,29 @@ def _grids():
 
 
 def test_criterion_1_discrete_operator_exactness():
+    # the operators the scheme applies: the dense Laplacian and convolution
+    # matrix on the 1D grid, the stencil and FFT on the 2D one
     rng = np.random.default_rng(101)
     with criterion(1, "discrete operator exactness"):
         for grid in _grids():
-            kernel = build_kernel(KernelSpec("gaussian", 2.0, 0.2), grid)
+            spec = KernelSpec("gaussian", 2.0, 0.2)
+            kernel = build_kernel(spec, grid)
+            lap = step_operators(grid, ModelParams(A=0.5, B=1.0, chi=0.0), kernel, 0.01).lap
             for _ in range(50):
                 f = ScalarField(grid, rng.standard_normal(grid.num_cells))
                 g = ScalarField(grid, rng.standard_normal(grid.num_cells))
-                lap_f = laplacian_neumann(f)
+                lap_f = ScalarField(grid, lap(f.values))
+                lap_g = ScalarField(grid, lap(g.values))
+                stencil = laplacian_neumann(f).values
+                assert np.max(np.abs(lap_f.values - stencil)) \
+                    <= 1e-12 * max(1.0, np.max(np.abs(stencil)))
                 assert abs(mass(lap_f)) <= 1e-13 * max(1.0, f.sup_norm())
-                gap_sym = abs(inner_product(lap_f, g) - inner_product(f, laplacian_neumann(g)))
+                gap_sym = abs(inner_product(lap_f, g) - inner_product(f, lap_g))
                 assert gap_sym <= 1e-12 * max(1.0, abs(inner_product(lap_f, g)))
                 assert convolution_adjoint_check(kernel, f, g) <= 1e-12
                 fast = convolve(kernel, f).values
-                direct = convolve(kernel, f, method="direct").values
-                assert np.max(np.abs(fast - direct)) <= 1e-12 * max(1.0, np.max(np.abs(direct)))
+                oracle = direct_convolution_oracle(spec, grid, f.values)
+                assert np.max(np.abs(fast - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
 
 def test_criterion_2_conservation_dissipation():
@@ -316,10 +327,14 @@ def test_criterion_9_bitwise_determinism(tmp_path, monkeypatch):
         assert_same_artifacts(tmp_path / "o1", tmp_path / "o2")
 
 
-def test_criterion_9_identity_across_blas_threads(tmp_path):
+@pytest.mark.parametrize("cells", [32, DENSE_MAX_CELLS])
+def test_criterion_9_identity_across_blas_threads(tmp_path, cells):
     # the dense 1D operators are BLAS matrix-vector products: the optimize
-    # artifacts must not depend on the run or on the OpenBLAS thread count
-    (tmp_path / "opt.json").write_text(json.dumps(CRITERION_9_OPTIMIZE))
+    # artifacts must not depend on the run or on the OpenBLAS thread count.
+    # Whether OpenBLAS splits a GEMV over threads depends on the matrix size,
+    # so a small grid and the largest dense grid both run
+    config = dict(CRITERION_9_OPTIMIZE, grid={"cells": [cells], "extent": [1.0]})
+    (tmp_path / "opt.json").write_text(json.dumps(config))
     src = str(Path(nlch_control.__file__).resolve().parents[1])
     runs = []
     for i, threads in enumerate(("1", "1", "2", "2")):

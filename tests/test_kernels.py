@@ -13,19 +13,7 @@ from nlch_control.errors import FieldShapeError, KernelResolutionError
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.kernels import convolution_matrix, convolve_array
 
-from conftest import convolution_adjoint_check
-
-
-def direct_convolution_oracle(spec: KernelSpec, grid: GridSpec, values: np.ndarray) -> np.ndarray:
-    """Loop over target cells, each summing over every source cell from the
-    cell centres; independent of the tap, FFT and dense-matrix machinery."""
-    centers = grid.mesh()
-    coords = np.stack([c.reshape(-1) for c in centers], axis=1)
-    out = np.zeros(grid.num_cells)
-    for i in range(grid.num_cells):
-        r2 = np.sum((coords[i] - coords) ** 2, axis=1)
-        out[i] = float(np.sum(spec.evaluate_r2(r2) * values)) * grid.cell_volume
-    return out
+from conftest import convolution_adjoint_check, direct_convolution_oracle
 
 
 @pytest.mark.parametrize("family,amplitude,width", [

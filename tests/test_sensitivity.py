@@ -279,10 +279,11 @@ def test_duality_at_dense_crossover(rng, cells, params):
 
 @pytest.mark.parametrize("cells", [(256,), (257,), (12, 10)], ids=str)
 def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells):
-    # the sweeps linearise a block of steps at once; every row must be
-    # bitwise the per-step linearisation, in either sweep direction, across
-    # block boundaries and for a lone last step (blocks of 7 and of 19 of
-    # the 20 steps)
+    # on a dense grid the sweeps linearise a block of steps at once (blocks
+    # of 7 and of 19 of the 20 steps: block boundaries and a lone last
+    # step), elsewhere one-row blocks; every row must be bitwise the
+    # per-step linearisation in either sweep direction, and so must every
+    # row of the whole trajectory linearised as one stack
     import nlch_control.sensitivity as sensitivity
     from nlch_control.forward import linearise_step
 
