@@ -24,8 +24,8 @@ from . import snapshots
 from .config import (RunConfig, config_from_dict, config_json, config_to_dict,
                      load_config)
 from .control import pgd_optimize, projection_formula_defect
-from .errors import (ChemotaxisScopeError, ConfigError, FieldShapeError,
-                     GridError, HypothesisViolationError, InstabilityError,
+from .errors import (ConfigError, FieldShapeError, GridError,
+                     HypothesisViolationError, InstabilityError,
                      KernelResolutionError, NLCHError, SolverError,
                      StaleTrajectoryError)
 from .forward import simulate
@@ -39,8 +39,7 @@ EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
 _VALIDATION_ERRORS = (ConfigError, HypothesisViolationError, GridError,
-                      KernelResolutionError, FieldShapeError,
-                      ChemotaxisScopeError, StaleTrajectoryError)
+                      KernelResolutionError, FieldShapeError, StaleTrajectoryError)
 _SOLVER_ERRORS = (SolverError, InstabilityError)
 
 
@@ -100,8 +99,6 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
                   _corrupt_adjoint: bool = False) -> int:
     params = cfg.build_params()
-    if params.chi != 0.0:
-        raise ChemotaxisScopeError("gradcheck requires chi = 0")
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
     require_ellipticity(params, kernel)
@@ -127,8 +124,6 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
 
 def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     params = cfg.build_params()
-    if params.chi != 0.0:
-        raise ChemotaxisScopeError("optimize requires chi = 0")
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
     require_ellipticity(params, kernel)

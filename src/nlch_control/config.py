@@ -558,11 +558,19 @@ def _validate(cfg: RunConfig, failures: list[str]):
         failures.append("optimizer.tau0 must be positive")
     if cfg.snapshot_stride < 0:
         failures.append("output.snapshot_stride must be nonnegative")
+    targets = cfg.cost.targets
     for spec, label in ((cfg.initial_phi, "initial.phi"), (cfg.initial_sigma, "initial.sigma"),
-                        (cfg.control_u, "controls.u"), (cfg.control_v, "controls.v")):
+                        (cfg.control_u, "controls.u"), (cfg.control_v, "controls.v"),
+                        (targets.u, "cost.targets.u"), (targets.v, "cost.targets.v")):
+        if spec is None:
+            continue
         if spec.kind == "file" and not cfg.resolve_path(spec.path).exists():
             failures.append(f"{label}: referenced file {spec.path!r} does not exist")
-    targets = cfg.cost.targets
+        if spec.kind == "bumps" and grid is not None:
+            # realize_field reads one coordinate per grid axis from each centre
+            failures.extend(f"{label}.centers[{i}] must have {grid.dim} coordinates, "
+                            f"got {len(center)}"
+                            for i, center in enumerate(spec.centers) if len(center) != grid.dim)
     if targets.kind == "files":
         for path, label in ((targets.phi_omega_path, "phi_omega"),
                             (targets.sigma_omega_path, "sigma_omega")):

@@ -303,8 +303,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     raising; its trial count is the report's exhausted_trials. An accepted
     iterate k (k = 0 is the start) with a non-finite cost or residual raises
     SolverError naming k. Every forward sweep runs under blowup_guard, as in
-    simulate; a model with chi != 0 fails its first adjoint sweep with
-    ChemotaxisScopeError.
+    simulate.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted

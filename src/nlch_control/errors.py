@@ -60,14 +60,6 @@ class StaleTrajectoryError(NLCHError):
     consumer of a trajectory reads them from it."""
 
 
-class ChemotaxisScopeError(NLCHError):
-    """Control-theory operations called with chi != 0.
-
-    The adjoint/optimality machinery is only defined in the chemotaxis-free
-    regime; forward simulation with chi > 0 remains available.
-    """
-
-
 class ConfigError(NLCHError):
     """Configuration file invalid; collects every failure, not just the first."""
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ChemotaxisScopeError, FieldShapeError
+from .errors import FieldShapeError
 from .geometry import GridSpec, uses_dense_operators
 from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
@@ -174,13 +174,10 @@ def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     seed arrays have shape (steps + 1, cells); row n is added to the state
     cotangent of slice n, and row 0 (the fixed initial slice) is ignored.
     Returns the transposed phi and sigma solves of each step, shape
-    (steps, cells). Restricted to chi = 0, the regime where the optimality
-    theory lives.
+    (steps, cells).
     """
     steps = traj.steps
     ops = traj.ops
-    if steps and ops.params.chi != 0.0:
-        raise ChemotaxisScopeError("adjoint and control machinery require chi = 0")
     s_phi = np.zeros((steps, traj.grid.num_cells))
     s_sigma = np.zeros((steps, traj.grid.num_cells))
     p_bar = np.array(seed_phi[steps], dtype=np.float64)

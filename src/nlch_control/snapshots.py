@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FieldShapeError
+from .errors import FieldShapeError, GridError
 from .geometry import GridSpec, ScalarField
 
 MAGIC = "NLCH-SNAPSHOT"
@@ -51,8 +51,9 @@ def write_snapshot(path, field: ScalarField, name: str, time: float):
 
 
 def read_snapshot(path) -> tuple[ScalarField, str, float]:
-    """The field, name and time of a snapshot file; FieldShapeError naming
-    path when the file cannot be read or its header is malformed."""
+    """The field, name and time of a snapshot file; FieldShapeError (or
+    GridError) naming path when the file cannot be read, its header is
+    malformed or it describes no valid field."""
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -93,8 +94,11 @@ def read_snapshot(path) -> tuple[ScalarField, str, float]:
         )
     values = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     extent = tuple(h * n for h, n in zip(spacing, cells))
-    grid = GridSpec(cells, extent)
-    return ScalarField(grid, values), name, time
+    try:
+        field = ScalarField(GridSpec(cells, extent), values)
+    except (GridError, FieldShapeError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+    return field, name, time
 
 
 def write_monitors_csv(path, monitors):

@@ -390,12 +390,12 @@ def test_cmd_gradcheck_zero_weights(tmp_path):
     assert cmd_gradcheck(cfg, quiet=True) == EXIT_OK
 
 
-def test_cmd_gradcheck_rejects_chemotaxis(tmp_path):
+def test_cmd_gradcheck_and_optimize_with_chemotaxis(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, {"kernel": {"amplitude": 8.0}, "model": {"chi": 0.4}})
-    cfg = load_config(path)
-    with pytest.raises(Exception):
-        cmd_gradcheck(cfg, quiet=True)
-    assert main(["gradcheck", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    assert main(["gradcheck", "--config", str(path), "--quiet"]) == EXIT_OK
+    assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_OK
+    assert (tmp_path / "out" / "iterations.csv").is_file()
 
 
 def test_cmd_optimize_manufactured(tmp_path, monkeypatch):
@@ -450,8 +450,8 @@ def test_cmd_validate(tmp_path):
     assert main(["validate", "--config", str(bad), "--quiet"]) == EXIT_VALIDATION
 
 
-def _snapshot_with_header(path, header: bytes):
-    path.write_bytes(header + b"\ndata\n" + np.zeros(24).astype("<f8").tobytes())
+def _snapshot_with_header(path, header: bytes, values=np.zeros(24)):
+    path.write_bytes(header + b"\ndata\n" + np.asarray(values).astype("<f8").tobytes())
 
 
 _GOOD_HEADER = b"NLCH-SNAPSHOT 1\ndim 1\ncells 24\nspacing 0.041666666666666664\ntime 0.0"
@@ -460,7 +460,8 @@ _GOOD_HEADER = b"NLCH-SNAPSHOT 1\ndim 1\ncells 24\nspacing 0.041666666666666664\
 @pytest.mark.parametrize("case", [
     "missing_dim", "nonnumeric_dim", "nonnumeric_cells", "nonnumeric_spacing",
     "nonnumeric_time", "non_ascii_header", "directory", "controls_other_grid",
-    "files_target_other_grid", "manufactured_other_grid",
+    "files_target_other_grid", "manufactured_other_grid", "one_cell",
+    "negative_spacing", "nonfinite_payload",
 ])
 def test_cmd_validate_reports_bad_input_files(tmp_path, capsys, case):
     # every input file a run would read is read by validate; a bad one ends
@@ -473,9 +474,14 @@ def test_cmd_validate_reports_bad_input_files(tmp_path, capsys, case):
         "nonnumeric_spacing": _GOOD_HEADER.replace(b"spacing 0.0416", b"spacing h0.0416"),
         "nonnumeric_time": _GOOD_HEADER.replace(b"time 0.0", b"time zero"),
         "non_ascii_header": _GOOD_HEADER + b"\nfield \xcf\x86",
+        "negative_spacing": _GOOD_HEADER.replace(b"spacing 0.0416", b"spacing -0.0416"),
     }
     if case in headers:
         _snapshot_with_header(bad, headers[case])
+    elif case == "one_cell":
+        _snapshot_with_header(bad, b"NLCH-SNAPSHOT 1\ndim 1\ncells 1\nspacing 1.0", [0.0])
+    elif case == "nonfinite_payload":
+        _snapshot_with_header(bad, _GOOD_HEADER, [0.0] * 23 + [np.nan])
     elif case == "directory":
         bad.mkdir()
     else:
@@ -494,6 +500,29 @@ def test_cmd_validate_reports_bad_input_files(tmp_path, capsys, case):
     assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
     assert bad.name in err, err
+
+
+@pytest.mark.parametrize("grid, key, spec, expected", [
+    ({"cells": [12, 10], "extent": [1.0, 0.8]}, "initial",
+     {"phi": {"kind": "bumps", "centers": [[0.5]], "amplitudes": [0.9], "widths": [0.12]}},
+     "initial.phi.centers[0] must have 2 coordinates, got 1"),
+    ({"cells": [24], "extent": [1.0]}, "controls",
+     {"u": {"kind": "bumps", "centers": [[]], "amplitudes": [0.1], "widths": [0.1]}},
+     "controls.u.centers[0] must have 1 coordinates, got 0"),
+    ({"cells": [24], "extent": [1.0]}, "cost",
+     {"targets": {"kind": "manufactured",
+                  "u": {"kind": "bumps", "centers": [[0.3], [0.5, 7.0]],
+                        "amplitudes": [0.1, 0.1], "widths": [0.1, 0.1]}}},
+     "cost.targets.u.centers[1] must have 1 coordinates, got 2"),
+], ids=["2d_short", "1d_empty", "1d_long"])
+def test_config_rejects_bump_centres_off_grid_dimension(tmp_path, capsys, grid, key, spec,
+                                                        expected):
+    path = write_cfg(tmp_path, {"grid": grid, key: spec})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert expected in exc_info.value.failures
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    assert expected in capsys.readouterr().err
 
 
 def test_main_missing_config_file(tmp_path):

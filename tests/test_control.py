@@ -7,8 +7,8 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           projection_formula_defect, reduced_gradient,
                           simulate, stationarity_residual)
 from nlch_control.control import control_inner_qt
-from nlch_control.errors import (ChemotaxisScopeError, FieldShapeError,
-                                 HypothesisViolationError, SolverError)
+from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
+                                 SolverError)
 from nlch_control.physics import ProliferationSpec
 
 from conftest import random_controls, smooth_phi0
@@ -181,17 +181,22 @@ def assert_final_adjoint_is_fresh(report, initial, spec, params, kernel, tgrid):
     assert np.array_equal(adj.p, fresh.p) and np.array_equal(adj.r, fresh.r)
 
 
-def test_pgd_rejects_chemotaxis(grid1d, params):
+def test_pgd_converges_with_chemotaxis(grid1d):
+    # chi > 0 is optimised like chi = 0: the adjoint carries the chemotaxis
+    # terms, and the only gate on chi is ellipticity
     from nlch_control import KernelSpec, build_kernel
 
     kernel = build_kernel(KernelSpec("gaussian", 8.0, 0.2), grid1d)
-    bad = ModelParams(A=0.5, B=1.0, chi=0.2)
-    tgrid = TimeGrid(0.1, 5)
-    spec = CostSpec.tracking(grid1d, 5, alpha_u=1.0, beta_v=1.0)
-    box = BoxConstraints.constant(grid1d, 5, -1.0, 1.0, -1.0, 1.0)
-    with pytest.raises(ChemotaxisScopeError):
-        pgd_optimize(ControlPair.zeros(grid1d, 5), box, spec, bad, kernel, tgrid,
-                     smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.0))
+    params = ModelParams(A=0.5, B=1.0, chi=0.4)
+    tgrid, phi0, sigma0, _, traj_star = manufactured_problem(grid1d, kernel, params,
+                                                             TimeGrid(0.4, 24))
+    spec = manufactured_spec(grid1d, traj_star, 1e-2, 1e-2)
+    box = BoxConstraints.constant(grid1d, 24, -1.0, 1.0, -1.0, 1.0)
+    report = pgd_optimize(ControlPair.zeros(grid1d, 24), box, spec, params, kernel, tgrid,
+                          phi0, sigma0, opts=PgdOptions(tol=1e-6, max_iter=50))
+    assert report.termination == "converged"
+    assert report.iterations > 0
+    assert np.all(np.diff(report.costs) < 0)
 
 
 @pytest.fixture

@@ -7,8 +7,9 @@ import pytest
 from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec, ModelParams,
                           ScalarField, TimeGrid, adjoint_sweep, build_kernel,
                           duality_gap, simulate, tangent_sweep)
-from nlch_control.errors import ChemotaxisScopeError, StaleTrajectoryError
-from nlch_control.gradcheck import taylor_remainder_order, trajectory_qt_norm
+from nlch_control.errors import StaleTrajectoryError
+from nlch_control.gradcheck import (run_gradcheck, taylor_remainder_order,
+                                    trajectory_qt_norm)
 from nlch_control.sensitivity import vjp_sweep
 
 from conftest import random_controls, random_run, smooth_phi0
@@ -181,23 +182,28 @@ def test_adjoint_terminal_unit_example(grid1d, kernel1d, params_gradient_flow):
     assert np.all(adj.r[5] == 0.0)
 
 
-def test_adjoint_rejects_chemotaxis(grid1d, rng, tgrid20):
-    from nlch_control import KernelSpec, build_kernel
-
-    kernel = build_kernel(KernelSpec("gaussian", 8.0, 0.2), grid1d)
-    params = ModelParams(A=0.5, B=1.0, chi=0.3)
-    phi0 = smooth_phi0(grid1d, amplitude=0.3)
-    sigma0 = ScalarField.constant(grid1d, 0.1)
-    traj = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel, tgrid20)
-    spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
-    with pytest.raises(ChemotaxisScopeError):
-        adjoint_sweep(traj, spec, params, kernel)
-    zeros = np.zeros((20, grid1d.num_cells))
-    seeds = np.zeros((21, grid1d.num_cells))
-    with pytest.raises(ChemotaxisScopeError):
-        duality_gap(traj, zeros, zeros, seeds, seeds)
-    with pytest.raises(ChemotaxisScopeError):
-        vjp_sweep(traj, seeds, seeds)
+@pytest.mark.parametrize("cells, extents, family, width", [
+    ((48,), (1.0,), "gaussian", 0.2),        # dense operators
+    ((300,), (1.0,), "gaussian", 0.2),       # FFT convolution, banded solves
+    ((16, 12), (1.0, 0.8), "mollifier", 0.3),
+], ids=["1d-dense", "1d-fft", "2d"])
+def test_gradcheck_passes_with_chemotaxis(cells, extents, family, width):
+    # the adjoint is the exact transpose of the scheme at any admissible chi
+    grid = GridSpec(cells, extents)
+    kernel = build_kernel(KernelSpec(family, 8.0, width), grid)
+    params = ModelParams(A=0.5, B=2.0 / float(np.min(kernel.a_field.values)), chi=0.3)
+    steps = 10
+    rng = np.random.default_rng(7)
+    spec = CostSpec.tracking(grid, steps, alpha_omega=1.0, beta_q=0.5,
+                             alpha_u=1e-2, beta_v=1e-2,
+                             phi_omega=ScalarField.constant(grid, -0.2))
+    result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
+                           random_controls(rng, grid, steps), spec, params, kernel,
+                           TimeGrid(0.1, steps), rng)
+    assert result.max_duality_gap <= 1e-10
+    assert max(result.fd_plateau) <= 1e-5
+    assert min(result.taylor_orders) >= 1.9
+    assert result.passed
 
 
 def test_reverse_sweeps_of_zero_steps(grid1d, kernel1d, params, rng):
