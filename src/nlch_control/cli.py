@@ -24,22 +24,17 @@ from . import snapshots
 from .config import (RunConfig, config_from_dict, config_json, config_to_dict,
                      load_config)
 from .control import pgd_optimize, projection_formula_defect
-from .errors import (ConfigError, FieldShapeError, GridError,
-                     HypothesisViolationError, InstabilityError,
-                     KernelResolutionError, NLCHError, SolverError,
-                     StaleTrajectoryError)
+from .errors import ConfigError, InstabilityError, NLCHError, SolverError
 from .forward import simulate
 from .geometry import ScalarField
 from .gradcheck import run_gradcheck
-from .physics import require_ellipticity
+from .physics import ellipticity_margin
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_SOLVER = 3
 EXIT_CHECK = 4
 
-_VALIDATION_ERRORS = (ConfigError, HypothesisViolationError, GridError,
-                      KernelResolutionError, FieldShapeError, StaleTrajectoryError)
 _SOLVER_ERRORS = (SolverError, InstabilityError)
 
 
@@ -71,7 +66,6 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
     params = cfg.build_params()
-    require_ellipticity(params, kernel)
     tgrid = cfg.build_tgrid()
     phi0, sigma0 = cfg.build_initial_state(grid)
     controls = cfg.build_initial_controls(grid)
@@ -101,7 +95,6 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
     params = cfg.build_params()
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
-    require_ellipticity(params, kernel)
     tgrid = cfg.build_tgrid()
     phi0, sigma0 = cfg.build_initial_state(grid)
     controls = cfg.build_initial_controls(grid)
@@ -126,13 +119,11 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     params = cfg.build_params()
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
-    require_ellipticity(params, kernel)
     tgrid = cfg.build_tgrid()
     phi0, sigma0 = cfg.build_initial_state(grid)
     c0 = cfg.build_initial_controls(grid)
     box = cfg.build_box(grid)
     spec = cfg.build_cost(grid, kernel, params, tgrid)
-    spec.validate()
     out = _prepare_outdir(cfg)
 
     def progress(k, j_val, resid, step, ls, _iterate):
@@ -193,7 +184,7 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
     params = cfg.build_params()
-    margin = require_ellipticity(params, kernel)
+    margin = ellipticity_margin(params, kernel)
     tgrid = cfg.build_tgrid()
     cfg.build_initial_state(grid)
     cfg.build_initial_controls(grid)
@@ -246,9 +237,6 @@ def main(argv=None) -> int:
             "validate": cmd_validate,
         }[args.command]
         return handler(cfg, quiet=args.quiet)
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except _SOLVER_ERRORS as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_SOLVER

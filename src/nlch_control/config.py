@@ -6,7 +6,6 @@ Top-level keys (all optional, defaults below):
   grid       {"cells": [64], "extent": [1.0]}
   kernel     {"family": "gaussian", "amplitude": 4.0, "width": 0.2}
   model      {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0,
-              "potential": "quartic_double_well",
               "proliferation": "smoothed_ramp", "distribution": "same_as_p"}
   time       {"T": 0.25, "steps": 25}
   initial    {"phi": FIELD, "sigma": FIELD}
@@ -117,7 +116,6 @@ class RunConfig:
     B: float
     chi: float
     lambda_s: float
-    potential_family: str
     proliferation_family: str
     distribution_family: str
     T: float
@@ -154,7 +152,6 @@ class RunConfig:
     def build_params(self) -> ModelParams:
         return ModelParams(
             A=self.A, B=self.B, chi=self.chi,
-            potential=PotentialSpec(self.potential_family),
             proliferation=ProliferationSpec(self.proliferation_family),
             distribution=DistributionSpec(self.distribution_family),
             lambda_s=self.lambda_s,
@@ -277,7 +274,6 @@ _DEFAULTS = {
     "grid": {"cells": [64], "extent": [1.0]},
     "kernel": {"family": "gaussian", "amplitude": 4.0, "width": 0.2},
     "model": {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0,
-              "potential": "quartic_double_well",
               "proliferation": "smoothed_ramp",
               "distribution": "same_as_p"},
     "time": {"T": 0.25, "steps": 25},
@@ -396,15 +392,21 @@ def _integer(raw, key: str, default: int, failures: list[str]) -> int:
 
 
 def _number(raw, key: str, default: float, failures: list[str]) -> float:
-    """raw as a float if it is a real number (not a bool); otherwise a failure
-    naming key, and default in its place. An integer beyond the float range
-    becomes an infinity, which _validate reports as non-finite."""
-    if isinstance(raw, numbers.Real) and not isinstance(raw, bool):
-        try:
-            return float(raw)
-        except OverflowError:
-            return np.inf if raw > 0 else -np.inf
-    failures.append(f"{key} must be a number, got {raw!r}")
+    """raw as a float if it is a finite real number (not a bool); otherwise a
+    failure naming key, and default in its place, so later checks do not
+    report it again. JSON admits NaN, Infinity and overflowing literals such
+    as 1e400 (an integer beyond the float range reads as an infinity), and
+    NaN passes every comparison _validate makes."""
+    if not isinstance(raw, numbers.Real) or isinstance(raw, bool):
+        failures.append(f"{key} must be a number, got {raw!r}")
+        return default
+    try:
+        value = float(raw)
+    except OverflowError:
+        value = np.inf if raw > 0 else -np.inf
+    if np.isfinite(value):
+        return value
+    failures.append(f"{key} must be a finite number, got {value}")
     return default
 
 
@@ -452,7 +454,6 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
         kernel_width=number("kernel", "width"),
         A=number("model", "A"), B=number("model", "B"), chi=number("model", "chi"),
         lambda_s=number("model", "lambda_s"),
-        potential_family=str(m["potential"]),
         proliferation_family=str(m["proliferation"]),
         distribution_family=str(m["distribution"]),
         T=number("time", "T"), steps=integer("time", "steps"),
@@ -485,24 +486,7 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
-def _nonfinite_entries(value, key: str = "") -> list[tuple[str, float]]:
-    """(key, value) of every non-finite number in a config_to_dict tree."""
-    if isinstance(value, dict):
-        return [bad for name, item in value.items()
-                for bad in _nonfinite_entries(item, f"{key}.{name}" if key else name)]
-    if isinstance(value, list):
-        return [bad for i, item in enumerate(value)
-                for bad in _nonfinite_entries(item, f"{key}[{i}]")]
-    if isinstance(value, float) and not np.isfinite(value):
-        return [(key, value)]
-    return []
-
-
 def _validate(cfg: RunConfig, failures: list[str]):
-    # JSON admits NaN, Infinity and overflowing literals such as 1e400, and
-    # NaN passes every comparison below
-    failures.extend(f"{key} must be a finite number, got {value}"
-                    for key, value in _nonfinite_entries(config_to_dict(cfg)))
     grid = None
     try:
         grid = cfg.build_grid()
@@ -522,16 +506,13 @@ def _validate(cfg: RunConfig, failures: list[str]):
     if grid is not None and kernel is not None:
         # computed from raw values so the message appears even when the
         # A, B > 0 invariant already failed (e.g. B = 0)
-        try:
-            f2_min = PotentialSpec(cfg.potential_family).second_derivative_min
-            margin = cfg.A * f2_min + cfg.B * float(np.min(kernel.a_field.values))
-            if not (margin > cfg.chi ** 2):
-                failures.append(
-                    f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {cfg.chi ** 2:.6g} "
-                    "(need A*min F'' + B*min a > chi^2)"
-                )
-        except NLCHError as exc:
-            failures.append(f"model.potential: {exc}")
+        margin = (cfg.A * PotentialSpec().second_derivative_min
+                  + cfg.B * float(np.min(kernel.a_field.values)))
+        if not (margin > cfg.chi ** 2):
+            failures.append(
+                f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {cfg.chi ** 2:.6g} "
+                "(need A*min F'' + B*min a > chi^2)"
+            )
     if cfg.T <= 0.0:
         failures.append(f"time.T must be positive, got {cfg.T}")
     if cfg.steps <= 0:
@@ -635,7 +616,6 @@ def config_to_dict(cfg: RunConfig) -> dict:
         "kernel": {"family": cfg.kernel_family, "amplitude": cfg.kernel_amplitude,
                    "width": cfg.kernel_width},
         "model": {"A": cfg.A, "B": cfg.B, "chi": cfg.chi, "lambda_s": cfg.lambda_s,
-                  "potential": cfg.potential_family,
                   "proliferation": cfg.proliferation_family,
                   "distribution": cfg.distribution_family},
         "time": {"T": cfg.T, "steps": cfg.steps},

@@ -18,7 +18,7 @@ from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGr
                       simulate)
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData
-from .physics import ModelParams, require_ellipticity
+from .physics import ModelParams
 from .sensitivity import AdjointTrajectory, adjoint_sweep
 
 # Armijo sufficient-decrease constant of the line search
@@ -312,7 +312,6 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
         raise TypeError("pgd_optimize: solver_options must be None; there is no solver choice")
-    require_ellipticity(params, kernel)
     spec.validate()
     opts = opts or PgdOptions()
     dt = tgrid.dt

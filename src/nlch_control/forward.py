@@ -49,12 +49,12 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.T > 0.0):
             raise FieldShapeError(f"final time must be positive, got {self.T}")
-        if self.steps < 0:
-            raise FieldShapeError(f"step count must be nonnegative, got {self.steps}")
+        if self.steps < 1:
+            raise FieldShapeError(f"step count must be positive, got {self.steps}")
 
     @property
     def dt(self) -> float:
-        return self.T / self.steps if self.steps > 0 else 0.0
+        return self.T / self.steps
 
 
 @dataclass(frozen=True)
@@ -255,9 +255,9 @@ class StateTrajectory:
 
     phi and sigma have shape (steps + 1, cells); they are the only per-step
     data kept. controls and ops (the operator bundle the run stepped with,
-    which holds its params, kernel and dt; None for a run of zero steps) are
-    references to the run's inputs, from which the derivative sweeps
-    recompute each step's factors without being passed them again;
+    which holds its params, kernel and dt) are references to the run's
+    inputs, from which the derivative sweeps recompute each step's factors
+    without being passed them again;
     blowup_guard is the guard the run stepped under, which reruns keep.
     monitors rows: (step, time, energy, mass_phi, mass_sigma, sup_phi,
     sup_sigma).
@@ -268,7 +268,7 @@ class StateTrajectory:
     phi: np.ndarray = field(repr=False)
     sigma: np.ndarray = field(repr=False)
     controls: ControlPair = field(repr=False)
-    ops: StepOperators | None = field(repr=False)
+    ops: StepOperators = field(repr=False)
     blowup_guard: float
     monitors: tuple[tuple, ...] = field(repr=False)
 
@@ -281,10 +281,7 @@ class StateTrajectory:
 
     def require_inputs(self, params: ModelParams, kernel: KernelData | None = None) -> None:
         """Raise StaleTrajectoryError unless params (and the kernel, if given)
-        are the ones this trajectory was simulated with; a run of zero steps
-        used neither."""
-        if self.ops is None:
-            return
+        are the ones this trajectory was simulated with."""
         if params != self.ops.params:
             raise StaleTrajectoryError("trajectory was simulated with other model parameters")
         if kernel is not None and (kernel.spec, kernel.grid) != (self.ops.kernel.spec,
@@ -345,19 +342,17 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
         j_phi = convolve_array(kernel, phi[0])
         monitors.append(monitor_row(0))
 
-    ops = None
-    if tgrid.steps > 0:
-        ops = step_operators(grid, params, kernel, tgrid.dt)
-        for n in range(tgrid.steps):
-            phi_new, sigma_new = _step_core(
-                ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
-            )
-            _guard_step(n, phi_new, sigma_new, blowup_guard)
-            phi[n + 1] = phi_new
-            sigma[n + 1] = sigma_new
-            if record_monitors:
-                j_phi = convolve_array(kernel, phi[n + 1])
-                monitors.append(monitor_row(n + 1))
+    ops = step_operators(grid, params, kernel, tgrid.dt)
+    for n in range(tgrid.steps):
+        phi_new, sigma_new = _step_core(
+            ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
+        )
+        _guard_step(n, phi_new, sigma_new, blowup_guard)
+        phi[n + 1] = phi_new
+        sigma[n + 1] = sigma_new
+        if record_monitors:
+            j_phi = convolve_array(kernel, phi[n + 1])
+            monitors.append(monitor_row(n + 1))
 
     return StateTrajectory(
         grid=grid,

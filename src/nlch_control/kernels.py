@@ -18,10 +18,10 @@ bound a* that the ellipticity gate reads:
 convolve_array also takes a stack of fields, shape (rows, cells), and gives
 each row the bits it gets alone: the transforms act on each row
 independently, and the dense product multiplies row by row (a BLAS
-matrix-matrix product rounds differently from the matrix-vector one). A
-direct dense application from the taps is kept for cross-checking; both
-paths agree with it to relative 1e-12 by contract. The crossover is
-geometry.DENSE_MAX_CELLS.
+matrix-matrix product rounds differently from the matrix-vector one).
+convolution_matrix builds the dense operator afresh from the taps as a
+reference; both forms agree with it to relative 1e-12 by contract. The
+crossover is geometry.DENSE_MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -55,10 +55,10 @@ class KernelSpec:
             raise KernelResolutionError(
                 f"unknown kernel family {self.family!r}; choose from {_FAMILIES}"
             )
-        if not (self.amplitude > 0.0):
-            raise KernelResolutionError("kernel amplitude must be positive")
-        if not (self.width > 0.0):
-            raise KernelResolutionError("kernel width must be positive")
+        if not (0.0 < self.amplitude < np.inf):
+            raise KernelResolutionError("kernel amplitude must be positive and finite")
+        if not (0.0 < self.width < np.inf):
+            raise KernelResolutionError("kernel width must be positive and finite")
 
     def evaluate_r2(self, r2: np.ndarray) -> np.ndarray:
         """Kernel value as a function of squared distance."""
@@ -202,20 +202,12 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
                       a_field=a_field, a_star=a_star)
 
 
-def convolve(kernel: KernelData, f: ScalarField, method: str = "auto") -> ScalarField:
-    """Apply the restricted-domain convolution J*f.
-
-    method "auto" goes through the form the kernel keeps (convolve_array);
-    "direct" builds the dense operator from the taps and exists to witness
-    that both agree.
-    """
+def convolve(kernel: KernelData, f: ScalarField) -> ScalarField:
+    """Apply the restricted-domain convolution J*f through the form the
+    kernel keeps (convolve_array)."""
     if f.grid != kernel.grid:
         raise FieldShapeError("kernel and field grids differ")
-    if method == "auto":
-        return ScalarField(f.grid, convolve_array(kernel, f.values))
-    if method == "direct":
-        return ScalarField(f.grid, convolution_matrix(kernel) @ f.values)
-    raise ValueError(f"unknown convolution method {method!r}")
+    return ScalarField(f.grid, convolve_array(kernel, f.values))
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
@@ -230,6 +222,7 @@ def convolution_matrix(kernel: KernelData) -> np.ndarray:
     """Dense operator matrix K[i, j] = J(x_i - x_j) * cell_volume.
 
     Symmetric because J is even and the grid uniform. Built afresh from the
-    taps; intended for small grids (oracles and the direct convolution path).
+    taps; intended for small grids, as the reference the tests compare the
+    kept form against.
     """
     return _taps_matrix(kernel.taps, kernel.grid)

@@ -25,12 +25,6 @@ class PotentialSpec:
     F''' = 6 s.
     """
 
-    family: str = "quartic_double_well"
-
-    def __post_init__(self):
-        if self.family != "quartic_double_well":
-            raise HypothesisViolationError(f"unknown potential family {self.family!r}")
-
     def evaluate(self, s, order: int = 0):
         arr, scalar = _as_array(s)
         if order == 0:
@@ -146,10 +140,15 @@ class ModelParams:
     lambda_s: float = 2.0
 
     def __post_init__(self):
-        failures = []
-        if not (self.A > 0.0):
+        # NaN passes every comparison below, and an infinite coefficient
+        # makes the margin or the implicit diagonal non-finite
+        failures = [f"{name} must be finite, got {value}"
+                    for name, value in (("A", self.A), ("B", self.B), ("chi", self.chi),
+                                        ("lambda_s", self.lambda_s))
+                    if not np.isfinite(value)]
+        if self.A <= 0.0:
             failures.append(f"A must be > 0, got {self.A}")
-        if not (self.B > 0.0):
+        if self.B <= 0.0:
             failures.append(f"B must be > 0, got {self.B}")
         if self.chi < 0.0:
             failures.append(f"chi must be >= 0, got {self.chi}")

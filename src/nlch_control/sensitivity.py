@@ -198,8 +198,6 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     raw per-slice pairing (no dt weight).
     """
     s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
-    if traj.ops is None:
-        return s_phi, s_sigma
     distrib = traj.ops.params.distribution.evaluate(traj.phi[:traj.steps], 0)
     return -distrib * s_phi, s_sigma
 

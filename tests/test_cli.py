@@ -95,20 +95,29 @@ def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
     assert f"solver: unknown keys ['{key}']" in capsys.readouterr().err
 
 
+def test_removed_potential_key_is_unknown(tmp_path, capsys):
+    # the quartic double well is the only potential; naming it is an error
+    path = write_cfg(tmp_path, {"model": {"potential": "quartic_double_well"}})
+    assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
+    assert "model: unknown keys ['potential']" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("section,key,literal", [
     ("solver", "blowup_guard", "NaN"),
     ("optimizer", "tol", "Infinity"),
     ("cost", "alpha_u", "1e400"),
+    ("model", "A", "Infinity"),
 ])
 def test_config_rejects_nonfinite_numbers(tmp_path, capsys, section, key, literal):
     # JSON accepts NaN, Infinity and overflowing literals; NaN in particular
-    # passes every "must be positive" comparison
+    # passes every "must be positive" comparison. The value is reported once,
+    # where it is read: no later check (such as the ellipticity margin) sees it
     path = write_cfg(tmp_path, {section: {key: "PLACEHOLDER"}})
     path.write_text(path.read_text().replace('"PLACEHOLDER"', literal))
     with pytest.raises(ConfigError) as exc_info:
         load_config(path)
-    assert any(f.startswith(f"{section}.{key} must be a finite number")
-               for f in exc_info.value.failures)
+    assert exc_info.value.failures == [
+        f"{section}.{key} must be a finite number, got {float(literal)}"]
     assert main(["validate", "--config", str(path)]) == EXIT_VALIDATION
     assert f"{section}.{key}" in capsys.readouterr().err
 
@@ -441,6 +450,17 @@ def test_cmd_optimize_infeasible_box(tmp_path):
     with pytest.raises(ConfigError):
         load_config(path)
     assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["simulate", "optimize", "gradcheck"])
+def test_runs_reject_inadmissible_config(tmp_path, capsys, monkeypatch, command):
+    # c0 = A min F'' + B min a <= chi^2 is caught where the config is read,
+    # before any output directory is made
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"model": {"A": 5.0}})
+    assert main([command, "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    assert re.search(r"hypothesis violation: c0 = .* <= chi\^2", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_validate(tmp_path):

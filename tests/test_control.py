@@ -170,6 +170,21 @@ def test_pgd_zero_gradient_terminates_immediately(grid1d, kernel1d, params):
     assert_final_adjoint_is_fresh(report, (phi0, sigma0), spec, params, kernel1d, tgrid)
 
 
+def test_pgd_rejects_inadmissible_params_before_any_iterate(grid1d, kernel1d):
+    # c0 = A min F'' + B min a <= chi^2: the first sweep's gate raises before
+    # any solve, so no iterate is ever reported
+    params = ModelParams(A=10.0, B=1e-6, chi=0.0)
+    tgrid = TimeGrid(0.25, 20)
+    spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
+    box = BoxConstraints.constant(grid1d, 20, -1.0, 1.0, -1.0, 1.0)
+    reported = []
+    with pytest.raises(HypothesisViolationError, match=r"c0 = .* <= chi\^2"):
+        pgd_optimize(ControlPair.zeros(grid1d, 20), box, spec, params, kernel1d, tgrid,
+                     smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3),
+                     callback=lambda *args: reported.append(args))
+    assert reported == []
+
+
 def assert_final_adjoint_is_fresh(report, initial, spec, params, kernel, tgrid):
     """final_adjoint is bitwise a fresh adjoint sweep at the final controls."""
     adj = report.final_adjoint

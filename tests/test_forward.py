@@ -148,14 +148,10 @@ def test_step_rejects_inadmissible_params(grid1d, kernel1d):
         one_step(state, zero, zero, params, kernel1d, dt=0.01)
 
 
-def test_simulate_zero_steps(grid1d, kernel1d, params):
-    tgrid = TimeGrid(1.0, 0)
-    phi0 = smooth_phi0(grid1d)
-    sigma0 = ScalarField.constant(grid1d, 0.1)
-    traj = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 0), params, kernel1d, tgrid)
-    assert traj.steps == 0
-    assert np.array_equal(traj.phi[0], phi0.values)
-    assert np.array_equal(traj.sigma[0], sigma0.values)
+def test_time_grid_rejects_zero_steps():
+    # every run takes at least one step, so every trajectory has operators
+    with pytest.raises(FieldShapeError, match="step count must be positive, got 0"):
+        TimeGrid(1.0, 0)
 
 
 def test_simulate_constant_trajectory(grid1d, kernel1d, params_gradient_flow, tgrid20):

@@ -111,6 +111,16 @@ def test_model_params_invariants():
         ModelParams(A=1.0, B=1.0, lambda_s=-1.0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("A", np.inf), ("B", np.inf), ("chi", np.nan), ("lambda_s", np.nan), ("lambda_s", np.inf),
+])
+def test_model_params_rejects_nonfinite(name, value):
+    # NaN passes the sign checks, and an infinite coefficient would surface
+    # only later, as a non-finite margin or implicit diagonal
+    with pytest.raises(HypothesisViolationError, match=f"{name} must be finite, got {value}"):
+        ModelParams(**{"A": 1.0, "B": 1.0, name: value})
+
+
 def test_ellipticity_margin_formula():
     grid = GridSpec((32,), (1.0,))
     kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)

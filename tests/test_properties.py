@@ -57,7 +57,7 @@ def admissible_runs(draw, chi_max: float):
 
     A = draw(st.floats(0.2, 1.0))
     chi = draw(st.floats(0.0, chi_max))
-    potential = PotentialSpec("quartic_double_well")
+    potential = PotentialSpec()
     # B min a exceeds chi^2 - A min F'' by a drawn factor
     B = draw(st.floats(1.1, 3.0)) * (chi * chi - A * potential.second_derivative_min) / min_a
     params = ModelParams(

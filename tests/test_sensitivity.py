@@ -206,26 +206,6 @@ def test_gradcheck_passes_with_chemotaxis(cells, extents, family, width):
     assert result.passed
 
 
-def test_reverse_sweeps_of_zero_steps(grid1d, kernel1d, params, rng):
-    # a run of zero steps has no operators: the VJP is empty and the adjoint
-    # holds only the terminal rows
-    n = grid1d.num_cells
-    phi0 = smooth_phi0(grid1d)
-    sigma0 = ScalarField.constant(grid1d, 0.3)
-    traj = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 0), params, kernel1d,
-                    TimeGrid(0.1, 0))
-    assert traj.ops is None
-    u_bar, v_bar = vjp_sweep(traj, rng.standard_normal((1, n)), rng.standard_normal((1, n)))
-    assert u_bar.shape == (0, n) and v_bar.shape == (0, n)
-    target = ScalarField.constant(grid1d, 0.1)
-    spec = CostSpec.tracking(grid1d, 0, alpha_omega=2.0, beta_omega=0.5,
-                             phi_omega=target, sigma_omega=target)
-    adj = adjoint_sweep(traj, spec, params, kernel1d)
-    assert adj.p.shape == (1, n) and adj.r.shape == (1, n)
-    assert np.array_equal(adj.p[0], 2.0 * (phi0.values - target.values))
-    assert np.array_equal(adj.r[0], 0.5 * (sigma0.values - target.values))
-
-
 def test_sweeps_reject_stale_trajectory(base_setup, grid1d, kernel1d, params):
     # the adjoint sweep still takes params and kernel; given other ones than
     # the trajectory was simulated with, it refuses
