@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import snapshots
-from .config import (RunConfig, config_from_dict, config_json, config_to_dict,
-                     load_config)
+from .config import RunConfig, config_from_dict, config_json, read_config_json
 from .control import pgd_optimize, projection_formula_defect
 from .errors import ConfigError, InstabilityError, NLCHError, SolverError
 from .forward import simulate
@@ -223,13 +222,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        raw = read_config_json(args.config)
+        if args.seed is not None:
+            # validated with the file, so a bad seed is a collected failure
+            raw = {**raw, "seed": args.seed}
+        cfg = config_from_dict(raw, base_dir=str(Path(args.config).parent))
         if args.out is not None:
             cfg = dataclasses.replace(cfg, output_directory=args.out)
-        if args.seed is not None:
-            # through the parser again, so a bad seed is a collected failure
-            cfg = config_from_dict({**config_to_dict(cfg), "seed": args.seed},
-                                   base_dir=cfg.base_dir)
         handler = {
             "simulate": cmd_simulate,
             "optimize": cmd_optimize,

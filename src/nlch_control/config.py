@@ -137,6 +137,10 @@ class RunConfig:
     snapshot_stride: int
     seed: int
     base_dir: str = field(default=".", compare=False)
+    # [(spec, grid), kernel] of the kernel built last, which build_kernel
+    # hands out again for the same key: validation builds it, the command
+    # reuses it
+    kernel_slot: list = field(default_factory=list, compare=False, repr=False)
 
     # ---- builders -------------------------------------------------------
 
@@ -145,9 +149,11 @@ class RunConfig:
 
     def build_kernel(self, grid: GridSpec | None = None) -> KernelData:
         grid = grid or self.build_grid()
-        return build_kernel(
-            KernelSpec(self.kernel_family, self.kernel_amplitude, self.kernel_width), grid
-        )
+        key = (KernelSpec(self.kernel_family, self.kernel_amplitude, self.kernel_width), grid)
+        slot = self.kernel_slot
+        if not slot or slot[0] != key:
+            slot[:] = [key, build_kernel(*key)]
+        return slot[1]
 
     def build_params(self) -> ModelParams:
         return ModelParams(
@@ -563,8 +569,8 @@ def _validate(cfg: RunConfig, failures: list[str]):
             failures.append(f"box.{label}: file {bound.path!r} does not exist")
 
 
-def load_config(path) -> RunConfig:
-    """Parse and validate a configuration file."""
+def read_config_json(path) -> dict:
+    """Read a configuration file's JSON object, not yet validated."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -578,7 +584,12 @@ def load_config(path) -> RunConfig:
         ) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["configuration root must be a JSON object"])
-    return config_from_dict(raw, base_dir=str(path.parent))
+    return raw
+
+
+def load_config(path) -> RunConfig:
+    """Parse and validate a configuration file."""
+    return config_from_dict(read_config_json(path), base_dir=str(Path(path).parent))
 
 
 def config_to_dict(cfg: RunConfig) -> dict:

@@ -10,7 +10,8 @@ A 1D grid of at most DENSE_MAX_CELLS cells holds each operator of the scheme
 (convolution, Laplacian, implicit solves) as a dense matrix and applies it as
 one matvec, which needs numpy alone. Larger 1D grids and every 2D grid use
 FFTs and banded, DCT or sparse LU solvers from scipy, imported by
-load_scipy when the first such operator is built.
+load_scipy when the first such operator is built (the kernel, which loads
+it even for the 2D Gaussian, whose convolution is two dense products).
 """
 
 from __future__ import annotations
@@ -27,6 +28,9 @@ from .errors import FieldShapeError, GridError
 # end at 128, 192 and 256 cells (2-vCPU x86, default OpenBLAS threads) a
 # simulate and an optimize run faster dense than on FFT and banded solves.
 DENSE_MAX_CELLS = 256
+
+# Longest dot product inner_product hands to BLAS in one call (see there).
+DOT_CHUNK = 8192
 
 
 @dataclass(frozen=True)
@@ -164,9 +168,18 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
 
 
 def inner_product(f: ScalarField, g: ScalarField) -> float:
-    """Midpoint-quadrature L2 inner product: sum_i f_i g_i * cell_volume."""
+    """Midpoint-quadrature L2 inner product: sum_i f_i g_i * cell_volume.
+
+    OpenBLAS splits a dot product of more than 10000 values over its
+    threads, so its rounding would follow the thread count; a longer product
+    is summed in order from chunks of DOT_CHUNK values, each on one thread.
+    """
     grid = require_same_grid(f, g)
-    return float(np.dot(f.values, g.values) * grid.cell_volume)
+    x, y = f.values, g.values
+    dot = np.dot(x[:DOT_CHUNK], y[:DOT_CHUNK])
+    for start in range(DOT_CHUNK, x.size, DOT_CHUNK):
+        dot += np.dot(x[start:start + DOT_CHUNK], y[start:start + DOT_CHUNK])
+    return float(dot * grid.cell_volume)
 
 
 def mass(f: ScalarField) -> float:

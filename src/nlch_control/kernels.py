@@ -3,29 +3,38 @@ convolution (J*f)(x) = integral over the domain of J(x-y) f(y) dy.
 
 On a uniform grid the operator matrix entry (i, j) depends only on x_i - x_j,
 so the whole operator is a tap table over index offsets. `build_kernel`
-keeps one of two forms of it, together with the weight a = J*1 and its
-bound a* that the ellipticity gate reads:
+keeps one of two forms of it, chosen from the kernel's structure, together
+with the weight a = J*1 and its bound a* that the ellipticity gate reads:
 
-  1D, <= 256 cells   the dense matrix K = convolution_matrix(kernel); a
-                     convolution is one matvec (numpy only),
-  otherwise          the real FFT of the tap table zero-padded to a fast
-                     length of at least 2n - 1 per axis: linear convolution
-                     with no periodic wraparound, matching the integral's
-                     zero extension outside the domain, and long enough for
-                     the restricted window. A convolution is one forward and
-                     one inverse transform of the field.
+  factors    per-axis dense Toeplitz matrices whose Kronecker product is the
+             operator; a convolution is one product per axis (numpy only).
+             1D grids of at most 256 cells keep one factor, the dense
+             matrix K = convolution_matrix(kernel), applied as one matvec.
+             The 2D Gaussian exp(-|z|^2 / 2d^2) factors per axis, so every
+             2D Gaussian grid keeps T0 (with the amplitude) and T1 and
+             applies J*f as T0 F T1 on the field F shaped (n0, n1): two
+             matrix-matrix products instead of two 2D transforms.
+  spectrum   every other grid: the real FFT of the taps inside the reach,
+             zero-padded per axis to a fast length of at least n + R. The
+             reach R is the furthest index offset with a nonzero tap: for the
+             mollifier min(n - 1, ceil(width / h) - 1), for the Gaussian
+             n - 1. The window R .. R + n of the linear convolution is free
+             of wraparound at that length (see _fft_shape); with R = n - 1
+             it is the full 2n - 1 rule. A convolution is one forward and one
+             inverse transform of the field.
 
 convolve_array also takes a stack of fields, shape (rows, cells), and gives
 each row the bits it gets alone: the transforms act on each row
-independently, and the dense product multiplies row by row (a BLAS
-matrix-matrix product rounds differently from the matrix-vector one).
-convolution_matrix builds the dense operator afresh from the taps as a
-reference; both forms agree with it to relative 1e-12 by contract. The
-crossover is geometry.DENSE_MAX_CELLS.
+independently, and the factors multiply row by row (a BLAS product of a
+stack rounds differently from the product of one field). convolution_matrix
+builds the dense operator afresh from the full tap table as a reference;
+both forms agree with it to relative 1e-12 by contract. The 1D crossover is
+geometry.DENSE_MAX_CELLS.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,20 +88,23 @@ class KernelData:
     """Kernel sampled on a grid, with the induced weight field and its bound.
 
     taps[k...] holds J evaluated at every index offset (length 2n-1 per
-    axis). The operator is kept in one form: matrix, the dense operator
-    matrix, on the 1D grids with dense operators, otherwise spectrum, the
-    zero-padded real FFT of the taps times the cell volume; the other is
-    None. a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound
-    the ellipticity gate reads. The time stepper keeps its most recent operator
-    bundle in the operator slot, keyed on (params, dt) (see
+    axis); reach[k] is the furthest offset along axis k with a nonzero tap.
+    The operator is kept in one form, the other is None: factors, the
+    per-axis dense matrices whose Kronecker product is the operator (one on
+    the 1D grids with dense operators, two for the 2D Gaussian), or
+    spectrum, the zero-padded real FFT of the taps within the reach times
+    the cell volume. a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol,
+    the bound the ellipticity gate reads. The time stepper keeps its most
+    recent operator bundle in the operator slot, keyed on (params, dt) (see
     forward.step_operators).
     """
 
     spec: KernelSpec
     grid: GridSpec
     taps: np.ndarray = field(repr=False)
+    reach: tuple[int, ...]
+    factors: tuple[np.ndarray, ...] | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
-    matrix: np.ndarray | None = field(repr=False)
     a_field: ScalarField = field(repr=False)
     a_star: float
     operator_slot: list = field(default_factory=list, init=False, repr=False,
@@ -105,55 +117,75 @@ class KernelData:
             raise KernelResolutionError("a_star must dominate max(a_field)")
 
 
+def _axis_offsets(grid: GridSpec) -> list[np.ndarray]:
+    """Per-axis distance x_i - x_j of every index offset -(n-1) .. n-1."""
+    return [np.arange(-(n - 1), n) * h for n, h in zip(grid.cells_per_axis, grid.spacing)]
+
+
 def _offset_r2(grid: GridSpec) -> np.ndarray:
     """Squared distance |x_i - x_j|^2 for every index offset, shape (2n-1, ...)."""
-    axes = []
-    for n, h in zip(grid.cells_per_axis, grid.spacing):
-        offs = np.arange(-(n - 1), n) * h
-        axes.append(offs)
+    axes = _axis_offsets(grid)
     if grid.dim == 1:
         return axes[0] ** 2
     ox, oy = np.meshgrid(axes[0], axes[1], indexing="ij")
     return ox * ox + oy * oy
 
 
-def _fft_shape(grid: GridSpec) -> tuple[int, ...]:
-    """Per-axis transform length: the first fast length >= 2n - 1.
+def _reach(taps: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
+    """Furthest index offset per axis at which some tap is nonzero."""
+    reach = []
+    for axis, n in enumerate(grid.cells_per_axis):
+        others = tuple(a for a in range(grid.dim) if a != axis)
+        used = np.flatnonzero(np.any(taps, axis=others))
+        reach.append(int(np.max(np.abs(used - (n - 1)))))
+    return tuple(reach)
 
-    Output index i of the restricted window reads the linear convolution at
-    i + n - 1, which needs taps at offsets up to 2n - 2 from every input
-    index; a length of 2n - 1 or more keeps those free of wraparound.
+
+def _fft_shape(grid: GridSpec, reach: tuple[int, ...]) -> tuple[int, ...]:
+    """Per-axis transform length: the first fast length >= n + R.
+
+    The taps at offsets -R..R sit at indices 0..2R. Output i of the
+    restricted window reads the circular convolution at i + R, which takes
+    tap index i - j + R from input j, between R - n + 1 and R + n - 1; every
+    index outside 0..2R must land on zero padding, which a length of n + R
+    or more ensures.
     """
     fft = load_scipy().fft
-    return tuple(fft.next_fast_len(2 * n - 1, real=True) for n in grid.cells_per_axis)
+    return tuple(fft.next_fast_len(n + r, real=True)
+                 for n, r in zip(grid.cells_per_axis, reach))
 
 
-def _tap_spectrum(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Real FFT of a zero-padded tap table, times the cell volume."""
-    return load_scipy().fft.rfftn(taps, s=_fft_shape(grid)) * grid.cell_volume
+def _tap_spectrum(taps: np.ndarray, grid: GridSpec, reach: tuple[int, ...]) -> np.ndarray:
+    """Real FFT of the taps within the reach, zero-padded, times the cell volume."""
+    inside = tuple(slice(n - 1 - r, n + r) for n, r in zip(grid.cells_per_axis, reach))
+    return load_scipy().fft.rfftn(taps[inside], s=_fft_shape(grid, reach)) * grid.cell_volume
 
 
-def _apply_spectrum(spectrum: np.ndarray, values: np.ndarray, grid: GridSpec) -> np.ndarray:
+def _apply_spectrum(spectrum: np.ndarray, reach: tuple[int, ...], values: np.ndarray,
+                    grid: GridSpec) -> np.ndarray:
     """Zero-padded linear convolution with a tap spectrum, restricted to the
     grid; values is one field (cells,) or a stack of fields (rows, cells)."""
     fft = load_scipy().fft
     shape = grid.cells_per_axis
-    fft_shape = _fft_shape(grid)
+    fft_shape = _fft_shape(grid, reach)
     lead = values.shape[:-1]
     # with s given and no axes, the transforms run over the last grid.dim axes
     f_hat = fft.rfftn(values.reshape(lead + shape), s=fft_shape)
     full = fft.irfftn(f_hat * spectrum, s=fft_shape)
-    window = (Ellipsis,) + tuple(slice(n - 1, 2 * n - 1) for n in shape)
+    window = (Ellipsis,) + tuple(slice(r, r + n) for n, r in zip(shape, reach))
     return full[window].reshape(lead + (-1,))
+
+
+def _toeplitz(taps: np.ndarray, n: int) -> np.ndarray:
+    """Matrix M[i, j] = taps[i - j + n - 1] of a 1D tap table over offsets."""
+    idx = np.arange(n)
+    return taps[idx[:, None] - idx[None, :] + (n - 1)]
 
 
 def _taps_matrix(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Dense operator matrix of a tap table: K[i, j] = J(x_i - x_j) * cell_volume."""
     if grid.dim == 1:
-        n = grid.cells_per_axis[0]
-        idx = np.arange(n)
-        off = idx[:, None] - idx[None, :] + (n - 1)
-        return taps[off] * grid.cell_volume
+        return _toeplitz(taps, grid.cells_per_axis[0]) * grid.cell_volume
     n0, n1 = grid.cells_per_axis
     i0 = np.arange(n0)
     i1 = np.arange(n1)
@@ -164,18 +196,35 @@ def _taps_matrix(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
     return mat.reshape(n, n) * grid.cell_volume
 
 
-def _apply_matrix(matrix: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Dense operator times one field, or times each row of a stack of fields."""
-    if values.ndim == 1:
-        return matrix @ values
-    out = np.empty_like(values)
-    for row, field_values in zip(out, values):
-        row[:] = matrix @ field_values
-    return out
+def _gaussian_factors(spec: KernelSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Per-axis Toeplitz factors of the 2D Gaussian, J(z) = amp g(z_0) g(z_1)
+    with g(s) = exp(-s^2 / 2d^2): T0 = amp g(offsets_0) h_0, T1 = g(offsets_1) h_1.
+    Both are symmetric."""
+    unit = dataclasses.replace(spec, amplitude=1.0)
+    (o0, o1), (n0, n1), (h0, h1) = _axis_offsets(grid), grid.cells_per_axis, grid.spacing
+    return (_toeplitz(spec.evaluate_r2(o0 * o0), n0) * h0,
+            _toeplitz(unit.evaluate_r2(o1 * o1), n1) * h1)
+
+
+def _apply_factors(factors: tuple[np.ndarray, ...], values: np.ndarray,
+                   grid: GridSpec) -> np.ndarray:
+    """Kronecker product of per-axis factors times one field, or times each
+    row of a stack of fields."""
+    if values.ndim > 1:
+        out = np.empty_like(values)
+        for row, field_values in zip(out, values):
+            row[:] = _apply_factors(factors, field_values, grid)
+        return out
+    if len(factors) == 1:
+        return factors[0] @ values
+    t0, t1 = factors
+    # T1 is symmetric: F T1 is F T1^T
+    return (t0 @ values.reshape(grid.cells_per_axis) @ t1).reshape(-1)
 
 
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
-    """Sample the kernel on the grid and derive a = J*1 and a_star.
+    """Sample the kernel on the grid, keep the form its structure allows and
+    derive a = J*1 and a_star.
 
     Rejects widths below half a cell spacing: such kernels alias (the grid
     cannot resolve them).
@@ -186,20 +235,30 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             "need width >= spacing / 2"
         )
     taps = spec.evaluate_r2(_offset_r2(grid))
-    spectrum = matrix = None
+    reach = _reach(taps, grid)
+    factors = spectrum = None
     if uses_dense_operators(grid):
-        matrix = _taps_matrix(taps, grid)
-        j_one = _apply_matrix(matrix, np.ones(grid.num_cells))
+        factors = (_taps_matrix(taps, grid),)
     else:
-        spectrum = _tap_spectrum(taps, grid)
-        j_one = _apply_spectrum(spectrum, np.ones(grid.num_cells), grid)
+        # every non-dense grid loads scipy here, even with no transform to
+        # build, so the solvers' import stays in set-up
+        load_scipy()
+        if spec.family == "gaussian" and grid.dim == 2:
+            factors = _gaussian_factors(spec, grid)
+        else:
+            spectrum = _tap_spectrum(taps, grid, reach)
+    ones = np.ones(grid.num_cells)
+    if factors is not None:
+        j_one = _apply_factors(factors, ones, grid)
+    else:
+        j_one = _apply_spectrum(spectrum, reach, ones, grid)
     # both families are nonnegative, so |taps| == taps and the bound
     # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
     a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
     a_field = ScalarField(grid, np.maximum(j_one, 0.0))
-    return KernelData(spec=spec, grid=grid, taps=taps, spectrum=spectrum, matrix=matrix,
-                      a_field=a_field, a_star=a_star)
+    return KernelData(spec=spec, grid=grid, taps=taps, reach=reach, factors=factors,
+                      spectrum=spectrum, a_field=a_field, a_star=a_star)
 
 
 def convolve(kernel: KernelData, f: ScalarField) -> ScalarField:
@@ -213,16 +272,16 @@ def convolve(kernel: KernelData, f: ScalarField) -> ScalarField:
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
     """Raw-array convolution used in solver hot paths; values is one field
     (cells,) or a stack of fields (rows, cells)."""
-    if kernel.matrix is not None:
-        return _apply_matrix(kernel.matrix, values)
-    return _apply_spectrum(kernel.spectrum, values, kernel.grid)
+    if kernel.factors is not None:
+        return _apply_factors(kernel.factors, values, kernel.grid)
+    return _apply_spectrum(kernel.spectrum, kernel.reach, values, kernel.grid)
 
 
 def convolution_matrix(kernel: KernelData) -> np.ndarray:
     """Dense operator matrix K[i, j] = J(x_i - x_j) * cell_volume.
 
     Symmetric because J is even and the grid uniform. Built afresh from the
-    taps; intended for small grids, as the reference the tests compare the
-    kept form against.
+    full tap table, not from the kept form; intended for small grids, as the
+    reference the tests compare the kept form against.
     """
     return _taps_matrix(kernel.taps, kernel.grid)

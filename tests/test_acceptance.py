@@ -327,21 +327,38 @@ def test_criterion_9_bitwise_determinism(tmp_path, monkeypatch):
         assert_same_artifacts(tmp_path / "o1", tmp_path / "o2")
 
 
-@pytest.mark.parametrize("cells", [32, DENSE_MAX_CELLS])
-def test_criterion_9_identity_across_blas_threads(tmp_path, cells):
-    # the dense 1D operators are BLAS matrix-vector products: the optimize
-    # artifacts must not depend on the run or on the OpenBLAS thread count.
-    # Whether OpenBLAS splits a GEMV over threads depends on the matrix size,
-    # so a small grid and the largest dense grid both run
-    config = dict(CRITERION_9_OPTIMIZE, grid={"cells": [cells], "extent": [1.0]})
-    (tmp_path / "opt.json").write_text(json.dumps(config))
+@pytest.mark.parametrize("command,config", [
+    pytest.param("optimize", dict(CRITERION_9_OPTIMIZE, grid={"cells": [cells], "extent": [1.0]}),
+                 id=str(cells))
+    for cells in (32, DENSE_MAX_CELLS)
+] + [
+    pytest.param("simulate", dict(CRITERION_9_SIMULATE,
+                                  grid={"cells": [128, 128], "extent": [1.0, 1.0]},
+                                  kernel={"family": "gaussian", "amplitude": 20.0,
+                                          "width": 0.15},
+                                  initial={"phi": {"kind": "bumps", "background": -0.4,
+                                                   "centers": [[0.5, 0.4]],
+                                                   "amplitudes": [0.9], "widths": [0.12]},
+                                           "sigma": {"kind": "constant", "value": 0.3}},
+                                  time={"T": 0.01, "steps": 4}),
+                 id="gaussian-128x128"),
+])
+def test_criterion_9_identity_across_blas_threads(tmp_path, command, config):
+    # the dense 1D operators are BLAS matrix-vector products and the 2D
+    # Gaussian convolution is two BLAS matrix-matrix products: the artifacts
+    # must not depend on the run or on the OpenBLAS thread count. Whether
+    # OpenBLAS splits a product over threads depends on its size, so a small
+    # grid and the largest dense grid both run, and the 128 x 128 grid has
+    # more than the 10000 values past which it splits a dot product (the
+    # energy monitor's inner products)
+    (tmp_path / "run.json").write_text(json.dumps(config))
     src = str(Path(nlch_control.__file__).resolve().parents[1])
     runs = []
     for i, threads in enumerate(("1", "1", "2", "2")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
         env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
         runs.append(tmp_path / f"o{i}")
-        subprocess.run([sys.executable, "-m", "nlch_control", "optimize", "--config", "opt.json",
+        subprocess.run([sys.executable, "-m", "nlch_control", command, "--config", "run.json",
                         "--out", runs[-1].name, "--quiet"],
                        cwd=tmp_path, env=env, check=True, timeout=300)
     assert_same_artifacts(*runs)

@@ -652,6 +652,32 @@ def test_cmd_optimize_sweeps_once_per_trial_and_iterate(tmp_path, monkeypatch):
                       "vjp_sweep": 0, "adjoint_sweep": 1 + iterations}
 
 
+@pytest.mark.parametrize("argv", [["simulate"], ["gradcheck"], ["optimize"],
+                                  ["simulate", "--seed", "7"]], ids=" ".join)
+def test_command_builds_its_kernel_once(tmp_path, monkeypatch, argv):
+    # validation builds the kernel to check the ellipticity margin; the
+    # command runs with that kernel instead of building another
+    from nlch_control import kernels
+
+    monkeypatch.chdir(tmp_path)
+    original = kernels.build_kernel
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "nlch_control" or name.startswith("nlch_control."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    path = write_cfg(tmp_path, {"time": {"T": 0.02, "steps": 2},
+                                "optimizer": {"tol": 1e-6, "max_iter": 2, "tau0": 1.0}})
+    assert main(argv + ["--config", str(path), "--quiet"]) == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_config_to_dict_is_stable(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_config(path)

@@ -71,16 +71,46 @@ def test_convolve_spike_gives_kernel_column(grid1d_small):
     assert np.allclose(got, expected, rtol=1e-12, atol=1e-13)
 
 
+def expected_form(family: str, grid: GridSpec) -> str:
+    if grid.dim == 1 and grid.num_cells <= DENSE_MAX_CELLS:
+        return "dense matrix"
+    if family == "gaussian" and grid.dim == 2:
+        return "separable"
+    return "spectrum"
+
+
+def kept_form(k) -> str:
+    if k.spectrum is not None:
+        assert k.factors is None
+        return "spectrum"
+    return {1: "dense matrix", 2: "separable"}[len(k.factors)]
+
+
+def support_reach(spec: KernelSpec, grid: GridSpec) -> tuple[int, ...]:
+    # the furthest index offset inside the kernel's support, per axis
+    if spec.family == "gaussian":
+        return tuple(n - 1 for n in grid.cells_per_axis)
+    return tuple(min(n - 1, int(np.ceil(spec.width / h)) - 1)
+                 for n, h in zip(grid.cells_per_axis, grid.spacing))
+
+
 @pytest.mark.parametrize("family", ["gaussian", "mollifier"])
 def test_fft_matches_direct_loop(rng, family, grid1d_small, grid2d):
-    # the two small 1D grids hold the dense matrix, the others the FFT
-    # spectrum; 2n - 1 is a fast FFT length on the 313-cell grid only, on the
-    # others the spectrum is padded past the minimum on some axis
-    for grid in (grid1d_small, GridSpec((50,), (1.0,)), grid2d, GridSpec((13, 9), (1.3, 0.7)),
-                 GridSpec((313,), (1.0,)), GridSpec((300,), (1.0,))):
-        spec = KernelSpec(family, 2.0, 0.3)
+    # the two small 1D grids hold the dense matrix, the 2D Gaussian its two
+    # per-axis factors, the others the FFT spectrum; 2n - 1 is a fast FFT
+    # length on the 313-cell grid only, on the others the spectrum is padded
+    # past the minimum on some axis. At width 0.3 the mollifier's reach is
+    # below n - 1 on the 2D and large 1D grids; at width 2.0 it is wider
+    # than the domain and its reach is clipped to n - 1; on the 40 x 12 grid
+    # it is clipped on the short axis only
+    for grid, width in ((grid1d_small, 0.3), (GridSpec((50,), (1.0,)), 0.3), (grid2d, 0.3),
+                        (GridSpec((13, 9), (1.3, 0.7)), 0.3), (GridSpec((40, 12), (1.0, 0.3)), 0.4),
+                        (GridSpec((13, 9), (1.3, 0.7)), 2.0), (GridSpec((313,), (1.0,)), 0.3),
+                        (GridSpec((300,), (1.0,)), 0.3), (GridSpec((300,), (1.0,)), 2.0)):
+        spec = KernelSpec(family, 2.0, width)
         k = build_kernel(spec, grid)
-        assert (k.matrix is not None) == (grid.dim == 1 and grid.num_cells <= 256)
+        assert kept_form(k) == expected_form(family, grid)
+        assert k.reach == support_reach(spec, grid)
         f_vals = rng.standard_normal(grid.num_cells)
         f = ScalarField(grid, f_vals)
         fast_result = convolve(k, f).values
@@ -89,6 +119,17 @@ def test_fft_matches_direct_loop(rng, family, grid1d_small, grid2d):
         scale = max(1.0, np.max(np.abs(oracle)))
         assert np.max(np.abs(fast_result - direct_result)) <= 1e-12 * scale
         assert np.max(np.abs(fast_result - oracle)) <= 1e-12 * scale
+
+
+def test_reach_is_the_furthest_nonzero_tap():
+    # width / h = 4 up to rounding on the short axis: the tap at offset 4
+    # lies on the support's edge and is zero, so the reach is 3 where
+    # ceil(width / h) - 1 reads 4
+    grid = GridSpec((40, 12), (1.0, 0.3))
+    k = build_kernel(KernelSpec("mollifier", 4.0, 0.1), grid)
+    assert k.reach == (3, 3)
+    centre = k.taps[39, 11:]
+    assert centre[3] > 0.0 and np.all(centre[4:] == 0.0)
 
 
 def test_cli_import_leaves_scipy_signal_out():
@@ -174,18 +215,24 @@ def test_convolution_at_dense_crossover(rng, cells):
     # FFT spectrum
     grid = GridSpec((cells,), (1.0,))
     k = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
-    assert (k.matrix is not None) == (cells <= DENSE_MAX_CELLS)
-    assert (k.spectrum is not None) == (cells > DENSE_MAX_CELLS)
+    assert kept_form(k) == ("dense matrix" if cells <= DENSE_MAX_CELLS else "spectrum")
     f = ScalarField(grid, rng.standard_normal(cells))
     direct = convolution_matrix(k) @ f.values
     assert np.max(np.abs(convolve(k, f).values - direct)) <= 1e-12 * np.max(np.abs(direct))
 
 
-@pytest.mark.parametrize("cells", [(256,), (257,), (12, 10)], ids=str)
-def test_convolve_array_stacked_rows_bitwise(rng, cells):
+@pytest.mark.parametrize("family,cells,extent,width", [
+    pytest.param("mollifier", (256,), (1.0,), 0.3, id="(256,)"),
+    pytest.param("mollifier", (257,), (1.0,), 0.3, id="(257,)"),
+    pytest.param("mollifier", (12, 10), (1.0, 1.0), 0.3, id="(12, 10)"),
+    pytest.param("gaussian", (12, 10), (1.0, 1.0), 0.3, id="gaussian-(12, 10)"),
+    # reach 15 < 39 on the long axis, clipped to n - 1 = 11 on the short one
+    pytest.param("mollifier", (40, 12), (1.0, 0.3), 0.4, id="mollifier-(40, 12)"),
+])
+def test_convolve_array_stacked_rows_bitwise(rng, family, cells, extent, width):
     # a stacked row gets the bits of the lone field on every path
-    grid = GridSpec(cells, (1.0,) * len(cells))
-    k = build_kernel(KernelSpec("mollifier", 4.0, 0.3), grid)
+    grid = GridSpec(cells, extent)
+    k = build_kernel(KernelSpec(family, 4.0, width), grid)
     block = rng.standard_normal((5, grid.num_cells))
     stacked = convolve_array(k, block)
     assert stacked.shape == block.shape

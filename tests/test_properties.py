@@ -3,7 +3,9 @@
 Hypothesis draws 1D or 2D grids with anisotropic cell counts and extents,
 both kernel families, every model family and chi in [0, 0.5], and builds B
 so that the ellipticity gate A min F'' + B min a > chi^2 holds by
-construction. The draws are derandomised. Hypothesis also draws constants it finds in the
+construction; the last property draws 2D grids, kernels and widths alone and
+checks the convolution against its dense operator. The draws are
+derandomised. Hypothesis also draws constants it finds in the
 loaded modules, so which examples run can depend on what else the session
 imports; the properties must hold on the whole drawn domain.
 """
@@ -15,8 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
-                          ScalarField, TimeGrid, build_kernel, duality_gap,
+                          ScalarField, TimeGrid, build_kernel, convolve, duality_gap,
                           mass_balance_residual, simulate)
+from nlch_control.kernels import convolution_matrix
 from nlch_control.physics import DistributionSpec, PotentialSpec, ProliferationSpec
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
@@ -105,3 +108,20 @@ def test_tangent_and_adjoint_are_exact_transposes(run):
     gap = duality_gap(traj, rng.standard_normal(shape), rng.standard_normal(shape),
                       rng.standard_normal(seeds), rng.standard_normal(seeds))
     assert gap <= 1e-10
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(2, 24), st.integers(2, 24), st.floats(0.3, 2.0), st.floats(0.3, 2.0),
+       st.sampled_from(["gaussian", "mollifier"]), st.floats(0.5, 40.0),
+       st.integers(0, 2**32 - 1))
+def test_2d_convolution_matches_dense_operator(n0, n1, e0, e1, family, width_factor, seed):
+    # every form a 2D kernel keeps (separable factors, spectrum within the
+    # reach, the reach clipped to the grid) against the operator built from
+    # the full tap table
+    grid = GridSpec((n0, n1), (e0, e1))
+    kernel = build_kernel(KernelSpec(family, 3.0, width_factor * max(grid.spacing)), grid)
+    f = np.random.default_rng(seed).standard_normal(grid.num_cells)
+    matrix = convolution_matrix(kernel)
+    got = convolve(kernel, ScalarField(grid, f)).values
+    # relative to the sum of absolute terms, the scale of the rounding
+    assert np.all(np.abs(got - matrix @ f) <= 1e-12 * (np.abs(matrix) @ np.abs(f)))
