@@ -262,7 +262,7 @@ class RunConfig:
                 np.tile(v_field.values, (tgrid.steps, 1)),
             )
             traj = simulate(phi0, sigma0, target_controls, params, kernel, tgrid,
-                            blowup_guard=self.blowup_guard)
+                            blowup_guard=self.blowup_guard, record_monitors=False)
             return CostSpec.tracking(
                 grid, tgrid.steps, **weights,
                 phi_omega=ScalarField(grid, traj.phi[tgrid.steps]),

@@ -184,15 +184,14 @@ def chemical_potential(phi: ScalarField, sigma: ScalarField, params: ModelParams
     grid = phi.grid
     if sigma.grid != grid or kernel.grid != grid:
         raise FieldShapeError("chemical_potential inputs on different grids")
-    vals = _chemical_potential_array(phi.values, sigma.values, params, kernel)
+    vals = _chemical_potential_array(phi.values, sigma.values, params, kernel,
+                                     convolve_array(kernel, phi.values))
     return ScalarField(grid, vals)
 
 
 def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelParams,
-                              kernel: KernelData, j_phi: np.ndarray | None = None
-                              ) -> np.ndarray:
-    if j_phi is None:
-        j_phi = convolve_array(kernel, phi)
+                              kernel: KernelData, j_phi: np.ndarray) -> np.ndarray:
+    """mu from arrays, given j_phi = J*phi."""
     return (
         params.A * params.potential.evaluate(phi, 1)
         + params.B * (kernel.a_field.values * phi - j_phi)
@@ -201,10 +200,9 @@ def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelP
 
 
 def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
-                j_phi: np.ndarray | None = None
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The explicit factors of one step: mu, gap = sigma + chi (1 - phi) - mu,
-    P(phi) and h(phi). j_phi is J*phi when the caller already has it."""
+    P(phi) and h(phi), given j_phi = J*phi."""
     mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
     gap = sigma + params.chi * (1.0 - phi) - mu
     prolif = params.proliferation.evaluate(phi, 0)
@@ -220,12 +218,16 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
 
     phi, sigma and u are one step's rows (cells,) or the rows of a block of
     steps (rows, cells); the factors come back in the same shape. Uses the
-    forward step's own expressions, and convolve_array gives a stacked row
-    the bits of a lone one, so every row of a block is bitwise the factors
-    the forward step used.
+    forward step's own expressions and convolves each row alone, as the
+    forward step does, so every row of a block is bitwise the factors the
+    forward step used.
     """
     params = ops.params
-    _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma)
+    if phi.ndim == 1:
+        j_phi = ops.conv(phi)
+    else:
+        j_phi = np.array([ops.conv(row) for row in phi])
+    _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
     prolif_d = params.proliferation.evaluate(phi, 1)
     distrib_d = (prolif_d if params.distribution_is_proliferation
                  else params.distribution.evaluate(phi, 1))
@@ -234,8 +236,9 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
 
 
 def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
-               u: np.ndarray, v: np.ndarray, j_phi: np.ndarray | None = None
+               u: np.ndarray, v: np.ndarray, j_phi: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
+    """One step from (phi, sigma) under (u, v), given j_phi = J*phi."""
     params = ops.params
     mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
 
@@ -322,11 +325,8 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     sigma[0] = sigma0.values
 
     monitors: list[tuple] = []
-    # with monitors on, J*phi_n is computed once, for the energy of state n
-    # and for the step from it
-    j_phi = None
 
-    def monitor_row(n: int) -> tuple:
+    def monitor_row(n: int, j_phi: np.ndarray) -> tuple:
         state = State(ScalarField(grid, phi[n]), ScalarField(grid, sigma[n]))
         return (
             n,
@@ -338,21 +338,20 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
             state.sigma.sup_norm(),
         )
 
-    if record_monitors:
-        j_phi = convolve_array(kernel, phi[0])
-        monitors.append(monitor_row(0))
-
     ops = step_operators(grid, params, kernel, tgrid.dt)
     for n in range(tgrid.steps):
+        # J*phi_n, once: for the step from state n and for its energy
+        j_phi = convolve_array(kernel, phi[n])
+        if record_monitors:
+            monitors.append(monitor_row(n, j_phi))
         phi_new, sigma_new = _step_core(
             ops, phi[n], sigma[n], controls.u[n], controls.v[n], j_phi
         )
         _guard_step(n, phi_new, sigma_new, blowup_guard)
         phi[n + 1] = phi_new
         sigma[n + 1] = sigma_new
-        if record_monitors:
-            j_phi = convolve_array(kernel, phi[n + 1])
-            monitors.append(monitor_row(n + 1))
+    if record_monitors:
+        monitors.append(monitor_row(tgrid.steps, convolve_array(kernel, phi[tgrid.steps])))
 
     return StateTrajectory(
         grid=grid,
@@ -402,8 +401,9 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
     worst = 0.0
     for n in range(traj.steps):
         rate = (np.sum(traj.phi[n + 1]) - np.sum(traj.phi[n])) * vol / dt
-        _, gap, prolif, distrib = _step_terms(params, traj.ops.kernel, traj.phi[n],
-                                              traj.sigma[n])
+        phi = traj.phi[n]
+        _, gap, prolif, distrib = _step_terms(params, traj.ops.kernel, phi, traj.sigma[n],
+                                              traj.ops.conv(phi))
         source = float(np.sum(prolif * gap - distrib * controls.u[n])) * vol
         scale = max(1.0, abs(rate), abs(source))
         worst = max(worst, abs(rate - source) / scale)

@@ -23,13 +23,12 @@ with the weight a = J*1 and its bound a* that the ellipticity gate reads:
              it is the full 2n - 1 rule. A convolution is one forward and one
              inverse transform of the field.
 
-convolve_array also takes a stack of fields, shape (rows, cells), and gives
-each row the bits it gets alone: the transforms act on each row
-independently, and the factors multiply row by row (a BLAS product of a
-stack rounds differently from the product of one field). convolution_matrix
-builds the dense operator afresh from the full tap table as a reference;
-both forms agree with it to relative 1e-12 by contract. The 1D crossover is
-geometry.DENSE_MAX_CELLS.
+convolve_array applies either form to one field. The full tap table, over
+every index offset, is sampled only where a form is built from it (the 1D
+dense matrix and the spectrum) and is not kept; the 2D Gaussian samples one
+row per axis. convolution_matrix samples the table afresh and builds the
+dense operator from it as a reference; both forms agree with it to relative
+1e-12 by contract. The 1D crossover is geometry.DENSE_MAX_CELLS.
 """
 
 from __future__ import annotations
@@ -87,8 +86,7 @@ class KernelSpec:
 class KernelData:
     """Kernel sampled on a grid, with the induced weight field and its bound.
 
-    taps[k...] holds J evaluated at every index offset (length 2n-1 per
-    axis); reach[k] is the furthest offset along axis k with a nonzero tap.
+    reach[k] is the furthest index offset along axis k at which J is nonzero.
     The operator is kept in one form, the other is None: factors, the
     per-axis dense matrices whose Kronecker product is the operator (one on
     the 1D grids with dense operators, two for the 2D Gaussian), or
@@ -101,7 +99,6 @@ class KernelData:
 
     spec: KernelSpec
     grid: GridSpec
-    taps: np.ndarray = field(repr=False)
     reach: tuple[int, ...]
     factors: tuple[np.ndarray, ...] | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
@@ -131,14 +128,17 @@ def _offset_r2(grid: GridSpec) -> np.ndarray:
     return ox * ox + oy * oy
 
 
-def _reach(taps: np.ndarray, grid: GridSpec) -> tuple[int, ...]:
+def _row_reach(row: np.ndarray) -> int:
+    """Furthest offset from the centre of a 1D row over offsets -(n-1) .. n-1
+    at which the row is nonzero."""
+    return int(np.max(np.abs(np.flatnonzero(row) - row.size // 2)))
+
+
+def _reach(taps: np.ndarray) -> tuple[int, ...]:
     """Furthest index offset per axis at which some tap is nonzero."""
-    reach = []
-    for axis, n in enumerate(grid.cells_per_axis):
-        others = tuple(a for a in range(grid.dim) if a != axis)
-        used = np.flatnonzero(np.any(taps, axis=others))
-        reach.append(int(np.max(np.abs(used - (n - 1)))))
-    return tuple(reach)
+    axes = range(taps.ndim)
+    return tuple(_row_reach(np.any(taps, axis=tuple(a for a in axes if a != axis)))
+                 for axis in axes)
 
 
 def _fft_shape(grid: GridSpec, reach: tuple[int, ...]) -> tuple[int, ...]:
@@ -163,17 +163,15 @@ def _tap_spectrum(taps: np.ndarray, grid: GridSpec, reach: tuple[int, ...]) -> n
 
 def _apply_spectrum(spectrum: np.ndarray, reach: tuple[int, ...], values: np.ndarray,
                     grid: GridSpec) -> np.ndarray:
-    """Zero-padded linear convolution with a tap spectrum, restricted to the
-    grid; values is one field (cells,) or a stack of fields (rows, cells)."""
+    """Zero-padded linear convolution of one field with a tap spectrum,
+    restricted to the grid."""
     fft = load_scipy().fft
     shape = grid.cells_per_axis
     fft_shape = _fft_shape(grid, reach)
-    lead = values.shape[:-1]
-    # with s given and no axes, the transforms run over the last grid.dim axes
-    f_hat = fft.rfftn(values.reshape(lead + shape), s=fft_shape)
+    f_hat = fft.rfftn(values.reshape(shape), s=fft_shape)
     full = fft.irfftn(f_hat * spectrum, s=fft_shape)
-    window = (Ellipsis,) + tuple(slice(r, r + n) for n, r in zip(shape, reach))
-    return full[window].reshape(lead + (-1,))
+    window = tuple(slice(r, r + n) for n, r in zip(shape, reach))
+    return full[window].reshape(-1)
 
 
 def _toeplitz(taps: np.ndarray, n: int) -> np.ndarray:
@@ -208,13 +206,7 @@ def _gaussian_factors(spec: KernelSpec, grid: GridSpec) -> tuple[np.ndarray, np.
 
 def _apply_factors(factors: tuple[np.ndarray, ...], values: np.ndarray,
                    grid: GridSpec) -> np.ndarray:
-    """Kronecker product of per-axis factors times one field, or times each
-    row of a stack of fields."""
-    if values.ndim > 1:
-        out = np.empty_like(values)
-        for row, field_values in zip(out, values):
-            row[:] = _apply_factors(factors, field_values, grid)
-        return out
+    """Kronecker product of per-axis factors times one field."""
     if len(factors) == 1:
         return factors[0] @ values
     t0, t1 = factors
@@ -234,17 +226,21 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             f"kernel width {spec.width} under-resolved on spacing {grid.spacing}; "
             "need width >= spacing / 2"
         )
-    taps = spec.evaluate_r2(_offset_r2(grid))
-    reach = _reach(taps, grid)
     factors = spectrum = None
-    if uses_dense_operators(grid):
-        factors = (_taps_matrix(taps, grid),)
-    else:
+    if not uses_dense_operators(grid):
         # every non-dense grid loads scipy here, even with no transform to
         # build, so the solvers' import stays in set-up
         load_scipy()
-        if spec.family == "gaussian" and grid.dim == 2:
-            factors = _gaussian_factors(spec, grid)
+    if spec.family == "gaussian" and grid.dim == 2:
+        factors = _gaussian_factors(spec, grid)
+        # J decreases with distance, so J on axis k is nonzero wherever some
+        # tap at that offset along axis k is: the rows give the reach
+        reach = tuple(_row_reach(spec.evaluate_r2(o * o)) for o in _axis_offsets(grid))
+    else:
+        taps = spec.evaluate_r2(_offset_r2(grid))
+        reach = _reach(taps)
+        if uses_dense_operators(grid):
+            factors = (_taps_matrix(taps, grid),)
         else:
             spectrum = _tap_spectrum(taps, grid, reach)
     ones = np.ones(grid.num_cells)
@@ -257,7 +253,7 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
     a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
     a_field = ScalarField(grid, np.maximum(j_one, 0.0))
-    return KernelData(spec=spec, grid=grid, taps=taps, reach=reach, factors=factors,
+    return KernelData(spec=spec, grid=grid, reach=reach, factors=factors,
                       spectrum=spectrum, a_field=a_field, a_star=a_star)
 
 
@@ -270,8 +266,7 @@ def convolve(kernel: KernelData, f: ScalarField) -> ScalarField:
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
-    """Raw-array convolution used in solver hot paths; values is one field
-    (cells,) or a stack of fields (rows, cells)."""
+    """Raw-array convolution of one field (cells,), used in solver hot paths."""
     if kernel.factors is not None:
         return _apply_factors(kernel.factors, values, kernel.grid)
     return _apply_spectrum(kernel.spectrum, kernel.reach, values, kernel.grid)
@@ -280,8 +275,9 @@ def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
 def convolution_matrix(kernel: KernelData) -> np.ndarray:
     """Dense operator matrix K[i, j] = J(x_i - x_j) * cell_volume.
 
-    Symmetric because J is even and the grid uniform. Built afresh from the
-    full tap table, not from the kept form; intended for small grids, as the
-    reference the tests compare the kept form against.
+    Symmetric because J is even and the grid uniform. Built afresh from a
+    freshly sampled full tap table, not from the kept form; intended for
+    small grids, as the reference the tests compare the kept form against.
     """
-    return _taps_matrix(kernel.taps, kernel.grid)
+    grid = kernel.grid
+    return _taps_matrix(kernel.spec.evaluate_r2(_offset_r2(grid)), grid)

@@ -10,9 +10,11 @@ truncation error, which is the property the optimiser relies on. The
 trajectory stores only the states; each sweep recomputes the steps'
 linearisations from phi_n, sigma_n and u_n. On a grid with dense operators
 it does so for a block of steps at a time, at most LINEARISE_CHUNK_VALUES
-values per array (one evaluation per block instead of one per step, and
-O(chunk) memory however long the trajectory); elsewhere step by step.
-Every row of a block is bitwise the per-step linearisation.
+values per array (one evaluation of the pointwise factors per block instead
+of one per step, and O(chunk) memory however long the trajectory);
+elsewhere step by step. The convolutions run one row at a time, as in the
+forward step, so every row of a block is bitwise the per-step
+linearisation.
 
 One backward loop, _reverse_sweep, serves both transposed products: the
 VJP is that loop seeded by arbitrary trajectory cotangents, and the discrete
@@ -38,8 +40,8 @@ from .physics import ModelParams
 
 # Values per array in one block of linearised steps on a dense-operator grid
 # (32 kB): the whole of most small 1D trajectories. Elsewhere each step is
-# its own block: on a 2-vCPU x86 machine, batched FFTs of 8 rows at 64 x 64
-# cost more per row than single rows.
+# its own block (batched FFTs of 8 rows at 64 x 64 cost more per row than
+# single rows on a 2-vCPU x86 machine, so every convolution takes one row).
 LINEARISE_CHUNK_VALUES = 1 << 12
 
 

@@ -96,9 +96,10 @@ def random_controls(rng, grid: GridSpec, steps: int, scale: float = 0.1) -> Cont
     )
 
 
-def random_run(rng, grid: GridSpec, params: ModelParams, steps: int = 20):
+def random_run(rng, grid: GridSpec, params: ModelParams, steps: int = 20,
+               family: str = "gaussian", width: float = 0.2):
     """A run over T = 0.25 from a smooth phi0 under random controls."""
-    kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.2), grid)
+    kernel = build_kernel(KernelSpec(family, 4.0, width), grid)
     return simulate(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
                     random_controls(rng, grid, steps), params, kernel, TimeGrid(0.25, steps))
 

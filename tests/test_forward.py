@@ -469,7 +469,7 @@ def test_alternating_keys_match_fresh_kernel(rng, request, grid_name):
 @pytest.mark.parametrize("cells", [256, 257])
 @pytest.mark.parametrize("chi", [0.0, 0.3])
 def test_mass_balance_at_dense_crossover(rng, cells, chi):
-    # dense operators up to the crossover, FFT and banded Cholesky past it
+    # dense operators up to the crossover, FFT and sparse LU past it
     params = ModelParams(A=0.5, B=1.0, chi=chi)
     traj = random_run(rng, GridSpec((cells,), (1.0,)), params)
     assert (traj.ops.L is not None) == (cells <= DENSE_MAX_CELLS)

@@ -11,7 +11,7 @@ from nlch_control import (GridSpec, KernelSpec, ScalarField, build_kernel, convo
                           inner_product)
 from nlch_control.errors import FieldShapeError, KernelResolutionError
 from nlch_control.geometry import DENSE_MAX_CELLS
-from nlch_control.kernels import convolution_matrix, convolve_array
+from nlch_control.kernels import convolution_matrix
 
 from conftest import convolution_adjoint_check, direct_convolution_oracle
 
@@ -126,9 +126,10 @@ def test_reach_is_the_furthest_nonzero_tap():
     # lies on the support's edge and is zero, so the reach is 3 where
     # ceil(width / h) - 1 reads 4
     grid = GridSpec((40, 12), (1.0, 0.3))
-    k = build_kernel(KernelSpec("mollifier", 4.0, 0.1), grid)
-    assert k.reach == (3, 3)
-    centre = k.taps[39, 11:]
+    spec = KernelSpec("mollifier", 4.0, 0.1)
+    assert build_kernel(spec, grid).reach == (3, 3)
+    h = grid.spacing[1]
+    centre = spec.evaluate_r2((np.arange(12) * h) ** 2)
     assert centre[3] > 0.0 and np.all(centre[4:] == 0.0)
 
 
@@ -219,22 +220,3 @@ def test_convolution_at_dense_crossover(rng, cells):
     f = ScalarField(grid, rng.standard_normal(cells))
     direct = convolution_matrix(k) @ f.values
     assert np.max(np.abs(convolve(k, f).values - direct)) <= 1e-12 * np.max(np.abs(direct))
-
-
-@pytest.mark.parametrize("family,cells,extent,width", [
-    pytest.param("mollifier", (256,), (1.0,), 0.3, id="(256,)"),
-    pytest.param("mollifier", (257,), (1.0,), 0.3, id="(257,)"),
-    pytest.param("mollifier", (12, 10), (1.0, 1.0), 0.3, id="(12, 10)"),
-    pytest.param("gaussian", (12, 10), (1.0, 1.0), 0.3, id="gaussian-(12, 10)"),
-    # reach 15 < 39 on the long axis, clipped to n - 1 = 11 on the short one
-    pytest.param("mollifier", (40, 12), (1.0, 0.3), 0.4, id="mollifier-(40, 12)"),
-])
-def test_convolve_array_stacked_rows_bitwise(rng, family, cells, extent, width):
-    # a stacked row gets the bits of the lone field on every path
-    grid = GridSpec(cells, extent)
-    k = build_kernel(KernelSpec(family, 4.0, width), grid)
-    block = rng.standard_normal((5, grid.num_cells))
-    stacked = convolve_array(k, block)
-    assert stacked.shape == block.shape
-    for row, values in zip(stacked, block):
-        assert np.array_equal(row, convolve_array(k, values))

@@ -184,7 +184,7 @@ def test_adjoint_terminal_unit_example(grid1d, kernel1d, params_gradient_flow):
 
 @pytest.mark.parametrize("cells, extents, family, width", [
     ((48,), (1.0,), "gaussian", 0.2),        # dense operators
-    ((300,), (1.0,), "gaussian", 0.2),       # FFT convolution, banded solves
+    ((300,), (1.0,), "gaussian", 0.2),       # FFT convolution, LU solves
     ((16, 12), (1.0, 0.8), "mollifier", 0.3),
 ], ids=["1d-dense", "1d-fft", "2d"])
 def test_gradcheck_passes_with_chemotaxis(cells, extents, family, width):
@@ -263,18 +263,29 @@ def test_duality_at_dense_crossover(rng, cells, params):
         assert gap <= 1e-10
 
 
-@pytest.mark.parametrize("cells", [(256,), (257,), (12, 10)], ids=str)
-def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells):
+@pytest.mark.parametrize("cells,extent,family,width", [
+    pytest.param((256,), (1.0,), "gaussian", 0.2, id="(256,)"),
+    pytest.param((257,), (1.0,), "gaussian", 0.2, id="(257,)"),
+    pytest.param((12, 10), (1.0, 1.0), "gaussian", 0.2, id="(12, 10)"),
+    pytest.param((12, 10), (1.0, 1.0), "mollifier", 0.3, id="mollifier-(12, 10)"),
+    # reach 15 < 39 on the long axis, clipped to n - 1 = 11 on the short one
+    pytest.param((40, 12), (1.0, 0.3), "mollifier", 0.4, id="mollifier-(40, 12)"),
+])
+def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells, extent, family, width):
     # on a dense grid the sweeps linearise a block of steps at once (blocks
     # of 7 and of 19 of the 20 steps: block boundaries and a lone last
     # step), elsewhere one-row blocks; every row must be bitwise the
     # per-step linearisation in either sweep direction, and so must every
-    # row of the whole trajectory linearised as one stack
+    # row of the whole trajectory linearised as one stack. The grids cover
+    # every form of the convolution: the dense matrix, the 1D and 2D
+    # spectra (one clipped on one axis) and the separable Gaussian
     import nlch_control.sensitivity as sensitivity
     from nlch_control.forward import linearise_step
 
-    grid = GridSpec(cells, (1.0,) * len(cells))
-    traj = random_run(rng, grid, ModelParams(A=0.05, B=1.0, chi=0.3))
+    grid = GridSpec(cells, extent)
+    # the mollifier's weight a = J*1 is smaller: a larger B keeps c0 > chi^2
+    params = ModelParams(A=0.05, B=1.0 if family == "gaussian" else 4.0, chi=0.3)
+    traj = random_run(rng, grid, params, family=family, width=width)
     ops, steps = traj.ops, traj.steps
     whole = linearise_step(ops, traj.phi[:steps], traj.sigma[:steps], traj.controls.u[:steps])
     for rows, reverse in itertools.product((7, 19), (False, True)):

@@ -94,15 +94,15 @@ def test_step_operators_reject_bad_dt(dt):
         StepOperators(grid, ModelParams(A=0.5, B=1.0, chi=0.0), kernel, dt)
 
 
-@pytest.mark.parametrize("cells", [256, 257])
+@pytest.mark.parametrize("cells", [256, 257, 1024])
 def test_1d_solve_at_dense_crossover_matches_dense(rng, cells):
     # up to the crossover the solver keeps the symmetrised dense inverse,
-    # past it the banded Cholesky factor
+    # past it the sparse LU
     grid = GridSpec((cells,), (1.0,))
     diagonal = 2.0 + 20.0 * rng.random(cells)
     solver = ShiftedLaplacianSolver(grid, diagonal)
     assert (solver._inverse is not None) == (cells <= DENSE_MAX_CELLS)
-    assert (solver._banded_chol is not None) == (cells > DENSE_MAX_CELLS)
+    assert (solver._lu is not None) == (cells > DENSE_MAX_CELLS)
     if solver._inverse is not None:
         assert np.array_equal(solver._inverse, solver._inverse.T)
     for _ in range(3):

@@ -35,3 +35,45 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_imports_only_what_it_uses(path):
     assert unused_imports(path.read_text()) == []
+
+
+def orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Module-level private functions and classes (one leading underscore)
+    that no code in the package refers to outside their own definition.
+
+    sources maps a module's file name to its text; a reference is a name or
+    an attribute anywhere in another top-level statement of any module.
+    """
+    definitions = []
+    statements = []
+    for name, source in sources.items():
+        for node in ast.parse(source).body:
+            statements.append(node)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")):
+                definitions.append((name, node))
+    orphans = []
+    for module, definition in definitions:
+        referenced = any(
+            (isinstance(ref, ast.Name) and ref.id == definition.name)
+            or (isinstance(ref, ast.Attribute) and ref.attr == definition.name)
+            for node in statements if node is not definition for ref in ast.walk(node))
+        if not referenced:
+            orphans.append(f"{module} line {definition.lineno}: {definition.name}")
+    return orphans
+
+
+def test_orphaned_private_definitions_are_found():
+    sources = {
+        "a.py": "def _helper():\n    return _helper()\n\n\ndef _used():\n    pass\n\n\n"
+                "class _Base:\n    pass\n",
+        "b.py": "from . import a\nfrom .a import _used\n\n\nclass Public(a._Base):\n"
+                "    run = staticmethod(_used)\n",
+    }
+    assert orphaned_private_definitions(sources) == ["a.py line 1: _helper"]
+
+
+def test_every_private_definition_is_referenced():
+    package = Path(nlch_control.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert orphaned_private_definitions(sources) == []
