@@ -15,7 +15,8 @@ Top-level keys (all optional, defaults below):
               "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
               "targets": {"kind": "zero"}}
   box        {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0}
-             (each bound a number, or {"file": "bound.snap"})
+             (each bound a number, or {"file": "bound.snap"}); bounds are
+             per cell and time-invariant, built as one row of cells
   optimizer  {"tol": 1e-4, "max_iter": 200, "tau0": 1.0}
              monotone spectral projected gradient; tau0 is its first
              spectral step (see control.pgd_optimize)
@@ -28,7 +29,8 @@ FIELD specs:
    "amplitudes": [0.8], "widths": [0.1]}       (Gaussian bumps)
   {"kind": "file", "path": "phi0.snap"}        (snapshot file)
 
-cost.targets kinds:
+cost.targets kinds (the running targets phi_q / sigma_q are built as one
+row when constant in time, as one row per step for manufactured):
   {"kind": "zero"}                              all targets identically zero
   {"kind": "constant", "phi_omega": v, "sigma_omega": v,
    "phi_q": v, "sigma_q": v}
@@ -207,17 +209,17 @@ class RunConfig:
                 self.realize_field(self.initial_sigma, grid))
 
     def build_initial_controls(self, grid: GridSpec) -> ControlPair:
-        u_field = self.realize_field(self.control_u, grid)
-        v_field = self.realize_field(self.control_v, grid)
-        u = np.tile(u_field.values, (self.steps, 1))
-        v = np.tile(v_field.values, (self.steps, 1))
-        return ControlPair(grid, u, v)
+        return self._constant_controls(self.control_u, self.control_v, grid)
+
+    def _constant_controls(self, u: FieldSpec, v: FieldSpec, grid: GridSpec) -> ControlPair:
+        """Controls that hold the fields u and v at every step."""
+        return ControlPair(grid, *(np.tile(self.realize_field(spec, grid).values, (self.steps, 1))
+                                   for spec in (u, v)))
 
     def _bound_array(self, bound: BoxBound, grid: GridSpec) -> np.ndarray:
         if bound.from_file:
-            fld = self._read_on_grid(bound.path, grid, "box bound file")
-            return np.tile(fld.values, (self.steps, 1))
-        return np.full((self.steps, grid.num_cells), bound.value)
+            return self._read_on_grid(bound.path, grid, "box bound file").values
+        return np.full(grid.num_cells, bound.value)
 
     def build_box(self, grid: GridSpec) -> BoxConstraints:
         return BoxConstraints(
@@ -237,38 +239,31 @@ class RunConfig:
             alpha_u=self.cost.alpha_u, beta_v=self.cost.beta_v,
         )
         if t.kind == "zero":
-            return CostSpec.tracking(grid, tgrid.steps, **weights)
+            return CostSpec.tracking(grid, **weights)
         if t.kind == "constant":
-            n = grid.num_cells
             return CostSpec.tracking(
-                grid, tgrid.steps, **weights,
+                grid, **weights,
                 phi_omega=ScalarField.constant(grid, t.phi_omega),
                 sigma_omega=ScalarField.constant(grid, t.sigma_omega),
-                phi_q=np.full((tgrid.steps, n), t.phi_q),
-                sigma_q=np.full((tgrid.steps, n), t.sigma_q),
+                phi_q=np.full((1, grid.num_cells), t.phi_q),
+                sigma_q=np.full((1, grid.num_cells), t.sigma_q),
             )
         if t.kind == "files":
             return CostSpec.tracking(
-                grid, tgrid.steps, **weights,
+                grid, **weights,
                 phi_omega=self._read_on_grid(t.phi_omega_path, grid, "cost target file"),
                 sigma_omega=self._read_on_grid(t.sigma_omega_path, grid, "cost target file"),
             )
         if t.kind == "manufactured":
             phi0, sigma0 = self.build_initial_state(grid)
-            u_field = self.realize_field(t.u, grid)
-            v_field = self.realize_field(t.v, grid)
-            target_controls = ControlPair(
-                grid, np.tile(u_field.values, (tgrid.steps, 1)),
-                np.tile(v_field.values, (tgrid.steps, 1)),
-            )
-            traj = simulate(phi0, sigma0, target_controls, params, kernel, tgrid,
-                            blowup_guard=self.blowup_guard, record_monitors=False)
+            traj = simulate(phi0, sigma0, self._constant_controls(t.u, t.v, grid), params,
+                            kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
             return CostSpec.tracking(
-                grid, tgrid.steps, **weights,
+                grid, **weights,
                 phi_omega=ScalarField(grid, traj.phi[tgrid.steps]),
                 sigma_omega=ScalarField(grid, traj.sigma[tgrid.steps]),
-                phi_q=traj.phi[:tgrid.steps].copy(),
-                sigma_q=traj.sigma[:tgrid.steps].copy(),
+                phi_q=traj.phi[:tgrid.steps],
+                sigma_q=traj.sigma[:tgrid.steps],
             )
         raise ConfigError([f"unknown targets kind {t.kind!r}"])
 

@@ -32,8 +32,10 @@ class CostSpec:
     """Quadratic tracking cost: final-time and running targets for phi and
     sigma plus Tikhonov penalties on both controls.
 
-    phi_q / sigma_q are sampled at the left endpoints t_0 .. t_{steps-1},
-    matching the control layout.
+    phi_q / sigma_q are the running targets at the left endpoints t_0 ..
+    t_{steps-1}, matching the control layout. Each has shape (rows, cells)
+    and broadcasts against the state slices: one row for a target constant
+    in time (zero by default), or one row per step.
     """
 
     alpha_omega: float
@@ -55,25 +57,17 @@ class CostSpec:
         grid = self.phi_omega.grid
         if self.sigma_omega.grid != grid:
             raise FieldShapeError("cost targets on different grids")
-        phi_q = np.ascontiguousarray(self.phi_q, dtype=np.float64)
-        sigma_q = np.ascontiguousarray(self.sigma_q, dtype=np.float64)
-        for name, arr in (("phi_q", phi_q), ("sigma_q", sigma_q)):
+        for name in ("phi_q", "sigma_q"):
+            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
             if arr.ndim != 2 or arr.shape[1] != grid.num_cells:
-                raise FieldShapeError(f"{name} must have shape (steps, cells)")
+                raise FieldShapeError(f"{name} must have shape (rows, cells)")
             if not np.all(np.isfinite(arr)):
                 raise FieldShapeError(f"{name} contains non-finite values")
-        if phi_q.shape[0] != sigma_q.shape[0]:
-            raise FieldShapeError("phi_q and sigma_q disagree on step count")
-        object.__setattr__(self, "phi_q", phi_q)
-        object.__setattr__(self, "sigma_q", sigma_q)
+            object.__setattr__(self, name, arr)
 
     @property
     def grid(self) -> GridSpec:
         return self.phi_omega.grid
-
-    @property
-    def steps(self) -> int:
-        return self.phi_q.shape[0]
 
     def all_weights_zero(self) -> bool:
         return (self.alpha_omega == 0.0 and self.alpha_q == 0.0 and self.beta_omega == 0.0
@@ -87,33 +81,33 @@ class CostSpec:
     def require_grid(self, traj: StateTrajectory):
         if traj.grid != self.grid:
             raise FieldShapeError("cost targets and trajectory on different grids")
-        if self.steps != traj.steps:
-            raise FieldShapeError(
-                f"cost targets carry {self.steps} steps, trajectory has {traj.steps}"
-            )
+        for name in ("phi_q", "sigma_q"):
+            rows = getattr(self, name).shape[0]
+            if rows not in (1, traj.steps):
+                raise FieldShapeError(f"{name} carries {rows} rows, trajectory has {traj.steps}")
 
     @classmethod
-    def tracking(cls, grid: GridSpec, steps: int, *, alpha_omega=0.0, alpha_q=0.0,
+    def tracking(cls, grid: GridSpec, *, alpha_omega=0.0, alpha_q=0.0,
                  beta_omega=0.0, beta_q=0.0, alpha_u=0.0, beta_v=0.0,
                  phi_omega: ScalarField | None = None,
                  sigma_omega: ScalarField | None = None,
                  phi_q: np.ndarray | None = None,
                  sigma_q: np.ndarray | None = None) -> "CostSpec":
         zero_field = ScalarField.constant(grid, 0.0)
-        zeros_qt = np.zeros((steps, grid.num_cells))
         return cls(
             alpha_omega=alpha_omega, alpha_q=alpha_q, beta_omega=beta_omega,
             beta_q=beta_q, alpha_u=alpha_u, beta_v=beta_v,
             phi_omega=phi_omega if phi_omega is not None else zero_field,
             sigma_omega=sigma_omega if sigma_omega is not None else zero_field,
-            phi_q=phi_q if phi_q is not None else zeros_qt,
-            sigma_q=sigma_q if sigma_q is not None else zeros_qt.copy(),
+            phi_q=phi_q if phi_q is not None else np.zeros((1, grid.num_cells)),
+            sigma_q=sigma_q if sigma_q is not None else np.zeros((1, grid.num_cells)),
         )
 
 
 @dataclass(frozen=True)
 class BoxConstraints:
-    """Pointwise bounds per step: u_min <= u <= u_max, v_min <= v <= v_max."""
+    """Time-invariant pointwise bounds u_min <= u <= u_max, v_min <= v <= v_max:
+    each bound has shape (cells,) and holds at every step."""
 
     grid: GridSpec
     u_min: np.ndarray = field(repr=False)
@@ -122,35 +116,23 @@ class BoxConstraints:
     v_max: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        arrays = {}
-        shape = None
         for name in ("u_min", "u_max", "v_min", "v_max"):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != self.grid.num_cells:
-                raise FieldShapeError(f"{name} must have shape (steps, cells)")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise FieldShapeError("box bound shapes differ")
+            if arr.shape != (self.grid.num_cells,):
+                raise FieldShapeError(f"{name} must have shape (cells,)")
             if not np.all(np.isfinite(arr)):
                 raise FieldShapeError(f"{name} contains non-finite values")
-            arrays[name] = arr
-        if np.any(arrays["u_min"] > arrays["u_max"]):
-            raise HypothesisViolationError("box constraints need u_min <= u_max pointwise")
-        if np.any(arrays["v_min"] > arrays["v_max"]):
-            raise HypothesisViolationError("box constraints need v_min <= v_max pointwise")
-        for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
+        if np.any(self.u_min > self.u_max):
+            raise HypothesisViolationError("box constraints need u_min <= u_max pointwise")
+        if np.any(self.v_min > self.v_max):
+            raise HypothesisViolationError("box constraints need v_min <= v_max pointwise")
 
     @classmethod
-    def constant(cls, grid: GridSpec, steps: int, u_min: float, u_max: float,
+    def constant(cls, grid: GridSpec, u_min: float, u_max: float,
                  v_min: float, v_max: float) -> "BoxConstraints":
-        full = lambda val: np.full((steps, grid.num_cells), float(val))
+        full = lambda val: np.full(grid.num_cells, float(val))
         return cls(grid, full(u_min), full(u_max), full(v_min), full(v_max))
-
-    @property
-    def steps(self) -> int:
-        return self.u_min.shape[0]
 
 
 @dataclass(frozen=True)
@@ -163,8 +145,9 @@ class OptimizeReport:
     the starting iterate). exhausted_trials is the trial count of the line
     search that ended the run "flat_gradient", 0 for any other ending, so the
     run made 1 + sum(linesearch_counts) + exhausted_trials forward sweeps.
-    final_adjoint is the cost-seeded reverse sweep of the last accepted
-    iterate; its traj is that iterate's trajectory.
+    final_adjoint is the cost-seeded reverse sweep the run made at the last
+    accepted iterate; its traj is that iterate's trajectory, the only one
+    the report holds, and traj.controls is final_controls.
     """
 
     costs: tuple[float, ...]
@@ -221,37 +204,46 @@ def reduced_gradient(adj: AdjointTrajectory, spec: CostSpec) -> ControlPair:
     """L2(Q_T) gradient of the reduced cost at the controls of adj.traj:
     g_u[n] = -h(phi_n) p_n + alpha_u u_n,  g_v[n] = r_n + beta_v v_n."""
     traj = adj.traj
-    spec.require_grid(traj)
     controls = traj.controls
     steps = traj.steps
-    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
-    g_u = -distrib * adj.p[:steps] + spec.alpha_u * controls.u
-    g_v = adj.r[:steps] + spec.beta_v * controls.v
+    g_u = -traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
+    g_u *= adj.p[:steps]
+    g_u += spec.alpha_u * controls.u
+    g_v = spec.beta_v * controls.v
+    g_v += adj.r[:steps]
     return ControlPair(traj.grid, g_u, g_v)
+
+
+def _clamp(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Pointwise clamp of one control component; the bounds broadcast over the steps."""
+    return np.minimum(np.maximum(values, lower), upper)
 
 
 def project_box(c: ControlPair, box: BoxConstraints) -> ControlPair:
     """Pointwise clamp onto the admissible box (the L2(Q_T)^2 projection)."""
-    if box.grid != c.grid or box.steps != c.steps:
-        raise FieldShapeError("box constraints do not match control layout")
-    u = np.minimum(np.maximum(c.u, box.u_min), box.u_max)
-    v = np.minimum(np.maximum(c.v, box.v_min), box.v_max)
-    return ControlPair(c.grid, u, v)
+    if box.grid != c.grid:
+        raise FieldShapeError("box constraints and controls on different grids")
+    return ControlPair(c.grid, _clamp(c.u, box.u_min, box.u_max),
+                       _clamp(c.v, box.v_min, box.v_max))
+
+
+def _inner_qt(a_u: np.ndarray, a_v: np.ndarray, b_u: np.ndarray, b_v: np.ndarray,
+              vol: float, dt: float) -> float:
+    """Discrete L2(Q_T)^2 inner product of (a_u, a_v) and (b_u, b_v)."""
+    return float((np.sum(a_u * b_u) + np.sum(a_v * b_v)) * vol * dt)
 
 
 def control_inner_qt(a: ControlPair, b: ControlPair, dt: float) -> float:
     """Discrete L2(Q_T)^2 inner product of two control pairs."""
-    vol = a.grid.cell_volume
-    return float((np.sum(a.u * b.u) + np.sum(a.v * b.v)) * vol * dt)
+    return _inner_qt(a.u, a.v, b.u, b.v, a.grid.cell_volume, dt)
 
 
 def stationarity_residual(c: ControlPair, g: ControlPair, box: BoxConstraints,
                           dt: float) -> float:
     """Fixed-point defect of the projected-gradient map, || c - P(c - g) ||."""
-    stepped = ControlPair(c.grid, c.u - g.u, c.v - g.v)
-    projected = project_box(stepped, box)
-    diff = ControlPair(c.grid, c.u - projected.u, c.v - projected.v)
-    return float(np.sqrt(max(control_inner_qt(diff, diff, dt), 0.0)))
+    diff_u = c.u - _clamp(c.u - g.u, box.u_min, box.u_max)
+    diff_v = c.v - _clamp(c.v - g.v, box.v_min, box.v_max)
+    return float(np.sqrt(_inner_qt(diff_u, diff_v, diff_u, diff_v, c.grid.cell_volume, dt)))
 
 
 def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
@@ -270,12 +262,10 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
     if spec.alpha_u > 0.0:
         distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
         target = distrib * adj.p[:steps] / spec.alpha_u
-        clamped = np.minimum(np.maximum(target, box.u_min), box.u_max)
-        defect_u = float(np.max(np.abs(controls.u - clamped)))
+        defect_u = float(np.max(np.abs(controls.u - _clamp(target, box.u_min, box.u_max))))
     if spec.beta_v > 0.0:
         target = -adj.r[:steps] / spec.beta_v
-        clamped = np.minimum(np.maximum(target, box.v_min), box.v_max)
-        defect_v = float(np.max(np.abs(controls.v - clamped)))
+        defect_v = float(np.max(np.abs(controls.v - _clamp(target, box.v_min, box.v_max))))
     return defect_u, defect_v
 
 
@@ -305,6 +295,9 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     SolverError naming k. Every forward sweep runs under blowup_guard, as in
     simulate.
 
+    Between iterations the run holds the iterate, its gradient and adjoint;
+    a line search adds d and one trial with its trajectory.
+
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
     step.
@@ -315,6 +308,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     spec.validate()
     opts = opts or PgdOptions()
     dt = tgrid.dt
+    vol = box.grid.cell_volume
 
     def run(controls: ControlPair):
         traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
@@ -330,6 +324,24 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
             raise SolverError(f"PGD iterate {k}: cost {j_val!r} or stationarity residual "
                               f"{resid!r} is not finite", iterations=k, residual=resid)
         return adj, g, resid
+
+    def line_search(c: ControlPair, g: ControlPair, lam: float, j_val: float):
+        """(alpha, trials, trajectory, cost) of the accepted trial; alpha is
+        None when the search is exhausted."""
+        d_u = _clamp(c.u - lam * g.u, box.u_min, box.u_max) - c.u
+        d_v = _clamp(c.v - lam * g.v, box.v_min, box.v_max) - c.v
+        slope = _inner_qt(g.u, g.v, d_u, d_v, vol, dt)
+        alpha = 1.0
+        trials = 0
+        while alpha >= ALPHA_FLOOR:
+            trials += 1
+            traj, j_trial = run(ControlPair(c.grid,
+                                            _clamp(c.u + alpha * d_u, box.u_min, box.u_max),
+                                            _clamp(c.v + alpha * d_v, box.v_min, box.v_max)))
+            if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
+                return alpha, trials, traj, j_trial
+            alpha *= 0.5
+        return None, trials, None, None
 
     c = project_box(c0, box)
     traj, j_val = run(c)
@@ -350,33 +362,23 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         if resid <= opts.tol:
             termination = "converged"
             break
-        target = project_box(ControlPair(c.grid, c.u - lam * g.u, c.v - lam * g.v), box)
-        d = ControlPair(c.grid, target.u - c.u, target.v - c.v)
-        slope = control_inner_qt(g, d, dt)
-        alpha = 1.0
-        ls_count = 0
-        while alpha >= ALPHA_FLOOR:
-            trial = project_box(ControlPair(c.grid, c.u + alpha * d.u, c.v + alpha * d.v), box)
-            ls_count += 1
-            traj_trial, j_trial = run(trial)
-            if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
-                break
-            alpha *= 0.5
-        else:
+        alpha, ls_count, traj, j_trial = line_search(c, g, lam, j_val)
+        if alpha is None:
             termination = "flat_gradient"
             exhausted_trials = ls_count
             break
-        adj_new, g_new, resid = gradient(len(costs), traj_trial, j_trial)
+        adj, g_new, resid = gradient(len(costs), traj, j_trial)
+        trial = traj.controls
         costs.append(j_trial)
         residuals.append(resid)
         step_sizes.append(lam * alpha)
         ls_counts.append(ls_count)
-        s = ControlPair(c.grid, trial.u - c.u, trial.v - c.v)
-        y = ControlPair(c.grid, g_new.u - g.u, g_new.v - g.v)
-        sy = control_inner_qt(s, y, dt)
-        lam = 1e6 * opts.tau0 if sy <= 0.0 else min(
-            max(control_inner_qt(s, s, dt) / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0)
-        c, j_val, g, adj = trial, j_trial, g_new, adj_new
+        # the spectral step from s = trial - c and y = g_new - g
+        sy = _inner_qt(trial.u - c.u, trial.v - c.v, g_new.u - g.u, g_new.v - g.v, vol, dt)
+        ss = _inner_qt(trial.u - c.u, trial.v - c.v, trial.u - c.u, trial.v - c.v, vol, dt)
+        lam = (1e6 * opts.tau0 if sy <= 0.0
+               else min(max(ss / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0))
+        c, j_val, g = trial, j_trial, g_new
         if callback is not None:
             callback(len(costs) - 1, j_val, resid, step_sizes[-1], ls_count, c)
 

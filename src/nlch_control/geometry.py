@@ -153,8 +153,6 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     Second-order 3-point (1D) / 5-point (2D) stencil; the ghost value equals
     the adjacent interior value, so boundary rows reduce to (f_nb - f_0)/h^2.
     """
-    if any(n < 2 for n in grid.cells_per_axis):
-        raise GridError("Laplacian needs at least 2 cells per axis")
     f = values.reshape(grid.cells_per_axis)
     out = np.zeros_like(f)
     for axis, h in enumerate(grid.spacing):

@@ -49,12 +49,9 @@ class GradcheckResult:
         return True
 
 
-def _random_controls(rng, grid, steps, scale=1.0) -> ControlPair:
-    return ControlPair(
-        grid,
-        scale * rng.standard_normal((steps, grid.num_cells)),
-        scale * rng.standard_normal((steps, grid.num_cells)),
-    )
+def _random_controls(rng, grid, steps) -> ControlPair:
+    return ControlPair(grid, rng.standard_normal((steps, grid.num_cells)),
+                       rng.standard_normal((steps, grid.num_cells)))
 
 
 def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> float:

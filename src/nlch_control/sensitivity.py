@@ -175,15 +175,15 @@ def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
 
     seed arrays have shape (steps + 1, cells); row n is added to the state
     cotangent of slice n, and row 0 (the fixed initial slice) is ignored.
-    Returns the transposed phi and sigma solves of each step, shape
-    (steps, cells).
+    Returns two (steps + 1, cells) arrays: row n < steps holds the transposed
+    phi or sigma solve of step n, row steps the terminal seed.
     """
     steps = traj.steps
     ops = traj.ops
-    s_phi = np.zeros((steps, traj.grid.num_cells))
-    s_sigma = np.zeros((steps, traj.grid.num_cells))
-    p_bar = np.array(seed_phi[steps], dtype=np.float64)
-    r_bar = np.array(seed_sigma[steps], dtype=np.float64)
+    s_phi = np.empty((steps + 1, traj.grid.num_cells))
+    s_sigma = np.empty((steps + 1, traj.grid.num_cells))
+    p_bar = s_phi[steps] = seed_phi[steps]
+    r_bar = s_sigma[steps] = seed_sigma[steps]
     for n, lin in _linearised_steps(traj, reverse=True):
         xi_bar, rho_bar, s_phi[n], s_sigma[n] = _adjoint_core(ops, lin, p_bar, r_bar)
         p_bar = xi_bar + seed_phi[n]
@@ -201,7 +201,7 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     """
     s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
     distrib = traj.ops.params.distribution.evaluate(traj.phi[:traj.steps], 0)
-    return -distrib * s_phi, s_sigma
+    return -distrib * s_phi[:traj.steps], s_sigma[:traj.steps]
 
 
 def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
@@ -218,14 +218,20 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
     cost.require_grid(traj)
     steps = traj.steps
     dt = traj.tgrid.dt
-    term_phi = cost.alpha_omega * (traj.phi[steps] - cost.phi_omega.values)
-    term_sigma = cost.beta_omega * (traj.sigma[steps] - cost.sigma_omega.values)
-    seed_phi = np.vstack([dt * cost.alpha_q * (traj.phi[:steps] - cost.phi_q), term_phi])
-    seed_sigma = np.vstack([dt * cost.beta_q * (traj.sigma[:steps] - cost.sigma_q),
-                            term_sigma])
-    s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
-    return AdjointTrajectory(traj=traj, p=np.vstack([s_phi / dt, term_phi]),
-                             r=np.vstack([s_sigma / dt, term_sigma]))
+    seeds = []
+    for states, running, final, weight_q, weight_omega in (
+            (traj.phi, cost.phi_q, cost.phi_omega, cost.alpha_q, cost.alpha_omega),
+            (traj.sigma, cost.sigma_q, cost.sigma_omega, cost.beta_q, cost.beta_omega)):
+        seed = states.copy()
+        seed[:steps] -= running
+        seed[:steps] *= dt * weight_q
+        seed[steps] -= final.values
+        seed[steps] *= weight_omega
+        seeds.append(seed)
+    p, r = _reverse_sweep(traj, *seeds)
+    p[:steps] /= dt
+    r[:steps] /= dt
+    return AdjointTrajectory(traj=traj, p=p, r=r)
 
 
 def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,

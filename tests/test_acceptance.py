@@ -131,7 +131,7 @@ def test_criterion_4_gradient_correctness():
     phi0 = smooth_phi0(grid)
     sigma0 = ScalarField.constant(grid, 0.3)
     controls = random_controls(rng, grid, 40)
-    spec = CostSpec.tracking(grid, 40, alpha_omega=1.0, alpha_q=0.5, beta_omega=0.3,
+    spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=0.5, beta_omega=0.3,
                              beta_q=0.2, alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=ScalarField.constant(grid, -0.2),
                              sigma_omega=ScalarField.constant(grid, 0.1))
@@ -157,7 +157,7 @@ def _manufactured_problem(grid, kernel, params, tgrid, alpha_u, beta_v):
     c_star = ControlPair(grid, np.tile(u_star, (steps, 1)), np.tile(v_star, (steps, 1)))
     traj_star = simulate(phi0, sigma0, c_star, params, kernel, tgrid)
     spec = CostSpec.tracking(
-        grid, steps, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
+        grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
         phi_omega=ScalarField(grid, traj_star.phi[steps]),
         sigma_omega=ScalarField(grid, traj_star.sigma[steps]),
@@ -173,7 +173,7 @@ def test_criterion_5_optimality_condition_fidelity():
     params = ModelParams(A=0.5, B=1.0, chi=0.0)
     tgrid = TimeGrid(0.3, 24)
     phi0, sigma0, spec = _manufactured_problem(grid, kernel, params, tgrid, 1e-2, 1e-2)
-    box = BoxConstraints.constant(grid, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid, -1.0, 1.0, -1.0, 1.0)
     with criterion(5, "projection formula fidelity at convergence"):
         report = pgd_optimize(ControlPair.zeros(grid, 24), box, spec, params, kernel,
                               tgrid, phi0, sigma0, opts=PgdOptions(tol=1e-9, max_iter=400))
@@ -195,7 +195,7 @@ def test_criterion_6_manufactured_control_recovery():
     params = ModelParams(A=0.5, B=1.0, chi=0.0)
     tgrid = TimeGrid(0.5, 40)
     phi0, sigma0, spec = _manufactured_problem(grid, kernel, params, tgrid, 1e-6, 1e-6)
-    box = BoxConstraints.constant(grid, 40, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid, -1.0, 1.0, -1.0, 1.0)
     iterates = []
     with criterion(6, "manufactured control recovery"):
         report = pgd_optimize(ControlPair.zeros(grid, 40), box, spec, params, kernel,

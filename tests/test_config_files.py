@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from nlch_control import GridSpec, ScalarField, load_config
+from nlch_control import ControlPair, GridSpec, ScalarField, load_config, project_box
 from nlch_control.errors import ConfigError
 from nlch_control.snapshots import write_snapshot
 
@@ -64,10 +64,17 @@ def test_box_bounds_from_file(tmp_path, grid, rng):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
     cfg = load_config(cfg_path)
-    box = cfg.build_box(cfg.build_grid())
-    assert box.u_max.shape == (8, 24)
-    assert np.array_equal(box.u_max[0], upper)
-    assert np.array_equal(box.u_max[7], upper)
+    g = cfg.build_grid()
+    box = cfg.build_box(g)
+    assert box.u_max.shape == (24,)
+    assert np.array_equal(box.u_max, upper)
+    # the per-cell bound holds at every step: the same clamp as against the
+    # bound tiled to (steps, cells)
+    controls = ControlPair(g, rng.uniform(-2.0, 2.0, (8, 24)), rng.uniform(-2.0, 2.0, (8, 24)))
+    projected = project_box(controls, box)
+    tiled = np.tile(upper, (8, 1))
+    assert np.array_equal(projected.u, np.minimum(np.maximum(controls.u, -1.0), tiled))
+    assert np.array_equal(projected.v, np.minimum(np.maximum(controls.v, -1.0), 1.0))
 
 
 def test_targets_from_files(tmp_path, grid, rng):

@@ -50,7 +50,7 @@ def cost_direct_oracle(traj, controls, spec):
 
 def test_cost_zero_cases(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
-    all_zero = CostSpec.tracking(grid1d, 20)
+    all_zero = CostSpec.tracking(grid1d)
     assert cost(traj, all_zero) == 0.0
     with pytest.raises(HypothesisViolationError):
         all_zero.validate()
@@ -58,7 +58,7 @@ def test_cost_zero_cases(setup, grid1d, kernel1d, params):
     # targets equal to the trajectory of zero controls: cost vanishes
     traj0 = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel1d, tgrid)
     spec = CostSpec.tracking(
-        grid1d, 20, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
+        grid1d, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=1.0, beta_v=1.0,
         phi_omega=ScalarField(grid1d, traj0.phi[20]),
         sigma_omega=ScalarField(grid1d, traj0.sigma[20]),
@@ -75,7 +75,7 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
     controls = random_controls(rng, grid1d_small, 6)
     traj = simulate(phi0, sigma0, controls, params, kernel1d_small, tgrid)
     spec = CostSpec.tracking(
-        grid1d_small, 6, alpha_omega=0.7, alpha_q=0.4, beta_omega=0.2, beta_q=0.9,
+        grid1d_small, alpha_omega=0.7, alpha_q=0.4, beta_omega=0.2, beta_q=0.9,
         alpha_u=0.3, beta_v=0.8,
         phi_omega=ScalarField(grid1d_small, rng.standard_normal(8)),
         sigma_omega=ScalarField(grid1d_small, rng.standard_normal(8)),
@@ -87,19 +87,36 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
 
 def test_cost_spec_validation(grid1d):
     with pytest.raises(HypothesisViolationError):
-        CostSpec.tracking(grid1d, 10, alpha_omega=-1.0)
+        CostSpec.tracking(grid1d, alpha_omega=-1.0)
     other = GridSpec((16,), (1.0,))
     with pytest.raises(FieldShapeError):
-        CostSpec.tracking(grid1d, 10, alpha_omega=1.0,
+        CostSpec.tracking(grid1d, alpha_omega=1.0,
                           sigma_omega=ScalarField.constant(other, 0.0))
     with pytest.raises(FieldShapeError):
-        CostSpec.tracking(grid1d, 10, phi_q=np.zeros((10, 7)))
+        CostSpec.tracking(grid1d, phi_q=np.zeros((10, 7)))
+
+
+def test_running_targets_one_row_or_one_per_step(setup, grid1d, kernel1d, params):
+    # a constant running target as one row is the same target as its tiled
+    # form, bitwise in the cost and the adjoint; any other row count is refused
+    traj = setup[-1]
+    weights = dict(alpha_omega=1.0, alpha_q=0.7, beta_q=0.4, alpha_u=0.1)
+    row = np.full((1, grid1d.num_cells), 0.1)
+    one = CostSpec.tracking(grid1d, **weights, phi_q=row, sigma_q=row + 0.2)
+    tiled = CostSpec.tracking(grid1d, **weights, phi_q=np.tile(row, (20, 1)),
+                              sigma_q=np.tile(row + 0.2, (20, 1)))
+    assert cost(traj, one) == cost(traj, tiled)
+    adj_one = adjoint_sweep(traj, one, params, kernel1d)
+    adj_tiled = adjoint_sweep(traj, tiled, params, kernel1d)
+    assert np.array_equal(adj_one.p, adj_tiled.p) and np.array_equal(adj_one.r, adj_tiled.r)
+    with pytest.raises(FieldShapeError, match="sigma_q carries 3 rows"):
+        cost(traj, CostSpec.tracking(grid1d, **weights, sigma_q=np.zeros((3, grid1d.num_cells))))
 
 
 def test_reduced_gradient_tikhonov_only(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
     # zero tracking weights: adjoint is identically zero
-    spec = CostSpec.tracking(grid1d, 20, alpha_u=0.3, beta_v=0.7)
+    spec = CostSpec.tracking(grid1d, alpha_u=0.3, beta_v=0.7)
     g = reduced_gradient(adjoint_sweep(traj, spec, params, kernel1d), spec)
     assert np.allclose(g.u, 0.3 * controls.u, rtol=0, atol=0)
     assert np.allclose(g.v, 0.7 * controls.v, rtol=0, atol=0)
@@ -111,7 +128,7 @@ def test_reduced_gradient_tikhonov_only(setup, grid1d, kernel1d, params):
 
 
 def test_project_box_cases(rng, grid1d):
-    box = BoxConstraints.constant(grid1d, 5, -1.0, 1.0, -0.5, 0.5)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -0.5, 0.5)
     inside = ControlPair(grid1d, 0.5 * rng.uniform(-1, 1, (5, grid1d.num_cells)),
                          0.4 * rng.uniform(-1, 1, (5, grid1d.num_cells)))
     projected = project_box(inside, box)
@@ -131,12 +148,12 @@ def test_project_box_cases(rng, grid1d):
 def test_box_constraints_invariant():
     grid = GridSpec((8,), (1.0,))
     with pytest.raises(HypothesisViolationError):
-        BoxConstraints.constant(grid, 3, 1.0, -1.0, 0.0, 1.0)
+        BoxConstraints.constant(grid, 1.0, -1.0, 0.0, 1.0)
 
 
 def test_stationarity_residual_cases(rng, grid1d):
     dt = 0.05
-    box = BoxConstraints.constant(grid1d, 5, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     c = ControlPair(grid1d, 0.2 * rng.uniform(-1, 1, (5, grid1d.num_cells)),
                     0.2 * rng.uniform(-1, 1, (5, grid1d.num_cells)))
     zero_g = ControlPair.zeros(grid1d, 5)
@@ -160,8 +177,8 @@ def test_pgd_zero_gradient_terminates_immediately(grid1d, kernel1d, params):
     tgrid = TimeGrid(0.25, 20)
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.3)
-    spec = CostSpec.tracking(grid1d, 20, alpha_u=1.0, beta_v=1.0)
-    box = BoxConstraints.constant(grid1d, 20, -1.0, 1.0, -1.0, 1.0)
+    spec = CostSpec.tracking(grid1d, alpha_u=1.0, beta_v=1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     report = pgd_optimize(ControlPair.zeros(grid1d, 20), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0)
     assert report.iterations == 0
@@ -175,8 +192,8 @@ def test_pgd_rejects_inadmissible_params_before_any_iterate(grid1d, kernel1d):
     # any solve, so no iterate is ever reported
     params = ModelParams(A=10.0, B=1e-6, chi=0.0)
     tgrid = TimeGrid(0.25, 20)
-    spec = CostSpec.tracking(grid1d, 20, alpha_omega=1.0)
-    box = BoxConstraints.constant(grid1d, 20, -1.0, 1.0, -1.0, 1.0)
+    spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     reported = []
     with pytest.raises(HypothesisViolationError, match=r"c0 = .* <= chi\^2"):
         pgd_optimize(ControlPair.zeros(grid1d, 20), box, spec, params, kernel1d, tgrid,
@@ -206,7 +223,7 @@ def test_pgd_converges_with_chemotaxis(grid1d):
     tgrid, phi0, sigma0, _, traj_star = manufactured_problem(grid1d, kernel, params,
                                                              TimeGrid(0.4, 24))
     spec = manufactured_spec(grid1d, traj_star, 1e-2, 1e-2)
-    box = BoxConstraints.constant(grid1d, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     report = pgd_optimize(ControlPair.zeros(grid1d, 24), box, spec, params, kernel, tgrid,
                           phi0, sigma0, opts=PgdOptions(tol=1e-6, max_iter=50))
     assert report.termination == "converged"
@@ -234,7 +251,7 @@ def manufactured_problem(grid, kernel, params, tgrid):
 def manufactured_spec(grid, traj_star, alpha_u, beta_v):
     steps = traj_star.steps
     return CostSpec.tracking(
-        grid, steps, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
+        grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
         phi_omega=ScalarField(grid, traj_star.phi[steps]),
         sigma_omega=ScalarField(grid, traj_star.sigma[steps]),
@@ -246,7 +263,7 @@ def manufactured_spec(grid, traj_star, alpha_u, beta_v):
 def test_pgd_manufactured_recovery(grid1d, kernel1d, params, manufactured):
     tgrid, phi0, sigma0, c_star, traj_star = manufactured
     spec = manufactured_spec(grid1d, traj_star, 1e-6, 1e-6)
-    box = BoxConstraints.constant(grid1d, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     iterate_log = []
     report = pgd_optimize(ControlPair.zeros(grid1d, 24), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0, opts=PgdOptions(tol=1e-12, max_iter=15),
@@ -264,7 +281,7 @@ def test_pgd_manufactured_recovery(grid1d, kernel1d, params, manufactured):
 def test_pgd_projection_formula_at_convergence(grid1d, kernel1d, params, manufactured):
     tgrid, phi0, sigma0, c_star, traj_star = manufactured
     spec = manufactured_spec(grid1d, traj_star, 1e-2, 1e-2)
-    box = BoxConstraints.constant(grid1d, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     report = pgd_optimize(ControlPair.zeros(grid1d, 24), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0, opts=PgdOptions(tol=1e-9, max_iter=400))
     assert report.termination == "converged"
@@ -281,11 +298,11 @@ def test_pgd_projection_formula_at_convergence(grid1d, kernel1d, params, manufac
 
 def test_pgd_scaling_consistency_bitwise(grid1d, kernel1d, params, manufactured):
     tgrid, phi0, sigma0, c_star, traj_star = manufactured
-    box = BoxConstraints.constant(grid1d, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     lam = 2.0
     spec1 = manufactured_spec(grid1d, traj_star, 1e-2, 1e-2)
     spec2 = CostSpec.tracking(
-        grid1d, 24, alpha_omega=lam, alpha_q=lam, beta_omega=lam, beta_q=lam,
+        grid1d, alpha_omega=lam, alpha_q=lam, beta_omega=lam, beta_q=lam,
         alpha_u=lam * 1e-2, beta_v=lam * 1e-2,
         phi_omega=spec1.phi_omega, sigma_omega=spec1.sigma_omega,
         phi_q=spec1.phi_q, sigma_q=spec1.sigma_q,
@@ -315,8 +332,8 @@ def test_pgd_flat_gradient_termination(monkeypatch, grid1d, kernel1d, params):
     tgrid = TimeGrid(0.1, 5)
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.3)
-    spec = CostSpec.tracking(grid1d, 5, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
-    box = BoxConstraints.constant(grid1d, 5, 0.3, 0.3, -0.2, -0.2)
+    spec = CostSpec.tracking(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    box = BoxConstraints.constant(grid1d, 0.3, 0.3, -0.2, -0.2)
     report = pgd_optimize(ControlPair.zeros(grid1d, 5), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0, opts=PgdOptions(tol=-1.0, max_iter=10))
     assert report.termination == "flat_gradient"
@@ -339,8 +356,8 @@ def test_pgd_nonfinite_cost_raises():
                          proliferation=ProliferationSpec("constant_zero"))
     tgrid = TimeGrid(0.1, 5)
     c0 = ControlPair(grid, np.zeros((5, 16)), np.full((5, 16), 1e200))
-    box = BoxConstraints.constant(grid, 5, -1.0, 1.0, -1e201, 1e201)
-    spec = CostSpec.tracking(grid, 5, beta_omega=1.0)
+    box = BoxConstraints.constant(grid, -1.0, 1.0, -1e201, 1e201)
+    spec = CostSpec.tracking(grid, beta_omega=1.0)
     with pytest.raises(SolverError, match="iterate 0") as info:
         pgd_optimize(c0, box, spec, params, kernel, tgrid, smooth_phi0(grid),
                      ScalarField.constant(grid, 0.0))
@@ -354,10 +371,10 @@ def projection_formula_defect_loop(controls, traj, adj, spec, box):
     worst_u = worst_v = 0.0
     for n in range(steps):
         target = distrib[n] * adj.p[n] / spec.alpha_u
-        clamped = np.minimum(np.maximum(target, box.u_min[n]), box.u_max[n])
+        clamped = np.minimum(np.maximum(target, box.u_min), box.u_max)
         worst_u = max(worst_u, float(np.max(np.abs(controls.u[n] - clamped))))
         target = -adj.r[n] / spec.beta_v
-        clamped = np.minimum(np.maximum(target, box.v_min[n]), box.v_max[n])
+        clamped = np.minimum(np.maximum(target, box.v_min), box.v_max)
         worst_v = max(worst_v, float(np.max(np.abs(controls.v[n] - clamped))))
     return worst_u, worst_v
 
@@ -375,7 +392,7 @@ def criterion5_run():
     tgrid = TimeGrid(0.3, 24)
     _, phi0, sigma0, _, traj_star = manufactured_problem(grid, kernel, params, tgrid)
     spec = manufactured_spec(grid, traj_star, 1e-2, 1e-2)
-    box = BoxConstraints.constant(grid, 24, -1.0, 1.0, -1.0, 1.0)
+    box = BoxConstraints.constant(grid, -1.0, 1.0, -1.0, 1.0)
     sweeps = []
 
     def counted(fn):
@@ -442,3 +459,49 @@ def test_projection_formula_defect_matches_loop(criterion5_run):
         adj = adjoint_sweep(traj, spec, params, kernel)
         assert (projection_formula_defect(c, traj, adj, spec, box)
                 == projection_formula_defect_loop(c, traj, adj, spec, box))
+
+
+def test_pgd_2d_peak_traced_memory():
+    # A 2D optimize (the gradcheck-2d model and mollifier kernel at 32 x 32)
+    # keeps few (steps, cells) arrays alive at once: the box is one row per
+    # bound, constant targets one row each, and PGD holds the iterate, its
+    # gradient and adjoint, the direction and one trial. Storing every bound
+    # and target per step and wrapping each intermediate read 42.9 arrays.
+    import tracemalloc
+
+    from nlch_control import config_from_dict
+
+    cfg = config_from_dict({
+        "grid": {"cells": [32, 32], "extent": [1.0, 1.0]},
+        "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.25},
+        "model": {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0},
+        "time": {"T": 0.04, "steps": 20},
+        "initial": {"phi": {"kind": "bumps", "background": -0.3, "centers": [[0.4, 0.55]],
+                            "amplitudes": [0.9], "widths": [0.15]},
+                    "sigma": {"kind": "constant", "value": 0.3}},
+        "controls": {"u": {"kind": "constant", "value": 0.05},
+                     "v": {"kind": "constant", "value": -0.05}},
+        "cost": {"alpha_omega": 1.0, "alpha_q": 1.0, "beta_omega": 1.0, "beta_q": 1.0,
+                 "alpha_u": 1e-2, "beta_v": 1e-2,
+                 "targets": {"kind": "constant", "phi_omega": 0.2, "sigma_omega": 0.3,
+                             "phi_q": 0.1, "sigma_q": 0.3}},
+        "box": {"u_min": -1.0, "u_max": 1.0, "v_min": -1.0, "v_max": 1.0},
+        "optimizer": {"tol": 1e-6, "max_iter": 30},
+    })
+    grid = cfg.build_grid()
+    kernel = cfg.build_kernel(grid)
+    params = cfg.build_params()
+    tgrid = cfg.build_tgrid()
+    phi0, sigma0 = cfg.build_initial_state(grid)
+    c0 = cfg.build_initial_controls(grid)
+    tracemalloc.start()
+    try:
+        box = cfg.build_box(grid)
+        spec = cfg.build_cost(grid, kernel, params, tgrid)
+        report = pgd_optimize(c0, box, spec, params, kernel, tgrid, phi0, sigma0,
+                              opts=cfg.pgd_options())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged"
+    assert peak <= 25 * tgrid.steps * grid.num_cells * 8

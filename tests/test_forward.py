@@ -398,8 +398,8 @@ def test_solver_options_accepts_only_none(grid1d, kernel1d, params):
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.1)
     controls = ControlPair.zeros(grid1d, 2)
-    spec = CostSpec.tracking(grid1d, 2, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
-    box = BoxConstraints.constant(grid1d, 2, -1.0, 1.0, -1.0, 1.0)
+    spec = CostSpec.tracking(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     assert config_from_dict({}).solver_options() is None
     simulate(phi0, sigma0, controls, params, kernel1d, tgrid, solver_options=None)
     for call in (
@@ -431,7 +431,7 @@ def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
     kernel = build_kernel(KernelSpec("mollifier", 100.0, 0.3), grid)
     params = ModelParams(A=0.5, B=1.0, chi=0.0)
     steps = 4
-    spec = CostSpec.tracking(grid, steps, alpha_omega=1.0, beta_q=0.5,
+    spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=ScalarField.constant(grid, -0.2))
     result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
