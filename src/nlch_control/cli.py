@@ -1,8 +1,15 @@
 """Command line entry point.
 
 Subcommands: simulate | optimize | gradcheck | validate
-Flags:       --config <path>  --out <dir>  --seed <int>  --quiet
+Flags:       --config <path>  --seed <int>  --quiet, and for simulate and
+             optimize --out <dir>
 Exit codes:  0 success, 2 validation, 3 solver, 4 check-failure
+
+--seed and --out override the config's seed and output.directory before it
+is validated, so the manifest's config hash covers them. Exit code 2 also
+ends a run whose arrays do not fit in memory (a MemoryError raised at the
+allocation, e.g. for an absurd time.steps); an allocation that the operating
+system commits lazily and kills later is not caught.
 
 Every output file is a deterministic function of (config, seed): numbers are
 serialised with repr, manifests carry no timestamps, and all randomness flows
@@ -13,7 +20,6 @@ already holds a manifest.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -188,10 +194,10 @@ def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
     cfg.build_initial_state(grid)
     cfg.build_initial_controls(grid)
     cfg.build_box(grid)
-    targets = cfg.cost.targets
-    if targets.kind == "manufactured":
-        cfg.realize_field(targets.u, grid)
-        cfg.realize_field(targets.v, grid)
+    targets = cfg.data["cost"]["targets"]
+    if targets["kind"] == "manufactured":
+        cfg.realize_field(targets["u"], grid)
+        cfg.realize_field(targets["v"], grid)
     else:
         cfg.build_cost(grid, kernel, params, tgrid)
     _say(quiet, f"configuration OK (ellipticity margin c0 = {margin:.6g}, "
@@ -213,7 +219,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON configuration")
-        p.add_argument("--out", default=None, help="override the output directory")
+        if name in ("simulate", "optimize"):
+            p.add_argument("--out", default=None, help="override the output directory")
         p.add_argument("--seed", type=int, default=None, help="override the config seed")
         p.add_argument("--quiet", action="store_true", help="suppress progress output")
     return parser
@@ -226,9 +233,11 @@ def main(argv=None) -> int:
         if args.seed is not None:
             # validated with the file, so a bad seed is a collected failure
             raw = {**raw, "seed": args.seed}
+        output = raw.get("output", {})
+        if getattr(args, "out", None) is not None and isinstance(output, dict):
+            # an output section that is no object stays a collected failure
+            raw = {**raw, "output": {**output, "directory": args.out}}
         cfg = config_from_dict(raw, base_dir=str(Path(args.config).parent))
-        if args.out is not None:
-            cfg = dataclasses.replace(cfg, output_directory=args.out)
         handler = {
             "simulate": cmd_simulate,
             "optimize": cmd_optimize,
@@ -241,6 +250,10 @@ def main(argv=None) -> int:
         return EXIT_SOLVER
     except NLCHError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: the problem in {args.config} does not fit in memory ({exc})",
+              file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -1,6 +1,14 @@
 """Run configuration: a documented JSON format, validated in one pass that
 collects every failure instead of stopping at the first.
 
+That pass merges the defaults and brings every value into its canonical
+JSON form, and that normalised dict (RunConfig.data) is the configuration:
+the builders read it, and config_json serialises it for write_config and for
+the config_sha256 of every run manifest. In the canonical form grid.cells,
+time.steps, optimizer.max_iter, output.snapshot_stride and seed are ints,
+every other number is a finite float, a field spec or cost target keeps only
+the keys its kind uses, and a box bound is a number or {"file": path}.
+
 Top-level keys (all optional, defaults below):
 
   grid       {"cells": [64], "extent": [1.0]}
@@ -44,6 +52,7 @@ row when constant in time, as one row per step for manufactured):
 
 from __future__ import annotations
 
+import copy
 import json
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -59,137 +68,86 @@ from .kernels import KernelData, KernelSpec, build_kernel
 from .physics import (DistributionSpec, ModelParams, PotentialSpec,
                       ProliferationSpec)
 
-
-@dataclass(frozen=True)
-class FieldSpec:
-    kind: str
-    value: float = 0.0
-    background: float = 0.0
-    centers: tuple = ()
-    amplitudes: tuple = ()
-    widths: tuple = ()
-    path: str = ""
-
-
-@dataclass(frozen=True)
-class TargetsConfig:
-    kind: str
-    phi_omega: float = 0.0
-    sigma_omega: float = 0.0
-    phi_q: float = 0.0
-    sigma_q: float = 0.0
-    phi_omega_path: str = ""
-    sigma_omega_path: str = ""
-    u: FieldSpec | None = None
-    v: FieldSpec | None = None
-
-
-@dataclass(frozen=True)
-class CostConfig:
-    alpha_omega: float
-    alpha_q: float
-    beta_omega: float
-    beta_q: float
-    alpha_u: float
-    beta_v: float
-    targets: TargetsConfig
-
-
-@dataclass(frozen=True)
-class BoxBound:
-    value: float = 0.0
-    path: str = ""
-
-    @property
-    def from_file(self) -> bool:
-        return bool(self.path)
+_WEIGHTS = ("alpha_omega", "alpha_q", "beta_omega", "beta_q", "alpha_u", "beta_v")
+_BOUNDS = ("u_min", "u_max", "v_min", "v_max")
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Fully validated run description; builders realise the heavy objects."""
+    """Fully validated run description; builders realise the heavy objects.
 
-    grid_cells: tuple[int, ...]
-    grid_extent: tuple[float, ...]
-    kernel_family: str
-    kernel_amplitude: float
-    kernel_width: float
-    A: float
-    B: float
-    chi: float
-    lambda_s: float
-    proliferation_family: str
-    distribution_family: str
-    T: float
-    steps: int
-    initial_phi: FieldSpec
-    initial_sigma: FieldSpec
-    control_u: FieldSpec
-    control_v: FieldSpec
-    blowup_guard: float
-    cost: CostConfig
-    u_min: BoxBound
-    u_max: BoxBound
-    v_min: BoxBound
-    v_max: BoxBound
-    opt_tol: float
-    opt_max_iter: int
-    opt_tau0: float
-    output_directory: str
-    snapshot_stride: int
-    seed: int
+    data is the canonical form (see the module docstring), base_dir the
+    directory that relative file paths are read from."""
+
+    data: dict
     base_dir: str = field(default=".", compare=False)
     # [(spec, grid), kernel] of the kernel built last, which build_kernel
     # hands out again for the same key: validation builds it, the command
     # reuses it
     kernel_slot: list = field(default_factory=list, compare=False, repr=False)
 
+    @property
+    def blowup_guard(self) -> float:
+        return self.data["solver"]["blowup_guard"]
+
+    @property
+    def snapshot_stride(self) -> int:
+        return self.data["output"]["snapshot_stride"]
+
+    @property
+    def seed(self) -> int:
+        return self.data["seed"]
+
+    @property
+    def output_directory(self) -> str:
+        return self.data["output"]["directory"]
+
     # ---- builders -------------------------------------------------------
 
     def build_grid(self) -> GridSpec:
-        return GridSpec(self.grid_cells, self.grid_extent)
+        return GridSpec(self.data["grid"]["cells"], self.data["grid"]["extent"])
 
     def build_kernel(self, grid: GridSpec | None = None) -> KernelData:
         grid = grid or self.build_grid()
-        key = (KernelSpec(self.kernel_family, self.kernel_amplitude, self.kernel_width), grid)
+        k = self.data["kernel"]
+        key = (KernelSpec(k["family"], k["amplitude"], k["width"]), grid)
         slot = self.kernel_slot
         if not slot or slot[0] != key:
             slot[:] = [key, build_kernel(*key)]
         return slot[1]
 
     def build_params(self) -> ModelParams:
+        m = self.data["model"]
         return ModelParams(
-            A=self.A, B=self.B, chi=self.chi,
-            proliferation=ProliferationSpec(self.proliferation_family),
-            distribution=DistributionSpec(self.distribution_family),
-            lambda_s=self.lambda_s,
+            A=m["A"], B=m["B"], chi=m["chi"],
+            proliferation=ProliferationSpec(m["proliferation"]),
+            distribution=DistributionSpec(m["distribution"]),
+            lambda_s=m["lambda_s"],
         )
 
     def build_tgrid(self) -> TimeGrid:
-        return TimeGrid(self.T, self.steps)
+        return TimeGrid(self.data["time"]["T"], self.data["time"]["steps"])
 
     def solver_options(self) -> None:
         # kept, returning None, until perfbench/workloads.py stops calling it
         return None
 
     def pgd_options(self) -> PgdOptions:
-        return PgdOptions(tol=self.opt_tol, max_iter=self.opt_max_iter, tau0=self.opt_tau0)
+        return PgdOptions(**self.data["optimizer"])
 
-    def realize_field(self, spec: FieldSpec, grid: GridSpec) -> ScalarField:
-        if spec.kind == "constant":
-            return ScalarField.constant(grid, spec.value)
-        if spec.kind == "bumps":
+    def realize_field(self, spec: dict, grid: GridSpec) -> ScalarField:
+        if spec["kind"] == "constant":
+            return ScalarField.constant(grid, spec["value"])
+        if spec["kind"] == "bumps":
             coords = grid.mesh()
-            vals = np.full(grid.cells_per_axis, float(spec.background))
-            for center, amp, width in zip(spec.centers, spec.amplitudes, spec.widths):
+            vals = np.full(grid.cells_per_axis, spec["background"])
+            for center, amp, width in zip(spec["centers"], spec["amplitudes"], spec["widths"]):
                 r2 = np.zeros(grid.cells_per_axis)
                 for axis, x in enumerate(coords):
                     r2 = r2 + (x - center[axis]) ** 2
                 vals = vals + amp * np.exp(-r2 / (2.0 * width * width))
             return ScalarField(grid, vals.reshape(-1))
-        if spec.kind == "file":
-            return self._read_on_grid(spec.path, grid, "field file")
-        raise ConfigError([f"unknown field kind {spec.kind!r}"])
+        return self._read_on_grid(spec["path"], grid, "field file")
 
     def _read_on_grid(self, path: str, grid: GridSpec, what: str) -> ScalarField:
         """The snapshot at path; ConfigError naming it unless it lies on grid."""
@@ -205,71 +163,65 @@ class RunConfig:
         return p if p.is_absolute() else Path(self.base_dir) / p
 
     def build_initial_state(self, grid: GridSpec) -> tuple[ScalarField, ScalarField]:
-        return (self.realize_field(self.initial_phi, grid),
-                self.realize_field(self.initial_sigma, grid))
+        initial = self.data["initial"]
+        return (self.realize_field(initial["phi"], grid),
+                self.realize_field(initial["sigma"], grid))
 
     def build_initial_controls(self, grid: GridSpec) -> ControlPair:
-        return self._constant_controls(self.control_u, self.control_v, grid)
+        return self._constant_controls(self.data["controls"], grid)
 
-    def _constant_controls(self, u: FieldSpec, v: FieldSpec, grid: GridSpec) -> ControlPair:
-        """Controls that hold the fields u and v at every step."""
-        return ControlPair(grid, *(np.tile(self.realize_field(spec, grid).values, (self.steps, 1))
-                                   for spec in (u, v)))
+    def _constant_controls(self, specs: dict, grid: GridSpec) -> ControlPair:
+        """Controls that hold the fields specs["u"] and specs["v"] at every step."""
+        steps = self.data["time"]["steps"]
+        return ControlPair(grid, *(np.tile(self.realize_field(specs[name], grid).values,
+                                           (steps, 1))
+                                   for name in ("u", "v")))
 
-    def _bound_array(self, bound: BoxBound, grid: GridSpec) -> np.ndarray:
-        if bound.from_file:
-            return self._read_on_grid(bound.path, grid, "box bound file").values
-        return np.full(grid.num_cells, bound.value)
+    def _bound_array(self, bound, grid: GridSpec) -> np.ndarray:
+        if isinstance(bound, dict):
+            return self._read_on_grid(bound["file"], grid, "box bound file").values
+        return np.full(grid.num_cells, bound)
 
     def build_box(self, grid: GridSpec) -> BoxConstraints:
-        return BoxConstraints(
-            grid,
-            self._bound_array(self.u_min, grid),
-            self._bound_array(self.u_max, grid),
-            self._bound_array(self.v_min, grid),
-            self._bound_array(self.v_max, grid),
-        )
+        box = self.data["box"]
+        return BoxConstraints(grid, *(self._bound_array(box[name], grid) for name in _BOUNDS))
 
     def build_cost(self, grid: GridSpec, kernel: KernelData, params: ModelParams,
                    tgrid: TimeGrid) -> CostSpec:
-        t = self.cost.targets
-        weights = dict(
-            alpha_omega=self.cost.alpha_omega, alpha_q=self.cost.alpha_q,
-            beta_omega=self.cost.beta_omega, beta_q=self.cost.beta_q,
-            alpha_u=self.cost.alpha_u, beta_v=self.cost.beta_v,
-        )
-        if t.kind == "zero":
+        weights = {name: self.data["cost"][name] for name in _WEIGHTS}
+        t = self.data["cost"]["targets"]
+        if t["kind"] == "zero":
             return CostSpec.tracking(grid, **weights)
-        if t.kind == "constant":
+        if t["kind"] == "constant":
             return CostSpec.tracking(
                 grid, **weights,
-                phi_omega=ScalarField.constant(grid, t.phi_omega),
-                sigma_omega=ScalarField.constant(grid, t.sigma_omega),
-                phi_q=np.full((1, grid.num_cells), t.phi_q),
-                sigma_q=np.full((1, grid.num_cells), t.sigma_q),
+                phi_omega=ScalarField.constant(grid, t["phi_omega"]),
+                sigma_omega=ScalarField.constant(grid, t["sigma_omega"]),
+                phi_q=np.full((1, grid.num_cells), t["phi_q"]),
+                sigma_q=np.full((1, grid.num_cells), t["sigma_q"]),
             )
-        if t.kind == "files":
+        if t["kind"] == "files":
             return CostSpec.tracking(
                 grid, **weights,
-                phi_omega=self._read_on_grid(t.phi_omega_path, grid, "cost target file"),
-                sigma_omega=self._read_on_grid(t.sigma_omega_path, grid, "cost target file"),
+                phi_omega=self._read_on_grid(t["phi_omega"], grid, "cost target file"),
+                sigma_omega=self._read_on_grid(t["sigma_omega"], grid, "cost target file"),
             )
-        if t.kind == "manufactured":
-            phi0, sigma0 = self.build_initial_state(grid)
-            traj = simulate(phi0, sigma0, self._constant_controls(t.u, t.v, grid), params,
-                            kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
-            return CostSpec.tracking(
-                grid, **weights,
-                phi_omega=ScalarField(grid, traj.phi[tgrid.steps]),
-                sigma_omega=ScalarField(grid, traj.sigma[tgrid.steps]),
-                phi_q=traj.phi[:tgrid.steps],
-                sigma_q=traj.sigma[:tgrid.steps],
-            )
-        raise ConfigError([f"unknown targets kind {t.kind!r}"])
+        phi0, sigma0 = self.build_initial_state(grid)
+        traj = simulate(phi0, sigma0, self._constant_controls(t, grid), params,
+                        kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
+        return CostSpec.tracking(
+            grid, **weights,
+            phi_omega=ScalarField(grid, traj.phi[tgrid.steps]),
+            sigma_omega=ScalarField(grid, traj.sigma[tgrid.steps]),
+            phi_q=traj.phi[:tgrid.steps],
+            sigma_q=traj.sigma[:tgrid.steps],
+        )
 
 
 # ---- parsing ------------------------------------------------------------
 
+
+_ZERO_FIELD = {"kind": "constant", "value": 0.0}
 
 _DEFAULTS = {
     "grid": {"cells": [64], "extent": [1.0]},
@@ -278,10 +230,8 @@ _DEFAULTS = {
               "proliferation": "smoothed_ramp",
               "distribution": "same_as_p"},
     "time": {"T": 0.25, "steps": 25},
-    "initial": {"phi": {"kind": "constant", "value": 0.0},
-                "sigma": {"kind": "constant", "value": 0.0}},
-    "controls": {"u": {"kind": "constant", "value": 0.0},
-                 "v": {"kind": "constant", "value": 0.0}},
+    "initial": {"phi": _ZERO_FIELD, "sigma": _ZERO_FIELD},
+    "controls": {"u": _ZERO_FIELD, "v": _ZERO_FIELD},
     "solver": {"blowup_guard": DEFAULT_BLOWUP_GUARD},
     "cost": {"alpha_omega": 1.0, "alpha_q": 0.0, "beta_omega": 0.0,
              "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
@@ -293,94 +243,70 @@ _DEFAULTS = {
 }
 
 
-def _merge_defaults(raw: dict, failures: list[str]) -> dict:
-    merged = {}
-    for key, default in _DEFAULTS.items():
-        value = raw.get(key, default)
-        if isinstance(default, dict):
-            if not isinstance(value, dict):
-                failures.append(f"{key}: expected an object")
-                value = default
-            else:
-                unknown = set(value) - set(default)
-                if unknown:
-                    failures.append(f"{key}: unknown keys {sorted(unknown)}")
-                value = {**default, **{k: v for k, v in value.items() if k in default}}
-        merged[key] = value
-    unknown_top = set(raw) - set(_DEFAULTS)
-    if unknown_top:
-        failures.append(f"unknown top-level keys {sorted(unknown_top)}")
-    return merged
-
-
-def _field_spec(raw, label: str, failures: list[str]) -> FieldSpec:
+def _field_spec(raw, label: str, failures: list[str]) -> dict:
     if not isinstance(raw, dict) or "kind" not in raw:
         failures.append(f"{label}: field spec must be an object with a 'kind'")
-        return FieldSpec(kind="constant", value=0.0)
+        return dict(_ZERO_FIELD)
     kind = raw["kind"]
     if kind == "constant":
-        return FieldSpec(kind="constant",
-                         value=_number(raw.get("value", 0.0), f"{label}.value", 0.0, failures))
+        return {"kind": "constant",
+                "value": _number(raw.get("value", 0.0), f"{label}.value", 0.0, failures)}
     if kind == "bumps":
-        centers = tuple(_numbers(c, f"{label}.centers[{i}]", failures)
-                        for i, c in enumerate(_list(raw.get("centers", []),
-                                                    f"{label}.centers", failures)))
+        centers = [_numbers(c, f"{label}.centers[{i}]", failures)
+                   for i, c in enumerate(_list(raw.get("centers", []),
+                                               f"{label}.centers", failures))]
         amplitudes = _numbers(raw.get("amplitudes", []), f"{label}.amplitudes", failures)
         widths = _numbers(raw.get("widths", []), f"{label}.widths", failures)
         if not (len(centers) == len(amplitudes) == len(widths)):
             failures.append(f"{label}: bumps need matching centers/amplitudes/widths")
         if any(w <= 0 for w in widths):
             failures.append(f"{label}: bump widths must be positive")
-        return FieldSpec(
-            kind="bumps",
-            background=_number(raw.get("background", 0.0), f"{label}.background", 0.0,
-                               failures),
-            centers=centers, amplitudes=amplitudes, widths=widths,
-        )
+        return {"kind": "bumps",
+                "background": _number(raw.get("background", 0.0), f"{label}.background", 0.0,
+                                      failures),
+                "centers": centers, "amplitudes": amplitudes, "widths": widths}
     if kind == "file":
         path = raw.get("path", "")
         if not path:
             failures.append(f"{label}: file field spec needs a 'path'")
-        return FieldSpec(kind="file", path=str(path))
+        return {"kind": "file", "path": str(path)}
     failures.append(f"{label}: unknown field kind {kind!r}")
-    return FieldSpec(kind="constant", value=0.0)
+    return dict(_ZERO_FIELD)
 
 
-def _targets(raw, failures: list[str]) -> TargetsConfig:
+def _targets(raw, label: str, failures: list[str]) -> dict:
     if not isinstance(raw, dict) or "kind" not in raw:
-        failures.append("cost.targets: must be an object with a 'kind'")
-        return TargetsConfig(kind="zero")
+        failures.append(f"{label}: must be an object with a 'kind'")
+        return {"kind": "zero"}
     kind = raw["kind"]
     if kind == "zero":
-        return TargetsConfig(kind="zero")
+        return {"kind": "zero"}
     if kind == "constant":
-        return TargetsConfig(kind="constant", **{
-            name: _number(raw.get(name, 0.0), f"cost.targets.{name}", 0.0, failures)
-            for name in ("phi_omega", "sigma_omega", "phi_q", "sigma_q")})
+        return {"kind": "constant", **{
+            name: _number(raw.get(name, 0.0), f"{label}.{name}", 0.0, failures)
+            for name in ("phi_omega", "sigma_omega", "phi_q", "sigma_q")}}
     if kind == "files":
         phi_path = raw.get("phi_omega", "")
         sigma_path = raw.get("sigma_omega", "")
         if not phi_path or not sigma_path:
-            failures.append("cost.targets: files kind needs phi_omega and sigma_omega paths")
-        return TargetsConfig(kind="files", phi_omega_path=str(phi_path),
-                             sigma_omega_path=str(sigma_path))
+            failures.append(f"{label}: files kind needs phi_omega and sigma_omega paths")
+        return {"kind": "files", "phi_omega": str(phi_path), "sigma_omega": str(sigma_path)}
     if kind == "manufactured":
-        u = _field_spec(raw.get("u", {"kind": "constant", "value": 0.0}),
-                        "cost.targets.u", failures)
-        v = _field_spec(raw.get("v", {"kind": "constant", "value": 0.0}),
-                        "cost.targets.v", failures)
-        return TargetsConfig(kind="manufactured", u=u, v=v)
-    failures.append(f"cost.targets: unknown kind {kind!r}")
-    return TargetsConfig(kind="zero")
+        return {"kind": "manufactured",
+                **{name: _field_spec(raw.get(name, _ZERO_FIELD), f"{label}.{name}", failures)
+                   for name in ("u", "v")}}
+    failures.append(f"{label}: unknown kind {kind!r}")
+    return {"kind": "zero"}
 
 
-def _bound(raw, label: str, failures: list[str]) -> BoxBound:
+def _bound(raw, label: str, failures: list[str]):
+    """A number, or {"file": path}; an object without a path reads as 0.0."""
     if isinstance(raw, dict):
         path = raw.get("file", "")
         if not path:
-            failures.append(f"box.{label}: object bound needs a 'file' key")
-        return BoxBound(path=str(path))
-    return BoxBound(value=_number(raw, f"box.{label}", 0.0, failures))
+            failures.append(f"{label}: object bound needs a 'file' key")
+        return {"file": str(path)} if str(path) else 0.0
+    return _number(raw, label, 0.0, failures)
 
 
 def _integer(raw, key: str, default: int, failures: list[str]) -> int:
@@ -419,68 +345,63 @@ def _list(raw, key: str, failures: list[str]) -> list:
     return []
 
 
-def _numbers(raw, key: str, failures: list[str]) -> tuple[float, ...]:
+def _numbers(raw, key: str, failures: list[str]) -> list[float]:
     """A list of numbers, each read by _number (default 0.0)."""
-    return tuple(_number(x, f"{key}[{i}]", 0.0, failures)
-                 for i, x in enumerate(_list(raw, key, failures)))
+    return [_number(x, f"{key}[{i}]", 0.0, failures)
+            for i, x in enumerate(_list(raw, key, failures))]
+
+
+def _cells(raw, key: str, failures: list[str]) -> list[int]:
+    return [_integer(n, f"{key}[{i}]", _DEFAULTS["grid"]["cells"][0], failures)
+            for i, n in enumerate(_list(raw, key, failures))]
+
+
+# readers of the values that are not a single number or string, by key
+_READERS = {
+    "grid.cells": _cells, "grid.extent": _numbers, "cost.targets": _targets,
+    **dict.fromkeys(("initial.phi", "initial.sigma", "controls.u", "controls.v"), _field_spec),
+    **dict.fromkeys((f"box.{name}" for name in _BOUNDS), _bound),
+}
+
+
+def _canonical(raw, key: str, default, failures: list[str]):
+    """raw in its canonical form; a scalar takes the type of its default."""
+    if key in _READERS:
+        return _READERS[key](raw, key, failures)
+    if isinstance(default, str):
+        return str(raw)
+    if isinstance(default, int):
+        return _integer(raw, key, default, failures)
+    return _number(raw, key, default, failures)
 
 
 def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
-    """Build and validate a RunConfig; raises ConfigError with every failure."""
+    """Build and validate a RunConfig; raises ConfigError with every failure.
+    Failures of the layout (a section that is no object, unknown keys) come
+    before those of the values."""
     failures: list[str] = []
-    merged = _merge_defaults(raw, failures)
+    value_failures: list[str] = []
+    data = {}
+    for section, default in _DEFAULTS.items():
+        value = raw.get(section, default)
+        if not isinstance(default, dict):
+            data[section] = _canonical(value, section, default, value_failures)
+            continue
+        if not isinstance(value, dict):
+            failures.append(f"{section}: expected an object")
+            value = default
+        unknown = set(value) - set(default)
+        if unknown:
+            failures.append(f"{section}: unknown keys {sorted(unknown)}")
+        data[section] = {key: _canonical(value.get(key, d), f"{section}.{key}", d,
+                                         value_failures)
+                         for key, d in default.items()}
+    unknown_top = set(raw) - set(_DEFAULTS)
+    if unknown_top:
+        failures.append(f"unknown top-level keys {sorted(unknown_top)}")
+    failures += value_failures
 
-    g = merged["grid"]
-    k = merged["kernel"]
-    m = merged["model"]
-    c = merged["cost"]
-    box = merged["box"]
-    out = merged["output"]
-
-    def number(section: str, name: str) -> float:
-        return _number(merged[section][name], f"{section}.{name}",
-                       _DEFAULTS[section][name], failures)
-
-    def integer(section: str, name: str) -> int:
-        return _integer(merged[section][name], f"{section}.{name}",
-                        _DEFAULTS[section][name], failures)
-
-    cfg = RunConfig(
-        grid_cells=tuple(_integer(n, f"grid.cells[{i}]", _DEFAULTS["grid"]["cells"][0],
-                                  failures)
-                         for i, n in enumerate(_list(g["cells"], "grid.cells", failures))),
-        grid_extent=_numbers(g["extent"], "grid.extent", failures),
-        kernel_family=str(k["family"]),
-        kernel_amplitude=number("kernel", "amplitude"),
-        kernel_width=number("kernel", "width"),
-        A=number("model", "A"), B=number("model", "B"), chi=number("model", "chi"),
-        lambda_s=number("model", "lambda_s"),
-        proliferation_family=str(m["proliferation"]),
-        distribution_family=str(m["distribution"]),
-        T=number("time", "T"), steps=integer("time", "steps"),
-        initial_phi=_field_spec(merged["initial"]["phi"], "initial.phi", failures),
-        initial_sigma=_field_spec(merged["initial"]["sigma"], "initial.sigma", failures),
-        control_u=_field_spec(merged["controls"]["u"], "controls.u", failures),
-        control_v=_field_spec(merged["controls"]["v"], "controls.v", failures),
-        blowup_guard=number("solver", "blowup_guard"),
-        cost=CostConfig(
-            **{name: number("cost", name) for name in ("alpha_omega", "alpha_q", "beta_omega",
-                                                        "beta_q", "alpha_u", "beta_v")},
-            targets=_targets(c["targets"], failures),
-        ),
-        u_min=_bound(box["u_min"], "u_min", failures),
-        u_max=_bound(box["u_max"], "u_max", failures),
-        v_min=_bound(box["v_min"], "v_min", failures),
-        v_max=_bound(box["v_max"], "v_max", failures),
-        opt_tol=number("optimizer", "tol"),
-        opt_max_iter=integer("optimizer", "max_iter"),
-        opt_tau0=number("optimizer", "tau0"),
-        output_directory=str(out["directory"]),
-        snapshot_stride=integer("output", "snapshot_stride"),
-        seed=_integer(merged["seed"], "seed", _DEFAULTS["seed"], failures),
-        base_dir=base_dir,
-    )
-
+    cfg = RunConfig(data, base_dir=base_dir)
     _validate(cfg, failures)
     if failures:
         raise ConfigError(failures)
@@ -488,80 +409,82 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
 
 
 def _validate(cfg: RunConfig, failures: list[str]):
+    d = cfg.data
     grid = None
     try:
         grid = cfg.build_grid()
     except NLCHError as exc:
         failures.append(f"grid: {exc}")
     try:
-        params = cfg.build_params()
+        cfg.build_params()
     except NLCHError as exc:
         failures.append(f"model: {exc}")
-        params = None
     kernel = None
     if grid is not None:
         try:
             kernel = cfg.build_kernel(grid)
         except NLCHError as exc:
             failures.append(f"kernel: {exc}")
+    m = d["model"]
     if grid is not None and kernel is not None:
         # computed from raw values so the message appears even when the
         # A, B > 0 invariant already failed (e.g. B = 0)
-        margin = (cfg.A * PotentialSpec().second_derivative_min
-                  + cfg.B * float(np.min(kernel.a_field.values)))
-        if not (margin > cfg.chi ** 2):
+        margin = (m["A"] * PotentialSpec().second_derivative_min
+                  + m["B"] * float(np.min(kernel.a_field.values)))
+        if not (margin > m["chi"] ** 2):
             failures.append(
-                f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {cfg.chi ** 2:.6g} "
+                f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {m['chi'] ** 2:.6g} "
                 "(need A*min F'' + B*min a > chi^2)"
             )
-    if cfg.T <= 0.0:
-        failures.append(f"time.T must be positive, got {cfg.T}")
-    if cfg.steps <= 0:
-        failures.append(f"time.steps must be positive, got {cfg.steps}")
-    if cfg.seed < 0:
-        failures.append(f"seed must be nonnegative, got {cfg.seed}")
-    if cfg.blowup_guard <= 0.0:
+    if d["time"]["T"] <= 0.0:
+        failures.append(f"time.T must be positive, got {d['time']['T']}")
+    if d["time"]["steps"] <= 0:
+        failures.append(f"time.steps must be positive, got {d['time']['steps']}")
+    if d["seed"] < 0:
+        failures.append(f"seed must be nonnegative, got {d['seed']}")
+    if d["solver"]["blowup_guard"] <= 0.0:
         failures.append("solver.blowup_guard must be positive")
-    weights = (cfg.cost.alpha_omega, cfg.cost.alpha_q, cfg.cost.beta_omega,
-               cfg.cost.beta_q, cfg.cost.alpha_u, cfg.cost.beta_v)
-    if any(w < 0 for w in weights):
+    if any(d["cost"][name] < 0 for name in _WEIGHTS):
         failures.append("cost weights must be nonnegative")
     # the all-weights-zero gate applies only when optimizing; gradcheck may
     # legitimately run a zero-cost configuration (all gradients zero)
-    if not (cfg.u_min.from_file or cfg.u_max.from_file) and cfg.u_min.value > cfg.u_max.value:
-        failures.append("box: u_min > u_max")
-    if not (cfg.v_min.from_file or cfg.v_max.from_file) and cfg.v_min.value > cfg.v_max.value:
-        failures.append("box: v_min > v_max")
-    if cfg.opt_tol <= 0.0:
+    box = d["box"]
+    for c in "uv":
+        lower, upper = box[f"{c}_min"], box[f"{c}_max"]
+        if not (isinstance(lower, dict) or isinstance(upper, dict)) and lower > upper:
+            failures.append(f"box: {c}_min > {c}_max")
+    opt = d["optimizer"]
+    if opt["tol"] <= 0.0:
         failures.append("optimizer.tol must be positive")
-    if cfg.opt_max_iter < 0:
+    if opt["max_iter"] < 0:
         failures.append("optimizer.max_iter must be nonnegative")
-    if cfg.opt_tau0 <= 0.0:
+    if opt["tau0"] <= 0.0:
         failures.append("optimizer.tau0 must be positive")
-    if cfg.snapshot_stride < 0:
+    if d["output"]["snapshot_stride"] < 0:
         failures.append("output.snapshot_stride must be nonnegative")
-    targets = cfg.cost.targets
-    for spec, label in ((cfg.initial_phi, "initial.phi"), (cfg.initial_sigma, "initial.sigma"),
-                        (cfg.control_u, "controls.u"), (cfg.control_v, "controls.v"),
-                        (targets.u, "cost.targets.u"), (targets.v, "cost.targets.v")):
-        if spec is None:
-            continue
-        if spec.kind == "file" and not cfg.resolve_path(spec.path).exists():
-            failures.append(f"{label}: referenced file {spec.path!r} does not exist")
-        if spec.kind == "bumps" and grid is not None:
+    targets = d["cost"]["targets"]
+    specs = {f"{section}.{name}": spec for section in ("initial", "controls")
+             for name, spec in d[section].items()}
+    if targets["kind"] == "manufactured":
+        specs.update({f"cost.targets.{name}": targets[name] for name in ("u", "v")})
+    for label, spec in specs.items():
+        if spec["kind"] == "file" and not cfg.resolve_path(spec["path"]).exists():
+            failures.append(f"{label}: referenced file {spec['path']!r} does not exist")
+        if spec["kind"] == "bumps" and grid is not None:
             # realize_field reads one coordinate per grid axis from each centre
             failures.extend(f"{label}.centers[{i}] must have {grid.dim} coordinates, "
                             f"got {len(center)}"
-                            for i, center in enumerate(spec.centers) if len(center) != grid.dim)
-    if targets.kind == "files":
-        for path, label in ((targets.phi_omega_path, "phi_omega"),
-                            (targets.sigma_omega_path, "sigma_omega")):
+                            for i, center in enumerate(spec["centers"])
+                            if len(center) != grid.dim)
+    if targets["kind"] == "files":
+        for label in ("phi_omega", "sigma_omega"):
+            path = targets[label]
             if path and not cfg.resolve_path(path).exists():
                 failures.append(f"cost.targets.{label}: file {path!r} does not exist")
-    for bound, label in ((cfg.u_min, "u_min"), (cfg.u_max, "u_max"),
-                         (cfg.v_min, "v_min"), (cfg.v_max, "v_max")):
-        if bound.from_file and not cfg.resolve_path(bound.path).exists():
-            failures.append(f"box.{label}: file {bound.path!r} does not exist")
+    for label in _BOUNDS:
+        bound = box[label]
+        if isinstance(bound, dict) and not cfg.resolve_path(bound["file"]).exists():
+            failures.append(f"box.{label}: file {bound['file']!r} does not exist")
 
 
 def read_config_json(path) -> dict:
@@ -588,64 +511,13 @@ def load_config(path) -> RunConfig:
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
-    """Normalised dictionary form; loading it back yields an equal RunConfig."""
-
-    def field_dict(spec: FieldSpec) -> dict:
-        if spec.kind == "constant":
-            return {"kind": "constant", "value": spec.value}
-        if spec.kind == "bumps":
-            return {"kind": "bumps", "background": spec.background,
-                    "centers": [list(c) for c in spec.centers],
-                    "amplitudes": list(spec.amplitudes),
-                    "widths": list(spec.widths)}
-        return {"kind": "file", "path": spec.path}
-
-    def bound_value(bound: BoxBound):
-        return {"file": bound.path} if bound.from_file else bound.value
-
-    targets = cfg.cost.targets
-    if targets.kind == "zero":
-        targets_dict = {"kind": "zero"}
-    elif targets.kind == "constant":
-        targets_dict = {"kind": "constant", "phi_omega": targets.phi_omega,
-                        "sigma_omega": targets.sigma_omega,
-                        "phi_q": targets.phi_q, "sigma_q": targets.sigma_q}
-    elif targets.kind == "files":
-        targets_dict = {"kind": "files", "phi_omega": targets.phi_omega_path,
-                        "sigma_omega": targets.sigma_omega_path}
-    else:
-        targets_dict = {"kind": "manufactured", "u": field_dict(targets.u),
-                        "v": field_dict(targets.v)}
-
-    return {
-        "grid": {"cells": list(cfg.grid_cells), "extent": list(cfg.grid_extent)},
-        "kernel": {"family": cfg.kernel_family, "amplitude": cfg.kernel_amplitude,
-                   "width": cfg.kernel_width},
-        "model": {"A": cfg.A, "B": cfg.B, "chi": cfg.chi, "lambda_s": cfg.lambda_s,
-                  "proliferation": cfg.proliferation_family,
-                  "distribution": cfg.distribution_family},
-        "time": {"T": cfg.T, "steps": cfg.steps},
-        "initial": {"phi": field_dict(cfg.initial_phi),
-                    "sigma": field_dict(cfg.initial_sigma)},
-        "controls": {"u": field_dict(cfg.control_u), "v": field_dict(cfg.control_v)},
-        "solver": {"blowup_guard": cfg.blowup_guard},
-        "cost": {"alpha_omega": cfg.cost.alpha_omega, "alpha_q": cfg.cost.alpha_q,
-                 "beta_omega": cfg.cost.beta_omega, "beta_q": cfg.cost.beta_q,
-                 "alpha_u": cfg.cost.alpha_u, "beta_v": cfg.cost.beta_v,
-                 "targets": targets_dict},
-        "box": {"u_min": bound_value(cfg.u_min), "u_max": bound_value(cfg.u_max),
-                "v_min": bound_value(cfg.v_min), "v_max": bound_value(cfg.v_max)},
-        "optimizer": {"tol": cfg.opt_tol, "max_iter": cfg.opt_max_iter,
-                      "tau0": cfg.opt_tau0},
-        "output": {"directory": cfg.output_directory,
-                   "snapshot_stride": cfg.snapshot_stride},
-        "seed": cfg.seed,
-    }
+    """The canonical form, as a copy; loading it back yields an equal RunConfig."""
+    return copy.deepcopy(cfg.data)
 
 
 def config_json(cfg: RunConfig) -> str:
     """Canonical serialisation (used for hashing and write_config)."""
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
+    return json.dumps(cfg.data, indent=2, sort_keys=True) + "\n"
 
 
 def write_config(cfg: RunConfig, path):

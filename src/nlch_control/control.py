@@ -216,7 +216,8 @@ def reduced_gradient(adj: AdjointTrajectory, spec: CostSpec) -> ControlPair:
 
 def _clamp(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
     """Pointwise clamp of one control component; the bounds broadcast over the steps."""
-    return np.minimum(np.maximum(values, lower), upper)
+    clamped = np.maximum(values, lower)
+    return np.minimum(clamped, upper, out=clamped)
 
 
 def project_box(c: ControlPair, box: BoxConstraints) -> ControlPair:
@@ -340,6 +341,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                                             _clamp(c.v + alpha * d_v, box.v_min, box.v_max)))
             if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
                 return alpha, trials, traj, j_trial
+            del traj  # released before the next trial's sweep
             alpha *= 0.5
         return None, trials, None, None
 

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -14,7 +15,7 @@ from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config,
                           write_config)
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                               cmd_gradcheck, main)
-from nlch_control.config import config_from_dict, config_to_dict
+from nlch_control.config import config_from_dict, config_json, config_to_dict
 from nlch_control.errors import ConfigError, FieldShapeError
 from nlch_control.forward import DEFAULT_BLOWUP_GUARD
 from nlch_control.snapshots import (MANIFEST_NAME, read_snapshot, write_snapshot)
@@ -56,10 +57,11 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text("{}\n")
     cfg = load_config(path)
-    assert cfg.grid_cells == (64,)
-    assert cfg.kernel_family == "gaussian"
+    data = config_to_dict(cfg)
+    assert data["grid"]["cells"] == [64]
+    assert data["kernel"]["family"] == "gaussian"
     assert cfg.blowup_guard == 10.0 == DEFAULT_BLOWUP_GUARD
-    assert cfg.opt_max_iter == 200
+    assert data["optimizer"]["max_iter"] == 200
     assert cfg.pgd_options() == PgdOptions()
     assert cfg.seed == 0
     assert cfg.snapshot_stride == 0
@@ -145,9 +147,9 @@ def test_config_rejects_nonintegral_counts(tmp_path, capsys, key, overrides, lit
 
 def test_config_accepts_integral_floats(tmp_path):
     path = write_cfg(tmp_path, {"time": {"steps": 16.0}, "grid": {"cells": [24.0]}})
-    cfg = load_config(path)
-    assert cfg.steps == 16 and type(cfg.steps) is int
-    assert cfg.grid_cells == (24,) and type(cfg.grid_cells[0]) is int
+    data = config_to_dict(load_config(path))
+    assert data["time"]["steps"] == 16 and type(data["time"]["steps"]) is int
+    assert data["grid"]["cells"] == [24] and type(data["grid"]["cells"][0]) is int
 
 
 @pytest.mark.parametrize("key,overrides,message", [
@@ -235,7 +237,7 @@ def test_chi_positive_forward_only_config_valid(tmp_path):
     # chi > 0 passes validation when the margin clears chi^2
     path = write_cfg(tmp_path, {"kernel": {"amplitude": 8.0}, "model": {"chi": 0.4}})
     cfg = load_config(path)
-    assert cfg.chi == 0.4
+    assert cfg.build_params().chi == 0.4
 
 
 # ---- snapshots -----------------------------------------------------------
@@ -468,6 +470,42 @@ def test_cmd_validate(tmp_path):
     assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_OK
     bad = write_cfg(tmp_path, {"model": {"A": 5.0}}, name="bad.json")
     assert main(["validate", "--config", str(bad), "--quiet"]) == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate"])
+def test_problem_beyond_memory_exits_2(tmp_path, monkeypatch, capsys, command):
+    # 1e15 steps of 24 cells ask numpy for petabytes, which it refuses at
+    # once: a one-line validation error, not a traceback
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"time": {"steps": 1e15}})
+    assert main([command, "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: the problem in {path} does not fit in memory")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["gradcheck", "validate"])
+def test_out_flag_only_where_a_command_writes(tmp_path, command):
+    path = write_cfg(tmp_path)
+    with pytest.raises(SystemExit) as exc_info:
+        main([command, "--config", str(path), "--out", "elsewhere"])
+    assert exc_info.value.code == 2
+
+
+def test_out_override_is_hashed_like_the_config_key(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"time": {"T": 0.02, "steps": 2}})
+    assert main(["simulate", "--config", str(path), "--out", "o1", "--quiet"]) == EXIT_OK
+    raw = json.loads(path.read_text())
+    raw["output"]["directory"] = "o1"
+    manifest = json.loads((tmp_path / "o1" / MANIFEST_NAME).read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(
+        config_json(config_from_dict(raw)).encode()).hexdigest()
+    # an output section that is no object stays a collected failure
+    bad = write_cfg(tmp_path, {"output": 5}, name="bad.json")
+    assert main(["simulate", "--config", str(bad), "--out", "o2", "--quiet"]) == EXIT_VALIDATION
+    assert "output: expected an object" in capsys.readouterr().err
 
 
 def _snapshot_with_header(path, header: bytes, values=np.zeros(24)):

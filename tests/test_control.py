@@ -412,6 +412,31 @@ def criterion5_run():
     return problem, report, iterates, sweeps
 
 
+def test_pgd_line_search_releases_rejected_trials(criterion5_run, monkeypatch):
+    # when a sweep starts, the only earlier trajectory still alive is the
+    # accepted iterate's: a rejected trial is released before the next trial
+    import weakref
+
+    import nlch_control.control as control
+
+    (grid, kernel, params, tgrid, phi0, sigma0, spec, box), report, _, _ = criterion5_run
+    assert sum(report.linesearch_counts) > report.iterations  # some trials are rejected
+    returned = []
+    alive_at_call = []
+
+    def tracked(*args, **kwargs):
+        alive_at_call.append(sum(ref() is not None for ref in returned))
+        traj = simulate(*args, **kwargs)
+        returned.append(weakref.ref(traj))
+        return traj
+
+    monkeypatch.setattr(control, "simulate", tracked)
+    again = pgd_optimize(ControlPair.zeros(grid, 24), box, spec, params, kernel, tgrid,
+                         phi0, sigma0, opts=PgdOptions(tol=1e-9, max_iter=400))
+    assert again.costs == report.costs
+    assert len(alive_at_call) > 1 and max(alive_at_call) == 1
+
+
 def test_pgd_spectral_steps_on_criterion5(criterion5_run):
     (grid, kernel, params, tgrid, phi0, sigma0, spec, box), report, iterates, sweeps = \
         criterion5_run
