@@ -18,6 +18,8 @@ Top-level keys (all optional, defaults below):
   time       {"T": 0.25, "steps": 25}
   initial    {"phi": FIELD, "sigma": FIELD}
   controls   {"u": FIELD, "v": FIELD}              initial guess / manufactured
+             (constant in time, built as one row of cells broadcast over
+             the steps, a read-only view)
   solver     {"blowup_guard": 10.0}
   cost       {"alpha_omega": 1.0, "alpha_q": 0.0, "beta_omega": 0.0,
               "beta_q": 0.0, "alpha_u": 0.01, "beta_v": 0.01,
@@ -171,11 +173,12 @@ class RunConfig:
         return self._constant_controls(self.data["controls"], grid)
 
     def _constant_controls(self, specs: dict, grid: GridSpec) -> ControlPair:
-        """Controls that hold the fields specs["u"] and specs["v"] at every step."""
-        steps = self.data["time"]["steps"]
-        return ControlPair(grid, *(np.tile(self.realize_field(specs[name], grid).values,
-                                           (steps, 1))
-                                   for name in ("u", "v")))
+        """Controls that hold the fields specs["u"] and specs["v"] at every
+        step, each one row broadcast over the steps (a read-only view)."""
+        shape = (self.data["time"]["steps"], grid.num_cells)
+        u, v = (np.broadcast_to(self.realize_field(specs[name], grid).values, shape)
+                for name in ("u", "v"))
+        return ControlPair(grid, u, v)
 
     def _bound_array(self, bound, grid: GridSpec) -> np.ndarray:
         if isinstance(bound, dict):
@@ -422,9 +425,16 @@ def _validate(cfg: RunConfig, failures: list[str]):
     kernel = None
     if grid is not None:
         try:
+            # one field of the grid, never written: a grid too large to hold
+            # one is refused here at once, before the kernel build writes
+            # tables that grow with the cells per axis
+            np.empty(grid.num_cells)
             kernel = cfg.build_kernel(grid)
         except NLCHError as exc:
             failures.append(f"kernel: {exc}")
+        except MemoryError as exc:
+            failures.append(f"grid.cells {d['grid']['cells']}: the grid does not fit in "
+                            f"memory ({exc})")
     m = d["model"]
     if grid is not None and kernel is not None:
         # computed from raw values so the message appears even when the

@@ -73,15 +73,21 @@ class State:
 
 @dataclass(frozen=True)
 class ControlPair:
-    """Space-time controls, piecewise constant per step: shape (steps, cells)."""
+    """Space-time controls, piecewise constant per step: shape (steps, cells).
+
+    No code writes into a control's arrays. A float64 array is kept as given,
+    not copied, so a control constant in time can be a read-only view of one
+    row of cells broadcast over the steps (np.broadcast_to, stride 0 along
+    the steps): (steps, cells) in shape, one row in memory.
+    """
 
     grid: GridSpec
     u: np.ndarray = field(repr=False)
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.u, dtype=np.float64)
-        v = np.ascontiguousarray(self.v, dtype=np.float64)
+        u = np.asarray(self.u, dtype=np.float64)
+        v = np.asarray(self.v, dtype=np.float64)
         if u.ndim != 2 or v.ndim != 2 or u.shape != v.shape:
             raise FieldShapeError("controls must be two matching (steps, cells) arrays")
         if u.shape[1] != self.grid.num_cells:
@@ -93,8 +99,8 @@ class ControlPair:
 
     @classmethod
     def zeros(cls, grid: GridSpec, steps: int) -> "ControlPair":
-        z = np.zeros((steps, grid.num_cells))
-        return cls(grid, z, z.copy())
+        z = np.broadcast_to(np.zeros(grid.num_cells), (steps, grid.num_cells))
+        return cls(grid, z, z)
 
     @property
     def steps(self) -> int:

@@ -485,6 +485,23 @@ def test_problem_beyond_memory_exits_2(tmp_path, monkeypatch, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("cells", [[1e15], [1e8, 1e8]], ids=["1d", "2d"])
+def test_grid_beyond_memory_is_a_collected_failure(tmp_path, capsys, cells):
+    # numpy refuses one field of either grid (petabytes) at once, before the
+    # kernel's tables are built, so nothing here touches memory
+    raw = {"grid": {"cells": cells, "extent": [1.0] * len(cells)}, "seed": -1}
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict(raw)
+    failures = exc_info.value.failures
+    assert failures[0].startswith(f"grid.cells {[int(n) for n in cells]}: the grid does "
+                                  "not fit in memory (")
+    assert failures[1:] == ["seed must be nonnegative, got -1"]
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    assert "grid.cells" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["gradcheck", "validate"])
 def test_out_flag_only_where_a_command_writes(tmp_path, command):
     path = write_cfg(tmp_path)

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 
 from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
-                          ModelParams, PgdOptions, ScalarField, TimeGrid,
-                          adjoint_sweep, cost, pgd_optimize, project_box,
+                          KernelSpec, ModelParams, PgdOptions, ScalarField, TimeGrid,
+                          adjoint_sweep, build_kernel, cost, pgd_optimize, project_box,
                           projection_formula_defect, reduced_gradient,
                           simulate, stationarity_residual)
 from nlch_control.control import control_inner_qt
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  SolverError)
+from nlch_control.gradcheck import run_gradcheck
 from nlch_control.physics import ProliferationSpec
 
 from conftest import random_controls, smooth_phi0
@@ -530,3 +531,49 @@ def test_pgd_2d_peak_traced_memory():
         tracemalloc.stop()
     assert report.termination == "converged"
     assert peak <= 25 * tgrid.steps * grid.num_cells * 8
+
+
+@pytest.mark.parametrize("cells,extent,family,width", [
+    ((32,), (1.0,), "gaussian", 0.2),
+    ((300,), (1.0,), "gaussian", 0.2),
+    ((16, 12), (1.0, 0.75), "mollifier", 0.3),
+], ids=["dense-1d", "lu-1d", "mollifier-16x12"])
+def test_broadcast_controls_give_the_same_bits(cells, extent, family, width):
+    # a control constant in time is one row broadcast over the steps (stride
+    # 0, read-only); every consumer must give the bits it gives on the same
+    # row copied into every step, and none may write into it (a write into
+    # the read-only view raises)
+    grid = GridSpec(cells, extent)
+    kernel = build_kernel(KernelSpec(family, 100.0 if family == "mollifier" else 4.0,
+                                     width), grid)
+    params = ModelParams(A=0.5, B=1.0, chi=0.3)
+    steps = 6
+    tgrid = TimeGrid(0.03, steps)
+    phi0 = smooth_phi0(grid)
+    sigma0 = ScalarField.constant(grid, 0.3)
+    rows = [0.2 * smooth_phi0(grid, amplitude=1.0).values, np.full(grid.num_cells, -0.05)]
+    spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
+                             alpha_u=1e-2, beta_v=1e-2,
+                             phi_omega=ScalarField.constant(grid, 0.2),
+                             phi_q=np.full((1, grid.num_cells), 0.1))
+    box = BoxConstraints.constant(grid, -0.5, 0.5, -0.5, 0.5)
+
+    def outputs(controls):
+        traj = simulate(phi0, sigma0, controls, params, kernel, tgrid)
+        adj = adjoint_sweep(traj, spec, params, kernel)
+        g = reduced_gradient(adj, spec)
+        report = pgd_optimize(controls, box, spec, params, kernel, tgrid, phi0, sigma0,
+                              opts=PgdOptions(tol=1e-14, max_iter=3))
+        check = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid,
+                              np.random.default_rng(3), n_duality=2, n_fd=1, n_taylor=1)
+        return [traj.phi.tobytes(), traj.sigma.tobytes(), repr(traj.monitors),
+                repr(cost(traj, spec)), adj.p.tobytes(), adj.r.tobytes(),
+                g.u.tobytes(), g.v.tobytes(), repr(report.costs),
+                report.final_controls.u.tobytes(), report.final_controls.v.tobytes(),
+                repr((check.duality_gaps, check.fd_table, check.taylor_orders))]
+
+    tiled = ControlPair(grid, *(np.tile(row, (steps, 1)) for row in rows))
+    broadcast = ControlPair(grid, *(np.broadcast_to(row, (steps, grid.num_cells))
+                                    for row in rows))
+    assert broadcast.u.strides[0] == 0 and not broadcast.v.flags.writeable
+    assert outputs(broadcast) == outputs(tiled)

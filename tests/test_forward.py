@@ -474,3 +474,42 @@ def test_mass_balance_at_dense_crossover(rng, cells, chi):
     traj = random_run(rng, GridSpec((cells,), (1.0,)), params)
     assert (traj.ops.L is not None) == (cells <= DENSE_MAX_CELLS)
     assert mass_balance_residual(traj, traj.controls, params) <= 1e-12
+
+
+def test_simulate_peak_traced_memory_with_constant_controls():
+    # controls constant in time are one row each, broadcast over the steps:
+    # a simulate then holds its two (steps + 1, cells) state arrays and
+    # per-step temporaries. Controls tiled into every step read 4.22 arrays.
+    import tracemalloc
+
+    from nlch_control import config_from_dict
+
+    cfg = config_from_dict({
+        "grid": {"cells": [48, 48], "extent": [1.0, 1.0]},
+        "kernel": {"family": "gaussian", "amplitude": 20.0, "width": 0.15},
+        "model": {"A": 0.5, "B": 1.0, "chi": 0.3, "lambda_s": 2.0},
+        "time": {"T": 0.05, "steps": 100},
+        "initial": {"phi": {"kind": "bumps", "background": -0.6, "centers": [[0.5, 0.5]],
+                            "amplitudes": [1.2], "widths": [0.15]},
+                    "sigma": {"kind": "constant", "value": 0.4}},
+        "controls": {"u": {"kind": "bumps", "background": 0.0, "centers": [[0.4, 0.6]],
+                           "amplitudes": [0.8], "widths": [0.1]},
+                     "v": {"kind": "constant", "value": 0.0}},
+    })
+    grid = cfg.build_grid()
+    kernel = cfg.build_kernel(grid)
+    params = cfg.build_params()
+    tgrid = cfg.build_tgrid()
+    phi0, sigma0 = cfg.build_initial_state(grid)
+    controls = cfg.build_initial_controls(grid)
+    assert controls.u.strides[0] == 0 and not controls.u.flags.writeable
+    # the operators (factorisations, FFT plans) are built by the first run
+    simulate(phi0, sigma0, controls, params, kernel, tgrid)
+    tracemalloc.start()
+    try:
+        controls = cfg.build_initial_controls(grid)
+        simulate(phi0, sigma0, controls, params, kernel, tgrid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.75 * tgrid.steps * grid.num_cells * 8

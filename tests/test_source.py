@@ -77,3 +77,25 @@ def test_every_private_definition_is_referenced():
     package = Path(nlch_control.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert orphaned_private_definitions(sources) == []
+
+
+def copies_over_steps(source: str) -> list[str]:
+    """Calls of tile or repeat (np.tile, arr.repeat, a bare imported name):
+    data constant in time is broadcast over the steps (np.broadcast_to),
+    not copied into each one."""
+    return [f"line {node.lineno}: {ast.unparse(node.func)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and getattr(node.func, "attr", getattr(node.func, "id", None)) in ("tile", "repeat")]
+
+
+def test_copies_over_steps_are_found():
+    source = ("import numpy as np\nfrom numpy import repeat\nrow = np.zeros(3)\n"
+              "a = np.tile(row, (4, 1))\nb = np.broadcast_to(row, (4, 3))\n"
+              "c = row.repeat(2)\nd = repeat(row, 2)\n")
+    assert copies_over_steps(source) == ["line 4: np.tile", "line 6: row.repeat",
+                                         "line 7: repeat"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_broadcasts_instead_of_tiling(path):
+    assert copies_over_steps(path.read_text()) == []
