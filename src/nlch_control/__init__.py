@@ -2,12 +2,11 @@
 control of radiotherapy/chemotherapy sources."""
 
 from .geometry import GridSpec, ScalarField, inner_product, mass
-from .kernels import KernelData, KernelSpec, build_kernel, convolve
+from .kernels import KernelData, KernelSpec, build_kernel
 from .physics import (DistributionSpec, ModelParams, PotentialSpec,
                       ProliferationSpec, ellipticity_margin, require_ellipticity)
-from .forward import (ControlPair, State, StateTrajectory, TimeGrid,
-                      chemical_potential, free_energy, mass_balance_residual,
-                      simulate)
+from .forward import (ControlPair, State, StateTrajectory, TimeGrid, free_energy,
+                      mass_balance_residual, simulate)
 from .sensitivity import (AdjointTrajectory, TangentTrajectory, adjoint_sweep,
                           duality_gap, tangent_sweep)
 from .control import (BoxConstraints, CostSpec, OptimizeReport, PgdOptions,
@@ -17,11 +16,11 @@ from .config import RunConfig, config_from_dict, load_config, write_config
 
 __all__ = [
     "GridSpec", "ScalarField", "inner_product", "mass",
-    "KernelData", "KernelSpec", "build_kernel", "convolve",
+    "KernelData", "KernelSpec", "build_kernel",
     "DistributionSpec", "ModelParams", "PotentialSpec", "ProliferationSpec",
     "ellipticity_margin", "require_ellipticity",
-    "ControlPair", "State", "StateTrajectory", "TimeGrid", "chemical_potential",
-    "free_energy", "mass_balance_residual", "simulate",
+    "ControlPair", "State", "StateTrajectory", "TimeGrid", "free_energy",
+    "mass_balance_residual", "simulate",
     "AdjointTrajectory", "TangentTrajectory", "adjoint_sweep",
     "duality_gap", "tangent_sweep",
     "BoxConstraints", "CostSpec", "OptimizeReport", "PgdOptions", "cost",

@@ -67,8 +67,7 @@ from .errors import ConfigError, NLCHError
 from .forward import DEFAULT_BLOWUP_GUARD, ControlPair, TimeGrid, simulate
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData, KernelSpec, build_kernel
-from .physics import (DistributionSpec, ModelParams, PotentialSpec,
-                      ProliferationSpec)
+from .physics import POTENTIAL, DistributionSpec, ModelParams, ProliferationSpec
 
 _WEIGHTS = ("alpha_omega", "alpha_q", "beta_omega", "beta_q", "alpha_u", "beta_v")
 _BOUNDS = ("u_min", "u_max", "v_min", "v_max")
@@ -198,24 +197,24 @@ class RunConfig:
         if t["kind"] == "constant":
             return CostSpec.tracking(
                 grid, **weights,
-                phi_omega=ScalarField.constant(grid, t["phi_omega"]),
-                sigma_omega=ScalarField.constant(grid, t["sigma_omega"]),
+                phi_omega=np.full(grid.num_cells, t["phi_omega"]),
+                sigma_omega=np.full(grid.num_cells, t["sigma_omega"]),
                 phi_q=np.full((1, grid.num_cells), t["phi_q"]),
                 sigma_q=np.full((1, grid.num_cells), t["sigma_q"]),
             )
         if t["kind"] == "files":
             return CostSpec.tracking(
                 grid, **weights,
-                phi_omega=self._read_on_grid(t["phi_omega"], grid, "cost target file"),
-                sigma_omega=self._read_on_grid(t["sigma_omega"], grid, "cost target file"),
+                phi_omega=self._read_on_grid(t["phi_omega"], grid, "cost target file").values,
+                sigma_omega=self._read_on_grid(t["sigma_omega"], grid, "cost target file").values,
             )
         phi0, sigma0 = self.build_initial_state(grid)
         traj = simulate(phi0, sigma0, self._constant_controls(t, grid), params,
                         kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
         return CostSpec.tracking(
             grid, **weights,
-            phi_omega=ScalarField(grid, traj.phi[tgrid.steps]),
-            sigma_omega=ScalarField(grid, traj.sigma[tgrid.steps]),
+            phi_omega=traj.phi[tgrid.steps],
+            sigma_omega=traj.sigma[tgrid.steps],
             phi_q=traj.phi[:tgrid.steps],
             sigma_q=traj.sigma[:tgrid.steps],
         )
@@ -427,20 +426,22 @@ def _validate(cfg: RunConfig, failures: list[str]):
         try:
             # one field of the grid, never written: a grid too large to hold
             # one is refused here at once, before the kernel build writes
-            # tables that grow with the cells per axis
+            # tables that grow with the cells per axis. A size past numpy's
+            # index range raises ValueError ("Maximum allowed dimension
+            # exceeded", "array is too big"), not MemoryError
             np.empty(grid.num_cells)
             kernel = cfg.build_kernel(grid)
         except NLCHError as exc:
             failures.append(f"kernel: {exc}")
-        except MemoryError as exc:
+        except (MemoryError, ValueError) as exc:
             failures.append(f"grid.cells {d['grid']['cells']}: the grid does not fit in "
                             f"memory ({exc})")
     m = d["model"]
     if grid is not None and kernel is not None:
         # computed from raw values so the message appears even when the
         # A, B > 0 invariant already failed (e.g. B = 0)
-        margin = (m["A"] * PotentialSpec().second_derivative_min
-                  + m["B"] * float(np.min(kernel.a_field.values)))
+        margin = (m["A"] * POTENTIAL.second_derivative_min
+                  + m["B"] * float(np.min(kernel.a)))
         if not (margin > m["chi"] ** 2):
             failures.append(
                 f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {m['chi'] ** 2:.6g} "

@@ -32,20 +32,23 @@ class CostSpec:
     """Quadratic tracking cost: final-time and running targets for phi and
     sigma plus Tikhonov penalties on both controls.
 
-    phi_q / sigma_q are the running targets at the left endpoints t_0 ..
-    t_{steps-1}, matching the control layout. Each has shape (rows, cells)
-    and broadcasts against the state slices: one row for a target constant
-    in time (zero by default), or one row per step.
+    The targets are arrays on grid. phi_omega / sigma_omega, the final-time
+    targets, have shape (cells,). phi_q / sigma_q are the running targets at
+    the left endpoints t_0 .. t_{steps-1}, matching the control layout. Each
+    has shape (rows, cells) and broadcasts against the state slices: one row
+    for a target constant in time (zero by default), or one row per step.
+    Every target holds finite values only.
     """
 
+    grid: GridSpec
     alpha_omega: float
     alpha_q: float
     beta_omega: float
     beta_q: float
     alpha_u: float
     beta_v: float
-    phi_omega: ScalarField
-    sigma_omega: ScalarField
+    phi_omega: np.ndarray = field(repr=False)
+    sigma_omega: np.ndarray = field(repr=False)
     phi_q: np.ndarray = field(repr=False)
     sigma_q: np.ndarray = field(repr=False)
 
@@ -54,20 +57,15 @@ class CostSpec:
                    self.beta_q, self.alpha_u, self.beta_v)
         if any(w < 0.0 for w in weights):
             raise HypothesisViolationError("cost weights must be nonnegative")
-        grid = self.phi_omega.grid
-        if self.sigma_omega.grid != grid:
-            raise FieldShapeError("cost targets on different grids")
-        for name in ("phi_q", "sigma_q"):
+        cells = self.grid.num_cells
+        for name, ndim, shape in (("phi_omega", 1, "(cells,)"), ("sigma_omega", 1, "(cells,)"),
+                                  ("phi_q", 2, "(rows, cells)"), ("sigma_q", 2, "(rows, cells)")):
             arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 2 or arr.shape[1] != grid.num_cells:
-                raise FieldShapeError(f"{name} must have shape (rows, cells)")
+            if arr.ndim != ndim or arr.shape[-1] != cells:
+                raise FieldShapeError(f"{name} must have shape {shape}")
             if not np.all(np.isfinite(arr)):
                 raise FieldShapeError(f"{name} contains non-finite values")
             object.__setattr__(self, name, arr)
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.phi_omega.grid
 
     def all_weights_zero(self) -> bool:
         return (self.alpha_omega == 0.0 and self.alpha_q == 0.0 and self.beta_omega == 0.0
@@ -89,13 +87,13 @@ class CostSpec:
     @classmethod
     def tracking(cls, grid: GridSpec, *, alpha_omega=0.0, alpha_q=0.0,
                  beta_omega=0.0, beta_q=0.0, alpha_u=0.0, beta_v=0.0,
-                 phi_omega: ScalarField | None = None,
-                 sigma_omega: ScalarField | None = None,
+                 phi_omega: np.ndarray | None = None,
+                 sigma_omega: np.ndarray | None = None,
                  phi_q: np.ndarray | None = None,
                  sigma_q: np.ndarray | None = None) -> "CostSpec":
-        zero_field = ScalarField.constant(grid, 0.0)
+        zero_field = np.zeros(grid.num_cells)
         return cls(
-            alpha_omega=alpha_omega, alpha_q=alpha_q, beta_omega=beta_omega,
+            grid=grid, alpha_omega=alpha_omega, alpha_q=alpha_q, beta_omega=beta_omega,
             beta_q=beta_q, alpha_u=alpha_u, beta_v=beta_v,
             phi_omega=phi_omega if phi_omega is not None else zero_field,
             sigma_omega=sigma_omega if sigma_omega is not None else zero_field,
@@ -184,9 +182,9 @@ def cost(traj: StateTrajectory, spec: CostSpec) -> float:
 
     total = 0.0
     if spec.alpha_omega != 0.0:
-        total += 0.5 * spec.alpha_omega * sq_norm(traj.phi[steps] - spec.phi_omega.values)
+        total += 0.5 * spec.alpha_omega * sq_norm(traj.phi[steps] - spec.phi_omega)
     if spec.beta_omega != 0.0:
-        total += 0.5 * spec.beta_omega * sq_norm(traj.sigma[steps] - spec.sigma_omega.values)
+        total += 0.5 * spec.beta_omega * sq_norm(traj.sigma[steps] - spec.sigma_omega)
     if spec.alpha_q != 0.0:
         diff = traj.phi[:steps] - spec.phi_q
         total += 0.5 * spec.alpha_q * dt * float(np.sum(diff * diff)) * vol

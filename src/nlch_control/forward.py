@@ -14,6 +14,10 @@ update is one SPD solve and the step map is linear in the unknown. That
 linearity is what later makes the discrete tangent and adjoint exact
 transposes of each other.
 
+Every field here is a flat float64 array of grid.num_cells values, the
+monitor rows and free_energy included; a ScalarField only enters (simulate's
+phi0 and sigma0) or leaves (StateTrajectory.state).
+
 The phi solve is symmetrised through y = c (phi' - phi):
     [diag(1/(dt c)) - Lap] y = Lap mu + S_phi,   phi' = phi + y / c.
 
@@ -33,7 +37,7 @@ from .errors import FieldShapeError, InstabilityError, StaleTrajectoryError
 from .geometry import (GridSpec, ScalarField, inner_product, laplacian_array, mass,
                        uses_dense_operators)
 from .kernels import KernelData, convolve_array
-from .physics import ModelParams, require_ellipticity
+from .physics import POTENTIAL, ModelParams, require_ellipticity
 from .solvers import ShiftedLaplacianSolver, dense_laplacian_matrix
 
 DEFAULT_BLOWUP_GUARD = 10.0
@@ -124,7 +128,7 @@ class StepOperators:
         self.params = params
         self.kernel = kernel
         self.dt = dt
-        self.c = params.A * params.lambda_s + params.B * kernel.a_field.values
+        self.c = params.A * params.lambda_s + params.B * kernel.a
         self.phi_solver = ShiftedLaplacianSolver(grid, 1.0 / (dt * self.c))
         self.sigma_solver = ShiftedLaplacianSolver(grid, np.full(grid.num_cells, 1.0 / dt))
         self.L = dense_laplacian_matrix(grid) if uses_dense_operators(grid) else None
@@ -184,23 +188,12 @@ def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
         )
 
 
-def chemical_potential(phi: ScalarField, sigma: ScalarField, params: ModelParams,
-                       kernel: KernelData) -> ScalarField:
-    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma."""
-    grid = phi.grid
-    if sigma.grid != grid or kernel.grid != grid:
-        raise FieldShapeError("chemical_potential inputs on different grids")
-    vals = _chemical_potential_array(phi.values, sigma.values, params, kernel,
-                                     convolve_array(kernel, phi.values))
-    return ScalarField(grid, vals)
-
-
 def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelParams,
                               kernel: KernelData, j_phi: np.ndarray) -> np.ndarray:
-    """mu from arrays, given j_phi = J*phi."""
+    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma, given j_phi = J*phi."""
     return (
-        params.A * params.potential.evaluate(phi, 1)
-        + params.B * (kernel.a_field.values * phi - j_phi)
+        params.A * POTENTIAL.evaluate(phi, 1)
+        + params.B * (kernel.a * phi - j_phi)
         - params.chi * sigma
     )
 
@@ -219,25 +212,22 @@ def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
 
 def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
                    u: np.ndarray) -> tuple[np.ndarray, ...]:
-    """What the tangent and adjoint of one step need from its base point:
-    (gap, P, P', h, h' u, F''), recomputed from the state and the control.
+    """What the tangent and adjoint of a block of steps need from their base
+    points: (gap, P, P', h, h' u, F''), recomputed from the states and the
+    controls.
 
-    phi, sigma and u are one step's rows (cells,) or the rows of a block of
-    steps (rows, cells); the factors come back in the same shape. Uses the
-    forward step's own expressions and convolves each row alone, as the
-    forward step does, so every row of a block is bitwise the factors the
-    forward step used.
+    phi, sigma and u are the rows of the block, shape (rows, cells); the
+    factors come back in that shape. Uses the forward step's own expressions
+    and convolves each row alone, as the forward step does, so every row of
+    a block is bitwise the factors the forward step used.
     """
     params = ops.params
-    if phi.ndim == 1:
-        j_phi = ops.conv(phi)
-    else:
-        j_phi = np.array([ops.conv(row) for row in phi])
+    j_phi = np.array([ops.conv(row) for row in phi])
     _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
     prolif_d = params.proliferation.evaluate(phi, 1)
     distrib_d = (prolif_d if params.distribution_is_proliferation
                  else params.distribution.evaluate(phi, 1))
-    f2 = params.potential.evaluate(phi, 2)
+    f2 = POTENTIAL.evaluate(phi, 2)
     return gap, prolif, prolif_d, distrib, distrib_d * u, f2
 
 
@@ -331,17 +321,17 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     sigma[0] = sigma0.values
 
     monitors: list[tuple] = []
+    vol = grid.cell_volume
 
     def monitor_row(n: int, j_phi: np.ndarray) -> tuple:
-        state = State(ScalarField(grid, phi[n]), ScalarField(grid, sigma[n]))
         return (
             n,
             n * tgrid.dt,
-            free_energy(state, params, kernel, j_phi=j_phi),
-            mass(state.phi),
-            mass(state.sigma),
-            state.phi.sup_norm(),
-            state.sigma.sup_norm(),
+            free_energy(phi[n], sigma[n], params, kernel, j_phi=j_phi),
+            mass(phi[n], vol),
+            mass(sigma[n], vol),
+            float(np.max(np.abs(phi[n]))),
+            float(np.max(np.abs(sigma[n]))),
         )
 
     ops = step_operators(grid, params, kernel, tgrid.dt)
@@ -371,24 +361,23 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     )
 
 
-def free_energy(state: State, params: ModelParams, kernel: KernelData,
+def free_energy(phi: np.ndarray, sigma: np.ndarray, params: ModelParams, kernel: KernelData,
                 j_phi: np.ndarray | None = None) -> float:
-    """Ginzburg-Landau energy of the nonlocal model.
+    """Ginzburg-Landau energy of the nonlocal model at the state (phi, sigma),
+    two fields (cells,) on the kernel's grid.
 
     The pairwise penalty sum_{ij} J(x_i - x_j)(phi_i - phi_j)^2 vol^2 / 4 is
     folded into convolutions: it equals (B/2)(<a phi, phi> - <J*phi, phi>).
     j_phi is the convolution J*phi when the caller already has it.
     """
-    phi, sigma = state.phi, state.sigma
-    grid = phi.grid
-    bulk = params.A * float(np.sum(params.potential.evaluate(phi.values, 0))) * grid.cell_volume
-    a_phi = ScalarField(grid, kernel.a_field.values * phi.values)
+    vol = kernel.grid.cell_volume
+    bulk = params.A * float(np.sum(POTENTIAL.evaluate(phi, 0))) * vol
     if j_phi is None:
-        j_phi = convolve_array(kernel, phi.values)
-    j_field = ScalarField(grid, j_phi)
-    nonlocal_term = 0.5 * params.B * (inner_product(a_phi, phi) - inner_product(j_field, phi))
-    coupling = 0.5 * sigma.values * sigma.values + params.chi * sigma.values * (1.0 - phi.values)
-    return bulk + nonlocal_term + float(np.sum(coupling)) * grid.cell_volume
+        j_phi = convolve_array(kernel, phi)
+    nonlocal_term = 0.5 * params.B * (inner_product(kernel.a * phi, phi, vol)
+                                      - inner_product(j_phi, phi, vol))
+    coupling = 0.5 * sigma * sigma + params.chi * sigma * (1.0 - phi)
+    return bulk + nonlocal_term + float(np.sum(coupling)) * vol
 
 
 def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,

@@ -1,10 +1,13 @@
 """Cell-centered rectangular grids with homogeneous-Neumann discrete operators.
 
 Fields live at cell centers of a uniform 1D or 2D grid and are stored as flat
-row-major (C-order) vectors. The Laplacian closes the boundary with mirror
-ghost cells, which makes the zero-flux condition exact at cell faces and the
-operator matrix symmetric with exactly vanishing row sums; quadrature is the
-midpoint rule (value times cell volume).
+row-major (C-order) vectors: inside the solver a float64 array of
+grid.num_cells values, a ScalarField (the array checked against its grid)
+only where a field enters a run or leaves it for output. The Laplacian
+closes the boundary with mirror ghost cells, which makes the zero-flux
+condition exact at cell faces and the operator matrix symmetric with exactly
+vanishing row sums; quadrature is the midpoint rule (value times cell
+volume).
 
 A 1D grid of at most DENSE_MAX_CELLS cells holds each operator of the scheme
 (convolution, Laplacian, implicit solves) as a dense matrix and applies it as
@@ -17,6 +20,7 @@ it even for the 2D Gaussian, whose convolution is two dense products).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,7 +73,8 @@ class GridSpec:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.cells_per_axis))
+        # exact: np.prod wraps around in int64 (cells (2**32, 2**32) give 0)
+        return math.prod(self.cells_per_axis)
 
     @property
     def cell_volume(self) -> float:
@@ -96,7 +101,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ScalarField:
-    """Real-valued field on a grid, flat row-major storage."""
+    """Real-valued field on a grid, flat row-major storage: one finite value
+    per cell, checked on construction."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
@@ -114,9 +120,6 @@ class ScalarField:
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.num_cells, float(value)))
-
-    def sup_norm(self) -> float:
-        return float(np.max(np.abs(self.values)))
 
 
 def uses_dense_operators(grid: GridSpec) -> bool:
@@ -139,14 +142,6 @@ def load_scipy():
     return scipy
 
 
-def require_same_grid(*fields: ScalarField) -> GridSpec:
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise FieldShapeError("fields live on different grids")
-    return grid
-
-
 def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     """Mirror-ghost Neumann Laplacian acting on a flat value array.
 
@@ -165,22 +160,21 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def inner_product(f: ScalarField, g: ScalarField) -> float:
-    """Midpoint-quadrature L2 inner product: sum_i f_i g_i * cell_volume.
+def inner_product(x: np.ndarray, y: np.ndarray, cell_volume: float) -> float:
+    """Midpoint-quadrature L2 inner product of two fields of one grid:
+    sum_i x_i y_i * cell_volume.
 
     OpenBLAS splits a dot product of more than 10000 values over its
     threads, so its rounding would follow the thread count; a longer product
     is summed in order from chunks of DOT_CHUNK values, each on one thread.
     """
-    grid = require_same_grid(f, g)
-    x, y = f.values, g.values
     dot = np.dot(x[:DOT_CHUNK], y[:DOT_CHUNK])
     for start in range(DOT_CHUNK, x.size, DOT_CHUNK):
         dot += np.dot(x[start:start + DOT_CHUNK], y[start:start + DOT_CHUNK])
-    return float(dot * grid.cell_volume)
+    return float(dot * cell_volume)
 
 
-def mass(f: ScalarField) -> float:
-    """Integral of f over the domain (equals inner_product(f, 1))."""
-    return float(np.sum(f.values) * f.grid.cell_volume)
+def mass(values: np.ndarray, cell_volume: float) -> float:
+    """Integral of a field over the domain (equals inner_product(values, 1))."""
+    return float(np.sum(values) * cell_volume)
 

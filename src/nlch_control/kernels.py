@@ -23,7 +23,8 @@ with the weight a = J*1 and its bound a* that the ellipticity gate reads:
              it is the full 2n - 1 rule. A convolution is one forward and one
              inverse transform of the field.
 
-convolve_array applies either form to one field. The full tap table, over
+convolve_array applies either form to one field, a flat array of
+grid.num_cells values. The full tap table, over
 every index offset, is sampled only where a form is built from it (the 1D
 dense matrix and the spectrum) and is not kept; the 2D Gaussian samples one
 row per axis. convolution_matrix samples the table afresh and builds the
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError, KernelResolutionError
-from .geometry import GridSpec, ScalarField, load_scipy, uses_dense_operators
+from .geometry import GridSpec, load_scipy, uses_dense_operators
 
 _FAMILIES = ("gaussian", "mollifier")
 
@@ -91,8 +92,9 @@ class KernelData:
     per-axis dense matrices whose Kronecker product is the operator (one on
     the 1D grids with dense operators, two for the 2D Gaussian), or
     spectrum, the zero-padded real FFT of the taps within the reach times
-    the cell volume. a_field = J*1 and a_star = max_i sum_j |J(x_i-x_j)| vol,
-    the bound the ellipticity gate reads. The time stepper keeps its most
+    the cell volume. a = J*1, one finite nonnegative value per cell (shape
+    (cells,)), and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound the
+    ellipticity gate reads. The time stepper keeps its most
     recent operator bundle in the operator slot, keyed on (params, dt) (see
     forward.step_operators).
     """
@@ -102,16 +104,24 @@ class KernelData:
     reach: tuple[int, ...]
     factors: tuple[np.ndarray, ...] | None = field(repr=False)
     spectrum: np.ndarray | None = field(repr=False)
-    a_field: ScalarField = field(repr=False)
+    a: np.ndarray = field(repr=False)
     a_star: float
     operator_slot: list = field(default_factory=list, init=False, repr=False,
                                 compare=False)
 
     def __post_init__(self):
-        if np.min(self.a_field.values) < 0.0:
+        a = np.ascontiguousarray(self.a, dtype=np.float64)
+        if a.shape != (self.grid.num_cells,):
+            raise FieldShapeError(
+                f"weight a has shape {a.shape} for a grid of {self.grid.num_cells} cells"
+            )
+        if not np.all(np.isfinite(a)):
+            raise FieldShapeError("weight a contains non-finite values")
+        if np.min(a) < 0.0:
             raise KernelResolutionError("induced weight field a = J*1 must be nonnegative")
-        if self.a_star < np.max(self.a_field.values) - 1e-12 * max(1.0, self.a_star):
-            raise KernelResolutionError("a_star must dominate max(a_field)")
+        if self.a_star < np.max(a) - 1e-12 * max(1.0, self.a_star):
+            raise KernelResolutionError("a_star must dominate max(a)")
+        object.__setattr__(self, "a", a)
 
 
 def _axis_offsets(grid: GridSpec) -> list[np.ndarray]:
@@ -252,21 +262,13 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
     # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
     a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
-    a_field = ScalarField(grid, np.maximum(j_one, 0.0))
     return KernelData(spec=spec, grid=grid, reach=reach, factors=factors,
-                      spectrum=spectrum, a_field=a_field, a_star=a_star)
-
-
-def convolve(kernel: KernelData, f: ScalarField) -> ScalarField:
-    """Apply the restricted-domain convolution J*f through the form the
-    kernel keeps (convolve_array)."""
-    if f.grid != kernel.grid:
-        raise FieldShapeError("kernel and field grids differ")
-    return ScalarField(f.grid, convolve_array(kernel, f.values))
+                      spectrum=spectrum, a=np.maximum(j_one, 0.0), a_star=a_star)
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
-    """Raw-array convolution of one field (cells,), used in solver hot paths."""
+    """The restricted-domain convolution J*f of one field (cells,), through
+    the form the kernel keeps."""
     if kernel.factors is not None:
         return _apply_factors(kernel.factors, values, kernel.grid)
     return _apply_spectrum(kernel.spectrum, kernel.reach, values, kernel.grid)

@@ -45,6 +45,10 @@ class PotentialSpec:
         return -1.0
 
 
+# the model's one potential: the quartic double well has no parameters
+POTENTIAL = PotentialSpec()
+
+
 def _smoothstep(t: np.ndarray, order: int) -> np.ndarray:
     """Quintic smoothstep q(t) = 6 t^5 - 15 t^4 + 10 t^3 on [0, 1].
 
@@ -128,13 +132,12 @@ class ModelParams:
 
     A, B weight the local and nonlocal parts of the free energy, chi is the
     chemotaxis coupling, lambda_s the implicit stabilisation shift of the
-    time stepper.
+    time stepper. The potential F is always POTENTIAL.
     """
 
     A: float
     B: float
     chi: float = 0.0
-    potential: PotentialSpec = field(default_factory=PotentialSpec)
     proliferation: ProliferationSpec = field(default_factory=ProliferationSpec)
     distribution: DistributionSpec = field(default_factory=DistributionSpec)
     lambda_s: float = 2.0
@@ -172,9 +175,7 @@ def ellipticity_margin(params: ModelParams, kernel: KernelData) -> float:
     over all real s). Admissibility requires c0 > chi^2; this function only
     reports the margin.
     """
-    return params.A * params.potential.second_derivative_min + params.B * float(
-        np.min(kernel.a_field.values)
-    )
+    return params.A * POTENTIAL.second_derivative_min + params.B * float(np.min(kernel.a))
 
 
 def require_ellipticity(params: ModelParams, kernel: KernelData) -> float:

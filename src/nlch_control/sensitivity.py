@@ -86,7 +86,7 @@ def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarra
     params = ops.params
     chi = params.chi
     gap, prolif, prolif_d, distrib, distrib_du, f2 = lin
-    eta = (params.A * f2 + params.B * ops.kernel.a_field.values) * xi \
+    eta = (params.A * f2 + params.B * ops.kernel.a) * xi \
         - params.B * ops.conv(xi) - chi * rho
     dgap = rho - chi * xi - eta
     d_prolif_gap = prolif_d * gap * xi + prolif * dgap
@@ -132,7 +132,7 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     xi_bar += -chi * dgap_bar
     eta_bar = eta_bar - dgap_bar
 
-    xi_bar += (params.A * f2 + params.B * ops.kernel.a_field.values) * eta_bar \
+    xi_bar += (params.A * f2 + params.B * ops.kernel.a) * eta_bar \
         - params.B * ops.conv(eta_bar)
     rho_bar = rho_bar - chi * eta_bar
 
@@ -225,7 +225,7 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
         seed = states.copy()
         seed[:steps] -= running
         seed[:steps] *= dt * weight_q
-        seed[steps] -= final.values
+        seed[steps] -= final
         seed[steps] *= weight_omega
         seeds.append(seed)
     p, r = _reverse_sweep(traj, *seeds)

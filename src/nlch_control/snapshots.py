@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -87,7 +88,8 @@ def read_snapshot(path) -> tuple[ScalarField, str, float]:
         raise FieldShapeError(f"{path}: header dim/cells/spacing mismatch")
     name = fields.get("field", "")
 
-    count = int(np.prod(cells))
+    # exact: np.prod wraps around in int64 (cells 2**32 2**32 would count 0)
+    count = math.prod(cells)
     if len(payload) != 8 * count:
         raise FieldShapeError(
             f"{path}: payload holds {len(payload) // 8} values, header says {count}"

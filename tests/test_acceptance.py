@@ -17,8 +17,7 @@ import pytest
 import nlch_control
 from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           KernelSpec, ModelParams, PgdOptions, ScalarField,
-                          TimeGrid, adjoint_sweep, build_kernel,
-                          convolve, duality_gap,
+                          TimeGrid, adjoint_sweep, build_kernel, duality_gap,
                           ellipticity_margin, inner_product,
                           mass, mass_balance_residual,
                           pgd_optimize, project_box, projection_formula_defect,
@@ -28,6 +27,7 @@ from nlch_control.control import control_inner_qt
 from nlch_control.forward import step_operators
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.gradcheck import fd_gradient_errors, taylor_remainder_order
+from nlch_control.kernels import convolve_array
 from nlch_control.physics import ProliferationSpec
 
 from conftest import (convolution_adjoint_check, direct_convolution_oracle, laplacian_neumann,
@@ -57,19 +57,21 @@ def test_criterion_1_discrete_operator_exactness():
             spec = KernelSpec("gaussian", 2.0, 0.2)
             kernel = build_kernel(spec, grid)
             lap = step_operators(grid, ModelParams(A=0.5, B=1.0, chi=0.0), kernel, 0.01).lap
+            vol = grid.cell_volume
             for _ in range(50):
                 f = ScalarField(grid, rng.standard_normal(grid.num_cells))
                 g = ScalarField(grid, rng.standard_normal(grid.num_cells))
-                lap_f = ScalarField(grid, lap(f.values))
-                lap_g = ScalarField(grid, lap(g.values))
+                lap_f = lap(f.values)
+                lap_g = lap(g.values)
                 stencil = laplacian_neumann(f).values
-                assert np.max(np.abs(lap_f.values - stencil)) \
+                assert np.max(np.abs(lap_f - stencil)) \
                     <= 1e-12 * max(1.0, np.max(np.abs(stencil)))
-                assert abs(mass(lap_f)) <= 1e-13 * max(1.0, f.sup_norm())
-                gap_sym = abs(inner_product(lap_f, g) - inner_product(f, lap_g))
-                assert gap_sym <= 1e-12 * max(1.0, abs(inner_product(lap_f, g)))
+                assert abs(mass(lap_f, vol)) <= 1e-13 * max(1.0, np.max(np.abs(f.values)))
+                gap_sym = abs(inner_product(lap_f, g.values, vol)
+                              - inner_product(f.values, lap_g, vol))
+                assert gap_sym <= 1e-12 * max(1.0, abs(inner_product(lap_f, g.values, vol)))
                 assert convolution_adjoint_check(kernel, f, g) <= 1e-12
-                fast = convolve(kernel, f).values
+                fast = convolve_array(kernel, f.values)
                 oracle = direct_convolution_oracle(spec, grid, f.values)
                 assert np.max(np.abs(fast - oracle)) <= 1e-12 * max(1.0, np.max(np.abs(oracle)))
 
@@ -133,8 +135,8 @@ def test_criterion_4_gradient_correctness():
     controls = random_controls(rng, grid, 40)
     spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=0.5, beta_omega=0.3,
                              beta_q=0.2, alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=ScalarField.constant(grid, -0.2),
-                             sigma_omega=ScalarField.constant(grid, 0.1))
+                             phi_omega=np.full(grid.num_cells, -0.2),
+                             sigma_omega=np.full(grid.num_cells, 0.1))
     with criterion(4, "adjoint gradient vs finite differences"):
         start = time.monotonic()
         base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
@@ -159,8 +161,8 @@ def _manufactured_problem(grid, kernel, params, tgrid, alpha_u, beta_v):
     spec = CostSpec.tracking(
         grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
-        phi_omega=ScalarField(grid, traj_star.phi[steps]),
-        sigma_omega=ScalarField(grid, traj_star.sigma[steps]),
+        phi_omega=traj_star.phi[steps],
+        sigma_omega=traj_star.sigma[steps],
         phi_q=traj_star.phi[:steps].copy(),
         sigma_q=traj_star.sigma[:steps].copy(),
     )

@@ -269,6 +269,16 @@ def test_snapshot_rejects_truncated_payload(tmp_path, rng):
         read_snapshot(path)
 
 
+def test_snapshot_cell_count_does_not_wrap_around(tmp_path):
+    # 2**32 x 2**32 cells are 2**64 values, 0 in int64 arithmetic: an empty
+    # payload must not read as a field of 0 values
+    path = tmp_path / "huge.snap"
+    path.write_bytes(b"NLCH-SNAPSHOT 1\ndim 2\ncells 4294967296 4294967296\n"
+                     b"spacing 1.0 1.0\nfield phi\ntime 0.0\ndata\n")
+    with pytest.raises(FieldShapeError, match="header says 18446744073709551616"):
+        read_snapshot(path)
+
+
 # ---- commands ------------------------------------------------------------
 
 
@@ -485,10 +495,12 @@ def test_problem_beyond_memory_exits_2(tmp_path, monkeypatch, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("cells", [[1e15], [1e8, 1e8]], ids=["1d", "2d"])
+@pytest.mark.parametrize("cells", [[1e15], [1e8, 1e8], [2**32, 2**32]],
+                         ids=["1d", "2d", "2d-past-int64"])
 def test_grid_beyond_memory_is_a_collected_failure(tmp_path, capsys, cells):
-    # numpy refuses one field of either grid (petabytes) at once, before the
-    # kernel's tables are built, so nothing here touches memory
+    # numpy refuses one field of each grid (petabytes, or 2**64 values, past
+    # its index range) at once, before the kernel's tables are built, so
+    # nothing here touches memory
     raw = {"grid": {"cells": cells, "extent": [1.0] * len(cells)}, "seed": -1}
     with pytest.raises(ConfigError) as exc_info:
         config_from_dict(raw)

@@ -92,8 +92,8 @@ def test_targets_from_files(tmp_path, grid, rng):
     cfg = load_config(cfg_path)
     g = cfg.build_grid()
     spec = cfg.build_cost(g, cfg.build_kernel(g), cfg.build_params(), cfg.build_tgrid())
-    assert np.array_equal(spec.phi_omega.values, phi_om)
-    assert np.array_equal(spec.sigma_omega.values, sigma_om)
+    assert np.array_equal(spec.phi_omega, phi_om)
+    assert np.array_equal(spec.sigma_omega, sigma_om)
     # running targets default to zero for file-based final targets
     assert np.all(spec.phi_q == 0.0)
 

@@ -32,10 +32,10 @@ def cost_direct_oracle(traj, controls, spec):
     steps = traj.steps
     total = 0.0
     total += 0.5 * spec.alpha_omega * sum(
-        (traj.phi[steps][i] - spec.phi_omega.values[i]) ** 2 for i in range(traj.grid.num_cells)
+        (traj.phi[steps][i] - spec.phi_omega[i]) ** 2 for i in range(traj.grid.num_cells)
     ) * vol
     total += 0.5 * spec.beta_omega * sum(
-        (traj.sigma[steps][i] - spec.sigma_omega.values[i]) ** 2 for i in range(traj.grid.num_cells)
+        (traj.sigma[steps][i] - spec.sigma_omega[i]) ** 2 for i in range(traj.grid.num_cells)
     ) * vol
     for n in range(steps):
         total += 0.5 * spec.alpha_q * dt * sum(
@@ -61,8 +61,8 @@ def test_cost_zero_cases(setup, grid1d, kernel1d, params):
     spec = CostSpec.tracking(
         grid1d, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=1.0, beta_v=1.0,
-        phi_omega=ScalarField(grid1d, traj0.phi[20]),
-        sigma_omega=ScalarField(grid1d, traj0.sigma[20]),
+        phi_omega=traj0.phi[20],
+        sigma_omega=traj0.sigma[20],
         phi_q=traj0.phi[:20].copy(), sigma_q=traj0.sigma[:20].copy(),
     )
     assert cost(traj0, spec) == 0.0
@@ -78,8 +78,8 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
     spec = CostSpec.tracking(
         grid1d_small, alpha_omega=0.7, alpha_q=0.4, beta_omega=0.2, beta_q=0.9,
         alpha_u=0.3, beta_v=0.8,
-        phi_omega=ScalarField(grid1d_small, rng.standard_normal(8)),
-        sigma_omega=ScalarField(grid1d_small, rng.standard_normal(8)),
+        phi_omega=rng.standard_normal(8),
+        sigma_omega=rng.standard_normal(8),
         phi_q=rng.standard_normal((6, 8)), sigma_q=rng.standard_normal((6, 8)),
     )
     oracle = cost_direct_oracle(traj, controls, spec)
@@ -89,12 +89,17 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
 def test_cost_spec_validation(grid1d):
     with pytest.raises(HypothesisViolationError):
         CostSpec.tracking(grid1d, alpha_omega=-1.0)
-    other = GridSpec((16,), (1.0,))
-    with pytest.raises(FieldShapeError):
-        CostSpec.tracking(grid1d, alpha_omega=1.0,
-                          sigma_omega=ScalarField.constant(other, 0.0))
     with pytest.raises(FieldShapeError):
         CostSpec.tracking(grid1d, phi_q=np.zeros((10, 7)))
+
+
+@pytest.mark.parametrize("name", ["phi_omega", "sigma_omega"])
+@pytest.mark.parametrize("target", [np.zeros(31), np.zeros((1, 32)),
+                                    np.where(np.arange(32) == 7, np.nan, 0.0)],
+                         ids=["too-few", "one-row-block", "nan"])
+def test_cost_spec_rejects_a_bad_omega_target(grid1d, name, target):
+    with pytest.raises(FieldShapeError):
+        CostSpec.tracking(grid1d, alpha_omega=1.0, **{name: target})
 
 
 def test_running_targets_one_row_or_one_per_step(setup, grid1d, kernel1d, params):
@@ -254,8 +259,8 @@ def manufactured_spec(grid, traj_star, alpha_u, beta_v):
     return CostSpec.tracking(
         grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
-        phi_omega=ScalarField(grid, traj_star.phi[steps]),
-        sigma_omega=ScalarField(grid, traj_star.sigma[steps]),
+        phi_omega=traj_star.phi[steps],
+        sigma_omega=traj_star.sigma[steps],
         phi_q=traj_star.phi[:steps].copy(),
         sigma_q=traj_star.sigma[:steps].copy(),
     )
@@ -554,7 +559,7 @@ def test_broadcast_controls_give_the_same_bits(cells, extent, family, width):
     rows = [0.2 * smooth_phi0(grid, amplitude=1.0).values, np.full(grid.num_cells, -0.05)]
     spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
                              alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=ScalarField.constant(grid, 0.2),
+                             phi_omega=np.full(grid.num_cells, 0.2),
                              phi_q=np.full((1, grid.num_cells), 0.1))
     box = BoxConstraints.constant(grid, -0.5, 0.5, -0.5, 0.5)
 

@@ -5,15 +5,16 @@ import pytest
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
                           ScalarField, State, TimeGrid,
-                          build_kernel, chemical_potential, free_energy, mass,
-                          mass_balance_residual, simulate)
+                          build_kernel, free_energy, mass, mass_balance_residual,
+                          simulate)
 from nlch_control.control import control_inner_qt
-from nlch_control.forward import DEFAULT_BLOWUP_GUARD, step_operators
+from nlch_control.forward import (DEFAULT_BLOWUP_GUARD, _chemical_potential_array,
+                                  step_operators)
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError)
-from nlch_control.kernels import convolution_matrix
-from nlch_control.physics import ProliferationSpec
+from nlch_control.kernels import convolution_matrix, convolve_array
+from nlch_control.physics import POTENTIAL, ProliferationSpec
 from nlch_control.solvers import dense_laplacian_matrix
 
 from conftest import one_step, random_controls, random_run, smooth_phi0
@@ -23,10 +24,10 @@ def dense_step_oracle(grid, params, kernel, dt, phi, sigma, u, v):
     """Assemble the scheme's linear systems densely and solve directly."""
     lap = dense_laplacian_matrix(grid)
     conv = convolution_matrix(kernel)
-    a = kernel.a_field.values
+    a = kernel.a
     eye = np.eye(grid.num_cells)
 
-    mu = params.A * params.potential.evaluate(phi, 1) + params.B * (a * phi - conv @ phi) \
+    mu = params.A * POTENTIAL.evaluate(phi, 1) + params.B * (a * phi - conv @ phi) \
         - params.chi * sigma
     gap = sigma + params.chi * (1.0 - phi) - mu
     prolif = params.proliferation.evaluate(phi, 0)
@@ -47,7 +48,7 @@ def dense_step_oracle(grid, params, kernel, dt, phi, sigma, u, v):
 def energy_double_loop_oracle(grid, params, kernel, phi, sigma):
     vol = grid.cell_volume
     coords = np.stack([c.reshape(-1) for c in grid.mesh()], axis=1)
-    total = params.A * float(np.sum(params.potential.evaluate(phi, 0))) * vol
+    total = params.A * float(np.sum(POTENTIAL.evaluate(phi, 0))) * vol
     for i in range(grid.num_cells):
         for j in range(grid.num_cells):
             r2 = float(np.sum((coords[i] - coords[j]) ** 2))
@@ -57,20 +58,23 @@ def energy_double_loop_oracle(grid, params, kernel, phi, sigma):
     return total
 
 
+def chemical_potential(phi, sigma, params, kernel):
+    """mu of the step, J*phi convolved as the step does."""
+    return _chemical_potential_array(phi, sigma, params, kernel, convolve_array(kernel, phi))
+
+
 def test_chemical_potential_constant_field(grid1d, kernel1d, params):
     c = 0.37
-    phi = ScalarField.constant(grid1d, c)
-    sigma = ScalarField.constant(grid1d, 0.0)
-    mu = chemical_potential(phi, sigma, params, kernel1d)
-    expected = params.A * params.potential.evaluate(c, 1)
-    assert np.max(np.abs(mu.values - expected)) < 1e-12
+    mu = chemical_potential(np.full(grid1d.num_cells, c), np.zeros(grid1d.num_cells),
+                            params, kernel1d)
+    expected = params.A * POTENTIAL.evaluate(c, 1)
+    assert np.max(np.abs(mu - expected)) < 1e-12
 
 
 def test_chemical_potential_at_well_bottom(grid1d, kernel1d, params):
-    phi = ScalarField.constant(grid1d, 1.0)
-    sigma = ScalarField.constant(grid1d, 0.0)
-    mu = chemical_potential(phi, sigma, params, kernel1d)
-    assert np.max(np.abs(mu.values)) < 1e-12
+    mu = chemical_potential(np.ones(grid1d.num_cells), np.zeros(grid1d.num_cells),
+                            params, kernel1d)
+    assert np.max(np.abs(mu)) < 1e-12
 
 
 def test_chemical_potential_matches_dense_operator(rng, grid1d_small, kernel1d_small):
@@ -78,12 +82,10 @@ def test_chemical_potential_matches_dense_operator(rng, grid1d_small, kernel1d_s
     phi = rng.standard_normal(8)
     sigma = rng.standard_normal(8)
     conv = convolution_matrix(kernel1d_small)
-    oracle = params.A * params.potential.evaluate(phi, 1) \
-        + params.B * (kernel1d_small.a_field.values * phi - conv @ phi) \
+    oracle = params.A * POTENTIAL.evaluate(phi, 1) \
+        + params.B * (kernel1d_small.a * phi - conv @ phi) \
         - params.chi * sigma
-    got = chemical_potential(ScalarField(grid1d_small, phi),
-                             ScalarField(grid1d_small, sigma),
-                             params, kernel1d_small).values
+    got = chemical_potential(phi, sigma, params, kernel1d_small)
     assert np.max(np.abs(got - oracle)) < 1e-12
 
 
@@ -100,7 +102,8 @@ def test_step_conserves_mass_without_reactions(rng, grid1d, kernel1d, params_gra
     state = State(phi0, ScalarField.constant(grid1d, 0.2))
     zero = ScalarField.constant(grid1d, 0.0)
     new = one_step(state, zero, zero, params_gradient_flow, kernel1d, dt=0.01)
-    m0, m1 = mass(phi0), mass(new.phi)
+    vol = grid1d.cell_volume
+    m0, m1 = mass(phi0.values, vol), mass(new.phi.values, vol)
     assert abs(m1 - m0) <= 1e-13 * max(1.0, abs(m0))
 
 
@@ -218,7 +221,7 @@ def test_simulate_convolves_each_state_once(monkeypatch, rng, grid2d, kernel2d, 
     monkeypatch.undo()
     # the monitor energy is the public free_energy of each stored state
     for n, row in enumerate(traj.monitors):
-        assert row[2] == free_energy(traj.state(n), params, kernel2d)
+        assert row[2] == free_energy(traj.phi[n], traj.sigma[n], params, kernel2d)
 
 
 def test_simulate_stores_only_states(rng, grid1d, kernel1d, params, tgrid20):
@@ -291,20 +294,18 @@ def test_nonfinite_state_raises_instability(cells):
 
 
 def test_free_energy_reference_values(grid1d, kernel1d, params):
-    state_one = State(ScalarField.constant(grid1d, 1.0), ScalarField.constant(grid1d, 0.0))
-    assert abs(free_energy(state_one, params, kernel1d)) < 1e-12
-    state_zero = State(ScalarField.constant(grid1d, 0.0), ScalarField.constant(grid1d, 0.0))
+    one, zero = np.ones(grid1d.num_cells), np.zeros(grid1d.num_cells)
+    assert abs(free_energy(one, zero, params, kernel1d)) < 1e-12
     expected = params.A * 0.25 * grid1d.volume
-    assert free_energy(state_zero, params, kernel1d) == pytest.approx(expected, rel=1e-12)
+    assert free_energy(zero, zero, params, kernel1d) == pytest.approx(expected, rel=1e-12)
 
 
 def test_free_energy_matches_double_loop(rng, grid1d_small, kernel1d_small):
     params = ModelParams(A=0.7, B=1.1, chi=0.3)
     phi = rng.standard_normal(8)
     sigma = rng.standard_normal(8)
-    state = State(ScalarField(grid1d_small, phi), ScalarField(grid1d_small, sigma))
     oracle = energy_double_loop_oracle(grid1d_small, params, kernel1d_small, phi, sigma)
-    assert free_energy(state, params, kernel1d_small) == pytest.approx(oracle, rel=1e-12)
+    assert free_energy(phi, sigma, params, kernel1d_small) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_energy_dissipation_gradient_flow(grid1d, kernel1d, params_gradient_flow):
@@ -433,7 +434,7 @@ def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
     steps = 4
     spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=ScalarField.constant(grid, -0.2))
+                             phi_omega=np.full(grid.num_cells, -0.2))
     result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
                            random_controls(rng, grid, steps), spec, params, kernel,
                            TimeGrid(0.05, steps), rng, n_duality=3, n_fd=2, n_taylor=2)

@@ -139,7 +139,7 @@ def test_adjoint_terminal_slices(base_setup, grid1d, kernel1d, params):
     phi0, sigma0, controls, traj = base_setup
     spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
     adj = adjoint_sweep(traj, spec, params, kernel1d)
-    assert np.allclose(adj.p[20], traj.phi[20] - spec.phi_omega.values)
+    assert np.allclose(adj.p[20], traj.phi[20] - spec.phi_omega)
     assert np.all(adj.r[20] == 0.0)
 
 
@@ -154,16 +154,18 @@ def test_adjoint_matches_per_step_loop(rng, base_setup, grid1d, kernel1d, params
     n_cells = grid1d.num_cells
     spec = CostSpec.tracking(
         grid1d, alpha_omega=1.3, alpha_q=0.7, beta_omega=0.4, beta_q=0.9,
-        phi_omega=ScalarField(grid1d, rng.standard_normal(n_cells)),
-        sigma_omega=ScalarField(grid1d, rng.standard_normal(n_cells)),
+        phi_omega=rng.standard_normal(n_cells),
+        sigma_omega=rng.standard_normal(n_cells),
         phi_q=rng.standard_normal((20, n_cells)), sigma_q=rng.standard_normal((20, n_cells)))
     adj = adjoint_sweep(traj, spec, params, kernel1d)
     ops, dt = traj.ops, traj.tgrid.dt
-    p_bar = spec.alpha_omega * (traj.phi[20] - spec.phi_omega.values)
-    r_bar = spec.beta_omega * (traj.sigma[20] - spec.sigma_omega.values)
+    p_bar = spec.alpha_omega * (traj.phi[20] - spec.phi_omega)
+    r_bar = spec.beta_omega * (traj.sigma[20] - spec.sigma_omega)
     assert np.array_equal(adj.p[20], p_bar) and np.array_equal(adj.r[20], r_bar)
     for n in reversed(range(20)):
-        lin = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+        block = linearise_step(ops, traj.phi[n:n + 1], traj.sigma[n:n + 1],
+                               traj.controls.u[n:n + 1])
+        lin = tuple(factor[0] for factor in block)
         xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar = _adjoint_core(ops, lin, p_bar, r_bar)
         assert np.array_equal(adj.p[n], phi_solve_bar / dt)
         assert np.array_equal(adj.r[n], sigma_solve_bar / dt)
@@ -191,12 +193,12 @@ def test_gradcheck_passes_with_chemotaxis(cells, extents, family, width):
     # the adjoint is the exact transpose of the scheme at any admissible chi
     grid = GridSpec(cells, extents)
     kernel = build_kernel(KernelSpec(family, 8.0, width), grid)
-    params = ModelParams(A=0.5, B=2.0 / float(np.min(kernel.a_field.values)), chi=0.3)
+    params = ModelParams(A=0.5, B=2.0 / float(np.min(kernel.a)), chi=0.3)
     steps = 10
     rng = np.random.default_rng(7)
     spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=ScalarField.constant(grid, -0.2))
+                             phi_omega=np.full(grid.num_cells, -0.2))
     result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
                            random_controls(rng, grid, steps), spec, params, kernel,
                            TimeGrid(0.1, steps), rng)
@@ -292,7 +294,8 @@ def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells, extent, fa
         monkeypatch.setattr(sensitivity, "LINEARISE_CHUNK_VALUES", rows * grid.num_cells)
         order = []
         for n, lin in sensitivity._linearised_steps(traj, reverse):
-            per_step = linearise_step(ops, traj.phi[n], traj.sigma[n], traj.controls.u[n])
+            per_step = [factor[0] for factor in linearise_step(
+                ops, traj.phi[n:n + 1], traj.sigma[n:n + 1], traj.controls.u[n:n + 1])]
             for blocked, single, full in zip(lin, per_step, whole):
                 assert np.array_equal(blocked, single) and np.array_equal(full[n], single)
             order.append(n)

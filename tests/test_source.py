@@ -99,3 +99,43 @@ def test_copies_over_steps_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_broadcasts_instead_of_tiling(path):
     assert copies_over_steps(path.read_text()) == []
+
+
+# the modules where a field enters a run (configuration, snapshot files) or
+# leaves it for output (the command line's snapshot writes)
+FIELD_BOUNDARY_MODULES = ("config.py", "snapshots.py", "cli.py")
+
+
+def field_constructions(source: str) -> list[str]:
+    """Calls of ScalarField(...), ScalarField.constant(...) or State(...)
+    outside StateTrajectory.state: inside the solver a field is a flat
+    array, and a ScalarField is built only where a field enters or leaves a
+    run. StateTrajectory.state, which hands a stored state out, is the one
+    place outside FIELD_BOUNDARY_MODULES that builds them."""
+    tree = ast.parse(source)
+    exempt = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "StateTrajectory"
+              for method in cls.body
+              if isinstance(method, ast.FunctionDef) and method.name == "state"
+              for node in ast.walk(method)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and id(node) not in exempt
+             and ast.unparse(node.func) in ("ScalarField", "ScalarField.constant", "State")]
+    return [f"line {node.lineno}: {ast.unparse(node.func)}"
+            for node in sorted(calls, key=lambda node: (node.lineno, node.col_offset))]
+
+
+def test_field_constructions_are_found():
+    source = ("f = ScalarField(grid, values)\ng = ScalarField.constant(grid, 0.0)\n"
+              "s = State(f, g)\nv = f.values\n\n\nclass StateTrajectory:\n"
+              "    def state(self, n):\n"
+              "        return State(ScalarField(self.grid, self.phi[n]), self.sigma[n])\n\n"
+              "    def first(self):\n        return ScalarField(self.grid, self.phi[0])\n")
+    assert field_constructions(source) == ["line 1: ScalarField", "line 2: ScalarField.constant",
+                                           "line 3: State", "line 12: ScalarField"]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in FIELD_BOUNDARY_MODULES],
+                         ids=lambda p: p.name)
+def test_solver_modules_build_no_fields(path):
+    assert field_constructions(path.read_text()) == []

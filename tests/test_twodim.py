@@ -49,9 +49,8 @@ def test_free_energy_matches_double_loop_2d(rng, grid, kernel):
     params = ModelParams(A=0.7, B=1.1, chi=0.3)
     phi = rng.standard_normal(grid.num_cells)
     sigma = rng.standard_normal(grid.num_cells)
-    state = State(ScalarField(grid, phi), ScalarField(grid, sigma))
     oracle = energy_double_loop_oracle(grid, params, kernel, phi, sigma)
-    assert free_energy(state, params, kernel) == pytest.approx(oracle, rel=1e-12)
+    assert free_energy(phi, sigma, params, kernel) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_dissipation_and_mass_balance_2d(rng, grid, kernel, params):
@@ -92,7 +91,7 @@ def test_gradient_and_taylor_2d(rng, grid, kernel, params):
     controls = random_controls(rng, grid, 8)
     spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=ScalarField.constant(grid, -0.2))
+                             phi_omega=np.full(grid.num_cells, -0.2))
     direction = random_controls(rng, grid, 8, scale=1.0)
     base = simulate(phi0, sigma0, controls, params, kernel, tgrid, record_monitors=False)
     grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
