@@ -193,9 +193,9 @@ class RunConfig:
         weights = {name: self.data["cost"][name] for name in _WEIGHTS}
         t = self.data["cost"]["targets"]
         if t["kind"] == "zero":
-            return CostSpec.tracking(grid, **weights)
+            return CostSpec(grid, **weights)
         if t["kind"] == "constant":
-            return CostSpec.tracking(
+            return CostSpec(
                 grid, **weights,
                 phi_omega=np.full(grid.num_cells, t["phi_omega"]),
                 sigma_omega=np.full(grid.num_cells, t["sigma_omega"]),
@@ -203,7 +203,7 @@ class RunConfig:
                 sigma_q=np.full((1, grid.num_cells), t["sigma_q"]),
             )
         if t["kind"] == "files":
-            return CostSpec.tracking(
+            return CostSpec(
                 grid, **weights,
                 phi_omega=self._read_on_grid(t["phi_omega"], grid, "cost target file").values,
                 sigma_omega=self._read_on_grid(t["sigma_omega"], grid, "cost target file").values,
@@ -211,7 +211,7 @@ class RunConfig:
         phi0, sigma0 = self.build_initial_state(grid)
         traj = simulate(phi0, sigma0, self._constant_controls(t, grid), params,
                         kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
-        return CostSpec.tracking(
+        return CostSpec(
             grid, **weights,
             phi_omega=traj.phi[tgrid.steps],
             sigma_omega=traj.sigma[tgrid.steps],

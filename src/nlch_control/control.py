@@ -9,14 +9,14 @@ products are index-aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
 from .errors import FieldShapeError, HypothesisViolationError, SolverError
 from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
                       simulate)
-from .geometry import GridSpec, ScalarField
+from .geometry import GridSpec, ScalarField, cell_array
 from .kernels import KernelData
 from .physics import ModelParams
 from .sensitivity import AdjointTrajectory, adjoint_sweep
@@ -27,53 +27,50 @@ ARMIJO_FRACTION = 1e-4
 ALPHA_FLOOR = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CostSpec:
     """Quadratic tracking cost: final-time and running targets for phi and
     sigma plus Tikhonov penalties on both controls.
 
-    The targets are arrays on grid. phi_omega / sigma_omega, the final-time
-    targets, have shape (cells,). phi_q / sigma_q are the running targets at
-    the left endpoints t_0 .. t_{steps-1}, matching the control layout. Each
-    has shape (rows, cells) and broadcasts against the state slices: one row
-    for a target constant in time (zero by default), or one row per step.
-    Every target holds finite values only.
+    Everything after grid is keyword-only: six nonnegative weights (0.0 by
+    default) and four finite target arrays on grid (zero by default).
+    phi_omega / sigma_omega, the final-time targets, have shape (cells,).
+    phi_q / sigma_q are the running targets at the left endpoints
+    t_0 .. t_{steps-1}, matching the control layout. Each has shape
+    (rows, cells) and broadcasts against the state slices: one row for a
+    target constant in time (the default), or one row per step. Compares
+    and hashes by identity.
     """
 
     grid: GridSpec
-    alpha_omega: float
-    alpha_q: float
-    beta_omega: float
-    beta_q: float
-    alpha_u: float
-    beta_v: float
-    phi_omega: np.ndarray = field(repr=False)
-    sigma_omega: np.ndarray = field(repr=False)
-    phi_q: np.ndarray = field(repr=False)
-    sigma_q: np.ndarray = field(repr=False)
+    _: KW_ONLY
+    alpha_omega: float = 0.0
+    alpha_q: float = 0.0
+    beta_omega: float = 0.0
+    beta_q: float = 0.0
+    alpha_u: float = 0.0
+    beta_v: float = 0.0
+    phi_omega: np.ndarray | None = field(default=None, repr=False)
+    sigma_omega: np.ndarray | None = field(default=None, repr=False)
+    phi_q: np.ndarray | None = field(default=None, repr=False)
+    sigma_q: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        weights = (self.alpha_omega, self.alpha_q, self.beta_omega,
-                   self.beta_q, self.alpha_u, self.beta_v)
-        if any(w < 0.0 for w in weights):
+        if any(w < 0.0 for w in self._weights()):
             raise HypothesisViolationError("cost weights must be nonnegative")
-        cells = self.grid.num_cells
-        for name, ndim, shape in (("phi_omega", 1, "(cells,)"), ("sigma_omega", 1, "(cells,)"),
-                                  ("phi_q", 2, "(rows, cells)"), ("sigma_q", 2, "(rows, cells)")):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != ndim or arr.shape[-1] != cells:
-                raise FieldShapeError(f"{name} must have shape {shape}")
-            if not np.all(np.isfinite(arr)):
-                raise FieldShapeError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+        for name, ndim in (("phi_omega", 1), ("sigma_omega", 1), ("phi_q", 2), ("sigma_q", 2)):
+            values = getattr(self, name)
+            if values is None:
+                values = np.zeros((1,) * (ndim - 1) + (self.grid.num_cells,))
+            object.__setattr__(self, name, cell_array(values, self.grid, name, ndim))
 
-    def all_weights_zero(self) -> bool:
-        return (self.alpha_omega == 0.0 and self.alpha_q == 0.0 and self.beta_omega == 0.0
-                and self.beta_q == 0.0 and self.alpha_u == 0.0 and self.beta_v == 0.0)
+    def _weights(self) -> tuple[float, ...]:
+        return (self.alpha_omega, self.alpha_q, self.beta_omega,
+                self.beta_q, self.alpha_u, self.beta_v)
 
     def validate(self):
         """Admissibility gate: at least one weight must be active."""
-        if self.all_weights_zero():
+        if all(w == 0.0 for w in self._weights()):
             raise HypothesisViolationError("cost weights must not all be zero")
 
     def require_grid(self, traj: StateTrajectory):
@@ -84,28 +81,12 @@ class CostSpec:
             if rows not in (1, traj.steps):
                 raise FieldShapeError(f"{name} carries {rows} rows, trajectory has {traj.steps}")
 
-    @classmethod
-    def tracking(cls, grid: GridSpec, *, alpha_omega=0.0, alpha_q=0.0,
-                 beta_omega=0.0, beta_q=0.0, alpha_u=0.0, beta_v=0.0,
-                 phi_omega: np.ndarray | None = None,
-                 sigma_omega: np.ndarray | None = None,
-                 phi_q: np.ndarray | None = None,
-                 sigma_q: np.ndarray | None = None) -> "CostSpec":
-        zero_field = np.zeros(grid.num_cells)
-        return cls(
-            grid=grid, alpha_omega=alpha_omega, alpha_q=alpha_q, beta_omega=beta_omega,
-            beta_q=beta_q, alpha_u=alpha_u, beta_v=beta_v,
-            phi_omega=phi_omega if phi_omega is not None else zero_field,
-            sigma_omega=sigma_omega if sigma_omega is not None else zero_field,
-            phi_q=phi_q if phi_q is not None else np.zeros((1, grid.num_cells)),
-            sigma_q=sigma_q if sigma_q is not None else np.zeros((1, grid.num_cells)),
-        )
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoxConstraints:
     """Time-invariant pointwise bounds u_min <= u <= u_max, v_min <= v <= v_max:
-    each bound has shape (cells,) and holds at every step."""
+    each bound has shape (cells,) and holds at every step. Compares and
+    hashes by identity."""
 
     grid: GridSpec
     u_min: np.ndarray = field(repr=False)
@@ -115,12 +96,7 @@ class BoxConstraints:
 
     def __post_init__(self):
         for name in ("u_min", "u_max", "v_min", "v_max"):
-            arr = np.ascontiguousarray(getattr(self, name), dtype=np.float64)
-            if arr.shape != (self.grid.num_cells,):
-                raise FieldShapeError(f"{name} must have shape (cells,)")
-            if not np.all(np.isfinite(arr)):
-                raise FieldShapeError(f"{name} contains non-finite values")
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, cell_array(getattr(self, name), self.grid, name))
         if np.any(self.u_min > self.u_max):
             raise HypothesisViolationError("box constraints need u_min <= u_max pointwise")
         if np.any(self.v_min > self.v_max):
@@ -164,9 +140,26 @@ class OptimizeReport:
 
 @dataclass(frozen=True)
 class PgdOptions:
+    """PGD stops "converged" once the stationarity residual is <= tol (a
+    negative tol never, so the run ends after max_iter iterations or an
+    exhausted line search); tau0 is the first spectral step.
+    HypothesisViolationError lists every value out of range."""
+
     tol: float = 1e-4
     max_iter: int = 200
     tau0: float = 1.0
+
+    def __post_init__(self):
+        failures = []
+        # NaN fails every comparison, so each rule is stated as what must hold
+        if np.isnan(self.tol):
+            failures.append(f"tol must be a number, got {self.tol}")
+        if not self.max_iter >= 0:
+            failures.append(f"max_iter must be >= 0, got {self.max_iter}")
+        if not 0.0 < self.tau0 < np.inf:
+            failures.append(f"tau0 must be finite and > 0, got {self.tau0}")
+        if failures:
+            raise HypothesisViolationError("; ".join(failures))
 
 
 def cost(traj: StateTrajectory, spec: CostSpec) -> float:

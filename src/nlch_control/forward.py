@@ -34,8 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError, InstabilityError, StaleTrajectoryError
-from .geometry import (GridSpec, ScalarField, inner_product, laplacian_array, mass,
-                       uses_dense_operators)
+from .geometry import (GridSpec, ScalarField, cell_array, inner_product, laplacian_array,
+                       mass, uses_dense_operators)
 from .kernels import KernelData, convolve_array
 from .physics import POTENTIAL, ModelParams, require_ellipticity
 from .solvers import ShiftedLaplacianSolver, dense_laplacian_matrix
@@ -75,14 +75,15 @@ class State:
         return self.phi.grid
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlPair:
     """Space-time controls, piecewise constant per step: shape (steps, cells).
 
     No code writes into a control's arrays. A float64 array is kept as given,
     not copied, so a control constant in time can be a read-only view of one
     row of cells broadcast over the steps (np.broadcast_to, stride 0 along
-    the steps): (steps, cells) in shape, one row in memory.
+    the steps): (steps, cells) in shape, one row in memory. Compares and
+    hashes by identity.
     """
 
     grid: GridSpec
@@ -90,14 +91,10 @@ class ControlPair:
     v: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=np.float64)
-        v = np.asarray(self.v, dtype=np.float64)
-        if u.ndim != 2 or v.ndim != 2 or u.shape != v.shape:
-            raise FieldShapeError("controls must be two matching (steps, cells) arrays")
-        if u.shape[1] != self.grid.num_cells:
-            raise FieldShapeError("control cell count does not match grid")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(v))):
-            raise FieldShapeError("controls contain non-finite values")
+        u = cell_array(self.u, self.grid, "control u", ndim=2)
+        v = cell_array(self.v, self.grid, "control v", ndim=2)
+        if u.shape != v.shape:
+            raise FieldShapeError(f"controls u {u.shape} and v {v.shape} differ in shape")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
@@ -248,9 +245,9 @@ def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     return phi_new, sigma_new
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StateTrajectory:
-    """Discrete trajectory and run monitors.
+    """Discrete trajectory and run monitors; compares and hashes by identity.
 
     phi and sigma have shape (steps + 1, cells); they are the only per-step
     data kept. controls and ops (the operator bundle the run stepped with,
@@ -283,8 +280,7 @@ class StateTrajectory:
         are the ones this trajectory was simulated with."""
         if params != self.ops.params:
             raise StaleTrajectoryError("trajectory was simulated with other model parameters")
-        if kernel is not None and (kernel.spec, kernel.grid) != (self.ops.kernel.spec,
-                                                                 self.ops.kernel.grid):
+        if kernel is not None and kernel != self.ops.kernel:
             raise StaleTrajectoryError("trajectory was simulated with another kernel")
 
 

@@ -60,8 +60,8 @@ class GridSpec:
             raise GridError("cells_per_axis and extent_per_axis lengths differ")
         if any(n < 2 for n in cells):
             raise GridError(f"need at least 2 cells per axis, got {cells}")
-        if any(e <= 0.0 for e in extents):
-            raise GridError(f"extents must be positive, got {extents}")
+        if not all(0.0 < e < math.inf for e in extents):
+            raise GridError(f"extents must be positive and finite, got {extents}")
 
     @property
     def dim(self) -> int:
@@ -99,23 +99,30 @@ class GridSpec:
         return list(np.meshgrid(*axes, indexing="ij"))
 
 
-@dataclass(frozen=True)
+def cell_array(values, grid: GridSpec, name: str, ndim: int = 1) -> np.ndarray:
+    """The array contract of every value class holding cell data: values as
+    a float64 array of ndim axes, the last of grid.num_cells entries, all
+    finite, else FieldShapeError naming it. A float64 array is not copied."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim or arr.shape[-1] != grid.num_cells:
+        raise FieldShapeError(f"{name} has shape {arr.shape}; need {ndim} axes, "
+                              f"the last of {grid.num_cells} cells")
+    if not np.all(np.isfinite(arr)):
+        raise FieldShapeError(f"{name} contains non-finite values")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real-valued field on a grid, flat row-major storage: one finite value
-    per cell, checked on construction."""
+    per cell, checked on construction. Compares and hashes by identity."""
 
     grid: GridSpec
     values: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        vals = np.ascontiguousarray(self.values, dtype=np.float64).reshape(-1)
-        if vals.size != self.grid.num_cells:
-            raise FieldShapeError(
-                f"field has {vals.size} values for a grid of {self.grid.num_cells} cells"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise FieldShapeError("field contains non-finite values")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values",
+                           cell_array(np.ravel(self.values), self.grid, "field"))
 
     @classmethod
     def constant(cls, grid: GridSpec, value: float) -> "ScalarField":

@@ -39,8 +39,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeError, KernelResolutionError
-from .geometry import GridSpec, load_scipy, uses_dense_operators
+from .errors import KernelResolutionError
+from .geometry import GridSpec, cell_array, load_scipy, uses_dense_operators
 
 _FAMILIES = ("gaussian", "mollifier")
 
@@ -97,26 +97,24 @@ class KernelData:
     ellipticity gate reads. The time stepper keeps its most
     recent operator bundle in the operator slot, keyed on (params, dt) (see
     forward.step_operators).
+
+    Everything but (spec, grid, reach, a_star) is a deterministic function
+    of (spec, grid), so equality and the hash read only those four: two
+    builds of one kernel on one grid compare equal.
     """
 
     spec: KernelSpec
     grid: GridSpec
     reach: tuple[int, ...]
-    factors: tuple[np.ndarray, ...] | None = field(repr=False)
-    spectrum: np.ndarray | None = field(repr=False)
-    a: np.ndarray = field(repr=False)
+    factors: tuple[np.ndarray, ...] | None = field(repr=False, compare=False)
+    spectrum: np.ndarray | None = field(repr=False, compare=False)
+    a: np.ndarray = field(repr=False, compare=False)
     a_star: float
     operator_slot: list = field(default_factory=list, init=False, repr=False,
                                 compare=False)
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.a, dtype=np.float64)
-        if a.shape != (self.grid.num_cells,):
-            raise FieldShapeError(
-                f"weight a has shape {a.shape} for a grid of {self.grid.num_cells} cells"
-            )
-        if not np.all(np.isfinite(a)):
-            raise FieldShapeError("weight a contains non-finite values")
+        a = cell_array(self.a, self.grid, "weight a")
         if np.min(a) < 0.0:
             raise KernelResolutionError("induced weight field a = J*1 must be nonnegative")
         if self.a_star < np.max(a) - 1e-12 * max(1.0, self.a_star):

@@ -45,9 +45,10 @@ from .physics import ModelParams
 LINEARISE_CHUNK_VALUES = 1 << 12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TangentTrajectory:
-    """All tangent slices, shape (steps + 1, cells); slice 0 is zero."""
+    """All tangent slices, shape (steps + 1, cells); slice 0 is zero.
+    Compares and hashes by identity."""
 
     grid: GridSpec
     tgrid: TimeGrid
@@ -62,9 +63,10 @@ class TangentTrajectory:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjointTrajectory:
-    """Cost-seeded reverse sweep along the state trajectory traj.
+    """Cost-seeded reverse sweep along the state trajectory traj; compares
+    and hashes by identity.
 
     p[n], r[n] for n < steps are the transposed phi and sigma solves of step
     n divided by dt, the slices paired with step n's explicit terms (the ones

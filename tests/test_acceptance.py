@@ -133,7 +133,7 @@ def test_criterion_4_gradient_correctness():
     phi0 = smooth_phi0(grid)
     sigma0 = ScalarField.constant(grid, 0.3)
     controls = random_controls(rng, grid, 40)
-    spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=0.5, beta_omega=0.3,
+    spec = CostSpec(grid, alpha_omega=1.0, alpha_q=0.5, beta_omega=0.3,
                              beta_q=0.2, alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=np.full(grid.num_cells, -0.2),
                              sigma_omega=np.full(grid.num_cells, 0.1))
@@ -158,7 +158,7 @@ def _manufactured_problem(grid, kernel, params, tgrid, alpha_u, beta_v):
     v_star = -0.2 * np.exp(-((x - 0.7) ** 2) / (2 * 0.15 ** 2))
     c_star = ControlPair(grid, np.tile(u_star, (steps, 1)), np.tile(v_star, (steps, 1)))
     traj_star = simulate(phi0, sigma0, c_star, params, kernel, tgrid)
-    spec = CostSpec.tracking(
+    spec = CostSpec(
         grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
         phi_omega=traj_star.phi[steps],

@@ -16,7 +16,7 @@ from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config,
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                               cmd_gradcheck, main)
 from nlch_control.config import config_from_dict, config_json, config_to_dict
-from nlch_control.errors import ConfigError, FieldShapeError
+from nlch_control.errors import ConfigError, FieldShapeError, GridError
 from nlch_control.forward import DEFAULT_BLOWUP_GUARD
 from nlch_control.snapshots import (MANIFEST_NAME, read_snapshot, write_snapshot)
 
@@ -276,6 +276,15 @@ def test_snapshot_cell_count_does_not_wrap_around(tmp_path):
     path.write_bytes(b"NLCH-SNAPSHOT 1\ndim 2\ncells 4294967296 4294967296\n"
                      b"spacing 1.0 1.0\nfield phi\ntime 0.0\ndata\n")
     with pytest.raises(FieldShapeError, match="header says 18446744073709551616"):
+        read_snapshot(path)
+
+
+@pytest.mark.parametrize("spacing", ["nan", "inf", "-0.125"])
+def test_snapshot_rejects_bad_spacing(tmp_path, spacing):
+    path = tmp_path / "bad.snap"
+    path.write_bytes(f"NLCH-SNAPSHOT 1\ndim 1\ncells 8\nspacing {spacing}\nfield phi\n"
+                     "time 0.0\ndata\n".encode("ascii") + np.zeros(8).tobytes())
+    with pytest.raises(GridError, match=re.escape(f"{path}: extents must be positive and finite")):
         read_snapshot(path)
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,14 +53,14 @@ def cost_direct_oracle(traj, controls, spec):
 
 def test_cost_zero_cases(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
-    all_zero = CostSpec.tracking(grid1d)
+    all_zero = CostSpec(grid1d)
     assert cost(traj, all_zero) == 0.0
     with pytest.raises(HypothesisViolationError):
         all_zero.validate()
 
     # targets equal to the trajectory of zero controls: cost vanishes
     traj0 = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel1d, tgrid)
-    spec = CostSpec.tracking(
+    spec = CostSpec(
         grid1d, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=1.0, beta_v=1.0,
         phi_omega=traj0.phi[20],
@@ -75,7 +77,7 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
     sigma0 = ScalarField(grid1d_small, 0.3 * rng.standard_normal(8))
     controls = random_controls(rng, grid1d_small, 6)
     traj = simulate(phi0, sigma0, controls, params, kernel1d_small, tgrid)
-    spec = CostSpec.tracking(
+    spec = CostSpec(
         grid1d_small, alpha_omega=0.7, alpha_q=0.4, beta_omega=0.2, beta_q=0.9,
         alpha_u=0.3, beta_v=0.8,
         phi_omega=rng.standard_normal(8),
@@ -88,9 +90,9 @@ def test_cost_matches_direct_oracle(rng, grid1d_small, kernel1d_small):
 
 def test_cost_spec_validation(grid1d):
     with pytest.raises(HypothesisViolationError):
-        CostSpec.tracking(grid1d, alpha_omega=-1.0)
+        CostSpec(grid1d, alpha_omega=-1.0)
     with pytest.raises(FieldShapeError):
-        CostSpec.tracking(grid1d, phi_q=np.zeros((10, 7)))
+        CostSpec(grid1d, phi_q=np.zeros((10, 7)))
 
 
 @pytest.mark.parametrize("name", ["phi_omega", "sigma_omega"])
@@ -99,7 +101,7 @@ def test_cost_spec_validation(grid1d):
                          ids=["too-few", "one-row-block", "nan"])
 def test_cost_spec_rejects_a_bad_omega_target(grid1d, name, target):
     with pytest.raises(FieldShapeError):
-        CostSpec.tracking(grid1d, alpha_omega=1.0, **{name: target})
+        CostSpec(grid1d, alpha_omega=1.0, **{name: target})
 
 
 def test_running_targets_one_row_or_one_per_step(setup, grid1d, kernel1d, params):
@@ -108,21 +110,21 @@ def test_running_targets_one_row_or_one_per_step(setup, grid1d, kernel1d, params
     traj = setup[-1]
     weights = dict(alpha_omega=1.0, alpha_q=0.7, beta_q=0.4, alpha_u=0.1)
     row = np.full((1, grid1d.num_cells), 0.1)
-    one = CostSpec.tracking(grid1d, **weights, phi_q=row, sigma_q=row + 0.2)
-    tiled = CostSpec.tracking(grid1d, **weights, phi_q=np.tile(row, (20, 1)),
+    one = CostSpec(grid1d, **weights, phi_q=row, sigma_q=row + 0.2)
+    tiled = CostSpec(grid1d, **weights, phi_q=np.tile(row, (20, 1)),
                               sigma_q=np.tile(row + 0.2, (20, 1)))
     assert cost(traj, one) == cost(traj, tiled)
     adj_one = adjoint_sweep(traj, one, params, kernel1d)
     adj_tiled = adjoint_sweep(traj, tiled, params, kernel1d)
     assert np.array_equal(adj_one.p, adj_tiled.p) and np.array_equal(adj_one.r, adj_tiled.r)
     with pytest.raises(FieldShapeError, match="sigma_q carries 3 rows"):
-        cost(traj, CostSpec.tracking(grid1d, **weights, sigma_q=np.zeros((3, grid1d.num_cells))))
+        cost(traj, CostSpec(grid1d, **weights, sigma_q=np.zeros((3, grid1d.num_cells))))
 
 
 def test_reduced_gradient_tikhonov_only(setup, grid1d, kernel1d, params):
     tgrid, phi0, sigma0, controls, traj = setup
     # zero tracking weights: adjoint is identically zero
-    spec = CostSpec.tracking(grid1d, alpha_u=0.3, beta_v=0.7)
+    spec = CostSpec(grid1d, alpha_u=0.3, beta_v=0.7)
     g = reduced_gradient(adjoint_sweep(traj, spec, params, kernel1d), spec)
     assert np.allclose(g.u, 0.3 * controls.u, rtol=0, atol=0)
     assert np.allclose(g.v, 0.7 * controls.v, rtol=0, atol=0)
@@ -183,7 +185,7 @@ def test_pgd_zero_gradient_terminates_immediately(grid1d, kernel1d, params):
     tgrid = TimeGrid(0.25, 20)
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.3)
-    spec = CostSpec.tracking(grid1d, alpha_u=1.0, beta_v=1.0)
+    spec = CostSpec(grid1d, alpha_u=1.0, beta_v=1.0)
     box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     report = pgd_optimize(ControlPair.zeros(grid1d, 20), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0)
@@ -198,7 +200,7 @@ def test_pgd_rejects_inadmissible_params_before_any_iterate(grid1d, kernel1d):
     # any solve, so no iterate is ever reported
     params = ModelParams(A=10.0, B=1e-6, chi=0.0)
     tgrid = TimeGrid(0.25, 20)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
+    spec = CostSpec(grid1d, alpha_omega=1.0)
     box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     reported = []
     with pytest.raises(HypothesisViolationError, match=r"c0 = .* <= chi\^2"):
@@ -256,7 +258,7 @@ def manufactured_problem(grid, kernel, params, tgrid):
 
 def manufactured_spec(grid, traj_star, alpha_u, beta_v):
     steps = traj_star.steps
-    return CostSpec.tracking(
+    return CostSpec(
         grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
         alpha_u=alpha_u, beta_v=beta_v,
         phi_omega=traj_star.phi[steps],
@@ -307,7 +309,7 @@ def test_pgd_scaling_consistency_bitwise(grid1d, kernel1d, params, manufactured)
     box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     lam = 2.0
     spec1 = manufactured_spec(grid1d, traj_star, 1e-2, 1e-2)
-    spec2 = CostSpec.tracking(
+    spec2 = CostSpec(
         grid1d, alpha_omega=lam, alpha_q=lam, beta_omega=lam, beta_q=lam,
         alpha_u=lam * 1e-2, beta_v=lam * 1e-2,
         phi_omega=spec1.phi_omega, sigma_omega=spec1.sigma_omega,
@@ -320,6 +322,35 @@ def test_pgd_scaling_consistency_bitwise(grid1d, kernel1d, params, manufactured)
     r2 = pgd_optimize(c0, box, spec2, params, kernel1d, tgrid, phi0, sigma0, opts=opts2)
     assert np.array_equal(r1.final_controls.u, r2.final_controls.u)
     assert np.array_equal(r1.final_controls.v, r2.final_controls.v)
+
+
+def test_pgd_options_reject_values_out_of_range():
+    # each of these ran at the parent: tau0 <= 0 ended "flat_gradient" after
+    # 0 iterations, a NaN tol ran max_iter iterations, max_iter < 0 none
+    for bad in ({"tau0": 0.0}, {"tau0": -1.0}, {"tau0": np.inf}, {"tau0": np.nan},
+                {"tol": np.nan}, {"max_iter": -1}):
+        with pytest.raises(HypothesisViolationError, match=next(iter(bad))):
+            PgdOptions(**bad)
+    with pytest.raises(HypothesisViolationError) as info:
+        PgdOptions(tol=np.nan, max_iter=-1, tau0=0.0)
+    assert [m.split(" ")[0] for m in str(info.value).split("; ")] == ["tol", "max_iter", "tau0"]
+    # tol = 0 runs until the residual is exactly 0, a negative tol never stops on it
+    PgdOptions(tol=0.0, max_iter=0)
+    PgdOptions(tol=-1.0)
+
+
+def test_value_classes_compare_without_reading_arrays(grid1d):
+    # two builds of one kernel compare and hash equal; the classes that hold
+    # data arrays compare and hash by identity instead of raising on them
+    spec = KernelSpec("gaussian", 4.0, 0.2)
+    first, second = build_kernel(spec, grid1d), build_kernel(spec, grid1d)
+    assert first == second and hash(first) == hash(second)
+    assert first != build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid1d)
+    for value in (CostSpec(grid1d, alpha_omega=1.0), ControlPair.zeros(grid1d, 3),
+                  ScalarField.constant(grid1d, 0.5),
+                  BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)):
+        assert value == value and hash(value) == hash(value)
+        assert value != dataclasses.replace(value)
 
 
 def test_pgd_flat_gradient_termination(monkeypatch, grid1d, kernel1d, params):
@@ -338,7 +369,7 @@ def test_pgd_flat_gradient_termination(monkeypatch, grid1d, kernel1d, params):
     tgrid = TimeGrid(0.1, 5)
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.3)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
     box = BoxConstraints.constant(grid1d, 0.3, 0.3, -0.2, -0.2)
     report = pgd_optimize(ControlPair.zeros(grid1d, 5), box, spec, params, kernel1d,
                           tgrid, phi0, sigma0, opts=PgdOptions(tol=-1.0, max_iter=10))
@@ -363,7 +394,7 @@ def test_pgd_nonfinite_cost_raises():
     tgrid = TimeGrid(0.1, 5)
     c0 = ControlPair(grid, np.zeros((5, 16)), np.full((5, 16), 1e200))
     box = BoxConstraints.constant(grid, -1.0, 1.0, -1e201, 1e201)
-    spec = CostSpec.tracking(grid, beta_omega=1.0)
+    spec = CostSpec(grid, beta_omega=1.0)
     with pytest.raises(SolverError, match="iterate 0") as info:
         pgd_optimize(c0, box, spec, params, kernel, tgrid, smooth_phi0(grid),
                      ScalarField.constant(grid, 0.0))
@@ -557,7 +588,7 @@ def test_broadcast_controls_give_the_same_bits(cells, extent, family, width):
     phi0 = smooth_phi0(grid)
     sigma0 = ScalarField.constant(grid, 0.3)
     rows = [0.2 * smooth_phi0(grid, amplitude=1.0).values, np.full(grid.num_cells, -0.05)]
-    spec = CostSpec.tracking(grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
+    spec = CostSpec(grid, alpha_omega=1.0, alpha_q=1.0, beta_omega=1.0, beta_q=1.0,
                              alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=np.full(grid.num_cells, 0.2),
                              phi_q=np.full((1, grid.num_cells), 0.1))

@@ -340,6 +340,23 @@ def test_mass_balance_residual_cases(rng, grid1d, kernel1d, params, params_gradi
     assert mass_balance_residual(traj, single, params) <= 1e-12
 
 
+def test_mass_balance_gate_reads_a_perturbed_solve(monkeypatch, grid1d):
+    # the 1e-12 bound must be able to fail: a phi solve off by relative 1e-9
+    # breaks the discrete mass identity (3.4e-10 here; the correct run reads
+    # 3.2e-15)
+    from nlch_control.forward import StepOperators
+
+    params = ModelParams(A=0.5, B=1.0, chi=0.3)
+    healthy = random_run(np.random.default_rng(0), grid1d, params)
+    assert mass_balance_residual(healthy, healthy.controls, params) <= 1e-12
+
+    solve = StepOperators.solve_phi_increment
+    monkeypatch.setattr(StepOperators, "solve_phi_increment",
+                        lambda self, rhs: solve(self, rhs) * (1.0 + 1e-9))
+    broken = random_run(np.random.default_rng(0), grid1d, params)
+    assert mass_balance_residual(broken, broken.controls, params) > 1e-12
+
+
 def test_boundedness_analog(rng, grid1d, kernel1d):
     # admissible chi=0 runs starting inside |phi| <= 1.2 stay below 2.0
     for trial in range(3):
@@ -399,7 +416,7 @@ def test_solver_options_accepts_only_none(grid1d, kernel1d, params):
     phi0 = smooth_phi0(grid1d)
     sigma0 = ScalarField.constant(grid1d, 0.1)
     controls = ControlPair.zeros(grid1d, 2)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
     box = BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0)
     assert config_from_dict({}).solver_options() is None
     simulate(phi0, sigma0, controls, params, kernel1d, tgrid, solver_options=None)
@@ -432,7 +449,7 @@ def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
     kernel = build_kernel(KernelSpec("mollifier", 100.0, 0.3), grid)
     params = ModelParams(A=0.5, B=1.0, chi=0.0)
     steps = 4
-    spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
+    spec = CostSpec(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=np.full(grid.num_cells, -0.2))
     result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),

@@ -34,6 +34,15 @@ def test_grid_spec_rejects_invalid(cells, extent):
         GridSpec(cells, extent)
 
 
+@pytest.mark.parametrize("extent", [np.nan, np.inf, -np.inf])
+def test_grid_spec_rejects_nonfinite_extent(extent):
+    # NaN passes no comparison, so "extent <= 0" alone let it through
+    with pytest.raises(GridError, match="positive and finite"):
+        GridSpec((32,), (extent,))
+    with pytest.raises(GridError, match="positive and finite"):
+        GridSpec((4, 4), (1.0, extent))
+
+
 def test_scalar_field_rejects_bad_values(grid1d_small):
     with pytest.raises(FieldShapeError):
         ScalarField(grid1d_small, np.zeros(7))

@@ -128,7 +128,7 @@ def test_vjp_transposes_tangent_matrix_entry(rng, base_setup, grid1d, kernel1d, 
 
 def test_adjoint_zero_weights_gives_zero(base_setup, grid1d, kernel1d, params):
     _, _, _, traj = base_setup
-    spec = CostSpec.tracking(grid1d)  # all weights default to zero here
+    spec = CostSpec(grid1d)  # all weights default to zero here
     spec = dataclasses.replace(spec)
     adj = adjoint_sweep(traj, spec, params, kernel1d)
     assert np.all(adj.p == 0.0)
@@ -137,7 +137,7 @@ def test_adjoint_zero_weights_gives_zero(base_setup, grid1d, kernel1d, params):
 
 def test_adjoint_terminal_slices(base_setup, grid1d, kernel1d, params):
     phi0, sigma0, controls, traj = base_setup
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
+    spec = CostSpec(grid1d, alpha_omega=1.0)
     adj = adjoint_sweep(traj, spec, params, kernel1d)
     assert np.allclose(adj.p[20], traj.phi[20] - spec.phi_omega)
     assert np.all(adj.r[20] == 0.0)
@@ -152,7 +152,7 @@ def test_adjoint_matches_per_step_loop(rng, base_setup, grid1d, kernel1d, params
 
     _, _, _, traj = base_setup
     n_cells = grid1d.num_cells
-    spec = CostSpec.tracking(
+    spec = CostSpec(
         grid1d, alpha_omega=1.3, alpha_q=0.7, beta_omega=0.4, beta_q=0.9,
         phi_omega=rng.standard_normal(n_cells),
         sigma_omega=rng.standard_normal(n_cells),
@@ -178,7 +178,7 @@ def test_adjoint_terminal_unit_example(grid1d, kernel1d, params_gradient_flow):
     tgrid = TimeGrid(0.1, 5)
     traj = simulate(ScalarField.constant(grid1d, 1.0), ScalarField.constant(grid1d, 0.0),
                     ControlPair.zeros(grid1d, 5), params_gradient_flow, kernel1d, tgrid)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
+    spec = CostSpec(grid1d, alpha_omega=1.0)
     adj = adjoint_sweep(traj, spec, params_gradient_flow, kernel1d)
     assert np.max(np.abs(adj.p[5] - 1.0)) < 1e-13
     assert np.all(adj.r[5] == 0.0)
@@ -196,7 +196,7 @@ def test_gradcheck_passes_with_chemotaxis(cells, extents, family, width):
     params = ModelParams(A=0.5, B=2.0 / float(np.min(kernel.a)), chi=0.3)
     steps = 10
     rng = np.random.default_rng(7)
-    spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
+    spec = CostSpec(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=np.full(grid.num_cells, -0.2))
     result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
@@ -214,7 +214,7 @@ def test_sweeps_reject_stale_trajectory(base_setup, grid1d, kernel1d, params):
     _, _, _, traj = base_setup
     other_params = dataclasses.replace(params, A=0.6)
     other_kernel = build_kernel(KernelSpec("gaussian", 4.0, 0.25), grid1d)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0)
+    spec = CostSpec(grid1d, alpha_omega=1.0)
     for p, k in ((other_params, kernel1d), (params, other_kernel)):
         with pytest.raises(StaleTrajectoryError):
             adjoint_sweep(traj, spec, p, k)
@@ -245,7 +245,7 @@ def test_gradcheck_sweep_count(monkeypatch, rng, base_setup, grid1d, kernel1d, p
                          (gradcheck, "tangent_sweep"), (sensitivity, "tangent_sweep"),
                          (sensitivity, "vjp_sweep")):
         counted(module, name)
-    spec = CostSpec.tracking(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
     n_duality, n_fd, n_taylor = 3, 2, 2
     result = gradcheck.run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d,
                                      tgrid20, rng, n_duality=n_duality, n_fd=n_fd,

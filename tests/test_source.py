@@ -139,3 +139,46 @@ def test_field_constructions_are_found():
                          ids=lambda p: p.name)
 def test_solver_modules_build_no_fields(path):
     assert field_constructions(path.read_text()) == []
+
+
+def _is_false(call, keyword: str) -> bool:
+    """True when call is a Call passing keyword=False."""
+    return isinstance(call, ast.Call) and any(
+        k.arg == keyword and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in call.keywords)
+
+
+def compared_array_fields(source: str) -> list[str]:
+    """Dataclass fields whose annotation names np.ndarray and that the
+    generated __eq__ and __hash__ read: numpy compares arrays elementwise,
+    so such an __eq__ raises on arrays of more than one value and the hash
+    fails. Each such field is compare=False, or its class is eq=False and
+    compares by identity."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        decorators = [d for d in cls.decorator_list
+                      if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")]
+        if not decorators or _is_false(decorators[0], "eq"):
+            continue
+        found.extend(f"line {stmt.lineno}: {cls.name}.{stmt.target.id}" for stmt in cls.body
+                     if isinstance(stmt, ast.AnnAssign)
+                     and "np.ndarray" in ast.unparse(stmt.annotation)
+                     and not _is_false(stmt.value, "compare"))
+    return found
+
+
+def test_compared_array_fields_are_found():
+    source = ("@dataclass(frozen=True)\nclass A:\n    x: np.ndarray\n"
+              "    y: np.ndarray = field(repr=False, compare=False)\n"
+              "    z: tuple[np.ndarray, ...] | None = field(repr=False)\n    n: int = 0\n\n\n"
+              "@dataclass(frozen=True, eq=False)\nclass B:\n    x: np.ndarray\n\n\n"
+              "@dataclasses.dataclass\nclass C:\n    x: np.ndarray\n\n\n"
+              "class D:\n    x: np.ndarray\n")
+    assert compared_array_fields(source) == ["line 3: A.x", "line 5: A.z", "line 16: C.x"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclasses_compare_no_arrays(path):
+    assert compared_array_fields(path.read_text()) == []

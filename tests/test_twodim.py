@@ -89,7 +89,7 @@ def test_gradient_and_taylor_2d(rng, grid, kernel, params):
     phi0 = smooth_phi0(grid)
     sigma0 = ScalarField.constant(grid, 0.3)
     controls = random_controls(rng, grid, 8)
-    spec = CostSpec.tracking(grid, alpha_omega=1.0, beta_q=0.5,
+    spec = CostSpec(grid, alpha_omega=1.0, beta_q=0.5,
                              alpha_u=1e-2, beta_v=1e-2,
                              phi_omega=np.full(grid.num_cells, -0.2))
     direction = random_controls(rng, grid, 8, scale=1.0)
