@@ -16,7 +16,7 @@ from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGr
 from .geometry import ScalarField
 from .kernels import KernelData
 from .physics import ModelParams
-from .sensitivity import adjoint_sweep, duality_gap, tangent_sweep
+from .sensitivity import TangentTrajectory, adjoint_sweep, duality_gap, tangent_sweep
 
 DUALITY_TOL = 1e-10
 FD_PLATEAU_TOL = 1e-5
@@ -36,17 +36,15 @@ class GradcheckResult:
 
     @property
     def max_duality_gap(self) -> float:
-        return max(self.duality_gaps) if self.duality_gaps else 0.0
+        """The largest gap, NaN if any gap is NaN (0.0 with no probes)."""
+        return float(np.max(self.duality_gaps)) if self.duality_gaps else 0.0
 
     @property
     def passed(self) -> bool:
-        if self.max_duality_gap > DUALITY_TOL:
-            return False
-        if any(p > FD_PLATEAU_TOL for p in self.fd_plateau):
-            return False
-        if any(o < TAYLOR_ORDER_MIN for o in self.taylor_orders):
-            return False
-        return True
+        # each rule states what must hold, so a NaN anywhere fails it
+        return (all(g <= DUALITY_TOL for g in self.duality_gaps)
+                and all(p <= FD_PLATEAU_TOL for p in self.fd_plateau)
+                and all(o >= TAYLOR_ORDER_MIN for o in self.taylor_orders))
 
 
 def _random_controls(rng, grid, steps) -> ControlPair:
@@ -60,11 +58,29 @@ def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> floa
     return float(np.sqrt((np.sum(xi[1:] ** 2) + np.sum(rho[1:] ** 2)) * vol * dt))
 
 
-def _rerun(base: StateTrajectory, controls: ControlPair) -> StateTrajectory:
-    """simulate with base's initial state, operators, time grid and guard."""
+def _rerun(base: StateTrajectory, direction: ControlPair, eps: float) -> StateTrajectory:
+    """simulate under base's controls + eps direction, with base's initial
+    state, operators, time grid and guard."""
     start = base.state(0)
-    return simulate(start.phi, start.sigma, controls, base.ops.params, base.ops.kernel,
+    controls = base.controls
+    perturbed = ControlPair(base.grid, controls.u + eps * direction.u,
+                            controls.v + eps * direction.v)
+    return simulate(start.phi, start.sigma, perturbed, base.ops.params, base.ops.kernel,
                     base.tgrid, blowup_guard=base.blowup_guard, record_monitors=False)
+
+
+def _taylor_remainder(base: StateTrajectory, tangent: TangentTrajectory,
+                      direction: ControlPair, eps: float) -> float:
+    """|| S(c + eps d) - S(c) - eps T(d) ||_QT. Each remainder is formed in
+    place as (a - b) - c, and the perturbed trajectory is dropped before the
+    norm is taken."""
+    traj = _rerun(base, direction, eps)
+    rem_phi = traj.phi - base.phi
+    rem_phi -= eps * tangent.xi
+    rem_sigma = traj.sigma - base.sigma
+    rem_sigma -= eps * tangent.rho
+    del traj
+    return trajectory_qt_norm(rem_phi, rem_sigma, base.grid, base.tgrid.dt)
 
 
 def taylor_remainder_order(base: StateTrajectory, direction: ControlPair
@@ -76,16 +92,7 @@ def taylor_remainder_order(base: StateTrajectory, direction: ControlPair
     is returned together with the raw remainders.
     """
     tangent = tangent_sweep(base, direction)
-    controls = base.controls
-    grid = base.grid
-    remainders = []
-    for eps in TAYLOR_EPSILONS:
-        perturbed = ControlPair(grid, controls.u + eps * direction.u,
-                                controls.v + eps * direction.v)
-        traj = _rerun(base, perturbed)
-        rem_phi = traj.phi - base.phi - eps * tangent.xi
-        rem_sigma = traj.sigma - base.sigma - eps * tangent.rho
-        remainders.append(trajectory_qt_norm(rem_phi, rem_sigma, grid, base.tgrid.dt))
+    remainders = [_taylor_remainder(base, tangent, direction, eps) for eps in TAYLOR_EPSILONS]
     log_eps = np.log(np.asarray(TAYLOR_EPSILONS))
     log_rem = np.log(np.maximum(np.asarray(remainders), 1e-300))
     slope = float(np.polyfit(log_eps, log_rem, 1)[0])
@@ -98,17 +105,14 @@ def fd_gradient_errors(base: StateTrajectory, grad: ControlPair, direction: Cont
     central finite differences of cost(simulate(c)) around the controls c of
     base, one entry per epsilon of FD_EPSILONS.
     """
-    controls = base.controls
-    grid = base.grid
     directional = control_inner_qt(grad, direction, base.tgrid.dt)
 
     errors = []
     for eps in FD_EPSILONS:
-        plus = ControlPair(grid, controls.u + eps * direction.u,
-                           controls.v + eps * direction.v)
-        minus = ControlPair(grid, controls.u - eps * direction.u,
-                            controls.v - eps * direction.v)
-        fd = (cost(_rerun(base, plus), spec) - cost(_rerun(base, minus), spec)) / (2.0 * eps)
+        # each perturbed run exists only while its cost is evaluated
+        cost_plus = cost(_rerun(base, direction, eps), spec)
+        cost_minus = cost(_rerun(base, direction, -eps), spec)
+        fd = (cost_plus - cost_minus) / (2.0 * eps)
         scale = max(abs(directional), abs(fd))
         if scale < 1e-14:
             errors.append(0.0)
@@ -144,26 +148,26 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
 
-    gaps = []
-    for _ in range(n_duality):
-        d = _random_controls(rng, grid, steps)
-        seed_phi = rng.standard_normal((steps + 1, grid.num_cells))
-        seed_sigma = rng.standard_normal((steps + 1, grid.num_cells))
-        gaps.append(duality_gap(base, d.u, d.v, seed_phi, seed_sigma))
+    # every probe draws its arrays as it starts (direction u, v, then the
+    # seeds) and drops them when it ends
+    shape, seed_shape = (steps, grid.num_cells), (steps + 1, grid.num_cells)
+    gaps = [duality_gap(base, rng.standard_normal(shape), rng.standard_normal(shape),
+                        rng.standard_normal(seed_shape), rng.standard_normal(seed_shape))
+            for _ in range(n_duality)]
 
-    fd_dirs = [_random_controls(rng, grid, steps) for _ in range(n_fd)]
-    per_dir_errors = [fd_gradient_errors(base, grad, d, spec) for d in fd_dirs]
+    per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)
+                      for _ in range(n_fd)]
     fd_table = tuple(
         (eps, tuple(per_dir_errors[j][i] for j in range(n_fd)))
         for i, eps in enumerate(FD_EPSILONS)
     )
-    fd_plateau = tuple(min(errs) for errs in per_dir_errors)
+    fd_plateau = tuple(float(np.min(errs)) for errs in per_dir_errors)
+    del grad  # the Taylor probes read only the base trajectory
 
     orders = []
     remainders = []
     for _ in range(n_taylor):
-        d = _random_controls(rng, grid, steps)
-        slope, rems = taylor_remainder_order(base, d)
+        slope, rems = taylor_remainder_order(base, _random_controls(rng, grid, steps))
         orders.append(slope)
         remainders.append(rems)
 

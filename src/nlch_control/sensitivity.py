@@ -8,13 +8,12 @@ implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
 truncation error, which is the property the optimiser relies on. The
 trajectory stores only the states; each sweep recomputes the steps'
-linearisations from phi_n, sigma_n and u_n. On a grid with dense operators
-it does so for a block of steps at a time, at most LINEARISE_CHUNK_VALUES
-values per array (one evaluation of the pointwise factors per block instead
-of one per step, and O(chunk) memory however long the trajectory);
-elsewhere step by step. The convolutions run one row at a time, as in the
-forward step, so every row of a block is bitwise the per-step
-linearisation.
+linearisations from phi_n, sigma_n and u_n, a block of steps at a time:
+as many steps as fit in LINEARISE_CHUNK_VALUES values per array, and at
+least one (one evaluation of the pointwise factors per block instead of one
+per step, and O(chunk) memory however long the trajectory). The
+convolutions run one row at a time, as in the forward step, so every row of
+a block is bitwise the per-step linearisation.
 
 One backward loop, _reverse_sweep, serves both transposed products: the
 VJP is that loop seeded by arbitrary trajectory cotangents, and the discrete
@@ -33,15 +32,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError
-from .geometry import GridSpec, uses_dense_operators
+from .geometry import GridSpec
 from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
 
-# Values per array in one block of linearised steps on a dense-operator grid
-# (32 kB): the whole of most small 1D trajectories. Elsewhere each step is
-# its own block (batched FFTs of 8 rows at 64 x 64 cost more per row than
-# single rows on a 2-vCPU x86 machine, so every convolution takes one row).
+# Values per array in one block of steps (32 kB): the whole of most small 1D
+# trajectories, and one step on a 2D grid of 64 x 64 cells or more. Each
+# convolution still takes one row (batched FFTs of 8 rows at 64 x 64 cost
+# more per row than single rows on a 2-vCPU x86 machine).
 LINEARISE_CHUNK_VALUES = 1 << 12
 
 
@@ -141,19 +140,25 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
+def _step_blocks(traj: StateTrajectory, reverse: bool = False):
+    """Yield slices that cover the steps of traj, in time order or reversed:
+    each block as many steps as fit in LINEARISE_CHUNK_VALUES values per
+    array, and at least one."""
+    rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
+    starts = range(0, traj.steps, rows)
+    for start in (reversed(starts) if reverse else starts):
+        yield slice(start, min(start + rows, traj.steps))
+
+
 def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
     """Yield (n, linearise_step of step n) for every step of traj, in time
     order or reversed, evaluating the linearisation block by block."""
-    grid = traj.grid
-    rows = LINEARISE_CHUNK_VALUES // grid.num_cells if uses_dense_operators(grid) else 1
-    starts = range(0, traj.steps, rows)
-    for start in (reversed(starts) if reverse else starts):
-        stop = min(start + rows, traj.steps)
-        lin = linearise_step(traj.ops, traj.phi[start:stop], traj.sigma[start:stop],
-                             traj.controls.u[start:stop])
-        offsets = range(stop - start)
+    for block in _step_blocks(traj, reverse):
+        lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
+                             traj.controls.u[block])
+        offsets = range(block.stop - block.start)
         for k in (reversed(offsets) if reverse else offsets):
-            yield start + k, tuple(factor[k] for factor in lin)
+            yield block.start + k, tuple(factor[k] for factor in lin)
 
 
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
@@ -202,8 +207,11 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
     raw per-slice pairing (no dt weight).
     """
     s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
-    distrib = traj.ops.params.distribution.evaluate(traj.phi[:traj.steps], 0)
-    return -distrib * s_phi[:traj.steps], s_sigma[:traj.steps]
+    # u_bar = -h(phi_n) s_phi[n], formed in place block by block
+    distribution = traj.ops.params.distribution
+    for block in _step_blocks(traj):
+        s_phi[block] *= -distribution.evaluate(traj.phi[block], 0)
+    return s_phi[:traj.steps], s_sigma[:traj.steps]
 
 
 def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
@@ -244,8 +252,8 @@ def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
     reverse sweep); agreement certifies exact transposition.
     """
     grid = traj.grid
-    tangent = tangent_sweep(traj, ControlPair(grid, dh, dk))
-    forward_side = tangent.pair_with_seed(seed_phi, seed_sigma)
+    forward_side = tangent_sweep(traj, ControlPair(grid, dh, dk)).pair_with_seed(
+        seed_phi, seed_sigma)
     u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
     vol = grid.cell_volume
     reverse_side = float((np.sum(u_bar * dh) + np.sum(v_bar * dk)) * vol)

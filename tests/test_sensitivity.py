@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec, ModelPara
                           ScalarField, TimeGrid, adjoint_sweep, build_kernel,
                           duality_gap, simulate, tangent_sweep)
 from nlch_control.errors import StaleTrajectoryError
-from nlch_control.gradcheck import (run_gradcheck, taylor_remainder_order,
+from nlch_control.gradcheck import (GradcheckResult, run_gradcheck, taylor_remainder_order,
                                     trajectory_qt_norm)
 from nlch_control.sensitivity import vjp_sweep
 
@@ -274,10 +275,10 @@ def test_duality_at_dense_crossover(rng, cells, params):
     pytest.param((40, 12), (1.0, 0.3), "mollifier", 0.4, id="mollifier-(40, 12)"),
 ])
 def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells, extent, family, width):
-    # on a dense grid the sweeps linearise a block of steps at once (blocks
-    # of 7 and of 19 of the 20 steps: block boundaries and a lone last
-    # step), elsewhere one-row blocks; every row must be bitwise the
-    # per-step linearisation in either sweep direction, and so must every
+    # the sweeps linearise a block of steps at once, as many as fit in
+    # LINEARISE_CHUNK_VALUES (set here to blocks of 7 and of 19 of the 20
+    # steps: block boundaries and a lone last step); every row must be
+    # bitwise the per-step linearisation in either sweep direction, and so must every
     # row of the whole trajectory linearised as one stack. The grids cover
     # every form of the convolution: the dense matrix, the 1D and 2D
     # spectra (one clipped on one axis) and the separable Gaussian
@@ -300,3 +301,94 @@ def test_linearisation_blocks_match_per_step(monkeypatch, rng, cells, extent, fa
                 assert np.array_equal(blocked, single) and np.array_equal(full[n], single)
             order.append(n)
         assert order == sorted(range(steps), reverse=reverse)
+
+
+NAN = float("nan")
+PASSING = dict(duality_gaps=(1e-16, 1e-15), fd_table=(), fd_plateau=(1e-8, 1e-9),
+               taylor_orders=(2.0, 2.01))
+
+
+@pytest.mark.parametrize("field, values", [
+    ("duality_gaps", (NAN, 1e-16)),
+    ("duality_gaps", (1e-16, NAN)),
+    ("fd_plateau", (NAN,)),
+    ("fd_plateau", (1e-8, NAN)),
+    ("taylor_orders", (NAN,)),
+    ("taylor_orders", (2.0, NAN)),
+])
+def test_gradcheck_result_reads_nan_as_failure(field, values):
+    # NaN fails every comparison, so each rule states what must hold; a
+    # rule written as "fail when over the threshold" passed a NaN
+    assert GradcheckResult(**PASSING).passed
+    assert not GradcheckResult(**{**PASSING, field: values}).passed
+
+
+def test_max_duality_gap_propagates_nan():
+    # Python's max skips a NaN that is not first: max((1e-16, nan)) is 1e-16
+    for gaps in ((NAN, 1e-16), (1e-16, NAN)):
+        result = GradcheckResult(**{**PASSING, "duality_gaps": gaps})
+        assert math.isnan(result.max_duality_gap)
+    assert GradcheckResult(**PASSING).max_duality_gap == 1e-15
+
+
+def test_fd_plateau_propagates_nan(monkeypatch, base_setup, grid1d, kernel1d, params, tgrid20):
+    # a NaN relative error at any step size makes the direction's plateau NaN
+    from nlch_control import gradcheck
+
+    phi0, sigma0, controls, _ = base_setup
+    monkeypatch.setattr(gradcheck, "fd_gradient_errors",
+                        lambda *args: (1e-9, NAN, 1e-9, 1e-9, 1e-9))
+    result = run_gradcheck(phi0, sigma0, controls, CostSpec(grid1d, alpha_omega=1.0), params,
+                           kernel1d, tgrid20, np.random.default_rng(0),
+                           n_duality=0, n_fd=1, n_taylor=0)
+    assert math.isnan(result.fd_plateau[0])
+    assert not result.passed
+
+
+@pytest.mark.parametrize("cells, steps", [((64, 64), 10), ((32, 32), 40)], ids=["64x64-10", "32x32-40"])
+def test_gradcheck_peak_traced_memory(cells, steps):
+    # the gradcheck-2d model, two probes of each kind (so each kind draws
+    # again after a probe has run): every probe draws its direction (and
+    # seeds) as it starts and drops them when it ends, the reduced gradient
+    # goes before the Taylor probes, and each remainder is formed in place
+    # after its perturbed trajectory is gone; about 13 (steps + 1, cells)
+    # arrays. Holding every FD direction to the end, each duality probe's
+    # arrays into the next draw and the whole-trajectory h(phi) factor of
+    # the VJP read 24.7 and 24.2 here (26.7 and 26.1 with 20, 3 and 3 probes).
+    import tracemalloc
+
+    from nlch_control import config_from_dict
+
+    cfg = config_from_dict({
+        "grid": {"cells": list(cells), "extent": [1.0, 1.0]},
+        "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.25},
+        "model": {"A": 0.5, "B": 1.0, "chi": 0.0, "lambda_s": 2.0},
+        "time": {"T": 0.01 * steps, "steps": steps},
+        "initial": {"phi": {"kind": "bumps", "background": -0.3, "centers": [[0.4, 0.55]],
+                            "amplitudes": [0.9], "widths": [0.15]},
+                    "sigma": {"kind": "constant", "value": 0.3}},
+        "controls": {"u": {"kind": "constant", "value": 0.05},
+                     "v": {"kind": "constant", "value": -0.05}},
+        "cost": {"alpha_omega": 1.0, "alpha_q": 1.0, "beta_omega": 1.0, "beta_q": 1.0,
+                 "alpha_u": 1e-2, "beta_v": 1e-2,
+                 "targets": {"kind": "constant", "phi_omega": 0.2, "sigma_omega": 0.3,
+                             "phi_q": 0.1, "sigma_q": 0.3}},
+    })
+    grid = cfg.build_grid()
+    kernel = cfg.build_kernel(grid)
+    params = cfg.build_params()
+    tgrid = cfg.build_tgrid()
+    phi0, sigma0 = cfg.build_initial_state(grid)
+    controls = cfg.build_initial_controls(grid)
+    spec = cfg.build_cost(grid, kernel, params, tgrid)
+    # the operators (factorisations, FFT plans) are built by the first run
+    simulate(phi0, sigma0, controls, params, kernel, tgrid)
+    tracemalloc.start()
+    try:
+        result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid,
+                               np.random.default_rng(0), n_duality=2, n_fd=2, n_taylor=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.passed
+    assert peak <= 17 * (steps + 1) * grid.num_cells * 8
