@@ -6,10 +6,13 @@ Flags:       --config <path>  --seed <int>  --quiet, and for simulate and
 Exit codes:  0 success, 2 validation, 3 solver, 4 check-failure
 
 --seed and --out override the config's seed and output.directory before it
-is validated, so the manifest's config hash covers them. Exit code 2 also
-ends a run whose arrays do not fit in memory (a MemoryError raised at the
-allocation, e.g. for an absurd time.steps); an allocation that the operating
-system commits lazily and kills later is not caught.
+is validated, so the manifest's config hash covers them. A grid or a
+trajectory numpy refuses to allocate (an absurd grid.cells or time.steps)
+is a collected validation failure; exit code 2 also ends a run whose other
+arrays do not fit in memory (a MemoryError raised at the allocation). An
+allocation that the operating system commits lazily and kills later is not
+caught. optimize exits 0 also when it stops short of tol, and then says so
+on stderr, --quiet or not.
 
 Every output file is a deterministic function of (config, seed): numbers are
 serialised with repr, manifests carry no timestamps, and all randomness flows
@@ -177,6 +180,12 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     snapshots.write_manifest(out, "optimize",
                              snapshots.sha256_bytes(config_json(cfg).encode()),
                              cfg.seed, outputs)
+    if report.termination != "converged":
+        # still exit 0 (the outputs are complete), but never silent, even
+        # under --quiet: projection_report.json's termination says the same
+        print(f"optimize: not converged ({report.termination}), residual "
+              f"{report.residuals[-1]:.3e}, tol {cfg.data['optimizer']['tol']:.3e}",
+              file=sys.stderr)
     _say(quiet, f"optimize: {report.termination} after {report.iterations} iterations "
                 f"({report.exhausted_trials} trials in an exhausted line search), "
                 f"cost {report.costs[-1]:.6e}, outputs in {out}")

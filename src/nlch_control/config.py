@@ -108,8 +108,7 @@ class RunConfig:
     def build_grid(self) -> GridSpec:
         return GridSpec(self.data["grid"]["cells"], self.data["grid"]["extent"])
 
-    def build_kernel(self, grid: GridSpec | None = None) -> KernelData:
-        grid = grid or self.build_grid()
+    def build_kernel(self, grid: GridSpec) -> KernelData:
         k = self.data["kernel"]
         key = (KernelSpec(k["family"], k["amplitude"], k["width"]), grid)
         slot = self.kernel_slot
@@ -143,9 +142,7 @@ class RunConfig:
             coords = grid.mesh()
             vals = np.full(grid.cells_per_axis, spec["background"])
             for center, amp, width in zip(spec["centers"], spec["amplitudes"], spec["widths"]):
-                r2 = np.zeros(grid.cells_per_axis)
-                for axis, x in enumerate(coords):
-                    r2 = r2 + (x - center[axis]) ** 2
+                r2 = sum((x - c) ** 2 for x, c in zip(coords, center))
                 vals = vals + amp * np.exp(-r2 / (2.0 * width * width))
             return ScalarField(grid, vals.reshape(-1))
         return self._read_on_grid(spec["path"], grid, "field file")
@@ -175,9 +172,8 @@ class RunConfig:
         """Controls that hold the fields specs["u"] and specs["v"] at every
         step, each one row broadcast over the steps (a read-only view)."""
         shape = (self.data["time"]["steps"], grid.num_cells)
-        u, v = (np.broadcast_to(self.realize_field(specs[name], grid).values, shape)
-                for name in ("u", "v"))
-        return ControlPair(grid, u, v)
+        return ControlPair(grid, *(
+            np.broadcast_to(self.realize_field(specs[c], grid).values, shape) for c in "uv"))
 
     def _bound_array(self, bound, grid: GridSpec) -> np.ndarray:
         if isinstance(bound, dict):
@@ -213,10 +209,10 @@ class RunConfig:
                         kernel, tgrid, blowup_guard=self.blowup_guard, record_monitors=False)
         return CostSpec(
             grid, **weights,
-            phi_omega=traj.phi[tgrid.steps],
-            sigma_omega=traj.sigma[tgrid.steps],
-            phi_q=traj.phi[:tgrid.steps],
-            sigma_q=traj.sigma[:tgrid.steps],
+            phi_omega=traj.phi[-1],
+            sigma_omega=traj.sigma[-1],
+            phi_q=traj.phi[:-1],
+            sigma_q=traj.sigma[:-1],
         )
 
 
@@ -422,6 +418,7 @@ def _validate(cfg: RunConfig, failures: list[str]):
     except NLCHError as exc:
         failures.append(f"model: {exc}")
     kernel = None
+    fits = grid is not None
     if grid is not None:
         try:
             # one field of the grid, never written: a grid too large to hold
@@ -434,10 +431,11 @@ def _validate(cfg: RunConfig, failures: list[str]):
         except NLCHError as exc:
             failures.append(f"kernel: {exc}")
         except (MemoryError, ValueError) as exc:
+            fits = False
             failures.append(f"grid.cells {d['grid']['cells']}: the grid does not fit in "
                             f"memory ({exc})")
     m = d["model"]
-    if grid is not None and kernel is not None:
+    if kernel is not None:
         # computed from raw values so the message appears even when the
         # A, B > 0 invariant already failed (e.g. B = 0)
         margin = (m["A"] * POTENTIAL.second_derivative_min
@@ -449,8 +447,16 @@ def _validate(cfg: RunConfig, failures: list[str]):
             )
     if d["time"]["T"] <= 0.0:
         failures.append(f"time.T must be positive, got {d['time']['T']}")
-    if d["time"]["steps"] <= 0:
-        failures.append(f"time.steps must be positive, got {d['time']['steps']}")
+    steps = d["time"]["steps"]
+    if steps <= 0:
+        failures.append(f"time.steps must be positive, got {steps}")
+    elif fits:
+        try:
+            # the two (steps + 1, cells) states every run stores, asked for
+            # like the one field above and never written
+            np.empty((2, steps + 1, grid.num_cells))
+        except (MemoryError, ValueError) as exc:
+            failures.append(f"time.steps {steps}: the trajectory does not fit in memory ({exc})")
     if d["seed"] < 0:
         failures.append(f"seed must be nonnegative, got {d['seed']}")
     if d["solver"]["blowup_guard"] <= 0.0:

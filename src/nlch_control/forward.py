@@ -82,8 +82,9 @@ class ControlPair:
     No code writes into a control's arrays. A float64 array is kept as given,
     not copied, so a control constant in time can be a read-only view of one
     row of cells broadcast over the steps (np.broadcast_to, stride 0 along
-    the steps): (steps, cells) in shape, one row in memory. Compares and
-    hashes by identity.
+    the steps): (steps, cells) in shape, one row in memory, and its
+    finiteness is checked over that row alone. Compares and hashes by
+    identity.
     """
 
     grid: GridSpec

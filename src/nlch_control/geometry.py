@@ -102,12 +102,19 @@ class GridSpec:
 def cell_array(values, grid: GridSpec, name: str, ndim: int = 1) -> np.ndarray:
     """The array contract of every value class holding cell data: values as
     a float64 array of ndim axes, the last of grid.num_cells entries, all
-    finite, else FieldShapeError naming it. A float64 array is not copied."""
+    finite, else FieldShapeError naming it. A float64 array is not copied.
+
+    A broadcast value is checked over the memory it holds: every axis of
+    stride 0 (a row repeated by np.broadcast_to) is read at its first entry
+    alone, so a control constant in time costs one row of cells to check,
+    not (steps, cells)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != grid.num_cells:
         raise FieldShapeError(f"{name} has shape {arr.shape}; need {ndim} axes, "
                               f"the last of {grid.num_cells} cells")
-    if not np.all(np.isfinite(arr)):
+    # a slice, not an index, so an empty axis stays empty
+    held = arr[tuple(slice(1) if s == 0 else slice(None) for s in arr.strides)]
+    if not np.all(np.isfinite(held)):
         raise FieldShapeError(f"{name} contains non-finite values")
     return arr
 

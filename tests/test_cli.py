@@ -466,6 +466,22 @@ def test_cmd_optimize_zero_iterations_when_stationary(tmp_path, monkeypatch):
     assert len(rows) == 2  # header + starting iterate only
 
 
+def test_cmd_optimize_says_when_it_stops_short(tmp_path, monkeypatch, capsys):
+    # exit 0 either way; a run that ends short of tol says so on stderr even
+    # under --quiet, and a converged run writes nothing there
+    monkeypatch.chdir(tmp_path)
+    for max_iter, termination in ((2, "max_iterations"), (30, "converged")):
+        path = write_cfg(tmp_path, {"optimizer": {"tol": 1e-6, "max_iter": max_iter},
+                                    "output": {"directory": termination}})
+        assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_OK
+        report = json.loads((tmp_path / termination / "projection_report.json").read_text())
+        assert report["termination"] == termination
+        assert capsys.readouterr().err == (
+            "" if termination == "converged" else
+            f"optimize: not converged (max_iterations), residual "
+            f"{report['final_residual']:.3e}, tol 1.000e-06\n")
+
+
 def test_cmd_optimize_infeasible_box(tmp_path):
     path = write_cfg(tmp_path, {"box": {"u_min": 1.0, "u_max": -1.0}})
     with pytest.raises(ConfigError):
@@ -493,15 +509,29 @@ def test_cmd_validate(tmp_path):
 
 @pytest.mark.parametrize("command", ["validate", "simulate"])
 def test_problem_beyond_memory_exits_2(tmp_path, monkeypatch, capsys, command):
-    # 1e15 steps of 24 cells ask numpy for petabytes, which it refuses at
-    # once: a one-line validation error, not a traceback
+    # 1e15 steps of 24 cells ask numpy for petabytes of trajectory, which it
+    # refuses at once while the config is validated: one collected failure
+    # naming time.steps, not a traceback, and no output directory
     monkeypatch.chdir(tmp_path)
     path = write_cfg(tmp_path, {"time": {"steps": 1e15}})
     assert main([command, "--config", str(path), "--quiet"]) == EXIT_VALIDATION
     err = capsys.readouterr().err
-    assert err.startswith(f"error: the problem in {path} does not fit in memory")
-    assert err.count("\n") == 1
+    assert err.startswith("error: invalid configuration:\n  - time.steps 1000000000000000: "
+                          "the trajectory does not fit in memory (")
+    assert err.count("\n") == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_trajectory_beyond_memory_is_a_collected_failure():
+    # the guard asks numpy for the two state arrays and writes neither, so a
+    # refused size is reported with the configuration's other failures
+    with pytest.raises(ConfigError) as exc_info:
+        config_from_dict({"time": {"steps": 1e15}, "seed": -1})
+    failures = exc_info.value.failures
+    assert len(failures) == 2
+    assert failures[0].startswith("time.steps 1000000000000000: the trajectory does "
+                                  "not fit in memory (")
+    assert failures[1] == "seed must be nonnegative, got -1"
 
 
 @pytest.mark.parametrize("cells", [[1e15], [1e8, 1e8], [2**32, 2**32]],

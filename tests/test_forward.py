@@ -531,3 +531,61 @@ def test_simulate_peak_traced_memory_with_constant_controls():
     finally:
         tracemalloc.stop()
     assert peak <= 2.75 * tgrid.steps * grid.num_cells * 8
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["u", "v"])
+def test_broadcast_control_is_checked_over_its_stored_row(grid1d, name, bad):
+    # a control constant in time holds one row; a non-finite value there is
+    # a non-finite value at every step
+    row = np.zeros(grid1d.num_cells)
+    row[5] = bad
+    arrays = {c: np.broadcast_to(np.zeros(grid1d.num_cells), (20, grid1d.num_cells))
+              for c in "uv"}
+    arrays[name] = np.broadcast_to(row, (20, grid1d.num_cells))
+    with pytest.raises(FieldShapeError, match=f"control {name} contains non-finite values"):
+        ControlPair(grid1d, **arrays)
+
+
+def test_full_control_is_checked_at_every_step(grid1d):
+    u = np.zeros((20, grid1d.num_cells))
+    u[13, 7] = np.nan
+    with pytest.raises(FieldShapeError, match="control u contains non-finite values"):
+        ControlPair(grid1d, u, np.zeros_like(u))
+
+
+def test_broadcast_control_of_zero_steps_passes(grid1d):
+    # an empty step axis stays empty under the check: it holds no value
+    row = np.full(grid1d.num_cells, np.nan)
+    empty = np.broadcast_to(row, (0, grid1d.num_cells))
+    assert ControlPair(grid1d, empty, empty).steps == 0
+    assert ControlPair.zeros(grid1d, 0).steps == 0
+
+
+def test_initial_controls_peak_traced_memory():
+    # the simulate-2d configuration (200 steps of 128^2 cells): the controls
+    # are a realised field and one broadcast row each, and their check reads
+    # those rows. Checked over the broadcast shape, a (steps, cells) bool
+    # array peaked at 27 rows of cells.
+    import tracemalloc
+
+    from nlch_control import config_from_dict
+
+    cfg = config_from_dict({
+        "grid": {"cells": [128, 128], "extent": [1.0, 1.0]},
+        "kernel": {"family": "gaussian", "amplitude": 20.0, "width": 0.15},
+        "model": {"A": 0.5, "B": 1.0, "chi": 0.3, "lambda_s": 2.0},
+        "time": {"T": 0.1, "steps": 200},
+        "controls": {"u": {"kind": "bumps", "background": 0.0, "centers": [[0.45, 0.6]],
+                           "amplitudes": [0.8], "widths": [0.09]},
+                     "v": {"kind": "constant", "value": 0.0}},
+    })
+    grid = cfg.build_grid()
+    tracemalloc.start()
+    try:
+        controls = cfg.build_initial_controls(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert controls.steps == 200 and controls.u.strides[0] == 0
+    assert peak <= 8 * grid.num_cells * 8
