@@ -11,10 +11,11 @@ volume).
 
 A 1D grid of at most DENSE_MAX_CELLS cells holds each operator of the scheme
 (convolution, Laplacian, implicit solves) as a dense matrix and applies it as
-one matvec, which needs numpy alone. Larger 1D grids and every 2D grid use
-FFTs and DCT or sparse LU solvers from scipy, imported by
-load_scipy when the first such operator is built (the kernel, which loads
-it even for the 2D Gaussian, whose convolution is two dense products).
+one matvec, which needs numpy alone. Larger 1D grids and every 2D grid
+convolve through numpy.fft or per-axis dense products and solve through
+DCT-II matrices or a sparse LU; only the LU needs scipy (scipy.sparse and
+scipy.sparse.linalg), imported by load_scipy when the kernel is built, so
+every such run pays the import while it sets up.
 """
 
 from __future__ import annotations
@@ -143,14 +144,14 @@ def uses_dense_operators(grid: GridSpec) -> bool:
 
 @functools.cache
 def load_scipy():
-    """Import every scipy module the FFT, DCT and LU paths use, and return
-    scipy.
+    """Import the scipy modules the sparse LU path uses, and return scipy.
 
-    Each builder of such an operator calls this, so the first one built
-    (the kernel, while a command sets up) pays the whole import and no sweep
-    pays part of it.
+    The kernel builder calls this on every grid past the dense crossover,
+    and each LU builder before it factorises, so the first one (the kernel,
+    while a command sets up) pays the whole import and no sweep pays part
+    of it. The transforms go through numpy alone: scipy.fft would also load
+    scipy.special.
     """
-    import scipy.fft
     import scipy.sparse
     import scipy.sparse.linalg
     return scipy
@@ -165,12 +166,17 @@ def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:
     f = values.reshape(grid.cells_per_axis)
     out = np.zeros_like(f)
     for axis, h in enumerate(grid.spacing):
-        # views with this axis first; the ghost rows repeat the edge rows
+        # views with this axis first; each row takes (-2 g + left) + right,
+        # the edge rows their own value as the ghost neighbour
         g = f.swapaxes(0, axis)
-        n = g.shape[0]
-        padded = np.concatenate((g[:1], g, g[n - 1:]))
+        term = g * -2.0
+        term[1:] += g[:-1]
+        term[:1] += g[:1]
+        term[:-1] += g[1:]
+        term[-1:] += g[-1:]
+        term /= h * h
         acc = out.swapaxes(0, axis)
-        acc += (padded[:n] - 2.0 * g + padded[2:]) / (h * h)
+        acc += term
     return out.reshape(-1)
 
 

@@ -14,14 +14,19 @@ with the weight a = J*1 and its bound a* that the ellipticity gate reads:
              2D Gaussian grid keeps T0 (with the amplitude) and T1 and
              applies J*f as T0 F T1 on the field F shaped (n0, n1): two
              matrix-matrix products instead of two 2D transforms.
-  spectrum   every other grid: the real FFT of the taps inside the reach,
-             zero-padded per axis to a fast length of at least n + R. The
-             reach R is the furthest index offset with a nonzero tap: for the
+  spectrum   every other grid: the real FFT (numpy.fft) of the taps inside
+             the reach, zero-padded per axis to a 5-smooth length of at
+             least n + R, kept on the kernel as fft_shape. The reach R is
+             the furthest index offset with a nonzero tap: for the
              mollifier min(n - 1, ceil(width / h) - 1), for the Gaussian
              n - 1. The window R .. R + n of the linear convolution is free
              of wraparound at that length (see _fft_shape); with R = n - 1
              it is the full 2n - 1 rule. A convolution is one forward and one
              inverse transform of the field.
+
+Neither form needs scipy; build_kernel still loads it (geometry.load_scipy)
+on every grid past the dense crossover, for the solvers' sparse LU, so that
+the import lands in set-up and no sweep pays for it.
 
 convolve_array applies either form to one field, a flat array of
 grid.num_cells values. The full tap table, over
@@ -92,9 +97,10 @@ class KernelData:
     per-axis dense matrices whose Kronecker product is the operator (one on
     the 1D grids with dense operators, two for the 2D Gaussian), or
     spectrum, the zero-padded real FFT of the taps within the reach times
-    the cell volume. a = J*1, one finite nonnegative value per cell (shape
-    (cells,)), and a_star = max_i sum_j |J(x_i-x_j)| vol, the bound the
-    ellipticity gate reads. The time stepper keeps its most
+    the cell volume, with fft_shape, the transform length per axis it was
+    taken at (None with factors). a = J*1, one finite nonnegative value per
+    cell (shape (cells,)), and a_star = max_i sum_j |J(x_i-x_j)| vol, the
+    bound the ellipticity gate reads. The time stepper keeps its most
     recent operator bundle in the operator slot, keyed on (params, dt) (see
     forward.step_operators).
 
@@ -110,6 +116,7 @@ class KernelData:
     spectrum: np.ndarray | None = field(repr=False, compare=False)
     a: np.ndarray = field(repr=False, compare=False)
     a_star: float
+    fft_shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     operator_slot: list = field(default_factory=list, init=False, repr=False,
                                 compare=False)
 
@@ -149,6 +156,21 @@ def _reach(taps: np.ndarray) -> tuple[int, ...]:
                  for axis in axes)
 
 
+def next_fast_len(n: int) -> int:
+    """Smallest 5-smooth number 2^a 3^b 5^c >= n, for n >= 1: the length
+    scipy.fft.next_fast_len(n, real=True) returns."""
+    best = 1 << (n - 1).bit_length()  # the least power of two >= n
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 = 3^b 5^c times the least power of two that reaches n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _fft_shape(grid: GridSpec, reach: tuple[int, ...]) -> tuple[int, ...]:
     """Per-axis transform length: the first fast length >= n + R.
 
@@ -158,26 +180,26 @@ def _fft_shape(grid: GridSpec, reach: tuple[int, ...]) -> tuple[int, ...]:
     index outside 0..2R must land on zero padding, which a length of n + R
     or more ensures.
     """
-    fft = load_scipy().fft
-    return tuple(fft.next_fast_len(n + r, real=True)
-                 for n, r in zip(grid.cells_per_axis, reach))
+    return tuple(next_fast_len(n + r) for n, r in zip(grid.cells_per_axis, reach))
 
 
-def _tap_spectrum(taps: np.ndarray, grid: GridSpec, reach: tuple[int, ...]) -> np.ndarray:
+def _tap_spectrum(taps: np.ndarray, grid: GridSpec, reach: tuple[int, ...],
+                  fft_shape: tuple[int, ...]) -> np.ndarray:
     """Real FFT of the taps within the reach, zero-padded, times the cell volume."""
     inside = tuple(slice(n - 1 - r, n + r) for n, r in zip(grid.cells_per_axis, reach))
-    return load_scipy().fft.rfftn(taps[inside], s=_fft_shape(grid, reach)) * grid.cell_volume
+    axes = tuple(range(grid.dim))
+    return np.fft.rfftn(taps[inside], s=fft_shape, axes=axes) * grid.cell_volume
 
 
-def _apply_spectrum(spectrum: np.ndarray, reach: tuple[int, ...], values: np.ndarray,
+def _apply_spectrum(spectrum: np.ndarray, reach: tuple[int, ...],
+                    fft_shape: tuple[int, ...], values: np.ndarray,
                     grid: GridSpec) -> np.ndarray:
     """Zero-padded linear convolution of one field with a tap spectrum,
     restricted to the grid."""
-    fft = load_scipy().fft
     shape = grid.cells_per_axis
-    fft_shape = _fft_shape(grid, reach)
-    f_hat = fft.rfftn(values.reshape(shape), s=fft_shape)
-    full = fft.irfftn(f_hat * spectrum, s=fft_shape)
+    axes = tuple(range(grid.dim))
+    f_hat = np.fft.rfftn(values.reshape(shape), s=fft_shape, axes=axes)
+    full = np.fft.irfftn(f_hat * spectrum, s=fft_shape, axes=axes)
     window = tuple(slice(r, r + n) for n, r in zip(shape, reach))
     return full[window].reshape(-1)
 
@@ -234,10 +256,10 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             f"kernel width {spec.width} under-resolved on spacing {grid.spacing}; "
             "need width >= spacing / 2"
         )
-    factors = spectrum = None
+    factors = spectrum = fft_shape = None
     if not uses_dense_operators(grid):
-        # every non-dense grid loads scipy here, even with no transform to
-        # build, so the solvers' import stays in set-up
+        # the kernel needs no scipy, but the solvers' sparse LU does: every
+        # non-dense grid loads it here, so the import stays in set-up
         load_scipy()
     if spec.family == "gaussian" and grid.dim == 2:
         factors = _gaussian_factors(spec, grid)
@@ -250,18 +272,20 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
         if uses_dense_operators(grid):
             factors = (_taps_matrix(taps, grid),)
         else:
-            spectrum = _tap_spectrum(taps, grid, reach)
+            fft_shape = _fft_shape(grid, reach)
+            spectrum = _tap_spectrum(taps, grid, reach, fft_shape)
     ones = np.ones(grid.num_cells)
     if factors is not None:
         j_one = _apply_factors(factors, ones, grid)
     else:
-        j_one = _apply_spectrum(spectrum, reach, ones, grid)
+        j_one = _apply_spectrum(spectrum, reach, fft_shape, ones, grid)
     # both families are nonnegative, so |taps| == taps and the bound
     # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
     a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
     return KernelData(spec=spec, grid=grid, reach=reach, factors=factors,
-                      spectrum=spectrum, a=np.maximum(j_one, 0.0), a_star=a_star)
+                      spectrum=spectrum, a=np.maximum(j_one, 0.0), a_star=a_star,
+                      fft_shape=fft_shape)
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
@@ -269,7 +293,8 @@ def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:
     the form the kernel keeps."""
     if kernel.factors is not None:
         return _apply_factors(kernel.factors, values, kernel.grid)
-    return _apply_spectrum(kernel.spectrum, kernel.reach, values, kernel.grid)
+    return _apply_spectrum(kernel.spectrum, kernel.reach, kernel.fft_shape, values,
+                           kernel.grid)
 
 
 def convolution_matrix(kernel: KernelData) -> np.ndarray:

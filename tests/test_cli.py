@@ -383,10 +383,14 @@ _GRID_2D = {"grid": {"cells": [12, 7], "extent": [1.3, 0.7]}, "kernel": {"width"
     ("simulate", {"grid": {"cells": [256]}, "time": {"T": 0.05, "steps": 4}}, False),
     ("optimize", {"optimizer": {"max_iter": 3}}, False),
     ("simulate", _GRID_2D, True),
-], ids=["simulate-1d-256", "optimize-1d", "simulate-2d"])
+    ("simulate", {**_GRID_2D,
+                  "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.25}}, True),
+], ids=["simulate-1d-256", "optimize-1d", "simulate-2d", "simulate-2d-mollifier"])
 def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, loads_scipy):
-    # small 1D runs apply dense numpy operators only; a 2D run builds FFT,
-    # DCT and LU operators and loads scipy for them
+    # small 1D runs apply dense numpy operators only; a 2D run convolves
+    # through per-axis products (Gaussian) or numpy.fft (mollifier), solves
+    # the nutrient step through DCT-II matrices and loads scipy for the
+    # sparse LU alone: never scipy.fft, which would bring scipy.special
     path = write_cfg(tmp_path, overrides)
     src = str(Path(nlch_control.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -396,7 +400,8 @@ def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, load
                          check=True, timeout=300)
     loaded = set(json.loads(out.stdout))
     if loads_scipy:
-        assert {"scipy.fft", "scipy.linalg", "scipy.sparse.linalg"} <= loaded
+        assert "scipy.sparse.linalg" in loaded
+        assert {"scipy.fft", "scipy.special"}.isdisjoint(loaded)
     else:
         assert loaded == set()
 

@@ -3,6 +3,7 @@ import pytest
 
 from nlch_control import GridSpec, ScalarField, inner_product, mass
 from nlch_control.errors import FieldShapeError, GridError
+from nlch_control.geometry import laplacian_array
 from nlch_control.solvers import dense_laplacian_matrix
 
 from conftest import laplacian_neumann
@@ -113,6 +114,30 @@ def test_laplacian_conservation_and_symmetry(rng, grid1d, grid2d):
             assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs))
             # negativity
             assert inner_product(lap_f, f.values, vol) <= 1e-12
+
+
+def padded_laplacian(grid, values):
+    """The Laplacian in its earlier form: each axis padded with its ghost
+    rows by concatenate, then (left - 2 g) + right."""
+    f = values.reshape(grid.cells_per_axis)
+    out = np.zeros_like(f)
+    for axis, h in enumerate(grid.spacing):
+        g = f.swapaxes(0, axis)
+        n = g.shape[0]
+        padded = np.concatenate((g[:1], g, g[n - 1:]))
+        acc = out.swapaxes(0, axis)
+        acc += (padded[:n] - 2.0 * g + padded[2:]) / (h * h)
+    return out.reshape(-1)
+
+
+@pytest.mark.parametrize("grid", [
+    GridSpec((257,), (1.0,)), GridSpec((1024,), (2.5,)), GridSpec((12, 7), (1.3, 0.7)),
+    GridSpec((40, 12), (1.0, 0.3)), GridSpec((64, 64), (1.0, 1.0)),
+    GridSpec((128, 128), (1.0, 1.0)),
+], ids=lambda grid: "x".join(map(str, grid.cells_per_axis)))
+def test_laplacian_array_keeps_the_padded_form_bits(rng, grid):
+    values = rng.standard_normal(grid.num_cells)
+    assert laplacian_array(grid, values).tobytes() == padded_laplacian(grid, values).tobytes()
 
 
 def neumann_second_difference(n, h):

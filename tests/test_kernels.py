@@ -11,7 +11,7 @@ from nlch_control import (GridSpec, KernelData, KernelSpec, ScalarField, build_k
                           inner_product)
 from nlch_control.errors import FieldShapeError, KernelResolutionError
 from nlch_control.geometry import DENSE_MAX_CELLS
-from nlch_control.kernels import convolution_matrix, convolve_array
+from nlch_control.kernels import convolution_matrix, convolve_array, next_fast_len
 
 from conftest import convolution_adjoint_check, direct_convolution_oracle
 
@@ -128,6 +128,28 @@ def test_reach_is_the_furthest_nonzero_tap():
     h = grid.spacing[1]
     centre = spec.evaluate_r2((np.arange(12) * h) ** 2)
     assert centre[3] > 0.0 and np.all(centre[4:] == 0.0)
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len as scipy_next_fast_len
+
+    ns = range(1, 4097)
+    assert [next_fast_len(n) for n in ns] == [scipy_next_fast_len(n, real=True) for n in ns]
+
+
+@pytest.mark.parametrize("family,cells", [("mollifier", (40, 12)), ("gaussian", (300,)),
+                                          ("gaussian", (40, 12)), ("mollifier", (32,))],
+                         ids=["mollifier-40x12", "gaussian-300", "gaussian-40x12",
+                              "mollifier-32"])
+def test_kernel_keeps_the_transform_shape_of_its_spectrum(family, cells):
+    grid = GridSpec(cells, (1.0, 0.3)[:len(cells)])
+    kernel = build_kernel(KernelSpec(family, 4.0, 0.1), grid)
+    if kernel.spectrum is None:
+        assert kernel.fft_shape is None
+    else:
+        assert kernel.fft_shape == tuple(next_fast_len(n + r)
+                                         for n, r in zip(cells, kernel.reach))
+        assert kernel.spectrum.shape[-1] == kernel.fft_shape[-1] // 2 + 1
 
 
 def test_cli_import_leaves_scipy_signal_out():
