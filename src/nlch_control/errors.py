@@ -35,8 +35,9 @@ class HypothesisViolationError(NLCHError):
 
 class SolverError(NLCHError):
     """A solver could not be set up (its implicit diagonal is not positive and
-    finite) or an optimiser iterate is not finite; carries the iteration count
-    (the PGD iterate, 0 for a solver) and a residual (NaN for a solver)."""
+    finite, or scipy's SuperLU module is missing or rejects the call) or an
+    optimiser iterate is not finite; carries the iteration count (the PGD
+    iterate, 0 for a solver) and a residual (NaN for a solver)."""
 
     def __init__(self, message: str, iterations: int, residual: float):
         super().__init__(message)

@@ -13,14 +13,13 @@ A 1D grid of at most DENSE_MAX_CELLS cells holds each operator of the scheme
 (convolution, Laplacian, implicit solves) as a dense matrix and applies it as
 one matvec, which needs numpy alone. Larger 1D grids and every 2D grid
 convolve through numpy.fft or per-axis dense products and solve through
-DCT-II matrices or a sparse LU; only the LU needs scipy (scipy.sparse and
-scipy.sparse.linalg), imported by load_scipy when the kernel is built, so
-every such run pays the import while it sets up.
+DCT-II matrices or a sparse LU. Only the LU needs scipy, and of it only the
+compiled SuperLU module, which solvers loads from its file at the first
+factorisation: no scipy Python package is imported.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -140,21 +139,6 @@ class ScalarField:
 def uses_dense_operators(grid: GridSpec) -> bool:
     """True on the 1D grids whose operators are dense matrices."""
     return grid.dim == 1 and grid.num_cells <= DENSE_MAX_CELLS
-
-
-@functools.cache
-def load_scipy():
-    """Import the scipy modules the sparse LU path uses, and return scipy.
-
-    The kernel builder calls this on every grid past the dense crossover,
-    and each LU builder before it factorises, so the first one (the kernel,
-    while a command sets up) pays the whole import and no sweep pays part
-    of it. The transforms go through numpy alone: scipy.fft would also load
-    scipy.special.
-    """
-    import scipy.sparse
-    import scipy.sparse.linalg
-    return scipy
 
 
 def laplacian_array(grid: GridSpec, values: np.ndarray) -> np.ndarray:

@@ -24,9 +24,7 @@ with the weight a = J*1 and its bound a* that the ellipticity gate reads:
              it is the full 2n - 1 rule. A convolution is one forward and one
              inverse transform of the field.
 
-Neither form needs scipy; build_kernel still loads it (geometry.load_scipy)
-on every grid past the dense crossover, for the solvers' sparse LU, so that
-the import lands in set-up and no sweep pays for it.
+Neither form needs scipy.
 
 convolve_array applies either form to one field, a flat array of
 grid.num_cells values. The full tap table, over
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import KernelResolutionError
-from .geometry import GridSpec, cell_array, load_scipy, uses_dense_operators
+from .geometry import GridSpec, cell_array, uses_dense_operators
 
 _FAMILIES = ("gaussian", "mollifier")
 
@@ -257,10 +255,6 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             "need width >= spacing / 2"
         )
     factors = spectrum = fft_shape = None
-    if not uses_dense_operators(grid):
-        # the kernel needs no scipy, but the solvers' sparse LU does: every
-        # non-dense grid loads it here, so the import stays in set-up
-        load_scipy()
     if spec.family == "gaussian" and grid.dim == 2:
         factors = _gaussian_factors(spec, grid)
         # J decreases with distance, so J on axis k is nonzero wherever some

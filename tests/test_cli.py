@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.machinery
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import nlch_control
-from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config,
+from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config, solvers,
                           write_config)
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                               cmd_gradcheck, main)
@@ -379,18 +380,26 @@ _GRID_2D = {"grid": {"cells": [12, 7], "extent": [1.3, 0.7]}, "kernel": {"width"
                         "sigma": {"kind": "constant", "value": 0.3}}}
 
 
-@pytest.mark.parametrize("command,overrides,loads_scipy", [
-    ("simulate", {"grid": {"cells": [256]}, "time": {"T": 0.05, "steps": 4}}, False),
-    ("optimize", {"optimizer": {"max_iter": 3}}, False),
-    ("simulate", _GRID_2D, True),
+_SUPERLU_ONLY = {"scipy.sparse.linalg._dsolve._superlu"}
+
+
+@pytest.mark.parametrize("command,overrides,loaded_scipy", [
+    ("simulate", {"grid": {"cells": [256]}, "time": {"T": 0.05, "steps": 4}}, set()),
+    ("optimize", {"optimizer": {"max_iter": 3}}, set()),
+    ("simulate", _GRID_2D, _SUPERLU_ONLY),
     ("simulate", {**_GRID_2D,
-                  "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.25}}, True),
-], ids=["simulate-1d-256", "optimize-1d", "simulate-2d", "simulate-2d-mollifier"])
-def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, loads_scipy):
+                  "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.25}},
+     _SUPERLU_ONLY),
+    ("gradcheck", {**_GRID_2D, "time": {"T": 0.02, "steps": 3}}, _SUPERLU_ONLY),
+    ("validate", _GRID_2D, set()),
+], ids=["simulate-1d-256", "optimize-1d", "simulate-2d", "simulate-2d-mollifier",
+        "gradcheck-2d", "validate-2d"])
+def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, loaded_scipy):
     # small 1D runs apply dense numpy operators only; a 2D run convolves
     # through per-axis products (Gaussian) or numpy.fft (mollifier), solves
-    # the nutrient step through DCT-II matrices and loads scipy for the
-    # sparse LU alone: never scipy.fft, which would bring scipy.special
+    # the nutrient step through DCT-II matrices and loads scipy's compiled
+    # SuperLU module alone for the sparse LU: no scipy Python package, so
+    # neither scipy.sparse nor scipy.linalg. validate factorises nothing.
     path = write_cfg(tmp_path, overrides)
     src = str(Path(nlch_control.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -398,12 +407,30 @@ def test_scipy_loaded_only_off_the_dense_path(tmp_path, command, overrides, load
     out = subprocess.run([sys.executable, "-c", _SCIPY_AFTER_CLI, command, "--config", str(path),
                           "--quiet"], cwd=tmp_path, env=env, capture_output=True, text=True,
                          check=True, timeout=300)
-    loaded = set(json.loads(out.stdout))
-    if loads_scipy:
-        assert "scipy.sparse.linalg" in loaded
-        assert {"scipy.fft", "scipy.special"}.isdisjoint(loaded)
-    else:
-        assert loaded == set()
+    assert set(json.loads(out.stdout)) == loaded_scipy
+
+
+@pytest.mark.parametrize("broken", ["missing", "unloadable"])
+def test_broken_superlu_extension_exits_3(tmp_path, monkeypatch, capsys, broken):
+    # scipy installed without its SuperLU file, or with a file that is no
+    # extension: the first factorisation of a 2D run fails with a solver
+    # error naming the path and the scipy version, and the CLI exits 3, not
+    # with a traceback
+    scipy_dir = tmp_path / "scipy"
+    folder = scipy_dir / "sparse" / "linalg" / "_dsolve"
+    folder.mkdir(parents=True)
+    if broken == "unloadable":
+        (folder / ("_superlu" + importlib.machinery.EXTENSION_SUFFIXES[0])).write_bytes(b"")
+    monkeypatch.setattr(solvers, "_scipy_dirs", lambda: [str(scipy_dir)])
+    monkeypatch.delitem(sys.modules, solvers._SUPERLU, raising=False)
+    path = write_cfg(tmp_path, _GRID_2D)
+    assert main(["simulate", "--config", str(path), "--quiet"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith({"missing": "solver error: scipy's SuperLU extension is missing",
+                           "unloadable": "solver error: cannot load"}[broken])
+    assert str(folder) in err
+    assert re.search(r"\(scipy \S+\)$", err.strip())
+    assert solvers._SUPERLU not in sys.modules
 
 
 def test_cmd_gradcheck_passes_and_corruption_detected(tmp_path):

@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from nlch_control import GridSpec, KernelSpec, ModelParams, build_kernel
+import nlch_control
+from nlch_control import GridSpec, KernelSpec, ModelParams, build_kernel, solvers
 from nlch_control.errors import FieldShapeError, SolverError
 from nlch_control.forward import StepOperators
 from nlch_control.geometry import DENSE_MAX_CELLS
@@ -129,3 +135,87 @@ def test_1d_solve_at_dense_crossover_matches_dense(rng, cells):
         b = rng.standard_normal(cells)
         assert rel_err(solver.solve(b), dense_solve(grid, diagonal, b)) <= 1e-12
 
+
+def scipy_shifted_laplacian(grid, diagonal):
+    """Reference: diags(d) - L in CSC, L the Kronecker sum of the per-axis
+    tridiagonal Neumann Laplacians, assembled by scipy.sparse."""
+    import scipy.sparse as sp
+    axes = []
+    for n, h in zip(grid.cells_per_axis, grid.spacing):
+        inv_h2 = 1.0 / (h * h)
+        diag = np.full(n, -2.0 * inv_h2)
+        diag[[0, -1]] = -inv_h2
+        off = np.full(n - 1, inv_h2)
+        axes.append(sp.diags([off, diag, off], offsets=[-1, 0, 1], format="csr"))
+    if grid.dim == 1:
+        lap = axes[0]
+    else:
+        n0, n1 = grid.cells_per_axis
+        lap = (sp.kron(axes[0], sp.identity(n1, format="csr"))
+               + sp.kron(sp.identity(n0, format="csr"), axes[1]))
+    return (sp.diags(diagonal) - lap).tocsc()
+
+
+GRIDS_LU = [GridSpec((512,), (1.0,)), GridSpec((64, 64), (1.0, 1.0)),
+            GridSpec((40, 12), (1.0, 0.3)), GridSpec((33, 70), (1.3, 0.7))]
+
+
+@pytest.mark.parametrize("grid", GRIDS_LU, ids=grid_id)
+@pytest.mark.parametrize("kind", ["constant", "varying"])
+def test_sparse_lu_is_scipy_splu_bit_for_bit(rng, grid, kind):
+    from scipy.sparse.linalg import splu
+    diagonal = diagonals(rng, grid)[kind]
+    ref = scipy_shifted_laplacian(grid, diagonal)
+    data, indices, indptr = solvers._shifted_laplacian_csc(grid, diagonal)
+    for got, want in [(data, ref.data), (indices, ref.indices), (indptr, ref.indptr)]:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    lu = solvers._sparse_lu(grid, diagonal)
+    ref_lu = splu(ref, permc_spec="MMD_AT_PLUS_A")
+    for _ in range(2):
+        b = rng.standard_normal(grid.num_cells)
+        assert np.array_equal(lu.solve(b), ref_lu.solve(b))
+
+
+# loads SuperLU from its file and solves, then imports scipy.sparse.linalg:
+# scipy takes the module already loaded, and splu repeats the bits
+_DIRECT_THEN_SCIPY = """
+import sys
+import numpy as np
+from nlch_control.geometry import GridSpec
+from nlch_control.solvers import ShiftedLaplacianSolver
+grid = GridSpec((33, 70), (1.3, 0.7))
+rng = np.random.default_rng(5)
+diagonal = 2.0 + 20.0 * rng.random(grid.num_cells)
+b = rng.standard_normal(grid.num_cells)
+x = ShiftedLaplacianSolver(grid, diagonal).solve(b)
+superlu = "scipy.sparse.linalg._dsolve._superlu"
+assert [m for m in sys.modules if m.startswith("scipy")] == [superlu]
+import scipy.sparse.linalg
+from scipy.sparse.linalg._dsolve import linsolve
+assert linsolve._superlu is sys.modules[superlu]
+sys.path.insert(0, sys.argv[1])
+from test_solvers import scipy_shifted_laplacian
+ref = scipy.sparse.linalg.splu(scipy_shifted_laplacian(grid, diagonal),
+                               permc_spec="MMD_AT_PLUS_A")
+assert np.array_equal(ref.solve(b), x)
+assert np.array_equal(ShiftedLaplacianSolver(grid, diagonal).solve(b), x)
+print("same bits")
+"""
+
+
+def test_scipy_imported_after_direct_superlu_load_gives_same_bits(tmp_path):
+    src = str(Path(nlch_control.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _DIRECT_THEN_SCIPY, str(Path(__file__).parent)],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "same bits"
+
+
+def test_superlu_rejecting_the_call_is_a_solver_error(monkeypatch):
+    monkeypatch.setattr(solvers, "_SUPERLU_OPTIONS", {"NoSuchOption": 1})
+    grid = GRIDS_2D[1]
+    diagonal = 2.0 + np.arange(grid.num_cells) / grid.num_cells
+    with pytest.raises(SolverError, match=r"_superlu.*rejected.*scipy \S+\)$"):
+        ShiftedLaplacianSolver(grid, diagonal)
