@@ -12,7 +12,7 @@ from .sensitivity import (AdjointTrajectory, TangentTrajectory, adjoint_sweep,
 from .control import (BoxConstraints, CostSpec, OptimizeReport, PgdOptions,
                       cost, pgd_optimize, project_box, projection_formula_defect,
                       reduced_gradient, stationarity_residual)
-from .config import RunConfig, config_from_dict, load_config, write_config
+from .config import RunConfig, config_from_dict, load_config
 
 __all__ = [
     "GridSpec", "ScalarField", "inner_product", "mass",
@@ -26,5 +26,5 @@ __all__ = [
     "BoxConstraints", "CostSpec", "OptimizeReport", "PgdOptions", "cost",
     "pgd_optimize", "project_box", "projection_formula_defect", "reduced_gradient",
     "stationarity_residual",
-    "RunConfig", "config_from_dict", "load_config", "write_config",
+    "RunConfig", "config_from_dict", "load_config",
 ]

@@ -3,11 +3,11 @@ collects every failure instead of stopping at the first.
 
 That pass merges the defaults and brings every value into its canonical
 JSON form, and that normalised dict (RunConfig.data) is the configuration:
-the builders read it, and config_json serialises it for write_config and for
-the config_sha256 of every run manifest. In the canonical form grid.cells,
-time.steps, optimizer.max_iter, output.snapshot_stride and seed are ints,
-every other number is a finite float, a field spec or cost target keeps only
-the keys its kind uses, and a box bound is a number or {"file": path}.
+the builders read it, and config_json serialises it for the config_sha256 of
+every run manifest. In the canonical form grid.cells, time.steps,
+optimizer.max_iter, output.snapshot_stride and seed are ints, every other
+number is a finite float, a field spec or cost target keeps only the keys
+its kind uses, and a box bound is a number or {"file": path}.
 
 Top-level keys (all optional, defaults below):
 
@@ -54,7 +54,6 @@ row when constant in time, as one row per step for manufactured):
 
 from __future__ import annotations
 
-import copy
 import json
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -527,15 +526,6 @@ def load_config(path) -> RunConfig:
     return config_from_dict(read_config_json(path), base_dir=str(Path(path).parent))
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    """The canonical form, as a copy; loading it back yields an equal RunConfig."""
-    return copy.deepcopy(cfg.data)
-
-
 def config_json(cfg: RunConfig) -> str:
-    """Canonical serialisation (used for hashing and write_config)."""
+    """Canonical serialisation, which the config_sha256 of a manifest hashes."""
     return json.dumps(cfg.data, indent=2, sort_keys=True) + "\n"
-
-
-def write_config(cfg: RunConfig, path):
-    Path(path).write_text(config_json(cfg))

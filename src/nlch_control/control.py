@@ -314,7 +314,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         resid = stationarity_residual(traj.controls, g, box, dt)
         if not (np.isfinite(j_val) and np.isfinite(resid)):
             raise SolverError(f"PGD iterate {k}: cost {j_val!r} or stationarity residual "
-                              f"{resid!r} is not finite", iterations=k, residual=resid)
+                              f"{resid!r} is not finite")
         return adj, g, resid
 
     def line_search(c: ControlPair, g: ControlPair, lam: float, j_val: float):

@@ -36,13 +36,8 @@ class HypothesisViolationError(NLCHError):
 class SolverError(NLCHError):
     """A solver could not be set up (its implicit diagonal is not positive and
     finite, or scipy's SuperLU module is missing or rejects the call) or an
-    optimiser iterate is not finite; carries the iteration count (the PGD
-    iterate, 0 for a solver) and a residual (NaN for a solver)."""
-
-    def __init__(self, message: str, iterations: int, residual: float):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+    optimiser iterate is not finite, in which case the message names the
+    iterate, its cost and its stationarity residual."""
 
 
 class InstabilityError(NLCHError):
@@ -56,9 +51,10 @@ class InstabilityError(NLCHError):
 
 
 class StaleTrajectoryError(NLCHError):
-    """adjoint_sweep or mass_balance_residual given other model parameters (or
-    another kernel) than the trajectory was simulated with; every other
-    consumer of a trajectory reads them from it."""
+    """adjoint_sweep given other model parameters or another kernel, or
+    mass_balance_residual given other parameters or other controls, than the
+    trajectory was simulated with; every other consumer of a trajectory
+    reads them from it."""
 
 
 class ConfigError(NLCHError):

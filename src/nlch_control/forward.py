@@ -384,9 +384,11 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
     Integrating the phi update over the domain kills every Laplacian term
     (the Neumann stencil has exactly zero column sums), leaving
     d/dt mass(phi) = <P gap - h u, 1>. Returns max_n |defect| / scale.
+    controls and params must be the ones traj was simulated with
+    (StaleTrajectoryError otherwise).
     """
-    if controls.steps != traj.steps:
-        raise FieldShapeError("controls and trajectory step counts differ")
+    if controls is not traj.controls:
+        raise StaleTrajectoryError("trajectory was simulated with other controls")
     traj.require_inputs(params)
     vol = traj.grid.cell_volume
     dt = traj.tgrid.dt

@@ -80,10 +80,6 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extent_per_axis))
-
     def cell_centers(self) -> list[np.ndarray]:
         """Per-axis coordinate arrays of cell centers."""
         return [

@@ -1,5 +1,10 @@
-"""Scalar nonlinearities (double-well potential, proliferation ramp, therapy
-distribution weight), model parameters, and the structural admissibility gate.
+"""Pointwise nonlinearities (double-well potential, proliferation ramp,
+therapy distribution weight), model parameters, and the structural
+admissibility gate.
+
+Each nonlinearity evaluates elementwise on a float64 array of any shape, to
+the derivative order the scheme and its linearisation use: F up to F'', P
+and h up to their first derivative.
 """
 
 from __future__ import annotations
@@ -12,32 +17,21 @@ from .errors import HypothesisViolationError
 from .kernels import KernelData
 
 
-def _as_array(s):
-    arr = np.asarray(s, dtype=np.float64)
-    return arr, arr.ndim == 0
-
-
 @dataclass(frozen=True)
 class PotentialSpec:
     """Quartic double well F(s) = (1 - s^2)^2 / 4 with equal minima at +-1.
 
-    Analytic derivatives up to order 3: F' = s^3 - s, F'' = 3 s^2 - 1,
-    F''' = 6 s.
+    Analytic derivatives up to order 2: F' = s^3 - s, F'' = 3 s^2 - 1.
     """
 
-    def evaluate(self, s, order: int = 0):
-        arr, scalar = _as_array(s)
+    def evaluate(self, s: np.ndarray, order: int = 0) -> np.ndarray:
         if order == 0:
-            out = 0.25 * (1.0 - arr * arr) ** 2
-        elif order == 1:
-            out = arr * arr * arr - arr
-        elif order == 2:
-            out = 3.0 * arr * arr - 1.0
-        elif order == 3:
-            out = 6.0 * arr
-        else:
-            raise ValueError("potential derivatives available up to order 3")
-        return float(out) if scalar else out
+            return 0.25 * (1.0 - s * s) ** 2
+        if order == 1:
+            return s * s * s - s
+        if order == 2:
+            return 3.0 * s * s - 1.0
+        raise ValueError("potential derivatives available up to order 2")
 
     @property
     def second_derivative_min(self) -> float:
@@ -49,35 +43,23 @@ class PotentialSpec:
 POTENTIAL = PotentialSpec()
 
 
-def _smoothstep(t: np.ndarray, order: int) -> np.ndarray:
-    """Quintic smoothstep q(t) = 6 t^5 - 15 t^4 + 10 t^3 on [0, 1].
+def _ramp(s: np.ndarray, order: int) -> np.ndarray:
+    """C^2 ramp: 0 below -1, 1 above +1, in between the quintic smoothstep
+    q(t) = 6 t^5 - 15 t^4 + 10 t^3 of t = (s + 1) / 2.
 
-    q' and q'' vanish at both ends, giving a C^2 ramp once clamped. The value
-    branch uses the exact symmetry q(t) = 1 - q(1 - t) for t > 1/2, which
-    keeps the absolute rounding error near the upper seam at machine level
-    (the direct polynomial cancels catastrophically there); the derivatives
-    are already in factored, cancellation-free form.
+    q' and q'' vanish at both ends, so the clamped ramp is C^2. The value
+    uses the exact symmetry q(t) = 1 - q(1 - t) for t > 1/2, which keeps the
+    absolute rounding error near the upper seam at machine level (the direct
+    polynomial cancels catastrophically there); the derivative
+    q'(t) = 30 t^2 (1 - t)^2 is already cancellation-free.
     """
+    t = np.clip((s + 1.0) * 0.5, 0.0, 1.0)
     if order == 0:
         near = np.minimum(t, 1.0 - t)
         q_near = near * near * near * (10.0 + near * (-15.0 + 6.0 * near))
         return np.where(t <= 0.5, q_near, 1.0 - q_near)
-    if order == 1:
-        return 30.0 * t * t * (1.0 - t) ** 2
-    if order == 2:
-        return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t)
-    raise ValueError("smoothstep derivatives available up to order 2")
-
-
-def _ramp(s, order: int):
-    """C^2 ramp: 0 below -1, 1 above +1, quintic smoothstep in between."""
-    arr, scalar = _as_array(s)
-    t = np.clip((arr + 1.0) * 0.5, 0.0, 1.0)
-    out = _smoothstep(t, order) * (0.5 ** order)
-    if order > 0:
-        # clamped regions are exactly flat
-        out = np.where((arr <= -1.0) | (arr >= 1.0), 0.0, out)
-    return float(out) if scalar else out
+    # clamped regions are exactly flat
+    return np.where((s <= -1.0) | (s >= 1.0), 0.0, 30.0 * t * t * (1.0 - t) ** 2 * 0.5)
 
 
 @dataclass(frozen=True)
@@ -96,13 +78,11 @@ class ProliferationSpec:
         if self.family not in ("smoothed_ramp", "constant_zero"):
             raise HypothesisViolationError(f"unknown proliferation family {self.family!r}")
 
-    def evaluate(self, s, order: int = 0):
-        if order not in (0, 1, 2):
-            raise ValueError("proliferation derivatives available up to order 2")
+    def evaluate(self, s: np.ndarray, order: int = 0) -> np.ndarray:
+        if order not in (0, 1):
+            raise ValueError("proliferation derivatives available up to order 1")
         if self.family == "constant_zero":
-            arr, scalar = _as_array(s)
-            out = np.zeros_like(arr)
-            return float(out) if scalar else out
+            return np.zeros_like(s)
         return _ramp(s, order)
 
 
@@ -116,13 +96,11 @@ class DistributionSpec:
         if self.family not in ("same_as_p", "constant_one"):
             raise HypothesisViolationError(f"unknown distribution family {self.family!r}")
 
-    def evaluate(self, s, order: int = 0):
-        if order not in (0, 1, 2):
-            raise ValueError("distribution derivatives available up to order 2")
+    def evaluate(self, s: np.ndarray, order: int = 0) -> np.ndarray:
+        if order not in (0, 1):
+            raise ValueError("distribution derivatives available up to order 1")
         if self.family == "constant_one":
-            arr, scalar = _as_array(s)
-            out = np.ones_like(arr) if order == 0 else np.zeros_like(arr)
-            return float(out) if scalar else out
+            return np.ones_like(s) if order == 0 else np.zeros_like(s)
         return _ramp(s, order)
 
 

@@ -15,10 +15,13 @@ per step, and O(chunk) memory however long the trajectory). The
 convolutions run one row at a time, as in the forward step, so every row of
 a block is bitwise the per-step linearisation.
 
-One backward loop, _reverse_sweep, serves both transposed products: the
-VJP is that loop seeded by arbitrary trajectory cotangents, and the discrete
-adjoint system is the same loop seeded by the cost's derivative with respect
-to the state.
+One backward loop, _reverse_sweep, serves both transposed products. It
+hands out each step's two transposed solves together with h(phi_n) from the
+linearisation it has just computed, and each product fills its own rows:
+the VJP seeds the loop with arbitrary trajectory cotangents and forms the
+control cotangents from the solves and h(phi_n); the discrete adjoint
+system seeds it with the cost's derivative with respect to the state and
+keeps the solves divided by dt.
 
 Cotangent bookkeeping for one step (bars denote cotangents, primes the step
 outputs): the phi solve transposes to K^-1 (w_bar / c) with the same SPD
@@ -33,7 +36,7 @@ import numpy as np
 
 from .errors import FieldShapeError
 from .geometry import GridSpec
-from .forward import ControlPair, StateTrajectory, StepOperators, TimeGrid, linearise_step
+from .forward import ControlPair, StateTrajectory, StepOperators, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
 
@@ -50,7 +53,6 @@ class TangentTrajectory:
     Compares and hashes by identity."""
 
     grid: GridSpec
-    tgrid: TimeGrid
     xi: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
 
@@ -140,25 +142,20 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
-def _step_blocks(traj: StateTrajectory, reverse: bool = False):
-    """Yield slices that cover the steps of traj, in time order or reversed:
-    each block as many steps as fit in LINEARISE_CHUNK_VALUES values per
-    array, and at least one."""
+def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
+    """Yield (n, linearise_step of step n) for every step of traj, in time
+    order or reversed. The linearisation is evaluated a block of steps at a
+    time: as many steps as fit in LINEARISE_CHUNK_VALUES values per array,
+    and at least one."""
     rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
     starts = range(0, traj.steps, rows)
     for start in (reversed(starts) if reverse else starts):
-        yield slice(start, min(start + rows, traj.steps))
-
-
-def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
-    """Yield (n, linearise_step of step n) for every step of traj, in time
-    order or reversed, evaluating the linearisation block by block."""
-    for block in _step_blocks(traj, reverse):
+        block = slice(start, min(start + rows, traj.steps))
         lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
                              traj.controls.u[block])
-        offsets = range(block.stop - block.start)
+        offsets = range(block.stop - start)
         for k in (reversed(offsets) if reverse else offsets):
-            yield block.start + k, tuple(factor[k] for factor in lin)
+            yield start + k, tuple(factor[k] for factor in lin)
 
 
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
@@ -173,29 +170,26 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTraj
     for n, lin in _linearised_steps(traj):
         xi[n + 1], rho[n + 1] = _tangent_core(ops, lin, xi[n], rho[n],
                                               d_controls.u[n], d_controls.v[n])
-    return TangentTrajectory(grid=grid, tgrid=traj.tgrid, xi=xi, rho=rho)
+    return TangentTrajectory(grid=grid, xi=xi, rho=rho)
 
 
-def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
-                   seed_sigma: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray):
     """The backward loop: transpose every step of traj, last step first.
 
-    seed arrays have shape (steps + 1, cells); row n is added to the state
-    cotangent of slice n, and row 0 (the fixed initial slice) is ignored.
-    Returns two (steps + 1, cells) arrays: row n < steps holds the transposed
-    phi or sigma solve of step n, row steps the terminal seed.
+    seed arrays have shape (steps + 1, cells); row steps starts the sweep,
+    row n < steps is added to the state cotangent of slice n, and row 0 (the
+    fixed initial slice) is ignored. Yields (n, h(phi_n), phi_solve_bar,
+    sigma_solve_bar) for n = steps - 1, ..., 0: the distribution weight from
+    step n's linearisation and the step's two transposed implicit solves.
     """
-    steps = traj.steps
     ops = traj.ops
-    s_phi = np.empty((steps + 1, traj.grid.num_cells))
-    s_sigma = np.empty((steps + 1, traj.grid.num_cells))
-    p_bar = s_phi[steps] = seed_phi[steps]
-    r_bar = s_sigma[steps] = seed_sigma[steps]
+    p_bar = seed_phi[traj.steps]
+    r_bar = seed_sigma[traj.steps]
     for n, lin in _linearised_steps(traj, reverse=True):
-        xi_bar, rho_bar, s_phi[n], s_sigma[n] = _adjoint_core(ops, lin, p_bar, r_bar)
+        xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar = _adjoint_core(ops, lin, p_bar, r_bar)
+        yield n, lin[3], phi_solve_bar, sigma_solve_bar
         p_bar = xi_bar + seed_phi[n]
         r_bar = rho_bar + seed_sigma[n]
-    return s_phi, s_sigma
 
 
 def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
@@ -204,14 +198,15 @@ def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray,
 
     seed arrays have shape (steps + 1, cells); row 0 pairs with the fixed
     initial slice and is ignored. Returns per-step control cotangents in the
-    raw per-slice pairing (no dt weight).
+    raw per-slice pairing (no dt weight): u_bar[n] = -h(phi_n) phi_solve_bar
+    and v_bar[n] = sigma_solve_bar.
     """
-    s_phi, s_sigma = _reverse_sweep(traj, seed_phi, seed_sigma)
-    # u_bar = -h(phi_n) s_phi[n], formed in place block by block
-    distribution = traj.ops.params.distribution
-    for block in _step_blocks(traj):
-        s_phi[block] *= -distribution.evaluate(traj.phi[block], 0)
-    return s_phi[:traj.steps], s_sigma[:traj.steps]
+    u_bar = np.empty((traj.steps, traj.grid.num_cells))
+    v_bar = np.empty((traj.steps, traj.grid.num_cells))
+    for n, h, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, seed_phi, seed_sigma):
+        np.multiply(phi_solve_bar, -h, out=u_bar[n])
+        v_bar[n] = sigma_solve_bar
+    return u_bar, v_bar
 
 
 def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
@@ -238,9 +233,13 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
         seed[steps] -= final
         seed[steps] *= weight_omega
         seeds.append(seed)
-    p, r = _reverse_sweep(traj, *seeds)
-    p[:steps] /= dt
-    r[:steps] /= dt
+    p = np.empty_like(seeds[0])
+    r = np.empty_like(seeds[1])
+    p[steps] = seeds[0][steps]
+    r[steps] = seeds[1][steps]
+    for n, _, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, *seeds):
+        np.divide(phi_solve_bar, dt, out=p[n])
+        np.divide(sigma_solve_bar, dt, out=r[n])
     return AdjointTrajectory(traj=traj, p=p, r=r)
 
 

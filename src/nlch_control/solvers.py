@@ -100,7 +100,7 @@ def _superlu_error(message: str) -> SolverError:
         version = metadata.version("scipy")
     except metadata.PackageNotFoundError:
         version = "not installed"
-    return SolverError(f"{message} (scipy {version})", 0, float("nan"))
+    return SolverError(f"{message} (scipy {version})")
 
 
 def _superlu():
@@ -201,14 +201,11 @@ class ShiftedLaplacianSolver:
     def __init__(self, grid: GridSpec, diagonal: np.ndarray):
         diagonal = np.asarray(diagonal, dtype=np.float64).reshape(-1)
         if diagonal.size != grid.num_cells:
-            raise SolverError("diagonal size does not match grid", 0, float("nan"))
+            raise SolverError("diagonal size does not match grid")
         if not np.all(np.isfinite(diagonal) & (diagonal > 0.0)):
             raise SolverError(
                 "implicit diagonal must be strictly positive "
-                "(increase lambda_s or check the kernel weight field)",
-                0,
-                float("nan"),
-            )
+                "(increase lambda_s or check the kernel weight field)")
         self.grid = grid
         self._inverse = None
         self._lu = None

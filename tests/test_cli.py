@@ -12,11 +12,10 @@ import numpy as np
 import pytest
 
 import nlch_control
-from nlch_control import (GridSpec, PgdOptions, ScalarField, load_config, solvers,
-                          write_config)
+from nlch_control import GridSpec, PgdOptions, ScalarField, load_config, solvers
 from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
                               cmd_gradcheck, main)
-from nlch_control.config import config_from_dict, config_json, config_to_dict
+from nlch_control.config import config_from_dict, config_json
 from nlch_control.errors import ConfigError, FieldShapeError, GridError
 from nlch_control.forward import DEFAULT_BLOWUP_GUARD
 from nlch_control.snapshots import (MANIFEST_NAME, read_snapshot, write_snapshot)
@@ -58,7 +57,7 @@ def test_minimal_config_gets_documented_defaults(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text("{}\n")
     cfg = load_config(path)
-    data = config_to_dict(cfg)
+    data = cfg.data
     assert data["grid"]["cells"] == [64]
     assert data["kernel"]["family"] == "gaussian"
     assert cfg.blowup_guard == 10.0 == DEFAULT_BLOWUP_GUARD
@@ -148,7 +147,7 @@ def test_config_rejects_nonintegral_counts(tmp_path, capsys, key, overrides, lit
 
 def test_config_accepts_integral_floats(tmp_path):
     path = write_cfg(tmp_path, {"time": {"steps": 16.0}, "grid": {"cells": [24.0]}})
-    data = config_to_dict(load_config(path))
+    data = load_config(path).data
     assert data["time"]["steps"] == 16 and type(data["time"]["steps"]) is int
     assert data["grid"]["cells"] == [24] and type(data["grid"]["cells"][0]) is int
 
@@ -191,7 +190,7 @@ def test_readme_example_config_loads():
     assert len(blocks) == 1
     raw = json.loads(blocks[0])
     cfg = config_from_dict(raw)
-    assert config_to_dict(cfg)["solver"] == raw["solver"]
+    assert cfg.data["solver"] == raw["solver"]
 
 
 def test_config_parse_error_carries_line(tmp_path):
@@ -219,7 +218,7 @@ def test_config_roundtrip(tmp_path):
     })
     cfg = load_config(path)
     out = tmp_path / "rewritten.json"
-    write_config(cfg, out)
+    out.write_text(config_json(cfg))
     cfg2 = load_config(out)
     assert cfg2 == dataclasses.replace(cfg, base_dir=cfg2.base_dir)
 
@@ -819,6 +818,5 @@ def test_command_builds_its_kernel_once(tmp_path, monkeypatch, argv):
 def test_config_to_dict_is_stable(tmp_path):
     path = write_cfg(tmp_path)
     cfg = load_config(path)
-    d1 = config_to_dict(cfg)
-    cfg2 = config_from_dict(json.loads(json.dumps(d1)), base_dir=cfg.base_dir)
+    cfg2 = config_from_dict(json.loads(json.dumps(cfg.data)), base_dir=cfg.base_dir)
     assert cfg2 == cfg

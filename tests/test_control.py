@@ -398,7 +398,6 @@ def test_pgd_nonfinite_cost_raises():
     with pytest.raises(SolverError, match="iterate 0") as info:
         pgd_optimize(c0, box, spec, params, kernel, tgrid, smooth_phi0(grid),
                      ScalarField.constant(grid, 0.0))
-    assert info.value.iterations == 0
 
 
 def projection_formula_defect_loop(controls, traj, adj, spec, box):

@@ -12,7 +12,7 @@ from nlch_control.forward import (DEFAULT_BLOWUP_GUARD, _chemical_potential_arra
                                   step_operators)
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
-                                 InstabilityError, SolverError)
+                                 InstabilityError, SolverError, StaleTrajectoryError)
 from nlch_control.kernels import convolution_matrix, convolve_array
 from nlch_control.physics import POTENTIAL, ProliferationSpec
 from nlch_control.solvers import dense_laplacian_matrix
@@ -296,7 +296,7 @@ def test_nonfinite_state_raises_instability(cells):
 def test_free_energy_reference_values(grid1d, kernel1d, params):
     one, zero = np.ones(grid1d.num_cells), np.zeros(grid1d.num_cells)
     assert abs(free_energy(one, zero, params, kernel1d)) < 1e-12
-    expected = params.A * 0.25 * grid1d.volume
+    expected = params.A * 0.25 * np.prod(grid1d.extent_per_axis)
     assert free_energy(zero, zero, params, kernel1d) == pytest.approx(expected, rel=1e-12)
 
 
@@ -338,6 +338,18 @@ def test_mass_balance_residual_cases(rng, grid1d, kernel1d, params, params_gradi
     single = ControlPair(grid1d, u, np.zeros_like(u))
     traj = simulate(phi0, sigma0, single, params, kernel1d, tgrid20)
     assert mass_balance_residual(traj, single, params) <= 1e-12
+
+
+def test_mass_balance_residual_refuses_other_controls(rng, grid1d, kernel1d, params, tgrid20):
+    # the residual builds its source from the controls it is given: a fresh
+    # pair of the same shape would yield the defect of a run that never
+    # happened, so only the run's own controls are accepted
+    traj = simulate(smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3),
+                    random_controls(rng, grid1d, 20), params, kernel1d, tgrid20)
+    assert mass_balance_residual(traj, traj.controls, params) <= 1e-12
+    for other in (random_controls(rng, grid1d, 20), ControlPair.zeros(grid1d, 19)):
+        with pytest.raises(StaleTrajectoryError, match="other controls"):
+            mass_balance_residual(traj, other, params)
 
 
 def test_mass_balance_gate_reads_a_perturbed_solve(monkeypatch, grid1d):

@@ -15,7 +15,7 @@ def test_grid_spec_derived_quantities():
     assert grid.num_cells == 20
     assert grid.spacing == (0.5, 0.2)
     assert grid.cell_volume == pytest.approx(0.1)
-    assert grid.volume == pytest.approx(2.0)
+    assert grid.cell_volume * grid.num_cells == pytest.approx(2.0)
 
 
 def test_num_cells_is_exact():

@@ -11,6 +11,7 @@ from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec, ModelPara
 from nlch_control.errors import StaleTrajectoryError
 from nlch_control.gradcheck import (GradcheckResult, run_gradcheck, taylor_remainder_order,
                                     trajectory_qt_norm)
+from nlch_control.physics import DistributionSpec, ProliferationSpec
 from nlch_control.sensitivity import vjp_sweep
 
 from conftest import random_controls, random_run, smooth_phi0
@@ -172,6 +173,44 @@ def test_adjoint_matches_per_step_loop(rng, base_setup, grid1d, kernel1d, params
         assert np.array_equal(adj.r[n], sigma_solve_bar / dt)
         p_bar = xi_bar + dt * spec.alpha_q * (traj.phi[n] - spec.phi_q[n])
         r_bar = rho_bar + dt * spec.beta_q * (traj.sigma[n] - spec.sigma_q[n])
+
+
+@pytest.mark.parametrize("cells, extent, params", [
+    pytest.param((32,), (1.0,), ModelParams(A=0.5, B=1.0, chi=0.0), id="1d-dense"),
+    pytest.param((12, 10), (1.0, 0.8), ModelParams(A=0.05, B=1.0, chi=0.3), id="2d"),
+    # h is the ramp while P is zero: h comes from the distribution, not from P
+    pytest.param((32,), (1.0,), ModelParams(
+        A=0.5, B=1.0, chi=0.0, proliferation=ProliferationSpec("constant_zero"),
+        distribution=DistributionSpec("same_as_p")), id="constant_zero-same_as_p"),
+])
+def test_vjp_matches_per_step_loop(monkeypatch, rng, cells, extent, params):
+    # reference: the VJP written as a per-step loop that evaluates h(phi_n)
+    # afresh for each step; the sweep takes h(phi_n) from its linearisation,
+    # blocks of 7 steps here, and the arithmetic is the same, so the control
+    # cotangents must agree bitwise
+    import nlch_control.sensitivity as sensitivity
+    from nlch_control.forward import linearise_step
+    from nlch_control.sensitivity import _adjoint_core
+
+    grid = GridSpec(cells, extent)
+    monkeypatch.setattr(sensitivity, "LINEARISE_CHUNK_VALUES", 7 * grid.num_cells)
+    traj = random_run(rng, grid, params)
+    steps, ops = traj.steps, traj.ops
+    seed_phi = rng.standard_normal((steps + 1, grid.num_cells))
+    seed_sigma = rng.standard_normal((steps + 1, grid.num_cells))
+    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
+    assert u_bar.shape == v_bar.shape == (steps, grid.num_cells)
+    p_bar, r_bar = seed_phi[steps], seed_sigma[steps]
+    for n in reversed(range(steps)):
+        block = linearise_step(ops, traj.phi[n:n + 1], traj.sigma[n:n + 1],
+                               traj.controls.u[n:n + 1])
+        lin = tuple(factor[0] for factor in block)
+        xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar = _adjoint_core(ops, lin, p_bar, r_bar)
+        h = params.distribution.evaluate(traj.phi[n], 0)
+        assert np.array_equal(u_bar[n], phi_solve_bar * -h)
+        assert np.array_equal(v_bar[n], sigma_solve_bar)
+        p_bar = xi_bar + seed_phi[n]
+        r_bar = rho_bar + seed_sigma[n]
 
 
 def test_adjoint_terminal_unit_example(grid1d, kernel1d, params_gradient_flow):

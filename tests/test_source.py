@@ -79,6 +79,50 @@ def test_every_private_definition_is_referenced():
     assert orphaned_private_definitions(sources) == []
 
 
+def _dataclass_decorator(cls: ast.ClassDef):
+    """The @dataclass decorator of a class definition (called or bare), or None."""
+    return next((d for d in cls.decorator_list
+                 if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")),
+                None)
+
+
+def unread_fields(sources: dict[str, str]) -> list[str]:
+    """Dataclass fields that no code in the package reads as an attribute
+    (obj.name anywhere, in any module): a field nothing reads is state no
+    caller needs. The KW_ONLY marker is not a field.
+
+    sources maps a module's file name to its text.
+    """
+    fields = []
+    read = set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ClassDef) and _dataclass_decorator(node):
+                fields.extend((name, stmt.lineno, node.name, stmt.target.id)
+                              for stmt in node.body
+                              if isinstance(stmt, ast.AnnAssign)
+                              and ast.unparse(stmt.annotation) != "KW_ONLY")
+    return [f"{module} line {line}: {cls}.{field}" for module, line, cls, field in fields
+            if field not in read]
+
+
+def test_unread_fields_are_found():
+    sources = {
+        "a.py": "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    _: KW_ONLY\n"
+                "    z: float = 0.0\n\n\nclass B:\n    w: int\n",
+        "b.py": "def f(a):\n    a.y = 1\n    return a.x + g(a.z)\n",
+    }
+    assert unread_fields(sources) == ["a.py line 4: A.y"]
+
+
+def test_every_dataclass_field_is_read():
+    package = Path(nlch_control.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unread_fields(sources) == []
+
+
 def copies_over_steps(source: str) -> list[str]:
     """Calls of tile or repeat (np.tile, arr.repeat, a bare imported name):
     data constant in time is broadcast over the steps (np.broadcast_to),
@@ -158,9 +202,8 @@ def compared_array_fields(source: str) -> list[str]:
     for cls in ast.walk(ast.parse(source)):
         if not isinstance(cls, ast.ClassDef):
             continue
-        decorators = [d for d in cls.decorator_list
-                      if ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")]
-        if not decorators or _is_false(decorators[0], "eq"):
+        decorator = _dataclass_decorator(cls)
+        if decorator is None or _is_false(decorator, "eq"):
             continue
         found.extend(f"line {stmt.lineno}: {cls.name}.{stmt.target.id}" for stmt in cls.body
                      if isinstance(stmt, ast.AnnAssign)
