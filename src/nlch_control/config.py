@@ -484,23 +484,20 @@ def _validate(cfg: RunConfig, failures: list[str]):
     if targets["kind"] == "manufactured":
         specs.update({f"cost.targets.{name}": targets[name] for name in ("u", "v")})
     for label, spec in specs.items():
-        if spec["kind"] == "file" and not cfg.resolve_path(spec["path"]).exists():
-            failures.append(f"{label}: referenced file {spec['path']!r} does not exist")
         if spec["kind"] == "bumps" and grid is not None:
             # realize_field reads one coordinate per grid axis from each centre
             failures.extend(f"{label}.centers[{i}] must have {grid.dim} coordinates, "
                             f"got {len(center)}"
                             for i, center in enumerate(spec["centers"])
                             if len(center) != grid.dim)
+    # every file the configuration names: file field specs, files targets and
+    # file bounds (a missing path is reported where it is parsed)
+    files = [(label, spec["path"]) for label, spec in specs.items() if spec["kind"] == "file"]
     if targets["kind"] == "files":
-        for label in ("phi_omega", "sigma_omega"):
-            path = targets[label]
-            if path and not cfg.resolve_path(path).exists():
-                failures.append(f"cost.targets.{label}: file {path!r} does not exist")
-    for label in _BOUNDS:
-        bound = box[label]
-        if isinstance(bound, dict) and not cfg.resolve_path(bound["file"]).exists():
-            failures.append(f"box.{label}: file {bound['file']!r} does not exist")
+        files += [(f"cost.targets.{name}", targets[name]) for name in ("phi_omega", "sigma_omega")]
+    files += [(f"box.{name}", box[name]["file"]) for name in _BOUNDS if isinstance(box[name], dict)]
+    failures.extend(f"{label}: file {path!r} does not exist" for label, path in files
+                    if path and not cfg.resolve_path(path).exists())
 
 
 def read_config_json(path) -> dict:

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import FieldShapeError, HypothesisViolationError, SolverError
 from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
                       simulate)
-from .geometry import GridSpec, ScalarField, cell_array
+from .geometry import GridSpec, ScalarField, cell_array, qt_inner_product
 from .kernels import KernelData
 from .physics import ModelParams
 from .sensitivity import AdjointTrajectory, adjoint_sweep
@@ -121,14 +121,13 @@ class OptimizeReport:
     run made 1 + sum(linesearch_counts) + exhausted_trials forward sweeps.
     final_adjoint is the cost-seeded reverse sweep the run made at the last
     accepted iterate; its traj is that iterate's trajectory, the only one
-    the report holds, and traj.controls is final_controls.
+    the report holds, and final_controls reads that trajectory's controls.
     """
 
     costs: tuple[float, ...]
     residuals: tuple[float, ...]
     step_sizes: tuple[float, ...]
     linesearch_counts: tuple[int, ...]
-    final_controls: ControlPair
     final_adjoint: AdjointTrajectory = field(repr=False)
     termination: str
     exhausted_trials: int
@@ -136,6 +135,10 @@ class OptimizeReport:
     @property
     def iterations(self) -> int:
         return len(self.costs) - 1
+
+    @property
+    def final_controls(self) -> ControlPair:
+        return self.final_adjoint.traj.controls
 
 
 @dataclass(frozen=True)
@@ -219,15 +222,9 @@ def project_box(c: ControlPair, box: BoxConstraints) -> ControlPair:
                        _clamp(c.v, box.v_min, box.v_max))
 
 
-def _inner_qt(a_u: np.ndarray, a_v: np.ndarray, b_u: np.ndarray, b_v: np.ndarray,
-              vol: float, dt: float) -> float:
-    """Discrete L2(Q_T)^2 inner product of (a_u, a_v) and (b_u, b_v)."""
-    return float((np.sum(a_u * b_u) + np.sum(a_v * b_v)) * vol * dt)
-
-
 def control_inner_qt(a: ControlPair, b: ControlPair, dt: float) -> float:
     """Discrete L2(Q_T)^2 inner product of two control pairs."""
-    return _inner_qt(a.u, a.v, b.u, b.v, a.grid.cell_volume, dt)
+    return qt_inner_product(a.u, a.v, b.u, b.v, a.grid.cell_volume, dt)
 
 
 def stationarity_residual(c: ControlPair, g: ControlPair, box: BoxConstraints,
@@ -235,7 +232,8 @@ def stationarity_residual(c: ControlPair, g: ControlPair, box: BoxConstraints,
     """Fixed-point defect of the projected-gradient map, || c - P(c - g) ||."""
     diff_u = c.u - _clamp(c.u - g.u, box.u_min, box.u_max)
     diff_v = c.v - _clamp(c.v - g.v, box.v_min, box.v_max)
-    return float(np.sqrt(_inner_qt(diff_u, diff_v, diff_u, diff_v, c.grid.cell_volume, dt)))
+    return float(np.sqrt(qt_inner_product(diff_u, diff_v, diff_u, diff_v,
+                                          c.grid.cell_volume, dt)))
 
 
 def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
@@ -322,7 +320,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         None when the search is exhausted."""
         d_u = _clamp(c.u - lam * g.u, box.u_min, box.u_max) - c.u
         d_v = _clamp(c.v - lam * g.v, box.v_min, box.v_max) - c.v
-        slope = _inner_qt(g.u, g.v, d_u, d_v, vol, dt)
+        slope = qt_inner_product(g.u, g.v, d_u, d_v, vol, dt)
         alpha = 1.0
         trials = 0
         while alpha >= ALPHA_FLOOR:
@@ -367,8 +365,9 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         step_sizes.append(lam * alpha)
         ls_counts.append(ls_count)
         # the spectral step from s = trial - c and y = g_new - g
-        sy = _inner_qt(trial.u - c.u, trial.v - c.v, g_new.u - g.u, g_new.v - g.v, vol, dt)
-        ss = _inner_qt(trial.u - c.u, trial.v - c.v, trial.u - c.u, trial.v - c.v, vol, dt)
+        s_u, s_v = trial.u - c.u, trial.v - c.v
+        sy = qt_inner_product(s_u, s_v, g_new.u - g.u, g_new.v - g.v, vol, dt)
+        ss = qt_inner_product(s_u, s_v, s_u, s_v, vol, dt)
         lam = (1e6 * opts.tau0 if sy <= 0.0
                else min(max(ss / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0))
         c, j_val, g = trial, j_trial, g_new
@@ -383,7 +382,6 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         residuals=tuple(residuals),
         step_sizes=tuple(step_sizes),
         linesearch_counts=tuple(ls_counts),
-        final_controls=c,
         final_adjoint=adj,
         termination=termination,
         exhausted_trials=exhausted_trials,

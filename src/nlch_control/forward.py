@@ -295,11 +295,15 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     Stores the states and monitor rows for the CLI; the trajectory refers to
     (does not copy) the controls and the operator bundle it stepped with.
     record_monitors=False skips the per-step energy evaluation; optimisation
-    inner loops use it, artifact-producing runs keep it on.
+    inner loops use it, artifact-producing runs keep it on. blowup_guard
+    must be > 0 (inf switches the guard off); any other value, NaN
+    included, raises FieldShapeError before the first step.
     """
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
         raise TypeError("simulate: solver_options must be None; there is no solver choice")
+    if not blowup_guard > 0.0:
+        raise FieldShapeError(f"blowup guard must be > 0, got {blowup_guard}")
     require_ellipticity(params, kernel)
     grid = phi0.grid
     if sigma0.grid != grid:

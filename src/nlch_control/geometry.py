@@ -174,6 +174,16 @@ def inner_product(x: np.ndarray, y: np.ndarray, cell_volume: float) -> float:
     return float(dot * cell_volume)
 
 
+def qt_inner_product(a_u: np.ndarray, a_v: np.ndarray, b_u: np.ndarray, b_v: np.ndarray,
+                     cell_volume: float, dt: float) -> float:
+    """Discrete L2(Q_T)^2 inner product of the pairs (a_u, a_v) and (b_u, b_v)
+    of space-time arrays: (sum a_u b_u + sum a_v b_v) * cell_volume * dt;
+    dt = 1.0 leaves out the time weight exactly. The control pairings, the
+    PGD steps and the gradcheck probes pair through it; control.cost keeps
+    its own sums, grouped differently."""
+    return float((np.sum(a_u * b_u) + np.sum(a_v * b_v)) * cell_volume * dt)
+
+
 def mass(values: np.ndarray, cell_volume: float) -> float:
     """Integral of a field over the domain (equals inner_product(values, 1))."""
     return float(np.sum(values) * cell_volume)

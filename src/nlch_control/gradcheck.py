@@ -13,7 +13,7 @@ import numpy as np
 from .control import CostSpec, control_inner_qt, cost, reduced_gradient
 from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
                       simulate)
-from .geometry import ScalarField
+from .geometry import ScalarField, qt_inner_product
 from .kernels import KernelData
 from .physics import ModelParams
 from .sensitivity import TangentTrajectory, adjoint_sweep, duality_gap, tangent_sweep
@@ -53,8 +53,8 @@ def _random_controls(rng, grid, steps) -> ControlPair:
 
 def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> float:
     """Space-time L2 norm over the produced slices (rows 1..N)."""
-    vol = grid.cell_volume
-    return float(np.sqrt((np.sum(xi[1:] ** 2) + np.sum(rho[1:] ** 2)) * vol * dt))
+    xi, rho = xi[1:], rho[1:]
+    return float(np.sqrt(qt_inner_product(xi, rho, xi, rho, grid.cell_volume, dt)))
 
 
 def _rerun(base: StateTrajectory, direction: ControlPair, eps: float) -> StateTrajectory:

@@ -4,7 +4,7 @@ convolution (J*f)(x) = integral over the domain of J(x-y) f(y) dy.
 On a uniform grid the operator matrix entry (i, j) depends only on x_i - x_j,
 so the whole operator is a tap table over index offsets. `build_kernel`
 keeps one of two forms of it, chosen from the kernel's structure, together
-with the weight a = J*1 and its bound a* that the ellipticity gate reads:
+with the weight a = J*1, whose minimum the ellipticity gate reads:
 
   factors    per-axis dense Toeplitz matrices whose Kronecker product is the
              operator; a convolution is one product per axis (numpy only).
@@ -88,7 +88,7 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class KernelData:
-    """Kernel sampled on a grid, with the induced weight field and its bound.
+    """Kernel sampled on a grid, with the induced weight field.
 
     reach[k] is the furthest index offset along axis k at which J is nonzero.
     The operator is kept in one form, the other is None: factors, the
@@ -97,13 +97,13 @@ class KernelData:
     spectrum, the zero-padded real FFT of the taps within the reach times
     the cell volume, with fft_shape, the transform length per axis it was
     taken at (None with factors). a = J*1, one finite nonnegative value per
-    cell (shape (cells,)), and a_star = max_i sum_j |J(x_i-x_j)| vol, the
-    bound the ellipticity gate reads. The time stepper keeps its most
-    recent operator bundle in the operator slot, keyed on (params, dt) (see
-    forward.step_operators).
+    cell (shape (cells,)); the ellipticity gate reads min(a), and max(a) is
+    the row-sum bound max_i sum_j |J(x_i-x_j)| vol, since J >= 0. The time
+    stepper keeps its most recent operator bundle in the operator slot,
+    keyed on (params, dt) (see forward.step_operators).
 
-    Everything but (spec, grid, reach, a_star) is a deterministic function
-    of (spec, grid), so equality and the hash read only those four: two
+    Everything but (spec, grid, reach) is a deterministic function of
+    (spec, grid), so equality and the hash read only those three: two
     builds of one kernel on one grid compare equal.
     """
 
@@ -113,7 +113,6 @@ class KernelData:
     factors: tuple[np.ndarray, ...] | None = field(repr=False, compare=False)
     spectrum: np.ndarray | None = field(repr=False, compare=False)
     a: np.ndarray = field(repr=False, compare=False)
-    a_star: float
     fft_shape: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
     operator_slot: list = field(default_factory=list, init=False, repr=False,
                                 compare=False)
@@ -122,8 +121,6 @@ class KernelData:
         a = cell_array(self.a, self.grid, "weight a")
         if np.min(a) < 0.0:
             raise KernelResolutionError("induced weight field a = J*1 must be nonnegative")
-        if self.a_star < np.max(a) - 1e-12 * max(1.0, self.a_star):
-            raise KernelResolutionError("a_star must dominate max(a)")
         object.__setattr__(self, "a", a)
 
 
@@ -244,7 +241,7 @@ def _apply_factors(factors: tuple[np.ndarray, ...], values: np.ndarray,
 
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
     """Sample the kernel on the grid, keep the form its structure allows and
-    derive a = J*1 and a_star.
+    derive a = J*1.
 
     Rejects widths below half a cell spacing: such kernels alias (the grid
     cannot resolve them).
@@ -273,13 +270,9 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
         j_one = _apply_factors(factors, ones, grid)
     else:
         j_one = _apply_spectrum(spectrum, reach, fft_shape, ones, grid)
-    # both families are nonnegative, so |taps| == taps and the bound
-    # max_i sum_j |J(x_i-x_j)| vol is the max of the unclipped J*1 itself
-    a_star = float(np.max(j_one))
     # clip quadrature noise, never sign changes
     return KernelData(spec=spec, grid=grid, reach=reach, factors=factors,
-                      spectrum=spectrum, a=np.maximum(j_one, 0.0), a_star=a_star,
-                      fft_shape=fft_shape)
+                      spectrum=spectrum, a=np.maximum(j_one, 0.0), fft_shape=fft_shape)
 
 
 def convolve_array(kernel: KernelData, values: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FieldShapeError
-from .geometry import GridSpec
+from .geometry import qt_inner_product
 from .forward import ControlPair, StateTrajectory, StepOperators, linearise_step
 from .kernels import KernelData
 from .physics import ModelParams
@@ -49,19 +49,11 @@ LINEARISE_CHUNK_VALUES = 1 << 12
 
 @dataclass(frozen=True, eq=False)
 class TangentTrajectory:
-    """All tangent slices, shape (steps + 1, cells); slice 0 is zero.
-    Compares and hashes by identity."""
+    """All tangent slices xi (of phi) and rho (of sigma), shape
+    (steps + 1, cells); slice 0 is zero. Compares and hashes by identity."""
 
-    grid: GridSpec
     xi: np.ndarray = field(repr=False)
     rho: np.ndarray = field(repr=False)
-
-    def pair_with_seed(self, seed_phi: np.ndarray, seed_sigma: np.ndarray) -> float:
-        """Sum over produced slices of the L2(Omega) pairing with a seed."""
-        vol = self.grid.cell_volume
-        return float(
-            (np.sum(seed_phi[1:] * self.xi[1:]) + np.sum(seed_sigma[1:] * self.rho[1:])) * vol
-        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,15 +154,14 @@ def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTraj
     """Accumulate the tangent over the whole trajectory from zero initial data."""
     if d_controls.steps != traj.steps:
         raise FieldShapeError("perturbation step count does not match trajectory")
-    grid = traj.grid
     ops = traj.ops
-    n_cells = grid.num_cells
+    n_cells = traj.grid.num_cells
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
     for n, lin in _linearised_steps(traj):
         xi[n + 1], rho[n + 1] = _tangent_core(ops, lin, xi[n], rho[n],
                                               d_controls.u[n], d_controls.v[n])
-    return TangentTrajectory(grid=grid, xi=xi, rho=rho)
+    return TangentTrajectory(xi=xi, rho=rho)
 
 
 def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray):
@@ -248,12 +239,14 @@ def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
     """Normalised defect of <seed, JVP(dh, dk)> = <VJP(seed), (dh, dk)>.
 
     Both sides are evaluated independently (full tangent sweep vs full
-    reverse sweep); agreement certifies exact transposition.
+    reverse sweep); agreement certifies exact transposition. Both pairings
+    leave out the time weight (dt = 1.0).
     """
-    grid = traj.grid
-    forward_side = tangent_sweep(traj, ControlPair(grid, dh, dk)).pair_with_seed(
-        seed_phi, seed_sigma)
+    vol = traj.grid.cell_volume
+    tangent = tangent_sweep(traj, ControlPair(traj.grid, dh, dk))
+    forward_side = qt_inner_product(seed_phi[1:], seed_sigma[1:], tangent.xi[1:],
+                                    tangent.rho[1:], vol, 1.0)
+    del tangent  # released before the reverse sweep
     u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
-    vol = grid.cell_volume
-    reverse_side = float((np.sum(u_bar * dh) + np.sum(v_bar * dk)) * vol)
+    reverse_side = qt_inner_product(u_bar, v_bar, dh, dk, vol, 1.0)
     return abs(forward_side - reverse_side) / (1.0 + max(abs(forward_side), abs(reverse_side)))

@@ -253,6 +253,40 @@ def test_blowup_guard_trips(grid1d, kernel1d, params, tgrid20):
     assert exc_info.value.sup_norm > 0.5
 
 
+@pytest.mark.parametrize("guard", [np.nan, 0.0, -1.0], ids=["nan", "zero", "negative"])
+def test_guard_must_be_positive(grid1d, kernel1d, params, tgrid20, guard):
+    # NaN would never trip (it fails every comparison), 0 or -1 would trip at
+    # step 0 with a message that blames dt; each is refused before any step,
+    # also where pgd_optimize and run_gradcheck pass it to simulate
+    from nlch_control import BoxConstraints, CostSpec, pgd_optimize
+    from nlch_control.gradcheck import run_gradcheck
+
+    phi0 = ScalarField.constant(grid1d, 0.9)
+    sigma0 = ScalarField.constant(grid1d, 0.0)
+    controls = ControlPair.zeros(grid1d, 20)
+    spec = CostSpec(grid1d, alpha_omega=1.0)
+    for run in (
+            lambda: simulate(phi0, sigma0, controls, params, kernel1d, tgrid20,
+                             blowup_guard=guard),
+            lambda: pgd_optimize(controls, BoxConstraints.constant(grid1d, -1.0, 1.0, -1.0, 1.0),
+                                 spec, params, kernel1d, tgrid20, phi0, sigma0,
+                                 blowup_guard=guard),
+            lambda: run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d, tgrid20,
+                                  np.random.default_rng(0), blowup_guard=guard)):
+        with pytest.raises(FieldShapeError, match="blowup guard must be > 0"):
+            run()
+
+
+def test_infinite_guard_never_trips(grid1d, kernel1d, params, tgrid20):
+    # the start of test_blowup_guard_trips, which trips a guard of 0.5
+    phi0 = ScalarField.constant(grid1d, 0.9)
+    sigma0 = ScalarField.constant(grid1d, 0.0)
+    traj = simulate(phi0, sigma0, ControlPair.zeros(grid1d, 20), params, kernel1d,
+                    tgrid20, blowup_guard=np.inf)
+    assert traj.blowup_guard == np.inf
+    assert np.max(np.abs(traj.phi)) > 0.5
+
+
 def test_reruns_keep_the_guard(rng, grid1d, kernel1d, params, tgrid20):
     # a guard just above the base run's |phi| holds for it and trips in the
     # perturbed reruns of the Taylor check, which step under the same guard

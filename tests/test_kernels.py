@@ -45,10 +45,9 @@ def test_a_field_nonnegative_and_bounds(grid1d, grid2d):
         for family in ("gaussian", "mollifier"):
             k = build_kernel(KernelSpec(family, 2.0, 0.25), grid)
             assert np.all(k.a >= 0.0)
-            assert k.a_star >= np.max(k.a) - 1e-12
-            # a_star is the row-sum bound max_i sum_j |J(x_i-x_j)| vol
+            # J >= 0, so max(a) is the row-sum bound max_i sum_j |J(x_i-x_j)| vol
             row_sums = np.abs(convolution_matrix(k)).sum(axis=1)
-            assert k.a_star == pytest.approx(np.max(row_sums), rel=1e-12)
+            assert np.max(k.a) == pytest.approx(np.max(row_sums), rel=1e-12)
 
 
 def test_convolve_zero_and_ones(kernel1d, grid1d):
@@ -176,7 +175,7 @@ def test_convolve_linearity(rng, kernel1d, grid1d):
 def test_kernel_data_rejects_a_wrong_size_or_non_finite_weight(kernel1d, a):
     with pytest.raises(FieldShapeError):
         KernelData(spec=kernel1d.spec, grid=kernel1d.grid, reach=kernel1d.reach,
-                   factors=kernel1d.factors, spectrum=None, a=a, a_star=kernel1d.a_star)
+                   factors=kernel1d.factors, spectrum=None, a=a)
 
 
 def test_flat_kernel_limit():
@@ -216,7 +215,7 @@ def test_young_inequality(rng, kernel1d, grid1d):
     for _ in range(5):
         f = rng.standard_normal(grid1d.num_cells)
         conv = convolve_array(kernel1d, f)
-        assert np.max(np.abs(conv)) <= kernel1d.a_star * np.max(np.abs(f)) * (1 + 1e-12)
+        assert np.max(np.abs(conv)) <= np.max(kernel1d.a) * np.max(np.abs(f)) * (1 + 1e-12)
 
 
 def test_operator_matrix_symmetric(kernel1d_small):

@@ -97,7 +97,32 @@ def test_duality_gap_aligned_seed(rng, base_setup, grid1d, kernel1d, params):
     tangent = tangent_sweep(traj, d)
     gap = duality_gap(traj, d.u, d.v, tangent.xi, tangent.rho)
     assert gap <= 1e-10
-    assert tangent.pair_with_seed(tangent.xi, tangent.rho) > 0.0
+    assert trajectory_qt_norm(tangent.xi, tangent.rho, grid1d, traj.tgrid.dt) > 0.0
+
+
+@pytest.mark.parametrize("cells, extent, params", [
+    pytest.param((32,), (1.0,), ModelParams(A=0.5, B=1.0, chi=0.0), id="1d-dense"),
+    pytest.param((12, 10), (1.0, 0.8), ModelParams(A=0.05, B=1.0, chi=0.3), id="2d"),
+])
+def test_pairings_keep_their_bits(rng, cells, extent, params):
+    # duality_gap and trajectory_qt_norm pair through geometry.qt_inner_product;
+    # each must equal, bit for bit, its defining sums written out
+    grid = GridSpec(cells, extent)
+    traj = random_run(rng, grid, params, steps=6)
+    vol, dt = grid.cell_volume, traj.tgrid.dt
+    d = random_controls(rng, grid, 6, scale=1.0)
+    seed_phi = rng.standard_normal((7, grid.num_cells))
+    seed_sigma = rng.standard_normal((7, grid.num_cells))
+    tangent = tangent_sweep(traj, d)
+    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
+    f = float((np.sum(seed_phi[1:] * tangent.xi[1:])
+               + np.sum(seed_sigma[1:] * tangent.rho[1:])) * vol)
+    r = float((np.sum(u_bar * d.u) + np.sum(v_bar * d.v)) * vol)
+    gap = abs(f - r) / (1.0 + max(abs(f), abs(r)))
+    assert duality_gap(traj, d.u, d.v, seed_phi, seed_sigma) == gap
+    norm = float(np.sqrt((np.sum(tangent.xi[1:] ** 2) + np.sum(tangent.rho[1:] ** 2))
+                         * vol * dt))
+    assert trajectory_qt_norm(tangent.xi, tangent.rho, grid, dt) == norm > 0.0
 
 
 def test_duality_gap_orthogonal_seed(base_setup, grid1d, kernel1d, params):

@@ -89,15 +89,25 @@ def _dataclass_decorator(cls: ast.ClassDef):
 def unread_fields(sources: dict[str, str]) -> list[str]:
     """Dataclass fields that no code in the package reads as an attribute
     (obj.name anywhere, in any module): a field nothing reads is state no
-    caller needs. The KW_ONLY marker is not a field.
+    caller needs. A self.name load inside a class's own __post_init__ does
+    not count: a field only its own check reads is still unread. The
+    KW_ONLY marker is not a field.
 
     sources maps a module's file name to its text.
     """
     fields = []
     read = set()
     for name, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        tree = ast.parse(source)
+        own_checks = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                      for method in cls.body
+                      if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+                      for node in ast.walk(method)
+                      if isinstance(node, ast.Attribute)
+                      and ast.unparse(node.value) == "self"}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and id(node) not in own_checks):
                 read.add(node.attr)
             elif isinstance(node, ast.ClassDef) and _dataclass_decorator(node):
                 fields.extend((name, stmt.lineno, node.name, stmt.target.id)
@@ -113,8 +123,12 @@ def test_unread_fields_are_found():
         "a.py": "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n    _: KW_ONLY\n"
                 "    z: float = 0.0\n\n\nclass B:\n    w: int\n",
         "b.py": "def f(a):\n    a.y = 1\n    return a.x + g(a.z)\n",
+        "c.py": "@dataclass(frozen=True)\nclass C:\n    lo: float\n    hi: float\n\n"
+                "    def __post_init__(self):\n        if self.hi < self.lo:\n"
+                "            raise ValueError(self.hi)\n\n"
+                "    def width(self):\n        return 2 * self.lo\n",
     }
-    assert unread_fields(sources) == ["a.py line 4: A.y"]
+    assert unread_fields(sources) == ["a.py line 4: A.y", "c.py line 4: C.hi"]
 
 
 def test_every_dataclass_field_is_read():
