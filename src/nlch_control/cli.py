@@ -31,7 +31,7 @@ import numpy as np
 
 from . import snapshots
 from .config import RunConfig, config_from_dict, config_json, read_config_json
-from .control import pgd_optimize, projection_formula_defect
+from .control import pgd_optimize, projection_report
 from .errors import ConfigError, InstabilityError, NLCHError, SolverError
 from .forward import simulate
 from .geometry import ScalarField
@@ -145,20 +145,9 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
     outputs = ["iterations.csv", "projection_report.json"]
     snapshots.write_iterations_csv(out / "iterations.csv", report)
 
-    adj = report.final_adjoint
-    final_traj = adj.traj
-    defect_u, defect_v = projection_formula_defect(report.final_controls, final_traj,
-                                                   adj, spec, box)
-    projection_report = {
-        "termination": report.termination,
-        "iterations": report.iterations,
-        "final_cost": report.costs[-1],
-        "final_residual": report.residuals[-1],
-        "projection_defect_u": defect_u if defect_u is not None else "skipped (alpha_u = 0)",
-        "projection_defect_v": defect_v if defect_v is not None else "skipped (beta_v = 0)",
-    }
     (out / "projection_report.json").write_text(
-        json.dumps(projection_report, indent=2, sort_keys=True) + "\n")
+        json.dumps(projection_report(report, spec, box), indent=2, sort_keys=True) + "\n")
+    final_traj = report.final_adjoint.traj
 
     for name, values in (("phi_final", final_traj.phi[tgrid.steps]),
                          ("sigma_final", final_traj.sigma[tgrid.steps])):

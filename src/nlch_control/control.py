@@ -140,6 +140,12 @@ class OptimizeReport:
     def final_controls(self) -> ControlPair:
         return self.final_adjoint.traj.controls
 
+    @property
+    def sweeps(self) -> int:
+        """Forward sweeps (the start, every trial) plus one adjoint sweep per
+        accepted iterate, the start included."""
+        return 1 + sum(self.linesearch_counts) + self.exhausted_trials + self.iterations + 1
+
 
 @dataclass(frozen=True)
 class PgdOptions:
@@ -227,11 +233,16 @@ def control_inner_qt(a: ControlPair, b: ControlPair, dt: float) -> float:
     return qt_inner_product(a.u, a.v, b.u, b.v, a.grid.cell_volume, dt)
 
 
+def _unit_step(c: ControlPair, g: ControlPair, box: BoxConstraints):
+    """c - P(c - g) per component."""
+    return (c.u - _clamp(c.u - g.u, box.u_min, box.u_max),
+            c.v - _clamp(c.v - g.v, box.v_min, box.v_max))
+
+
 def stationarity_residual(c: ControlPair, g: ControlPair, box: BoxConstraints,
                           dt: float) -> float:
     """Fixed-point defect of the projected-gradient map, || c - P(c - g) ||."""
-    diff_u = c.u - _clamp(c.u - g.u, box.u_min, box.u_max)
-    diff_v = c.v - _clamp(c.v - g.v, box.v_min, box.v_max)
+    diff_u, diff_v = _unit_step(c, g, box)
     return float(np.sqrt(qt_inner_product(diff_u, diff_v, diff_u, diff_v,
                                           c.grid.cell_volume, dt)))
 
@@ -273,9 +284,11 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     trials project_box(c + alpha d), d = P(c - lambda g) - c, alpha = 1, 1/2,
     1/4, ..., are accepted when J(trial) <= J(c) + 1e-4 alpha <g, d> (the
     Armijo constant ARMIJO_FRACTION) and J(trial) < J(c), so accepted costs
-    strictly decrease. The next lambda is the Barzilai-Borwein step
-    <s, s> / <s, y> in L2(Q_T) (s, y the changes of iterate and gradient),
-    clamped to [1e-6 tau0, 1e6 tau0]; 1e6 tau0 when <s, y> <= 0.
+    strictly decrease. The next lambda is the short Barzilai-Borwein step
+    <s, y> / <y, y> in L2(Q_T) (s, y the changes of iterate and gradient),
+    clamped to [1e-6 tau0, 1e6 tau0]; 1e6 tau0 when <s, y> <= 0. Its long
+    counterpart <s, s> / <s, y> overshoots more often, and every rejected
+    trial costs a forward sweep.
 
     Each iterate stays in the box bitwise (produced by the clamp, never
     perturbed afterwards). A line search that halves alpha below
@@ -364,12 +377,12 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         residuals.append(resid)
         step_sizes.append(lam * alpha)
         ls_counts.append(ls_count)
-        # the spectral step from s = trial - c and y = g_new - g
-        s_u, s_v = trial.u - c.u, trial.v - c.v
-        sy = qt_inner_product(s_u, s_v, g_new.u - g.u, g_new.v - g.v, vol, dt)
-        ss = qt_inner_product(s_u, s_v, s_u, s_v, vol, dt)
+        # the short spectral step from s = trial - c and y = g_new - g
+        y_u, y_v = g_new.u - g.u, g_new.v - g.v
+        sy = qt_inner_product(trial.u - c.u, trial.v - c.v, y_u, y_v, vol, dt)
+        yy = qt_inner_product(y_u, y_v, y_u, y_v, vol, dt)
         lam = (1e6 * opts.tau0 if sy <= 0.0
-               else min(max(ss / sy, 1e-6 * opts.tau0), 1e6 * opts.tau0))
+               else min(max(sy / yy, 1e-6 * opts.tau0), 1e6 * opts.tau0))
         c, j_val, g = trial, j_trial, g_new
         if callback is not None:
             callback(len(costs) - 1, j_val, resid, step_sizes[-1], ls_count, c)
@@ -386,3 +399,39 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         termination=termination,
         exhausted_trials=exhausted_trials,
     )
+
+
+def projection_report(report: OptimizeReport, spec: CostSpec, box: BoxConstraints) -> dict:
+    """What a run's optimality verdict rests on, as optimize writes it to
+    projection_report.json: its ending, its deterministic sweep counters,
+    and per control component the projection-formula defect, the sup-norm
+    unit-step residual sup|c - P(c - g)| at the final iterate, and the bound
+    that residual puts on the defect. For a box, |c - P(c - t g)| / t does
+    not increase in t and |c - P(c - t g)| does not decrease (Calamai &
+    More, Math. Program. 39, 1987, Lemma 2.2); the defect is the case
+    t = 1 / alpha, so it is at most max(1, 1 / alpha) times the residual.
+    Defect and bound are skipped for a component whose Tikhonov weight alpha
+    is zero. Reads the report's final adjoint; runs no sweep.
+    """
+    adj = report.final_adjoint
+    controls = report.final_controls
+    defects = projection_formula_defect(controls, adj.traj, adj, spec, box)
+    residuals = [float(np.max(np.abs(diff)))
+                 for diff in _unit_step(controls, reduced_gradient(adj, spec), box)]
+    verdict = {
+        "termination": report.termination,
+        "iterations": report.iterations,
+        "final_cost": report.costs[-1],
+        "final_residual": report.residuals[-1],
+        "linesearch_trials": sum(report.linesearch_counts),
+        "exhausted_trials": report.exhausted_trials,
+        "sweeps": report.sweeps,
+    }
+    for (label, weight_name, weight), defect, resid in zip(
+            (("u", "alpha_u", spec.alpha_u), ("v", "beta_v", spec.beta_v)), defects, residuals):
+        skipped = f"skipped ({weight_name} = 0)"
+        verdict[f"unit_step_residual_{label}"] = resid
+        verdict[f"projection_defect_{label}"] = skipped if defect is None else defect
+        verdict[f"defect_bound_{label}"] = (skipped if defect is None
+                                            else max(1.0, 1.0 / weight) * resid)
+    return verdict

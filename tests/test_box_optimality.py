@@ -9,7 +9,8 @@ For a box, |c - P(c - t g)| / t does not increase in t (Calamai & More,
 Math. Program. 39, 1987, Lemma 2.2), pointwise. At t = 1 / alpha the left
 side is alpha times the projection-formula defect, so with alpha <= 1 the
 sup-norm defect is at most the sup-norm unit-step residual
-|c - P(c - g)| divided by alpha: the bound that "converged" puts on it.
+|c - P(c - g)| divided by alpha: the bound that "converged" puts on it,
+which projection_report.json states as defect_bound_u / defect_bound_v.
 """
 
 import numpy as np
@@ -19,6 +20,7 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec, Kerne
                           ModelParams, PgdOptions, ScalarField, TimeGrid, build_kernel,
                           pgd_optimize, project_box, projection_formula_defect,
                           reduced_gradient, simulate)
+from nlch_control.control import projection_report
 
 from conftest import smooth_phi0
 
@@ -76,10 +78,15 @@ def test_projection_defect_where_the_box_binds(cells, amplitude, T, steps, u_amp
     g = reduced_gradient(adj, spec)
     unit_step = project_box(ControlPair(grid, final.u - g.u, final.v - g.v), box)
     defects = projection_formula_defect(final, adj.traj, adj, spec, box)
-    for c, lower, upper, step, defect in (
-            (final.u, box.u_min, box.u_max, unit_step.u, defects[0]),
-            (final.v, box.v_min, box.v_max, unit_step.v, defects[1])):
+    # projection_report.json states the same residual, defect and bound
+    verdict = projection_report(report, spec, box)
+    for label, c, lower, upper, step, defect in (
+            ("u", final.u, box.u_min, box.u_max, unit_step.u, defects[0]),
+            ("v", final.v, box.v_min, box.v_max, unit_step.v, defects[1])):
         active = np.mean((c == lower) | (c == upper))
         assert 0.0 < active < 1.0
-        bound = float(np.max(np.abs(c - step))) / ALPHA
-        assert defect <= bound + ROUNDING_SLACK
+        residual = float(np.max(np.abs(c - step)))
+        assert verdict[f"unit_step_residual_{label}"] == residual
+        assert verdict[f"projection_defect_{label}"] == defect
+        assert verdict[f"defect_bound_{label}"] == max(1.0, 1.0 / ALPHA) * residual
+        assert defect <= verdict[f"defect_bound_{label}"] + ROUNDING_SLACK

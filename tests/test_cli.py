@@ -193,6 +193,30 @@ def test_readme_example_config_loads():
     assert cfg.data["solver"] == raw["solver"]
 
 
+def test_readme_example_report_bounds_its_defects(tmp_path, capsys):
+    # the example converges under its own max_iter, and projection_report.json
+    # states the Calamai-More bound on each defect and the sweeps that the
+    # run made
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    raw = json.loads(re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)[0])
+    path = tmp_path / "readme_example.json"
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--config", str(path), "--out", str(out), "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "projection_report.json").read_text())
+    assert report["termination"] == "converged"
+    rows = (out / "iterations.csv").read_text().splitlines()[1:]
+    trials = sum(int(row.split(",")[4]) for row in rows)
+    assert report["linesearch_trials"] == trials and report["exhausted_trials"] == 0
+    assert report["sweeps"] == 1 + trials + report["iterations"] + 1
+    for label, weight in (("u", raw["cost"]["alpha_u"]), ("v", raw["cost"]["beta_v"])):
+        assert report[f"defect_bound_{label}"] == (
+            max(1.0, 1.0 / weight) * report[f"unit_step_residual_{label}"])
+        assert report[f"projection_defect_{label}"] <= (
+            report[f"defect_bound_{label}"] + 4 * np.finfo(float).eps / weight)
+
+
 def test_config_parse_error_carries_line(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "grid": {,}\n}\n')
