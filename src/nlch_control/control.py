@@ -19,7 +19,7 @@ from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGr
 from .geometry import GridSpec, ScalarField, cell_array, qt_inner_product
 from .kernels import KernelData
 from .physics import ModelParams
-from .sensitivity import AdjointTrajectory, adjoint_sweep
+from .sensitivity import AdjointTrajectory, adjoint_sweep, step_blocks
 
 # Armijo sufficient-decrease constant of the line search
 ARMIJO_FRACTION = 1e-4
@@ -172,7 +172,10 @@ class PgdOptions:
 
 
 def cost(traj: StateTrajectory, spec: CostSpec) -> float:
-    """Evaluate the full discrete cost of a trajectory and its controls."""
+    """Evaluate the full discrete cost of a trajectory and its controls.
+
+    The running terms are squared one after another in one row-major
+    (steps, cells) scratch array, and each is summed over it."""
     spec.require_grid(traj)
     controls = traj.controls
     vol = traj.grid.cell_volume
@@ -187,36 +190,44 @@ def cost(traj: StateTrajectory, spec: CostSpec) -> float:
         total += 0.5 * spec.alpha_omega * sq_norm(traj.phi[steps] - spec.phi_omega)
     if spec.beta_omega != 0.0:
         total += 0.5 * spec.beta_omega * sq_norm(traj.sigma[steps] - spec.sigma_omega)
-    if spec.alpha_q != 0.0:
-        diff = traj.phi[:steps] - spec.phi_q
-        total += 0.5 * spec.alpha_q * dt * float(np.sum(diff * diff)) * vol
-    if spec.beta_q != 0.0:
-        diff = traj.sigma[:steps] - spec.sigma_q
-        total += 0.5 * spec.beta_q * dt * float(np.sum(diff * diff)) * vol
-    if spec.alpha_u != 0.0:
-        total += 0.5 * spec.alpha_u * dt * float(np.sum(controls.u * controls.u)) * vol
-    if spec.beta_v != 0.0:
-        total += 0.5 * spec.beta_v * dt * float(np.sum(controls.v * controls.v)) * vol
+    # (weight, values, target); x - 0.0 is x bitwise, so a control's target is 0.0
+    running = [term for term in ((spec.alpha_q, traj.phi[:steps], spec.phi_q),
+                                 (spec.beta_q, traj.sigma[:steps], spec.sigma_q),
+                                 (spec.alpha_u, controls.u, 0.0),
+                                 (spec.beta_v, controls.v, 0.0))
+               if term[0] != 0.0]
+    scratch = np.empty((steps, traj.grid.num_cells)) if running else None
+    for weight, values, target in running:
+        np.subtract(values, target, out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        total += 0.5 * weight * dt * float(np.sum(scratch)) * vol
     return total
 
 
 def reduced_gradient(adj: AdjointTrajectory, spec: CostSpec) -> ControlPair:
     """L2(Q_T) gradient of the reduced cost at the controls of adj.traj:
-    g_u[n] = -h(phi_n) p_n + alpha_u u_n,  g_v[n] = r_n + beta_v v_n."""
+    g_u[n] = -h(phi_n) p_n + alpha_u u_n,  g_v[n] = r_n + beta_v v_n.
+    h(phi) and its products are formed one step_blocks block at a time in
+    the rows of g_u."""
     traj = adj.traj
     controls = traj.controls
-    steps = traj.steps
-    g_u = -traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
-    g_u *= adj.p[:steps]
-    g_u += spec.alpha_u * controls.u
+    distribution = traj.ops.params.distribution
+    g_u = np.empty((traj.steps, traj.grid.num_cells))
+    for block in step_blocks(traj):
+        rows = g_u[block]
+        np.negative(distribution.evaluate(traj.phi[block], 0), out=rows)
+        rows *= adj.p[block]
+        rows += spec.alpha_u * controls.u[block]
     g_v = spec.beta_v * controls.v
-    g_v += adj.r[:steps]
+    g_v += adj.r[:traj.steps]
     return ControlPair(traj.grid, g_u, g_v)
 
 
-def _clamp(values: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Pointwise clamp of one control component; the bounds broadcast over the steps."""
-    clamped = np.maximum(values, lower)
+def _clamp(values: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Pointwise clamp of one control component, into out if given (values
+    itself may be out); the bounds broadcast over the steps."""
+    clamped = np.maximum(values, lower, out=out)
     return np.minimum(clamped, upper, out=clamped)
 
 
@@ -234,9 +245,14 @@ def control_inner_qt(a: ControlPair, b: ControlPair, dt: float) -> float:
 
 
 def _unit_step(c: ControlPair, g: ControlPair, box: BoxConstraints):
-    """c - P(c - g) per component."""
-    return (c.u - _clamp(c.u - g.u, box.u_min, box.u_max),
-            c.v - _clamp(c.v - g.v, box.v_min, box.v_max))
+    """c - P(c - g) per component, each formed in one array."""
+    diffs = []
+    for c_k, g_k, lower, upper in ((c.u, g.u, box.u_min, box.u_max),
+                                   (c.v, g.v, box.v_min, box.v_max)):
+        diff = c_k - g_k
+        _clamp(diff, lower, upper, out=diff)
+        diffs.append(np.subtract(c_k, diff, out=diff))
+    return tuple(diffs)
 
 
 def stationarity_residual(c: ControlPair, g: ControlPair, box: BoxConstraints,
@@ -255,18 +271,31 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
         u = min(u_max, max(alpha_u^-1 h(phi) p, u_min)),
         v = min(v_max, max(-beta_v^-1 r, v_min)).
     Returns None for a component whose Tikhonov weight vanishes (the formula
-    divides by it).
+    divides by it). Both targets are formed in one (steps, cells) array,
+    h(phi) p one step_blocks block at a time.
     """
+    steps = traj.steps
+    target = np.empty((steps, traj.grid.num_cells))
+
+    def sup_defect(c_k: np.ndarray, lower: np.ndarray, upper: np.ndarray) -> float:
+        """sup |c_k - P(target)|, formed in target."""
+        _clamp(target, lower, upper, out=target)
+        np.subtract(c_k, target, out=target)
+        return float(np.max(np.abs(target, out=target)))
+
     defect_u = None
     defect_v = None
-    steps = traj.steps
     if spec.alpha_u > 0.0:
-        distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
-        target = distrib * adj.p[:steps] / spec.alpha_u
-        defect_u = float(np.max(np.abs(controls.u - _clamp(target, box.u_min, box.u_max))))
+        distribution = traj.ops.params.distribution
+        for block in step_blocks(traj):
+            rows = target[block]
+            np.multiply(distribution.evaluate(traj.phi[block], 0), adj.p[block], out=rows)
+            rows /= spec.alpha_u
+        defect_u = sup_defect(controls.u, box.u_min, box.u_max)
     if spec.beta_v > 0.0:
-        target = -adj.r[:steps] / spec.beta_v
-        defect_v = float(np.max(np.abs(controls.v - _clamp(target, box.v_min, box.v_max))))
+        np.negative(adj.r[:steps], out=target)
+        target /= spec.beta_v
+        defect_v = sup_defect(controls.v, box.v_min, box.v_max)
     return defect_u, defect_v
 
 
@@ -298,8 +327,11 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     SolverError naming k. Every forward sweep runs under blowup_guard, as in
     simulate.
 
-    Between iterations the run holds the iterate, its gradient and adjoint;
-    a line search adds d and one trial with its trajectory.
+    Between iterations the run holds the iterate, its gradient and adjoint
+    (whose trajectory is the iterate's); a line search adds d and one trial
+    with its trajectory. Once a trial is accepted, the old iterate's adjoint
+    and trajectory are dropped before the trial's adjoint sweep, so that
+    sweep runs beside the old iterate's controls and gradient only.
 
     callback, if given, receives (iteration, cost, residual, step_size,
     linesearch_count, iterate) after the starting point and every accepted
@@ -371,6 +403,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
             termination = "flat_gradient"
             exhausted_trials = ls_count
             break
+        del adj  # the old iterate's adjoint and trajectory, before the new sweep
         adj, g_new, resid = gradient(len(costs), traj, j_trial)
         trial = traj.controls
         costs.append(j_trial)
@@ -381,6 +414,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         y_u, y_v = g_new.u - g.u, g_new.v - g.v
         sy = qt_inner_product(trial.u - c.u, trial.v - c.v, y_u, y_v, vol, dt)
         yy = qt_inner_product(y_u, y_v, y_u, y_v, vol, dt)
+        del y_u, y_v  # released before the next line search
         lam = (1e6 * opts.tau0 if sy <= 0.0
                else min(max(sy / yy, 1e-6 * opts.tau0), 1e6 * opts.tau0))
         c, j_val, g = trial, j_trial, g_new

@@ -59,26 +59,30 @@ def trajectory_qt_norm(xi: np.ndarray, rho: np.ndarray, grid, dt: float) -> floa
 
 def _rerun(base: StateTrajectory, direction: ControlPair, eps: float) -> StateTrajectory:
     """simulate under base's controls + eps direction, with base's initial
-    state, operators, time grid and guard."""
+    state, operators, time grid and guard. Each perturbed component is
+    formed as eps direction, to which the control is added in place."""
     start = base.state(0)
-    controls = base.controls
-    perturbed = ControlPair(base.grid, controls.u + eps * direction.u,
-                            controls.v + eps * direction.v)
+    u = eps * direction.u
+    u += base.controls.u
+    v = eps * direction.v
+    v += base.controls.v
+    perturbed = ControlPair(base.grid, u, v)
     return simulate(start.phi, start.sigma, perturbed, base.ops.params, base.ops.kernel,
                     base.tgrid, blowup_guard=base.blowup_guard, record_monitors=False)
 
 
 def _taylor_remainder(base: StateTrajectory, tangent: TangentTrajectory,
                       direction: ControlPair, eps: float) -> float:
-    """|| S(c + eps d) - S(c) - eps T(d) ||_QT. Each remainder is formed in
-    place as (a - b) - c, and the perturbed trajectory is dropped before the
-    norm is taken."""
+    """|| S(c + eps d) - S(c) - eps T(d) ||_QT. Each remainder is formed as
+    (a - b) - c inside the perturbed run's own state arrays, once the rest
+    of that run (its controls) is dropped."""
     traj = _rerun(base, direction, eps)
-    rem_phi = traj.phi - base.phi
-    rem_phi -= eps * tangent.xi
-    rem_sigma = traj.sigma - base.sigma
-    rem_sigma -= eps * tangent.rho
+    rem_phi, rem_sigma = traj.phi, traj.sigma
     del traj
+    rem_phi -= base.phi
+    rem_phi -= eps * tangent.xi
+    rem_sigma -= base.sigma
+    rem_sigma -= eps * tangent.rho
     return trajectory_qt_norm(rem_phi, rem_sigma, base.grid, base.tgrid.dt)
 
 
@@ -129,9 +133,10 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                   corrupt_adjoint: bool = False) -> GradcheckResult:
     """Full verification sweep from one seeded generator.
 
-    The base trajectory, its adjoint and the reduced gradient are computed
-    once and shared by every duality, finite-difference and Taylor probe;
-    every forward sweep runs under blowup_guard, as in simulate.
+    The base trajectory is computed once and shared by every probe; its
+    reduced gradient is formed after the duality probes, which do not read
+    it, and released before the Taylor probes. Every forward sweep runs
+    under blowup_guard, as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient by 0.1% plus an offset before the FD comparison, which a healthy
     check must flag.
@@ -143,9 +148,6 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     steps = tgrid.steps
     base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
                     blowup_guard=blowup_guard, record_monitors=False)
-    grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
-    if corrupt_adjoint:
-        grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
 
     # every probe draws its arrays as it starts (direction u, v, then the
     # seeds) and drops them when it ends
@@ -154,6 +156,9 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                         rng.standard_normal(seed_shape), rng.standard_normal(seed_shape))
             for _ in range(n_duality)]
 
+    grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
+    if corrupt_adjoint:
+        grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
     per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)
                       for _ in range(n_fd)]
     fd_table = tuple(

@@ -38,6 +38,7 @@ dense operator from it as a reference; both forms agree with it to relative
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -239,18 +240,37 @@ def _apply_factors(factors: tuple[np.ndarray, ...], values: np.ndarray,
     return (t0 @ values.reshape(grid.cells_per_axis) @ t1).reshape(-1)
 
 
+def _largest_tables(spec: KernelSpec, grid: GridSpec) -> int:
+    """float64 values of the largest tables build_kernel holds together: the
+    two Toeplitz factors of the 2D Gaussian; on every other grid the full tap
+    table and, without dense operators, the spectrum at the longest transform
+    any reach can need (R = n - 1), two values per complex entry."""
+    cells = grid.cells_per_axis
+    if spec.family == "gaussian" and grid.dim == 2:
+        return sum(n * n for n in cells)
+    values = math.prod(2 * n - 1 for n in cells)
+    if not uses_dense_operators(grid):
+        shape = _fft_shape(grid, tuple(n - 1 for n in cells))
+        values += 2 * math.prod(shape[:-1]) * (shape[-1] // 2 + 1)
+    return values
+
+
 def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
     """Sample the kernel on the grid, keep the form its structure allows and
     derive a = J*1.
 
     Rejects widths below half a cell spacing: such kernels alias (the grid
-    cannot resolve them).
+    cannot resolve them). Asks numpy for its largest tables (never written)
+    before it samples or writes any smaller one, so a grid whose tables do
+    not fit raises MemoryError (ValueError past numpy's index range) before
+    anything grows with the cells per axis.
     """
     if spec.width < 0.5 * max(grid.spacing):
         raise KernelResolutionError(
             f"kernel width {spec.width} under-resolved on spacing {grid.spacing}; "
             "need width >= spacing / 2"
         )
+    np.empty(_largest_tables(spec, grid))
     factors = spectrum = fft_shape = None
     if spec.family == "gaussian" and grid.dim == 2:
         factors = _gaussian_factors(spec, grid)

@@ -134,20 +134,24 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
+def step_blocks(traj: StateTrajectory) -> list[slice]:
+    """The blocks of steps, in time order, that every whole-trajectory
+    evaluation of pointwise factors takes at once: as many steps as fit in
+    LINEARISE_CHUNK_VALUES values per array, and at least one."""
+    rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
+    return [slice(start, min(start + rows, traj.steps)) for start in range(0, traj.steps, rows)]
+
+
 def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
     """Yield (n, linearise_step of step n) for every step of traj, in time
-    order or reversed. The linearisation is evaluated a block of steps at a
-    time: as many steps as fit in LINEARISE_CHUNK_VALUES values per array,
-    and at least one."""
-    rows = max(1, LINEARISE_CHUNK_VALUES // traj.grid.num_cells)
-    starts = range(0, traj.steps, rows)
-    for start in (reversed(starts) if reverse else starts):
-        block = slice(start, min(start + rows, traj.steps))
+    order or reversed, linearising one step_blocks block at a time."""
+    blocks = step_blocks(traj)
+    for block in (reversed(blocks) if reverse else blocks):
         lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
                              traj.controls.u[block])
-        offsets = range(block.stop - start)
+        offsets = range(block.stop - block.start)
         for k in (reversed(offsets) if reverse else offsets):
-            yield start + k, tuple(factor[k] for factor in lin)
+            yield block.start + k, tuple(factor[k] for factor in lin)
 
 
 def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:

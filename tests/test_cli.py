@@ -608,6 +608,47 @@ def test_grid_beyond_memory_is_a_collected_failure(tmp_path, capsys, cells):
     assert "grid.cells" in capsys.readouterr().err
 
 
+# runs `validate` after capping its own address space at what it has mapped
+# plus LIMIT_BYTES; prints the exit code and the peak RSS in kB as JSON
+_VALIDATE_UNDER_LIMIT = """
+import json, resource, sys
+from nlch_control.cli import main
+with open("/proc/self/statm") as statm:
+    mapped = int(statm.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS,
+                   (mapped + int(sys.argv[1]), resource.getrlimit(resource.RLIMIT_AS)[1]))
+code = main(["validate", "--config", sys.argv[2]])
+print(json.dumps([code, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss]))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/statm")
+def test_kernel_tables_beyond_memory_are_refused_before_any_is_written(tmp_path):
+    # one field of cells [1e8, 2] (1.6 GB) is granted lazily, but the 2D
+    # Gaussian's 1e8 x 1e8 Toeplitz factor is not: build_kernel asks for it
+    # before it samples the 2e8 per-axis offsets and taps (1.6 GB each), so
+    # validate ends with the collected failure and writes no large table.
+    # The limit (what the child has mapped plus 1.75 GiB) grants the field
+    # probe and no second 1.6 GB table, so a build that writes its offsets
+    # first ends at about 1.6 GB of RSS instead of taking the machine's memory
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"grid": {"cells": [1e8, 2], "extent": [1.0, 0.1]},
+                                "kernel": {"family": "gaussian", "amplitude": 4.0,
+                                           "width": 0.2}}))
+    src = str(Path(nlch_control.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", _VALIDATE_UNDER_LIMIT, str(int(1.75 * 2**30)),
+                          str(path)], cwd=tmp_path, env=env, capture_output=True, text=True,
+                         check=True, timeout=120)
+    code, peak_kb = json.loads(out.stdout)
+    assert code == EXIT_VALIDATION
+    assert out.stderr.startswith("error: invalid configuration:\n  - grid.cells [100000000, 2]: "
+                                 "the grid does not fit in memory (")
+    # about 33 MB (the interpreter and numpy) where this was measured
+    assert peak_kb < 200 * 1024
+
+
 @pytest.mark.parametrize("command", ["gradcheck", "validate"])
 def test_out_flag_only_where_a_command_writes(tmp_path, command):
     path = write_cfg(tmp_path)

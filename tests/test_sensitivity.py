@@ -409,16 +409,22 @@ def test_fd_plateau_propagates_nan(monkeypatch, base_setup, grid1d, kernel1d, pa
     assert not result.passed
 
 
-@pytest.mark.parametrize("cells, steps", [((64, 64), 10), ((32, 32), 40)], ids=["64x64-10", "32x32-40"])
-def test_gradcheck_peak_traced_memory(cells, steps):
+@pytest.mark.parametrize("cells, steps, bound", [((64, 64), 10, 14.5), ((32, 32), 40, 12.4)],
+                         ids=["64x64-10", "32x32-40"])
+def test_gradcheck_peak_traced_memory(cells, steps, bound):
     # the gradcheck-2d model, two probes of each kind (so each kind draws
     # again after a probe has run): every probe draws its direction (and
     # seeds) as it starts and drops them when it ends, the reduced gradient
-    # goes before the Taylor probes, and each remainder is formed in place
-    # after its perturbed trajectory is gone; about 13 (steps + 1, cells)
-    # arrays. Holding every FD direction to the end, each duality probe's
-    # arrays into the next draw and the whole-trajectory h(phi) factor of
-    # the VJP read 24.7 and 24.2 here (26.7 and 26.1 with 20, 3 and 3 probes).
+    # is formed after the duality probes and goes before the Taylor probes,
+    # each perturbed control is eps d plus c in one array, and each Taylor
+    # remainder is formed inside its perturbed run's state arrays. The peak,
+    # in the FD and Taylor probes, measured 13.25 and 11.12 (steps + 1,
+    # cells) arrays with numpy 2.4.6; each bound leaves 1.25 arrays for
+    # other numpy versions (the 2.0.2 floor was not measured). The gradient formed
+    # before the duality probes and fresh arrays for each perturbed control
+    # and remainder read 14.79 and 13.02; holding every FD direction to the
+    # end, each duality probe's arrays into the next draw and the
+    # whole-trajectory h(phi) factor of the VJP read 24.7 and 24.2.
     import tracemalloc
 
     from nlch_control import config_from_dict
@@ -455,4 +461,4 @@ def test_gradcheck_peak_traced_memory(cells, steps):
     finally:
         tracemalloc.stop()
     assert result.passed
-    assert peak <= 17 * (steps + 1) * grid.num_cells * 8
+    assert peak <= bound * (steps + 1) * grid.num_cells * 8
