@@ -37,7 +37,7 @@ from .errors import FieldShapeError, InstabilityError, StaleTrajectoryError
 from .geometry import (GridSpec, ScalarField, cell_array, inner_product, laplacian_array,
                        mass, uses_dense_operators)
 from .kernels import KernelData, convolve_array
-from .physics import POTENTIAL, ModelParams, require_ellipticity
+from .physics import POTENTIAL, ModelParams, rates_with_slopes, require_ellipticity
 from .solvers import ShiftedLaplacianSolver, dense_laplacian_matrix
 
 DEFAULT_BLOWUP_GUARD = 10.0
@@ -196,12 +196,18 @@ def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelP
     )
 
 
+def _mu_and_gap(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
+                j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu and gap = sigma + chi (1 - phi) - mu, given j_phi = J*phi."""
+    mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
+    return mu, sigma + params.chi * (1.0 - phi) - mu
+
+
 def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
                 j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The explicit factors of one step: mu, gap = sigma + chi (1 - phi) - mu,
-    P(phi) and h(phi), given j_phi = J*phi."""
-    mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
-    gap = sigma + params.chi * (1.0 - phi) - mu
+    """The explicit factors of one step: mu, gap, P(phi) and h(phi), given
+    j_phi = J*phi."""
+    mu, gap = _mu_and_gap(params, kernel, phi, sigma, j_phi)
     prolif = params.proliferation.evaluate(phi, 0)
     distrib = (prolif if params.distribution_is_proliferation
                else params.distribution.evaluate(phi, 0))
@@ -211,8 +217,9 @@ def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
 def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
                    u: np.ndarray) -> tuple[np.ndarray, ...]:
     """What the tangent and adjoint of a block of steps need from their base
-    points: (gap, P, P', h, h' u, F''), recomputed from the states and the
-    controls.
+    points: (P, h, h' u, P' gap, A F'' + B a), recomputed from the states and
+    the controls. The last two are the only factors that read the
+    convolution J*phi.
 
     phi, sigma and u are the rows of the block, shape (rows, cells); the
     factors come back in that shape. Uses the forward step's own expressions
@@ -221,12 +228,10 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     """
     params = ops.params
     j_phi = np.array([ops.conv(row) for row in phi])
-    _, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
-    prolif_d = params.proliferation.evaluate(phi, 1)
-    distrib_d = (prolif_d if params.distribution_is_proliferation
-                 else params.distribution.evaluate(phi, 1))
-    f2 = POTENTIAL.evaluate(phi, 2)
-    return gap, prolif, prolif_d, distrib, distrib_d * u, f2
+    _, gap = _mu_and_gap(params, ops.kernel, phi, sigma, j_phi)
+    prolif, prolif_d, distrib, distrib_d = rates_with_slopes(params, phi)
+    return (prolif, distrib, distrib_d * u, prolif_d * gap,
+            params.A * POTENTIAL.evaluate(phi, 2) + params.B * ops.kernel.a)
 
 
 def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,

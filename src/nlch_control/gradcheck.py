@@ -16,7 +16,8 @@ from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGr
 from .geometry import ScalarField, qt_inner_product
 from .kernels import KernelData
 from .physics import ModelParams
-from .sensitivity import TangentTrajectory, adjoint_sweep, duality_gap, tangent_sweep
+from .sensitivity import (TangentTrajectory, adjoint_sweep, duality_gap, hold_linearisation,
+                          tangent_sweep)
 
 DUALITY_TOL = 1e-10
 FD_PLATEAU_TOL = 1e-5
@@ -133,10 +134,13 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
                   corrupt_adjoint: bool = False) -> GradcheckResult:
     """Full verification sweep from one seeded generator.
 
-    The base trajectory is computed once and shared by every probe; its
-    reduced gradient is formed after the duality probes, which do not read
-    it, and released before the Taylor probes. Every forward sweep runs
-    under blowup_guard, as in simulate.
+    The base trajectory is computed once and shared by every probe. The
+    duality probes and the gradient's adjoint sweep all run along it, so
+    they read its convolution-bearing linearisation factors from one
+    hold_linearisation, dropped before the FD probes. The reduced gradient
+    is formed after the duality probes, which do not read it, and released
+    before the Taylor probes. Every forward sweep runs under blowup_guard,
+    as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient by 0.1% plus an offset before the FD comparison, which a healthy
     check must flag.
@@ -149,14 +153,22 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     base = simulate(phi0, sigma0, controls, params, kernel, tgrid,
                     blowup_guard=blowup_guard, record_monitors=False)
 
-    # every probe draws its arrays as it starts (direction u, v, then the
-    # seeds) and drops them when it ends
-    shape, seed_shape = (steps, grid.num_cells), (steps + 1, grid.num_cells)
-    gaps = [duality_gap(base, rng.standard_normal(shape), rng.standard_normal(shape),
-                        rng.standard_normal(seed_shape), rng.standard_normal(seed_shape))
+    held = hold_linearisation(base)
+    # each duality probe draws its direction u, v, then the seeds, into
+    # buffers the duality phase reuses (fresh arrays each probe are trimmed
+    # from the heap and faulted in again); FD and Taylor probes draw their
+    # direction as they start and drop it when they end
+    steps_shape, seed_shape = (steps, grid.num_cells), (steps + 1, grid.num_cells)
+    probe = (np.empty(steps_shape), np.empty(steps_shape), np.empty(seed_shape),
+             np.empty(seed_shape))
+    gaps = [duality_gap(base, *[rng.standard_normal(out=buffer) for buffer in probe], held)
             for _ in range(n_duality)]
+    del probe
 
-    grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
+    adjoint = adjoint_sweep(base, spec, params, kernel, held)
+    del held  # the FD and Taylor probes run without it; Taylor tangents linearise afresh
+    grad = reduced_gradient(adjoint, spec)
+    del adjoint
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
     per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)

@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import KernelResolutionError
 from .geometry import GridSpec, cell_array, uses_dense_operators
@@ -200,24 +201,19 @@ def _apply_spectrum(spectrum: np.ndarray, reach: tuple[int, ...],
     return full[window].reshape(-1)
 
 
-def _toeplitz(taps: np.ndarray, n: int) -> np.ndarray:
-    """Matrix M[i, j] = taps[i - j + n - 1] of a 1D tap table over offsets."""
-    idx = np.arange(n)
-    return taps[idx[:, None] - idx[None, :] + (n - 1)]
+def _toeplitz(taps: np.ndarray, cells: tuple[int, ...]) -> np.ndarray:
+    """Matrix M[i, j] = taps[i - j + n - 1], per axis over the row-major
+    multi-indices i, j of the cells, of a tap table over offsets
+    -(n - 1) .. n - 1: a strided view of the reversed taps, copied only to
+    flatten more than one axis."""
+    flip = (slice(None, None, -1),) * len(cells)
+    n = math.prod(cells)
+    return sliding_window_view(taps[flip], cells)[flip].reshape(n, n)
 
 
 def _taps_matrix(taps: np.ndarray, grid: GridSpec) -> np.ndarray:
     """Dense operator matrix of a tap table: K[i, j] = J(x_i - x_j) * cell_volume."""
-    if grid.dim == 1:
-        return _toeplitz(taps, grid.cells_per_axis[0]) * grid.cell_volume
-    n0, n1 = grid.cells_per_axis
-    i0 = np.arange(n0)
-    i1 = np.arange(n1)
-    off0 = i0[:, None] - i0[None, :] + (n0 - 1)
-    off1 = i1[:, None] - i1[None, :] + (n1 - 1)
-    mat = taps[off0[:, None, :, None], off1[None, :, None, :]]
-    n = grid.num_cells
-    return mat.reshape(n, n) * grid.cell_volume
+    return _toeplitz(taps, grid.cells_per_axis) * grid.cell_volume
 
 
 def _gaussian_factors(spec: KernelSpec, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -226,8 +222,8 @@ def _gaussian_factors(spec: KernelSpec, grid: GridSpec) -> tuple[np.ndarray, np.
     Both are symmetric."""
     unit = dataclasses.replace(spec, amplitude=1.0)
     (o0, o1), (n0, n1), (h0, h1) = _axis_offsets(grid), grid.cells_per_axis, grid.spacing
-    return (_toeplitz(spec.evaluate_r2(o0 * o0), n0) * h0,
-            _toeplitz(unit.evaluate_r2(o1 * o1), n1) * h1)
+    return (_toeplitz(spec.evaluate_r2(o0 * o0), (n0,)) * h0,
+            _toeplitz(unit.evaluate_r2(o1 * o1), (n1,)) * h1)
 
 
 def _apply_factors(factors: tuple[np.ndarray, ...], values: np.ndarray,
@@ -286,10 +282,17 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
             fft_shape = _fft_shape(grid, reach)
             spectrum = _tap_spectrum(taps, grid, reach, fft_shape)
     ones = np.ones(grid.num_cells)
-    if factors is not None:
+    if factors is None:
+        j_one = _apply_spectrum(spectrum, reach, fft_shape, ones, grid)
+    elif len(factors) == 1:
         j_one = _apply_factors(factors, ones, grid)
     else:
-        j_one = _apply_spectrum(spectrum, reach, fft_shape, ones, grid)
+        # _apply_factors with the second product written over the ones, so
+        # that the build holds at most two fields beside the factors
+        t0, t1 = factors
+        field_ones = ones.reshape(grid.cells_per_axis)
+        np.matmul(t0 @ field_ones, t1, out=field_ones)
+        j_one = ones
     # clip quadrature noise, never sign changes
     return KernelData(spec=spec, grid=grid, reach=reach, factors=factors,
                       spectrum=spectrum, a=np.maximum(j_one, 0.0), fft_shape=fft_shape)

@@ -54,12 +54,27 @@ def _ramp(s: np.ndarray, order: int) -> np.ndarray:
     q'(t) = 30 t^2 (1 - t)^2 is already cancellation-free.
     """
     t = np.clip((s + 1.0) * 0.5, 0.0, 1.0)
-    if order == 0:
-        near = np.minimum(t, 1.0 - t)
-        q_near = near * near * near * (10.0 + near * (-15.0 + 6.0 * near))
-        return np.where(t <= 0.5, q_near, 1.0 - q_near)
+    return _ramp_value(t) if order == 0 else _ramp_slope(s, t)
+
+
+def _ramp_value(t: np.ndarray) -> np.ndarray:
+    """The ramp at the clipped t = clip((s + 1) / 2, 0, 1)."""
+    near = np.minimum(t, 1.0 - t)
+    q_near = near * near * near * (10.0 + near * (-15.0 + 6.0 * near))
+    return np.where(t <= 0.5, q_near, 1.0 - q_near)
+
+
+def _ramp_slope(s: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The ramp's derivative at s, given t = clip((s + 1) / 2, 0, 1)."""
     # clamped regions are exactly flat
     return np.where((s <= -1.0) | (s >= 1.0), 0.0, 30.0 * t * t * (1.0 - t) ** 2 * 0.5)
+
+
+def _ramp_with_slope(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ramp and its derivative at s from one clip: bitwise _ramp(s, 0)
+    and _ramp(s, 1)."""
+    t = np.clip((s + 1.0) * 0.5, 0.0, 1.0)
+    return _ramp_value(t), _ramp_slope(s, t)
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,22 @@ class ModelParams:
         constant_zero P, same_as_p still makes h the ramp."""
         return (self.distribution.family == "same_as_p"
                 and self.proliferation.family == "smoothed_ramp")
+
+
+def rates_with_slopes(params: ModelParams, s: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(P, P', h, h') at s, what a linearisation reads, with each ramp
+    clipped once: bitwise the evaluate(s, 0) and evaluate(s, 1) of
+    params.proliferation and params.distribution."""
+    if params.proliferation.family == "constant_zero":
+        prolif = (np.zeros_like(s), np.zeros_like(s))
+    else:
+        prolif = _ramp_with_slope(s)
+    if params.distribution_is_proliferation:
+        return *prolif, *prolif
+    if params.distribution.family == "constant_one":
+        return *prolif, np.ones_like(s), np.zeros_like(s)
+    return *prolif, *_ramp_with_slope(s)
 
 
 def ellipticity_margin(params: ModelParams, kernel: KernelData) -> float:

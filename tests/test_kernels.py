@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -242,3 +243,37 @@ def test_convolution_at_dense_crossover(rng, cells):
     f = rng.standard_normal(cells)
     direct = convolution_matrix(k) @ f
     assert np.max(np.abs(convolve_array(k, f) - direct)) <= 1e-12 * np.max(np.abs(direct))
+
+
+@pytest.mark.parametrize("cells", [(256, 256), (256, 192)])
+def test_gaussian_2d_build_peaks_at_its_factors_and_two_fields(cells):
+    # each Toeplitz factor is scaled straight from a strided view of the
+    # taps, and a = J*1 writes its second product over the field of ones, so
+    # beside the two factors the build holds two fields (the ones, then a)
+    # and a one-byte finiteness mask per cell: 2.13 fields over the factors
+    # with numpy 2.4.6, and the bound leaves 0.37 for other numpy versions.
+    # Two index arrays per factor and the ones, the intermediate and J*1
+    # held together read 3.13 fields over the factors.
+    import tracemalloc
+
+    grid = GridSpec(cells, (1.0, 0.75))
+    tracemalloc.start()
+    try:
+        kernel = build_kernel(KernelSpec("gaussian", 3.0, 0.1), grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= sum(t.nbytes for t in kernel.factors) + 2.5 * grid.num_cells * 8
+
+
+@pytest.mark.parametrize("cells", [(5,), (4, 3)])
+def test_toeplitz_matches_the_entrywise_rule(rng, cells):
+    # the strided view, reshaped, against M[i, j] = taps[i - j + n - 1] per
+    # axis over row-major multi-indices, entry by entry
+    from nlch_control.kernels import _toeplitz
+
+    taps = rng.standard_normal(tuple(2 * n - 1 for n in cells))
+    indices = list(itertools.product(*(range(n) for n in cells)))
+    expected = [[taps[tuple(a - b + n - 1 for a, b, n in zip(i, j, cells))] for j in indices]
+                for i in indices]
+    assert np.array_equal(_toeplitz(taps, cells), np.array(expected))

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,19 @@ def test_margin_linear_in_nonlocal_weight():
     m1 = ellipticity_margin(ModelParams(A=1.0, B=1.0), kernel)
     m2 = ellipticity_margin(ModelParams(A=1.0, B=2.0), kernel)
     assert m2 - m1 == pytest.approx(min_a, rel=1e-12)
+
+
+@pytest.mark.parametrize("proliferation, distribution", itertools.product(
+    ("smoothed_ramp", "constant_zero"), ("same_as_p", "constant_one")))
+def test_rates_with_slopes_are_the_evaluations(proliferation, distribution):
+    # one clip per ramp gives the bits of evaluate(s, 0) and evaluate(s, 1),
+    # at the seams and in the clamped regions too
+    from nlch_control.physics import rates_with_slopes
+
+    params = ModelParams(A=1.0, B=1.0, proliferation=ProliferationSpec(proliferation),
+                         distribution=DistributionSpec(distribution))
+    s = np.concatenate([np.linspace(-1.5, 1.5, 61), [-1.0, 0.0, 1.0, -0.0, 1e-17]]).reshape(3, -1)
+    expected = [spec.evaluate(s, order) for spec in (params.proliferation, params.distribution)
+                for order in (0, 1)]
+    for got, want in zip(rates_with_slopes(params, s), expected, strict=True):
+        assert got.shape == s.shape and got.tobytes() == want.tobytes()
