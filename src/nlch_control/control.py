@@ -13,7 +13,7 @@ from dataclasses import KW_ONLY, dataclass, field
 
 import numpy as np
 
-from .errors import FieldShapeError, HypothesisViolationError, SolverError
+from .errors import FieldShapeError, HypothesisViolationError, InstabilityError, SolverError
 from .forward import (DEFAULT_BLOWUP_GUARD, ControlPair, StateTrajectory, TimeGrid,
                       simulate)
 from .geometry import GridSpec, ScalarField, cell_array, qt_inner_product
@@ -325,7 +325,8 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
     raising; its trial count is the report's exhausted_trials. An accepted
     iterate k (k = 0 is the start) with a non-finite cost or residual raises
     SolverError naming k. Every forward sweep runs under blowup_guard, as in
-    simulate.
+    simulate; a trial that trips it raises InstabilityError naming the
+    iteration, the trial, its step lambda alpha and the box.
 
     Between iterations the run holds the iterate, its gradient and adjoint
     (whose trajectory is the iterate's); a line search adds d and one trial
@@ -360,9 +361,9 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                               f"{resid!r} is not finite")
         return adj, g, resid
 
-    def line_search(c: ControlPair, g: ControlPair, lam: float, j_val: float):
-        """(alpha, trials, trajectory, cost) of the accepted trial; alpha is
-        None when the search is exhausted."""
+    def line_search(k: int, c: ControlPair, g: ControlPair, lam: float, j_val: float):
+        """(alpha, trials, trajectory, cost) of the accepted trial for
+        iterate k; alpha is None when the search is exhausted."""
         d_u = _clamp(c.u - lam * g.u, box.u_min, box.u_max) - c.u
         d_v = _clamp(c.v - lam * g.v, box.v_min, box.v_max) - c.v
         slope = qt_inner_product(g.u, g.v, d_u, d_v, vol, dt)
@@ -370,9 +371,19 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         trials = 0
         while alpha >= ALPHA_FLOOR:
             trials += 1
-            traj, j_trial = run(ControlPair(c.grid,
-                                            _clamp(c.u + alpha * d_u, box.u_min, box.u_max),
-                                            _clamp(c.v + alpha * d_v, box.v_min, box.v_max)))
+            try:
+                traj, j_trial = run(ControlPair(
+                    c.grid, _clamp(c.u + alpha * d_u, box.u_min, box.u_max),
+                    _clamp(c.v + alpha * d_v, box.v_min, box.v_max)))
+            except InstabilityError as exc:
+                raise InstabilityError(
+                    f"PGD iteration {k}, line-search trial {trials}: the sweep of the trial "
+                    f"at step lambda*alpha = {lam * alpha:.3g} within the box "
+                    f"u in [{box.u_min.min():.3g}, {box.u_max.max():.3g}], "
+                    f"v in [{box.v_min.min():.3g}, {box.v_max.max():.3g}] tripped the "
+                    f"blow-up guard at step {exc.step} (|phi| {exc.sup_norm:.3g}, guard "
+                    f"{exc.guard:.3g}); lower tau0 or narrow the box",
+                    step=exc.step, sup_norm=exc.sup_norm, guard=exc.guard) from exc
             if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
                 return alpha, trials, traj, j_trial
             del traj  # released before the next trial's sweep
@@ -398,7 +409,7 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
         if resid <= opts.tol:
             termination = "converged"
             break
-        alpha, ls_count, traj, j_trial = line_search(c, g, lam, j_val)
+        alpha, ls_count, traj, j_trial = line_search(len(costs), c, g, lam, j_val)
         if alpha is None:
             termination = "flat_gradient"
             exhausted_trials = ls_count

@@ -21,6 +21,13 @@ phi0 and sigma0) or leaves (StateTrajectory.state).
 The phi solve is symmetrised through y = c (phi' - phi):
     [diag(1/(dt c)) - Lap] y = Lap mu + S_phi,   phi' = phi + y / c.
 
+A term whose coefficient is zero is not evaluated. With chi = 0, the model
+without chemotaxis, the step, the energy and the linearisation skip
+-chi sigma, +chi (1 - phi), -chi Lap phi' and chi sigma (1 - phi). Each is
+then a signed zero, whose addition leaves every nonzero value as it is, so
+the results keep their bits; with chi > 0 every expression is evaluated in
+the order written above. P(phi) gap is formed once per step.
+
 StepOperators holds every operator a step applies. On a 1D grid of at most
 geometry.DENSE_MAX_CELLS cells each one is a dense matrix (the Laplacian L
 here, the convolution on the kernel, the two solves as symmetrised
@@ -173,13 +180,13 @@ def step_operators(grid: GridSpec, params: ModelParams, kernel: KernelData,
 def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
                        blowup_guard: float) -> None:
     """Raise InstabilityError when |phi| passes the guard or a field is not finite."""
-    sup = float(np.max(np.abs(phi_new)))
+    sup = float(np.abs(phi_new).max())
     if sup > blowup_guard:
         raise InstabilityError(
             f"step {n}: |phi| reached {sup:.3g} > guard {blowup_guard:.3g}; reduce dt",
             step=n, sup_norm=sup, guard=blowup_guard,
         )
-    if not (np.isfinite(sup) and np.all(np.isfinite(sigma_new))):
+    if not (np.isfinite(sup) and np.isfinite(sigma_new).all()):
         raise InstabilityError(
             f"step {n}: phi or sigma is not finite; reduce dt or check the initial data",
             step=n, sup_norm=sup, guard=blowup_guard,
@@ -188,19 +195,22 @@ def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
 
 def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelParams,
                               kernel: KernelData, j_phi: np.ndarray) -> np.ndarray:
-    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma, given j_phi = J*phi."""
-    return (
-        params.A * POTENTIAL.evaluate(phi, 1)
-        + params.B * (kernel.a * phi - j_phi)
-        - params.chi * sigma
-    )
+    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma, given j_phi = J*phi;
+    the chi term only when chi is non-zero."""
+    mu = params.A * POTENTIAL.evaluate(phi, 1) + params.B * (kernel.a * phi - j_phi)
+    if params.chi:
+        mu -= params.chi * sigma
+    return mu
 
 
 def _mu_and_gap(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
                 j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mu and gap = sigma + chi (1 - phi) - mu, given j_phi = J*phi."""
+    """mu and gap = sigma + chi (1 - phi) - mu, given j_phi = J*phi; the chi
+    term only when chi is non-zero."""
     mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
-    return mu, sigma + params.chi * (1.0 - phi) - mu
+    if params.chi:
+        return mu, sigma + params.chi * (1.0 - phi) - mu
+    return mu, sigma - mu
 
 
 def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
@@ -241,14 +251,16 @@ def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     params = ops.params
     mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
 
-    source_phi = prolif * gap - distrib * u
-    rhs_phi = ops.lap(mu) + source_phi
-    w = ops.solve_phi_increment(rhs_phi)
-    phi_new = phi + w
+    prolif_gap = prolif * gap
+    rhs_phi = ops.lap(mu) + (prolif_gap - distrib * u)
+    phi_new = phi + ops.solve_phi_increment(rhs_phi)
 
-    rhs_sigma = sigma / ops.dt - params.chi * ops.lap(phi_new) - prolif * gap + v
-    sigma_new = ops.solve_sigma(rhs_sigma)
-    return phi_new, sigma_new
+    rhs_sigma = sigma / ops.dt
+    if params.chi:
+        rhs_sigma -= params.chi * ops.lap(phi_new)
+    rhs_sigma -= prolif_gap
+    rhs_sigma += v
+    return phi_new, ops.solve_sigma(rhs_sigma)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,7 +394,9 @@ def free_energy(phi: np.ndarray, sigma: np.ndarray, params: ModelParams, kernel:
         j_phi = convolve_array(kernel, phi)
     nonlocal_term = 0.5 * params.B * (inner_product(kernel.a * phi, phi, vol)
                                       - inner_product(j_phi, phi, vol))
-    coupling = 0.5 * sigma * sigma + params.chi * sigma * (1.0 - phi)
+    coupling = 0.5 * sigma * sigma
+    if params.chi:
+        coupling += params.chi * sigma * (1.0 - phi)
     return bulk + nonlocal_term + float(np.sum(coupling)) * vol
 
 

@@ -53,8 +53,15 @@ def _ramp(s: np.ndarray, order: int) -> np.ndarray:
     polynomial cancels catastrophically there); the derivative
     q'(t) = 30 t^2 (1 - t)^2 is already cancellation-free.
     """
-    t = np.clip((s + 1.0) * 0.5, 0.0, 1.0)
+    t = _clipped_t(s)
     return _ramp_value(t) if order == 0 else _ramp_slope(s, t)
+
+
+def _clipped_t(s: np.ndarray) -> np.ndarray:
+    """t = (s + 1) / 2 clipped to [0, 1]; minimum of maximum gives np.clip's
+    bits without its Python wrapper, which costs more than the arithmetic on
+    a small grid."""
+    return np.minimum(np.maximum((s + 1.0) * 0.5, 0.0), 1.0)
 
 
 def _ramp_value(t: np.ndarray) -> np.ndarray:
@@ -73,7 +80,7 @@ def _ramp_slope(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 def _ramp_with_slope(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The ramp and its derivative at s from one clip: bitwise _ramp(s, 0)
     and _ramp(s, 1)."""
-    t = np.clip((s + 1.0) * 0.5, 0.0, 1.0)
+    t = _clipped_t(s)
     return _ramp_value(t), _ramp_slope(s, t)
 
 

@@ -34,6 +34,12 @@ keeps the solves divided by dt.
 Cotangent bookkeeping for one step (bars denote cotangents, primes the step
 outputs): the phi solve transposes to K^-1 (w_bar / c) with the same SPD
 factorisation K used forward, and the sigma solve is its own transpose.
+
+As in the forward step, a term with a zero coefficient is not evaluated:
+with chi = 0 the tangent skips -chi rho, -chi xi and -chi Lap xi', and the
+transposed step -chi Lap t_sigma, -chi dgap_bar and -chi eta_bar. Each is a
+signed zero there, so the sweeps keep their bits; with chi > 0 every
+expression is evaluated in the order of the full step.
 """
 
 from __future__ import annotations
@@ -96,20 +102,26 @@ class HeldLinearisation:
 def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
                   rho: np.ndarray, du: np.ndarray, dv: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent of one step at the base point linearised by linearise_step."""
+    """Tangent of one step at the base point linearised by linearise_step;
+    the chi terms only when chi is non-zero."""
     params = ops.params
     chi = params.chi
     prolif, distrib, distrib_du, prolif_d_gap, stiffness = lin
-    eta = stiffness * xi - params.B * ops.conv(xi) - chi * rho
-    dgap = rho - chi * xi - eta
+    eta = stiffness * xi - params.B * ops.conv(xi)
+    if chi:
+        eta -= chi * rho
+        dgap = rho - chi * xi - eta
+    else:
+        dgap = rho - eta
     d_prolif_gap = prolif_d_gap * xi + prolif * dgap
     d_source = d_prolif_gap - distrib_du * xi - distrib * du
-    rhs_phi = ops.lap(eta) + d_source
-    dw = ops.solve_phi_increment(rhs_phi)
-    xi_new = xi + dw
-    rhs_sigma = rho / ops.dt - chi * ops.lap(xi_new) - d_prolif_gap + dv
-    rho_new = ops.solve_sigma(rhs_sigma)
-    return xi_new, rho_new
+    xi_new = xi + ops.solve_phi_increment(ops.lap(eta) + d_source)
+    rhs_sigma = rho / ops.dt
+    if chi:
+        rhs_sigma -= chi * ops.lap(xi_new)
+    rhs_sigma -= d_prolif_gap
+    rhs_sigma += dv
+    return xi_new, ops.solve_sigma(rhs_sigma)
 
 
 def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.ndarray,
@@ -119,7 +131,8 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
     Returns (xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar): the cotangents
     of the step's inputs and its two transposed implicit solves. The control
     cotangents are -h(phi_n) phi_solve_bar and sigma_solve_bar; the adjoint
-    slices are the solves divided by dt.
+    slices are the solves divided by dt. The chi terms are transposed only
+    when chi is non-zero.
     """
     params = ops.params
     chi = params.chi
@@ -127,26 +140,28 @@ def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.nda
 
     t_sigma = ops.solve_sigma(r_bar)
     rho_bar = t_sigma / ops.dt
-    d_prolif_gap_bar = -t_sigma
 
-    xi_out_bar = p_bar - chi * ops.lap(t_sigma)
+    xi_out_bar = p_bar - chi * ops.lap(t_sigma) if chi else p_bar
     xi_bar = xi_out_bar.copy()
 
     phi_solve_bar = ops.solve_phi_increment_transpose(xi_out_bar)
     eta_bar = ops.lap(phi_solve_bar)
     d_source_bar = phi_solve_bar
 
-    d_prolif_gap_bar = d_prolif_gap_bar + d_source_bar
-    xi_bar += -distrib_du * d_source_bar
+    # -t_sigma from the sigma update plus d_source_bar from the phi source
+    d_prolif_gap_bar = d_source_bar - t_sigma
+    xi_bar -= distrib_du * d_source_bar
 
     xi_bar += prolif_d_gap * d_prolif_gap_bar
     dgap_bar = prolif * d_prolif_gap_bar
-    rho_bar = rho_bar + dgap_bar
-    xi_bar += -chi * dgap_bar
-    eta_bar = eta_bar - dgap_bar
+    rho_bar += dgap_bar
+    if chi:
+        xi_bar += -chi * dgap_bar
+    eta_bar -= dgap_bar
 
     xi_bar += stiffness * eta_bar - params.B * ops.conv(eta_bar)
-    rho_bar = rho_bar - chi * eta_bar
+    if chi:
+        rho_bar -= chi * eta_bar
 
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 

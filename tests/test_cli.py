@@ -815,6 +815,21 @@ def test_optimize_runs_under_config_guard(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "guarded" / "iterations.csv").exists()
 
 
+def test_optimize_trial_guard_trip_names_the_trial(tmp_path, monkeypatch, capsys):
+    # the starting iterate runs; the first trial, at the corner of a wide box,
+    # trips the guard and still ends with exit 3
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"box": {"u_min": -1e4, "u_max": 1e4,
+                                        "v_min": -1e4, "v_max": 1e4},
+                                "optimizer": {"tau0": 1e6},
+                                "output": {"directory": "wide", "snapshot_stride": 0}})
+    assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: PGD iteration 1, line-search trial 1: the sweep of "
+                          "the trial at step lambda*alpha = 1e+06 within the box")
+    assert "reduce dt" not in err
+
+
 def count_sweeps(monkeypatch) -> dict:
     """Count calls of every sweep entry point at each site that names it."""
     import sys

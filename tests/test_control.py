@@ -10,7 +10,7 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec,
                           simulate, stationarity_residual)
 from nlch_control.control import control_inner_qt
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
-                                 SolverError)
+                                 InstabilityError, SolverError)
 from nlch_control.gradcheck import run_gradcheck
 from nlch_control.physics import ProliferationSpec
 
@@ -797,3 +797,30 @@ def test_blockwise_consumers_give_the_whole_array_bits(cells, extent, kernel_spe
     for eps in (1e-1, 1e-3):
         assert (bits(_taylor_remainder(traj, tangent, direction, eps))
                 == bits(whole_array_taylor_remainder(traj, tangent, direction, eps)))
+
+
+def test_pgd_guard_trip_in_a_trial_names_the_trial(grid1d, kernel1d, params):
+    # tau0 = 1e6 sends the first trial to the corner of a box of +-1e4, whose
+    # sweep trips the guard; the starting iterate ran, so the error names
+    # the trial, its step and the box instead of blaming dt
+    tgrid = TimeGrid(0.2, 16)
+    phi0, sigma0 = smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3)
+    box = BoxConstraints.constant(grid1d, -1e4, 1e4, -1e4, 1e4)
+    spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    with pytest.raises(InstabilityError) as info:
+        pgd_optimize(ControlPair.zeros(grid1d, 16), box, spec, params, kernel1d, tgrid,
+                     phi0, sigma0, opts=PgdOptions(tau0=1e6))
+    exc = info.value
+    assert str(exc).startswith("PGD iteration 1, line-search trial 1: the sweep of the trial "
+                               "at step lambda*alpha = 1e+06 within the box "
+                               "u in [-1e+04, 1e+04], v in [-1e+04, 1e+04] tripped the "
+                               f"blow-up guard at step {exc.step} (|phi| ")
+    assert str(exc).endswith(", guard 10); lower tau0 or narrow the box")
+    assert "dt" not in str(exc)
+    cause = exc.__cause__
+    assert isinstance(cause, InstabilityError) and str(cause).startswith(f"step {exc.step}: ")
+    assert (exc.step, exc.sup_norm, exc.guard) == (cause.step, cause.sup_norm, cause.guard)
+    # the same box with the default tau0 converges without a trip
+    report = pgd_optimize(ControlPair.zeros(grid1d, 16), box, spec, params, kernel1d, tgrid,
+                          phi0, sigma0, opts=PgdOptions(tol=1e-6))
+    assert report.termination == "converged"
