@@ -376,13 +376,14 @@ def pgd_optimize(c0: ControlPair, box: BoxConstraints, spec: CostSpec,
                     c.grid, _clamp(c.u + alpha * d_u, box.u_min, box.u_max),
                     _clamp(c.v + alpha * d_v, box.v_min, box.v_max)))
             except InstabilityError as exc:
+                # the cause's reason ("step n: ..."), without its advice after ";"
+                reason = str(exc).partition(";")[0]
                 raise InstabilityError(
                     f"PGD iteration {k}, line-search trial {trials}: the sweep of the trial "
                     f"at step lambda*alpha = {lam * alpha:.3g} within the box "
                     f"u in [{box.u_min.min():.3g}, {box.u_max.max():.3g}], "
-                    f"v in [{box.v_min.min():.3g}, {box.v_max.max():.3g}] tripped the "
-                    f"blow-up guard at step {exc.step} (|phi| {exc.sup_norm:.3g}, guard "
-                    f"{exc.guard:.3g}); lower tau0 or narrow the box",
+                    f"v in [{box.v_min.min():.3g}, {box.v_max.max():.3g}] stopped at "
+                    f"{reason}; lower tau0 or narrow the box",
                     step=exc.step, sup_norm=exc.sup_norm, guard=exc.guard) from exc
             if j_trial <= j_val + ARMIJO_FRACTION * alpha * slope and j_trial < j_val:
                 return alpha, trials, traj, j_trial

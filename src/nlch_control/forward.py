@@ -21,12 +21,12 @@ phi0 and sigma0) or leaves (StateTrajectory.state).
 The phi solve is symmetrised through y = c (phi' - phi):
     [diag(1/(dt c)) - Lap] y = Lap mu + S_phi,   phi' = phi + y / c.
 
-A term whose coefficient is zero is not evaluated. With chi = 0, the model
-without chemotaxis, the step, the energy and the linearisation skip
--chi sigma, +chi (1 - phi), -chi Lap phi' and chi sigma (1 - phi). Each is
-then a signed zero, whose addition leaves every nonzero value as it is, so
-the results keep their bits; with chi > 0 every expression is evaluated in
-the order written above. P(phi) gap is formed once per step.
+A term whose coefficient is zero is not evaluated in a step. With chi = 0,
+the model without chemotaxis, the step and the linearisation skip
+-chi sigma, +chi (1 - phi) and -chi Lap phi'. Each is then a signed zero,
+whose addition leaves every nonzero value as it is, so the results keep
+their bits; with chi > 0 every expression is evaluated in the order written
+above. P(phi) gap is formed once per step.
 
 StepOperators holds every operator a step applies. On a 1D grid of at most
 geometry.DENSE_MAX_CELLS cells each one is a dense matrix (the Laplacian L
@@ -394,9 +394,7 @@ def free_energy(phi: np.ndarray, sigma: np.ndarray, params: ModelParams, kernel:
         j_phi = convolve_array(kernel, phi)
     nonlocal_term = 0.5 * params.B * (inner_product(kernel.a * phi, phi, vol)
                                       - inner_product(j_phi, phi, vol))
-    coupling = 0.5 * sigma * sigma
-    if params.chi:
-        coupling += params.chi * sigma * (1.0 - phi)
+    coupling = 0.5 * sigma * sigma + params.chi * sigma * (1.0 - phi)
     return bulk + nonlocal_term + float(np.sum(coupling)) * vol
 
 

@@ -799,26 +799,31 @@ def test_blockwise_consumers_give_the_whole_array_bits(cells, extent, kernel_spe
                 == bits(whole_array_taylor_remainder(traj, tangent, direction, eps)))
 
 
-def test_pgd_guard_trip_in_a_trial_names_the_trial(grid1d, kernel1d, params):
+@pytest.mark.parametrize("guard, reason", [
+    (10.0, "|phi| reached 114 > guard 10"),
+    (np.inf, "phi or sigma is not finite"),
+], ids=["blow-up", "not-finite"])
+def test_pgd_guard_trip_in_a_trial_names_the_trial(grid1d, kernel1d, params, guard, reason):
     # tau0 = 1e6 sends the first trial to the corner of a box of +-1e4, whose
-    # sweep trips the guard; the starting iterate ran, so the error names
-    # the trial, its step and the box instead of blaming dt
+    # sweep passes the guard of 10 at step 0, or with no guard overflows to a
+    # non-finite state; the starting iterate ran, so the error names the
+    # trial, its step and the box, gives the cause's reason, and does not
+    # blame dt
     tgrid = TimeGrid(0.2, 16)
     phi0, sigma0 = smooth_phi0(grid1d), ScalarField.constant(grid1d, 0.3)
     box = BoxConstraints.constant(grid1d, -1e4, 1e4, -1e4, 1e4)
     spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
-    with pytest.raises(InstabilityError) as info:
+    with np.errstate(all="ignore"), pytest.raises(InstabilityError) as info:
         pgd_optimize(ControlPair.zeros(grid1d, 16), box, spec, params, kernel1d, tgrid,
-                     phi0, sigma0, opts=PgdOptions(tau0=1e6))
+                     phi0, sigma0, opts=PgdOptions(tau0=1e6), blowup_guard=guard)
     exc = info.value
-    assert str(exc).startswith("PGD iteration 1, line-search trial 1: the sweep of the trial "
-                               "at step lambda*alpha = 1e+06 within the box "
-                               "u in [-1e+04, 1e+04], v in [-1e+04, 1e+04] tripped the "
-                               f"blow-up guard at step {exc.step} (|phi| ")
-    assert str(exc).endswith(", guard 10); lower tau0 or narrow the box")
-    assert "dt" not in str(exc)
+    assert str(exc) == ("PGD iteration 1, line-search trial 1: the sweep of the trial "
+                        "at step lambda*alpha = 1e+06 within the box "
+                        "u in [-1e+04, 1e+04], v in [-1e+04, 1e+04] stopped at "
+                        f"step {exc.step}: {reason}; lower tau0 or narrow the box")
     cause = exc.__cause__
-    assert isinstance(cause, InstabilityError) and str(cause).startswith(f"step {exc.step}: ")
+    assert isinstance(cause, InstabilityError)
+    assert str(cause).startswith(f"step {exc.step}: {reason}; ")
     assert (exc.step, exc.sup_norm, exc.guard) == (cause.step, cause.sup_norm, cause.guard)
     # the same box with the default tau0 converges without a trip
     report = pgd_optimize(ControlPair.zeros(grid1d, 16), box, spec, params, kernel1d, tgrid,

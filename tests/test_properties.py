@@ -16,7 +16,7 @@ imports; the properties must hold on the whole drawn domain.
 from dataclasses import dataclass
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
@@ -50,8 +50,7 @@ class Run:
 @st.composite
 def admissible_runs(draw, chi_max: float, large_1d: bool = False):
     # large_1d adds 1D grids past DENSE_MAX_CELLS (FFT convolution, LU
-    # solves) with at most 3 steps; listed first, it draws chi > 0 as well
-    # as chi = 0 in the derandomised examples, and every form keeps a share
+    # solves) with at most 3 steps
     forms = (["large-1d"] if large_1d else []) + ["dense-1d", "2d"]
     form = draw(st.sampled_from(forms))
     if form == "dense-1d":
@@ -107,8 +106,25 @@ def test_forward_run_balances_mass_and_repeats_bitwise(run):
     assert traj.monitors == again.monitors
 
 
+def large_1d_run(chi: float) -> Run:
+    """A fixed run on 300 cells, the FFT convolution and LU solves."""
+    grid = GridSpec((300,), (1.0,))
+    kernel_spec = KernelSpec("gaussian", 4.0, 0.2)
+    steps = 3
+    rng = np.random.default_rng(11)
+    phi0 = ScalarField(grid, 0.3 * rng.standard_normal(300))
+    sigma0 = ScalarField(grid, 0.5 * rng.random(300))
+    controls = ControlPair(grid, 0.2 * rng.standard_normal((steps, 300)),
+                           0.2 * rng.standard_normal((steps, 300)))
+    return Run(grid, kernel_spec, ModelParams(A=0.5, B=1.0, chi=chi),
+               TimeGrid(0.06, steps), phi0, sigma0, controls, 11)
+
+
 @PROPERTY_SETTINGS
 @given(admissible_runs(chi_max=0.5, large_1d=True))
+# the large 1D branch with chi = 0 and chi > 0, whatever Hypothesis draws
+@example(large_1d_run(0.0))
+@example(large_1d_run(0.3))
 def test_tangent_and_adjoint_are_exact_transposes(run):
     kernel = build_kernel(run.kernel_spec, run.grid)
     traj = run.simulate(kernel)

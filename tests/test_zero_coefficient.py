@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams, ScalarField,
-                          TimeGrid, build_kernel, inner_product, simulate)
+                          TimeGrid, build_kernel, simulate)
 from nlch_control.errors import InstabilityError
-from nlch_control.forward import _step_core, free_energy, linearise_step
-from nlch_control.kernels import convolve_array
+from nlch_control.forward import _step_core, linearise_step
 from nlch_control.physics import (POTENTIAL, DistributionSpec, ProliferationSpec,
                                   _ramp_slope, _ramp_value)
 from nlch_control.sensitivity import _adjoint_core, _tangent_core
@@ -91,15 +90,6 @@ def full_adjoint(ops, lin, p_bar, r_bar):
     return xi_bar, rho_bar, phi_solve_bar, t_sigma
 
 
-def full_free_energy(phi, sigma, params, kernel):
-    vol = kernel.grid.cell_volume
-    bulk = params.A * float(np.sum(POTENTIAL.evaluate(phi, 0))) * vol
-    nonlocal_term = 0.5 * params.B * (inner_product(kernel.a * phi, phi, vol)
-                                      - inner_product(convolve_array(kernel, phi), phi, vol))
-    coupling = 0.5 * sigma * sigma + params.chi * sigma * (1.0 - phi)
-    return bulk + nonlocal_term + float(np.sum(coupling)) * vol
-
-
 # (cells, extent, kernel family, amplitude, width, distribution): dense 1D,
 # LU 1D (FFT convolution), 2D mollifier (FFT convolution, LU phi solve, DCT
 # sigma solve), 2D Gaussian (separable factors) and h = 1 on the dense path
@@ -138,8 +128,6 @@ def test_cores_match_the_full_expressions_bitwise(case, chi):
         want_step = full_step(ops, phi, sigma, u, v)
         assert bits(*_step_core(ops, phi, sigma, u, v, ops.conv(phi))) == bits(*want_step)
         assert bits(traj.phi[k + 1], traj.sigma[k + 1]) == bits(*want_step)
-        assert (free_energy(phi, sigma, params, kernel)
-                == full_free_energy(phi, sigma, params, kernel))
 
         full_lin = full_linearisation(ops, phi, sigma, u)
         row_lin = tuple(factor[k] for factor in lin)
