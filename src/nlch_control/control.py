@@ -215,7 +215,7 @@ def reduced_gradient(adj: AdjointTrajectory, spec: CostSpec) -> ControlPair:
     g_u = np.empty((traj.steps, traj.grid.num_cells))
     for block in step_blocks(traj):
         rows = g_u[block]
-        np.negative(distribution.evaluate(traj.phi[block], 0), out=rows)
+        np.negative(distribution.evaluate(traj.phi[block]), out=rows)
         rows *= adj.p[block]
         rows += spec.alpha_u * controls.u[block]
     g_v = spec.beta_v * controls.v
@@ -289,7 +289,7 @@ def projection_formula_defect(controls: ControlPair, traj: StateTrajectory,
         distribution = traj.ops.params.distribution
         for block in step_blocks(traj):
             rows = target[block]
-            np.multiply(distribution.evaluate(traj.phi[block], 0), adj.p[block], out=rows)
+            np.multiply(distribution.evaluate(traj.phi[block]), adj.p[block], out=rows)
             rows /= spec.alpha_u
         defect_u = sup_defect(controls.u, box.u_min, box.u_max)
     if spec.beta_v > 0.0:

@@ -22,15 +22,9 @@ class KernelResolutionError(NLCHError):
 
 
 class HypothesisViolationError(NLCHError):
-    """A structural hypothesis on the model parameters fails.
-
-    Carries the computed ellipticity margin so callers can report how far
-    the configuration is from admissibility.
-    """
-
-    def __init__(self, message: str, margin: float | None = None):
-        super().__init__(message)
-        self.margin = margin
+    """A structural hypothesis on the model parameters fails; an ellipticity
+    failure states the margin c0 and chi^2 in its message
+    (physics.ellipticity_margin computes c0)."""
 
 
 class SolverError(NLCHError):
@@ -51,10 +45,12 @@ class InstabilityError(NLCHError):
 
 
 class StaleTrajectoryError(NLCHError):
-    """adjoint_sweep given other model parameters or another kernel, or
-    mass_balance_residual given other parameters or other controls, than the
-    trajectory was simulated with; every other consumer of a trajectory
-    reads them from it."""
+    """A trajectory given inputs other than its own. Raised at two sites:
+    StateTrajectory.require_inputs, when adjoint_sweep gets other model
+    parameters or another kernel, or mass_balance_residual other
+    parameters; and mass_balance_residual, when it gets other controls.
+    Every other consumer of a trajectory reads its inputs from it, and held
+    linearisation products live on the trajectory they belong to."""
 
 
 class ConfigError(NLCHError):

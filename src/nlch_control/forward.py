@@ -193,22 +193,14 @@ def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
         )
 
 
-def _chemical_potential_array(phi: np.ndarray, sigma: np.ndarray, params: ModelParams,
-                              kernel: KernelData, j_phi: np.ndarray) -> np.ndarray:
-    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma, given j_phi = J*phi;
-    the chi term only when chi is non-zero."""
+def _mu_and_gap(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
+                j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """mu = A F'(phi) + B (a phi - J*phi) - chi sigma and gap = sigma +
+    chi (1 - phi) - mu, given j_phi = J*phi; the chi terms only when chi is
+    non-zero."""
     mu = params.A * POTENTIAL.evaluate(phi, 1) + params.B * (kernel.a * phi - j_phi)
     if params.chi:
         mu -= params.chi * sigma
-    return mu
-
-
-def _mu_and_gap(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
-                j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """mu and gap = sigma + chi (1 - phi) - mu, given j_phi = J*phi; the chi
-    term only when chi is non-zero."""
-    mu = _chemical_potential_array(phi, sigma, params, kernel, j_phi)
-    if params.chi:
         return mu, sigma + params.chi * (1.0 - phi) - mu
     return mu, sigma - mu
 
@@ -218,9 +210,9 @@ def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
     """The explicit factors of one step: mu, gap, P(phi) and h(phi), given
     j_phi = J*phi."""
     mu, gap = _mu_and_gap(params, kernel, phi, sigma, j_phi)
-    prolif = params.proliferation.evaluate(phi, 0)
+    prolif = params.proliferation.evaluate(phi)
     distrib = (prolif if params.distribution_is_proliferation
-               else params.distribution.evaluate(phi, 0))
+               else params.distribution.evaluate(phi))
     return mu, gap, prolif, distrib
 
 
@@ -268,13 +260,19 @@ class StateTrajectory:
     """Discrete trajectory and run monitors; compares and hashes by identity.
 
     phi and sigma have shape (steps + 1, cells); they are the only per-step
-    data kept. controls and ops (the operator bundle the run stepped with,
-    which holds its params, kernel and dt) are references to the run's
-    inputs, from which the derivative sweeps recompute each step's factors
-    without being passed them again;
+    data simulate keeps. controls and ops (the operator bundle the run
+    stepped with, which holds its params, kernel and dt) are references to
+    the run's inputs, from which the derivative sweeps recompute each step's
+    factors without being passed them again;
     blowup_guard is the guard the run stepped under, which reruns keep.
     monitors rows: (step, time, energy, mass_phi, mass_sigma, sup_phi,
     sup_sigma).
+    held is None from simulate. sensitivity.hold_linearisation returns a
+    copy of the trajectory (the same states, controls and operators) whose
+    held is the pair (P'(phi_n) gap_n, A F''(phi_n) + B a), each of shape
+    (steps, cells): the two factors of its linearisation that read the
+    convolution J*phi_n, which every sweep along that copy reads instead of
+    recomputing them.
     """
 
     grid: GridSpec
@@ -285,6 +283,7 @@ class StateTrajectory:
     ops: StepOperators = field(repr=False)
     blowup_guard: float
     monitors: tuple[tuple, ...] = field(repr=False)
+    held: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @property
     def steps(self) -> int:

@@ -135,12 +135,13 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     """Full verification sweep from one seeded generator.
 
     The base trajectory is computed once and shared by every probe. The
-    duality probes and the gradient's adjoint sweep all run along it, so
-    they read its convolution-bearing linearisation factors from one
-    hold_linearisation, dropped before the FD probes. The reduced gradient
-    is formed after the duality probes, which do not read it, and released
-    before the Taylor probes. Every forward sweep runs under blowup_guard,
-    as in simulate.
+    duality probes and the gradient's adjoint sweep run along its held copy
+    (hold_linearisation), so they read its convolution-bearing
+    linearisation factors from one set of arrays, which go with the adjoint
+    before the FD probes; the FD and Taylor probes run along the plain base.
+    The reduced gradient is formed after the duality probes, which do not
+    read it, and released before the Taylor probes. Every forward sweep runs
+    under blowup_guard, as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient by 0.1% plus an offset before the FD comparison, which a healthy
     check must flag.
@@ -161,14 +162,14 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     steps_shape, seed_shape = (steps, grid.num_cells), (steps + 1, grid.num_cells)
     probe = (np.empty(steps_shape), np.empty(steps_shape), np.empty(seed_shape),
              np.empty(seed_shape))
-    gaps = [duality_gap(base, *[rng.standard_normal(out=buffer) for buffer in probe], held)
+    gaps = [duality_gap(held, *[rng.standard_normal(out=buffer) for buffer in probe])
             for _ in range(n_duality)]
     del probe
 
-    adjoint = adjoint_sweep(base, spec, params, kernel, held)
-    del held  # the FD and Taylor probes run without it; Taylor tangents linearise afresh
+    adjoint = adjoint_sweep(held, spec, params, kernel)
+    del held  # the adjoint keeps it; the FD and Taylor probes run along base
     grad = reduced_gradient(adjoint, spec)
-    del adjoint
+    del adjoint  # with it the held products
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
     per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)

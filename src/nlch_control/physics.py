@@ -3,8 +3,9 @@ therapy distribution weight), model parameters, and the structural
 admissibility gate.
 
 Each nonlinearity evaluates elementwise on a float64 array of any shape, to
-the derivative order the scheme and its linearisation use: F up to F'', P
-and h up to their first derivative.
+the derivative order the scheme and its linearisation use: F up to F''; P
+and h evaluate their rates, and rates_with_slopes gives them together with
+their first derivatives.
 """
 
 from __future__ import annotations
@@ -43,20 +44,6 @@ class PotentialSpec:
 POTENTIAL = PotentialSpec()
 
 
-def _ramp(s: np.ndarray, order: int) -> np.ndarray:
-    """C^2 ramp: 0 below -1, 1 above +1, in between the quintic smoothstep
-    q(t) = 6 t^5 - 15 t^4 + 10 t^3 of t = (s + 1) / 2.
-
-    q' and q'' vanish at both ends, so the clamped ramp is C^2. The value
-    uses the exact symmetry q(t) = 1 - q(1 - t) for t > 1/2, which keeps the
-    absolute rounding error near the upper seam at machine level (the direct
-    polynomial cancels catastrophically there); the derivative
-    q'(t) = 30 t^2 (1 - t)^2 is already cancellation-free.
-    """
-    t = _clipped_t(s)
-    return _ramp_value(t) if order == 0 else _ramp_slope(s, t)
-
-
 def _clipped_t(s: np.ndarray) -> np.ndarray:
     """t = (s + 1) / 2 clipped to [0, 1]; minimum of maximum gives np.clip's
     bits without its Python wrapper, which costs more than the arithmetic on
@@ -65,7 +52,16 @@ def _clipped_t(s: np.ndarray) -> np.ndarray:
 
 
 def _ramp_value(t: np.ndarray) -> np.ndarray:
-    """The ramp at the clipped t = clip((s + 1) / 2, 0, 1)."""
+    """C^2 ramp at the clipped t = clip((s + 1) / 2, 0, 1): 0 below s = -1,
+    1 above s = +1, in between the quintic smoothstep
+    q(t) = 6 t^5 - 15 t^4 + 10 t^3.
+
+    q' and q'' vanish at both ends, so the clamped ramp is C^2. The value
+    uses the exact symmetry q(t) = 1 - q(1 - t) for t > 1/2, which keeps the
+    absolute rounding error near the upper seam at machine level (the direct
+    polynomial cancels catastrophically there); the derivative
+    q'(t) = 30 t^2 (1 - t)^2 (_ramp_slope) is already cancellation-free.
+    """
     near = np.minimum(t, 1.0 - t)
     q_near = near * near * near * (10.0 + near * (-15.0 + 6.0 * near))
     return np.where(t <= 0.5, q_near, 1.0 - q_near)
@@ -78,8 +74,7 @@ def _ramp_slope(s: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def _ramp_with_slope(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ramp and its derivative at s from one clip: bitwise _ramp(s, 0)
-    and _ramp(s, 1)."""
+    """The ramp and its derivative at s from one clip."""
     t = _clipped_t(s)
     return _ramp_value(t), _ramp_slope(s, t)
 
@@ -100,12 +95,10 @@ class ProliferationSpec:
         if self.family not in ("smoothed_ramp", "constant_zero"):
             raise HypothesisViolationError(f"unknown proliferation family {self.family!r}")
 
-    def evaluate(self, s: np.ndarray, order: int = 0) -> np.ndarray:
-        if order not in (0, 1):
-            raise ValueError("proliferation derivatives available up to order 1")
+    def evaluate(self, s: np.ndarray) -> np.ndarray:
         if self.family == "constant_zero":
             return np.zeros_like(s)
-        return _ramp(s, order)
+        return _ramp_value(_clipped_t(s))
 
 
 @dataclass(frozen=True)
@@ -118,12 +111,10 @@ class DistributionSpec:
         if self.family not in ("same_as_p", "constant_one"):
             raise HypothesisViolationError(f"unknown distribution family {self.family!r}")
 
-    def evaluate(self, s: np.ndarray, order: int = 0) -> np.ndarray:
-        if order not in (0, 1):
-            raise ValueError("distribution derivatives available up to order 1")
+    def evaluate(self, s: np.ndarray) -> np.ndarray:
         if self.family == "constant_one":
-            return np.ones_like(s) if order == 0 else np.zeros_like(s)
-        return _ramp(s, order)
+            return np.ones_like(s)
+        return _ramp_value(_clipped_t(s))
 
 
 @dataclass(frozen=True)
@@ -171,8 +162,9 @@ class ModelParams:
 def rates_with_slopes(params: ModelParams, s: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(P, P', h, h') at s, what a linearisation reads, with each ramp
-    clipped once: bitwise the evaluate(s, 0) and evaluate(s, 1) of
-    params.proliferation and params.distribution."""
+    clipped once; P and h are bitwise the evaluate(s) of
+    params.proliferation and params.distribution. The only place the
+    slopes are formed."""
     if params.proliferation.family == "constant_zero":
         prolif = (np.zeros_like(s), np.zeros_like(s))
     else:
@@ -201,7 +193,6 @@ def require_ellipticity(params: ModelParams, kernel: KernelData) -> float:
     if not (margin > threshold):
         raise HypothesisViolationError(
             f"ellipticity hypothesis fails: c0 = {margin:.6g} <= chi^2 = {threshold:.6g} "
-            "(need A*min F'' + B*min a > chi^2)",
-            margin=margin,
+            "(need A*min F'' + B*min a > chi^2)"
         )
     return margin

@@ -6,22 +6,24 @@ replaying the same two SPD solves on linearised right-hand sides; the
 transpose reverses the elementary operations, reusing the self-transposed
 implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
-truncation error, which is the property the optimiser relies on. The
-trajectory stores only the states; each sweep recomputes the steps'
-linearisations from phi_n, sigma_n and u_n, a block of steps at a time:
-as many steps as fit in LINEARISE_CHUNK_VALUES values per array, and at
-least one (one evaluation of the pointwise factors per block instead of one
-per step, and O(chunk) memory however long the trajectory). The
-convolutions run one row at a time, as in the forward step, so every row of
-a block is bitwise the per-step linearisation.
+truncation error, which is the property the optimiser relies on. A
+trajectory from simulate stores only the states; each sweep along it
+recomputes the steps' linearisations from phi_n, sigma_n and u_n, a block
+of steps at a time: as many steps as fit in LINEARISE_CHUNK_VALUES values
+per array, and at least one (one evaluation of the pointwise factors per
+block instead of one per step, and O(chunk) memory however long the
+trajectory). The convolutions run one row at a time, as in the forward
+step, so every row of a block is bitwise the per-step linearisation.
 
-Sweeps that share one base trajectory can read its linearisation from a
-HeldLinearisation (hold_linearisation) instead: the two products that need
-the convolution J*phi_n, P'(phi_n) gap_n and A F''(phi_n) + B a, held as
-(steps, cells) arrays, with only the convolution-free P, h and h' u
-recomputed per block. Both sources give the same bits. gradcheck holds one
-for its duality probes and its gradient's adjoint sweep; PGD does not, as
-each of its trajectories gets one adjoint sweep.
+Sweeps that share one base trajectory can run along its held copy
+instead, hold_linearisation(traj): the same states, controls and operators,
+with the two products that need the convolution J*phi_n, P'(phi_n) gap_n
+and A F''(phi_n) + B a, held on the trajectory as (steps, cells) arrays
+(StateTrajectory.held), so each block recomputes only the convolution-free
+P, h and h' u. Both give the same bits, and the products cannot meet
+another trajectory's states. gradcheck runs its duality probes and its
+gradient's adjoint sweep along a held copy; PGD does not, as each of its
+trajectories gets one adjoint sweep.
 
 One backward loop, _reverse_sweep, serves both transposed products. It
 hands out each step's two transposed solves together with h(phi_n) from the
@@ -44,11 +46,11 @@ expression is evaluated in the order of the full step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import FieldShapeError, StaleTrajectoryError
+from .errors import FieldShapeError
 from .geometry import qt_inner_product
 from .forward import ControlPair, StateTrajectory, StepOperators, linearise_step
 from .kernels import KernelData
@@ -86,17 +88,6 @@ class AdjointTrajectory:
     traj: StateTrajectory = field(repr=False)
     p: np.ndarray = field(repr=False)
     r: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True, eq=False)
-class HeldLinearisation:
-    """The two factors of traj's linearisation that read the convolution
-    J*phi_n, P'(phi_n) gap_n and A F''(phi_n) + B a, shape (steps, cells),
-    held for sweeps that share traj; compares and hashes by identity."""
-
-    traj: StateTrajectory = field(repr=False)
-    prolif_d_gap: np.ndarray = field(repr=False)
-    stiffness: np.ndarray = field(repr=False)
 
 
 def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
@@ -174,59 +165,55 @@ def step_blocks(traj: StateTrajectory) -> list[slice]:
     return [slice(start, min(start + rows, traj.steps)) for start in range(0, traj.steps, rows)]
 
 
-def hold_linearisation(traj: StateTrajectory) -> HeldLinearisation:
-    """The convolution-bearing factors of every step of traj, one
-    step_blocks block at a time: bitwise the rows linearise_step gives."""
+def hold_linearisation(traj: StateTrajectory) -> StateTrajectory:
+    """traj holding the convolution-bearing factors of every step, formed
+    one step_blocks block at a time: bitwise the rows linearise_step gives.
+    The copy shares traj's states, controls and operators."""
     shape = (traj.steps, traj.grid.num_cells)
-    held = HeldLinearisation(traj=traj, prolif_d_gap=np.empty(shape), stiffness=np.empty(shape))
+    prolif_d_gap, stiffness = np.empty(shape), np.empty(shape)
     for block in step_blocks(traj):
         lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
                              traj.controls.u[block])
-        held.prolif_d_gap[block], held.stiffness[block] = lin[3:]
-    return held
+        prolif_d_gap[block], stiffness[block] = lin[3:]
+    return replace(traj, held=(prolif_d_gap, stiffness))
 
 
-def _linearised_steps(traj: StateTrajectory, reverse: bool = False,
-                      held: HeldLinearisation | None = None):
+def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
     """Yield (n, linearise_step of step n) for every step of traj, in time
     order or reversed, one step_blocks block at a time: linearised afresh,
-    or, with held (traj's own), the held products together with P, h and
-    h' u recomputed from phi_n and u_n."""
-    if held is not None and held.traj is not traj:
-        raise StaleTrajectoryError("held linearisation belongs to another trajectory")
+    or, when traj holds its products (hold_linearisation), those together
+    with P, h and h' u recomputed from phi_n and u_n."""
     params = traj.ops.params
     blocks = step_blocks(traj)
     for block in (reversed(blocks) if reverse else blocks):
         phi, u = traj.phi[block], traj.controls.u[block]
-        if held is None:
+        if traj.held is None:
             lin = linearise_step(traj.ops, phi, traj.sigma[block], u)
         else:
             prolif, _, distrib, distrib_d = rates_with_slopes(params, phi)
-            lin = (prolif, distrib, distrib_d * u, held.prolif_d_gap[block],
-                   held.stiffness[block])
+            prolif_d_gap, stiffness = traj.held
+            lin = (prolif, distrib, distrib_d * u, prolif_d_gap[block], stiffness[block])
         offsets = range(block.stop - block.start)
         for k in (reversed(offsets) if reverse else offsets):
             yield block.start + k, tuple(factor[k] for factor in lin)
 
 
-def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair,
-                  held: HeldLinearisation | None = None) -> TangentTrajectory:
+def tangent_sweep(traj: StateTrajectory, d_controls: ControlPair) -> TangentTrajectory:
     """Accumulate the tangent over the whole trajectory from zero initial
-    data, reading held (hold_linearisation(traj)) when given."""
+    data."""
     if d_controls.steps != traj.steps:
         raise FieldShapeError("perturbation step count does not match trajectory")
     ops = traj.ops
     n_cells = traj.grid.num_cells
     xi = np.zeros((traj.steps + 1, n_cells))
     rho = np.zeros((traj.steps + 1, n_cells))
-    for n, lin in _linearised_steps(traj, held=held):
+    for n, lin in _linearised_steps(traj):
         xi[n + 1], rho[n + 1] = _tangent_core(ops, lin, xi[n], rho[n],
                                               d_controls.u[n], d_controls.v[n])
     return TangentTrajectory(xi=xi, rho=rho)
 
 
-def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray,
-                   held: HeldLinearisation | None):
+def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray):
     """The backward loop: transpose every step of traj, last step first.
 
     seed arrays have shape (steps + 1, cells); row steps starts the sweep,
@@ -238,41 +225,39 @@ def _reverse_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.n
     ops = traj.ops
     p_bar = seed_phi[traj.steps]
     r_bar = seed_sigma[traj.steps]
-    for n, lin in _linearised_steps(traj, reverse=True, held=held):
+    for n, lin in _linearised_steps(traj, reverse=True):
         xi_bar, rho_bar, phi_solve_bar, sigma_solve_bar = _adjoint_core(ops, lin, p_bar, r_bar)
         yield n, lin[1], phi_solve_bar, sigma_solve_bar
         p_bar = xi_bar + seed_phi[n]
         r_bar = rho_bar + seed_sigma[n]
 
 
-def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray,
-              held: HeldLinearisation | None = None) -> tuple[np.ndarray, np.ndarray]:
+def vjp_sweep(traj: StateTrajectory, seed_phi: np.ndarray, seed_sigma: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
     """Transpose of tangent_sweep: pull trajectory cotangents back to controls.
 
     seed arrays have shape (steps + 1, cells); row 0 pairs with the fixed
     initial slice and is ignored. Returns per-step control cotangents in the
     raw per-slice pairing (no dt weight): u_bar[n] = -h(phi_n) phi_solve_bar
-    and v_bar[n] = sigma_solve_bar. Reads held (hold_linearisation(traj))
-    when given.
+    and v_bar[n] = sigma_solve_bar.
     """
     u_bar = np.empty((traj.steps, traj.grid.num_cells))
     v_bar = np.empty((traj.steps, traj.grid.num_cells))
-    for n, h, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, seed_phi, seed_sigma, held):
+    for n, h, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, seed_phi, seed_sigma):
         np.multiply(phi_solve_bar, -h, out=u_bar[n])
         v_bar[n] = sigma_solve_bar
     return u_bar, v_bar
 
 
-def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams, kernel: KernelData,
-                  held: HeldLinearisation | None = None) -> AdjointTrajectory:
+def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams,
+                  kernel: KernelData) -> AdjointTrajectory:
     """The discrete adjoint system: the reverse sweep seeded by the cost's
     derivative with respect to the state.
 
     The terminal row carries the final-time tracking data; every earlier row
     the running tracking sources weighted by dt (matching the left-endpoint
     time quadrature of the cost). params and kernel must be the ones traj
-    was simulated with (StaleTrajectoryError otherwise). Reads held
-    (hold_linearisation(traj)) when given.
+    was simulated with (StaleTrajectoryError otherwise).
     """
     traj.require_inputs(params, kernel)
     cost.require_grid(traj)
@@ -292,27 +277,25 @@ def adjoint_sweep(traj: StateTrajectory, cost, params: ModelParams, kernel: Kern
     r = np.empty_like(seeds[1])
     p[steps] = seeds[0][steps]
     r[steps] = seeds[1][steps]
-    for n, _, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, *seeds, held):
+    for n, _, phi_solve_bar, sigma_solve_bar in _reverse_sweep(traj, *seeds):
         np.divide(phi_solve_bar, dt, out=p[n])
         np.divide(sigma_solve_bar, dt, out=r[n])
     return AdjointTrajectory(traj=traj, p=p, r=r)
 
 
 def duality_gap(traj: StateTrajectory, dh: np.ndarray, dk: np.ndarray,
-                seed_phi: np.ndarray, seed_sigma: np.ndarray,
-                held: HeldLinearisation | None = None) -> float:
+                seed_phi: np.ndarray, seed_sigma: np.ndarray) -> float:
     """Normalised defect of <seed, JVP(dh, dk)> = <VJP(seed), (dh, dk)>.
 
     Both sides are evaluated independently (full tangent sweep vs full
     reverse sweep); agreement certifies exact transposition. Both pairings
-    leave out the time weight (dt = 1.0). Both sweeps read held
-    (hold_linearisation(traj)) when given.
+    leave out the time weight (dt = 1.0).
     """
     vol = traj.grid.cell_volume
-    tangent = tangent_sweep(traj, ControlPair(traj.grid, dh, dk), held)
+    tangent = tangent_sweep(traj, ControlPair(traj.grid, dh, dk))
     forward_side = qt_inner_product(seed_phi[1:], seed_sigma[1:], tangent.xi[1:],
                                     tangent.rho[1:], vol, 1.0)
     del tangent  # released before the reverse sweep
-    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma, held)
+    u_bar, v_bar = vjp_sweep(traj, seed_phi, seed_sigma)
     reverse_side = qt_inner_product(u_bar, v_bar, dh, dk, vol, 1.0)
     return abs(forward_side - reverse_side) / (1.0 + max(abs(forward_side), abs(reverse_side)))

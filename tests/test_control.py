@@ -403,7 +403,7 @@ def test_pgd_nonfinite_cost_raises():
 def projection_formula_defect_loop(controls, traj, adj, spec, box):
     """The per-step loop form of projection_formula_defect."""
     steps = traj.steps
-    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
+    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps])
     worst_u = worst_v = 0.0
     for n in range(steps):
         target = distrib[n] * adj.p[n] / spec.alpha_u
@@ -691,7 +691,7 @@ def whole_array_gradient(adj, spec):
     """reduced_gradient() with h(phi) over the whole trajectory at once."""
     traj = adj.traj
     steps = traj.steps
-    g_u = -traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
+    g_u = -traj.ops.params.distribution.evaluate(traj.phi[:steps])
     g_u *= adj.p[:steps]
     g_u += spec.alpha_u * traj.controls.u
     g_v = spec.beta_v * traj.controls.v
@@ -714,7 +714,7 @@ def whole_array_stationarity(c, g_u, g_v, box, dt):
 def whole_array_defect(controls, traj, adj, spec, box):
     """projection_formula_defect() with h(phi) over the whole trajectory at once."""
     steps = traj.steps
-    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps], 0)
+    distrib = traj.ops.params.distribution.evaluate(traj.phi[:steps])
     target = distrib * adj.p[:steps] / spec.alpha_u
     defect_u = float(np.max(np.abs(controls.u - whole_array_clamp(target, box.u_min,
                                                                   box.u_max))))

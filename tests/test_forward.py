@@ -8,8 +8,7 @@ from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
                           build_kernel, free_energy, mass, mass_balance_residual,
                           simulate)
 from nlch_control.control import control_inner_qt
-from nlch_control.forward import (DEFAULT_BLOWUP_GUARD, _chemical_potential_array,
-                                  step_operators)
+from nlch_control.forward import DEFAULT_BLOWUP_GUARD, _mu_and_gap, step_operators
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.errors import (FieldShapeError, HypothesisViolationError,
                                  InstabilityError, SolverError, StaleTrajectoryError)
@@ -30,8 +29,8 @@ def dense_step_oracle(grid, params, kernel, dt, phi, sigma, u, v):
     mu = params.A * POTENTIAL.evaluate(phi, 1) + params.B * (a * phi - conv @ phi) \
         - params.chi * sigma
     gap = sigma + params.chi * (1.0 - phi) - mu
-    prolif = params.proliferation.evaluate(phi, 0)
-    distrib = params.distribution.evaluate(phi, 0)
+    prolif = params.proliferation.evaluate(phi)
+    distrib = params.distribution.evaluate(phi)
     source = prolif * gap - distrib * u
 
     c = params.A * params.lambda_s + params.B * a
@@ -60,7 +59,7 @@ def energy_double_loop_oracle(grid, params, kernel, phi, sigma):
 
 def chemical_potential(phi, sigma, params, kernel):
     """mu of the step, J*phi convolved as the step does."""
-    return _chemical_potential_array(phi, sigma, params, kernel, convolve_array(kernel, phi))
+    return _mu_and_gap(params, kernel, phi, sigma, convolve_array(kernel, phi))[0]
 
 
 def test_chemical_potential_constant_field(grid1d, kernel1d, params):

@@ -25,6 +25,7 @@ from nlch_control import (ControlPair, GridSpec, KernelSpec, ModelParams,
 from nlch_control.geometry import DENSE_MAX_CELLS
 from nlch_control.kernels import convolution_matrix, convolve_array
 from nlch_control.physics import POTENTIAL, DistributionSpec, ProliferationSpec
+from nlch_control.sensitivity import hold_linearisation
 
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, deadline=None,
                              max_examples=50)
@@ -131,9 +132,12 @@ def test_tangent_and_adjoint_are_exact_transposes(run):
     rng = np.random.default_rng(run.seed + 1)
     shape = (run.tgrid.steps, run.grid.num_cells)
     seeds = (run.tgrid.steps + 1, run.grid.num_cells)
-    gap = duality_gap(traj, rng.standard_normal(shape), rng.standard_normal(shape),
-                      rng.standard_normal(seeds), rng.standard_normal(seeds))
+    probe = (rng.standard_normal(shape), rng.standard_normal(shape),
+             rng.standard_normal(seeds), rng.standard_normal(seeds))
+    gap = duality_gap(traj, *probe)
     assert gap <= 1e-10
+    # along the held copy the sweeps read the held products: the same bits
+    assert duality_gap(hold_linearisation(traj), *probe) == gap
 
 
 @PROPERTY_SETTINGS
