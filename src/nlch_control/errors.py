@@ -49,8 +49,8 @@ class StaleTrajectoryError(NLCHError):
     StateTrajectory.require_inputs, when adjoint_sweep gets other model
     parameters or another kernel, or mass_balance_residual other
     parameters; and mass_balance_residual, when it gets other controls.
-    Every other consumer of a trajectory reads its inputs from it, and held
-    linearisation products live on the trajectory they belong to."""
+    Every other consumer of a trajectory reads its inputs from it, and a
+    held linearisation factor lives on the trajectory it belongs to."""
 
 
 class ConfigError(NLCHError):

@@ -216,12 +216,13 @@ def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
     return mu, gap, prolif, distrib
 
 
-def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
-                   u: np.ndarray) -> tuple[np.ndarray, ...]:
+def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray, u: np.ndarray,
+                   prolif_d_gap: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
     """What the tangent and adjoint of a block of steps need from their base
     points: (P, h, h' u, P' gap, A F'' + B a), recomputed from the states and
-    the controls. The last two are the only factors that read the
-    convolution J*phi.
+    the controls; the one place these factors are formed. P' gap alone reads
+    the convolution J*phi; it is taken from prolif_d_gap, the block's rows
+    of a held trajectory's array (sensitivity.hold_linearisation), if given.
 
     phi, sigma and u are the rows of the block, shape (rows, cells); the
     factors come back in that shape. Uses the forward step's own expressions
@@ -229,10 +230,11 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
     a block is bitwise the factors the forward step used.
     """
     params = ops.params
-    j_phi = np.array([ops.conv(row) for row in phi])
-    _, gap = _mu_and_gap(params, ops.kernel, phi, sigma, j_phi)
     prolif, prolif_d, distrib, distrib_d = rates_with_slopes(params, phi)
-    return (prolif, distrib, distrib_d * u, prolif_d * gap,
+    if prolif_d_gap is None:
+        j_phi = np.array([ops.conv(row) for row in phi])
+        prolif_d_gap = prolif_d * _mu_and_gap(params, ops.kernel, phi, sigma, j_phi)[1]
+    return (prolif, distrib, distrib_d * u, prolif_d_gap,
             params.A * POTENTIAL.evaluate(phi, 2) + params.B * ops.kernel.a)
 
 
@@ -269,10 +271,9 @@ class StateTrajectory:
     sup_sigma).
     held is None from simulate. sensitivity.hold_linearisation returns a
     copy of the trajectory (the same states, controls and operators) whose
-    held is the pair (P'(phi_n) gap_n, A F''(phi_n) + B a), each of shape
-    (steps, cells): the two factors of its linearisation that read the
-    convolution J*phi_n, which every sweep along that copy reads instead of
-    recomputing them.
+    held is P'(phi_n) gap_n, shape (steps, cells): the one factor of its
+    linearisation that reads the convolution J*phi_n, which linearise_step
+    takes from there for every sweep along that copy.
     """
 
     grid: GridSpec
@@ -283,7 +284,7 @@ class StateTrajectory:
     ops: StepOperators = field(repr=False)
     blowup_guard: float
     monitors: tuple[tuple, ...] = field(repr=False)
-    held: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    held: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def steps(self) -> int:

@@ -6,7 +6,7 @@ acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -136,10 +136,10 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
 
     The base trajectory is computed once and shared by every probe. The
     duality probes and the gradient's adjoint sweep run along its held copy
-    (hold_linearisation), so they read its convolution-bearing
-    linearisation factors from one set of arrays, which go with the adjoint
-    before the FD probes; the FD and Taylor probes run along the plain base.
-    The reduced gradient is formed after the duality probes, which do not
+    (hold_linearisation), which holds P'(phi_n) gap_n in one array; the
+    reduced gradient is formed from that adjoint pointed back at the plain
+    base, so the array goes first, and the FD and Taylor probes run along
+    the base. The gradient is formed after the duality probes, which do not
     read it, and released before the Taylor probes. Every forward sweep runs
     under blowup_guard, as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
@@ -166,10 +166,10 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
             for _ in range(n_duality)]
     del probe
 
-    adjoint = adjoint_sweep(held, spec, params, kernel)
-    del held  # the adjoint keeps it; the FD and Taylor probes run along base
+    adjoint = replace(adjoint_sweep(held, spec, params, kernel), traj=base)
+    del held  # the held array goes before the gradient is formed
     grad = reduced_gradient(adjoint, spec)
-    del adjoint  # with it the held products
+    del adjoint
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
     per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)

@@ -17,13 +17,12 @@ step, so every row of a block is bitwise the per-step linearisation.
 
 Sweeps that share one base trajectory can run along its held copy
 instead, hold_linearisation(traj): the same states, controls and operators,
-with the two products that need the convolution J*phi_n, P'(phi_n) gap_n
-and A F''(phi_n) + B a, held on the trajectory as (steps, cells) arrays
-(StateTrajectory.held), so each block recomputes only the convolution-free
-P, h and h' u. Both give the same bits, and the products cannot meet
-another trajectory's states. gradcheck runs its duality probes and its
-gradient's adjoint sweep along a held copy; PGD does not, as each of its
-trajectories gets one adjoint sweep.
+holding the one factor that needs the convolution J*phi_n, P'(phi_n) gap_n,
+as a (steps, cells) array (StateTrajectory.held), which linearise_step then
+reads instead of convolving. Both give the same bits, and the held rows
+cannot meet another trajectory's states. gradcheck runs its duality probes
+and its gradient's adjoint sweep along a held copy; PGD does not, as each
+of its trajectories gets one adjoint sweep.
 
 One backward loop, _reverse_sweep, serves both transposed products. It
 hands out each step's two transposed solves together with h(phi_n) from the
@@ -54,7 +53,7 @@ from .errors import FieldShapeError
 from .geometry import qt_inner_product
 from .forward import ControlPair, StateTrajectory, StepOperators, linearise_step
 from .kernels import KernelData
-from .physics import ModelParams, rates_with_slopes
+from .physics import ModelParams
 
 # Values per array in one block of steps (32 kB): the whole of most small 1D
 # trajectories, and one step on a 2D grid of 64 x 64 cells or more. Each
@@ -166,33 +165,25 @@ def step_blocks(traj: StateTrajectory) -> list[slice]:
 
 
 def hold_linearisation(traj: StateTrajectory) -> StateTrajectory:
-    """traj holding the convolution-bearing factors of every step, formed
-    one step_blocks block at a time: bitwise the rows linearise_step gives.
-    The copy shares traj's states, controls and operators."""
-    shape = (traj.steps, traj.grid.num_cells)
-    prolif_d_gap, stiffness = np.empty(shape), np.empty(shape)
+    """traj holding P'(phi_n) gap_n for every step, formed one step_blocks
+    block at a time: bitwise the rows linearise_step gives. The copy shares
+    traj's states, controls and operators."""
+    prolif_d_gap = np.empty((traj.steps, traj.grid.num_cells))
     for block in step_blocks(traj):
-        lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
-                             traj.controls.u[block])
-        prolif_d_gap[block], stiffness[block] = lin[3:]
-    return replace(traj, held=(prolif_d_gap, stiffness))
+        prolif_d_gap[block] = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
+                                             traj.controls.u[block])[3]
+    return replace(traj, held=prolif_d_gap)
 
 
 def _linearised_steps(traj: StateTrajectory, reverse: bool = False):
     """Yield (n, linearise_step of step n) for every step of traj, in time
-    order or reversed, one step_blocks block at a time: linearised afresh,
-    or, when traj holds its products (hold_linearisation), those together
-    with P, h and h' u recomputed from phi_n and u_n."""
-    params = traj.ops.params
+    order or reversed, one step_blocks block at a time, with the block's
+    rows of traj.held when traj holds them (hold_linearisation)."""
     blocks = step_blocks(traj)
     for block in (reversed(blocks) if reverse else blocks):
-        phi, u = traj.phi[block], traj.controls.u[block]
-        if traj.held is None:
-            lin = linearise_step(traj.ops, phi, traj.sigma[block], u)
-        else:
-            prolif, _, distrib, distrib_d = rates_with_slopes(params, phi)
-            prolif_d_gap, stiffness = traj.held
-            lin = (prolif, distrib, distrib_d * u, prolif_d_gap[block], stiffness[block])
+        lin = linearise_step(traj.ops, traj.phi[block], traj.sigma[block],
+                             traj.controls.u[block],
+                             None if traj.held is None else traj.held[block])
         offsets = range(block.stop - block.start)
         for k in (reversed(offsets) if reverse else offsets):
             yield block.start + k, tuple(factor[k] for factor in lin)

@@ -477,11 +477,27 @@ def test_solver_options_accepts_only_none(grid1d, kernel1d, params):
             call({"method": "direct"})
 
 
-def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
-    from nlch_control import CostSpec
+@pytest.mark.parametrize("command", ["simulate", "optimize", "gradcheck"])
+def test_one_factorisation_per_run(monkeypatch, command):
+    # every sweep of a run, the manufactured targets' simulate included,
+    # shares one StepOperators through KernelData.operator_slot, so a run
+    # builds the phi and the sigma solver once each; the inputs are built
+    # as the CLI commands build them
+    from nlch_control import config_from_dict
+    from nlch_control.control import pgd_optimize
     from nlch_control.gradcheck import run_gradcheck
     from nlch_control.solvers import ShiftedLaplacianSolver
 
+    cfg = config_from_dict({
+        "grid": {"cells": [8, 6], "extent": [1.0, 0.75]},
+        "kernel": {"family": "mollifier", "amplitude": 100.0, "width": 0.3},
+        "model": {"A": 0.5, "B": 1.0, "chi": 0.3},
+        "time": {"T": 0.04, "steps": 4},
+        "cost": {"alpha_u": 1e-2, "beta_v": 1e-2,
+                 "targets": {"kind": "manufactured", "u": {"kind": "constant", "value": 0.1},
+                             "v": {"kind": "constant", "value": -0.05}}},
+        "optimizer": {"max_iter": 3},
+    })
     builds = []
     init = ShiftedLaplacianSolver.__init__
 
@@ -490,18 +506,27 @@ def test_run_gradcheck_factorises_at_most_twice(rng, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(ShiftedLaplacianSolver, "__init__", counting_init)
-    grid = GridSpec((8, 6), (1.0, 0.75))
-    kernel = build_kernel(KernelSpec("mollifier", 100.0, 0.3), grid)
-    params = ModelParams(A=0.5, B=1.0, chi=0.0)
-    steps = 4
-    spec = CostSpec(grid, alpha_omega=1.0, beta_q=0.5,
-                             alpha_u=1e-2, beta_v=1e-2,
-                             phi_omega=np.full(grid.num_cells, -0.2))
-    result = run_gradcheck(smooth_phi0(grid), ScalarField.constant(grid, 0.3),
-                           random_controls(rng, grid, steps), spec, params, kernel,
-                           TimeGrid(0.05, steps), rng, n_duality=3, n_fd=2, n_taylor=2)
-    assert result.passed
-    assert len(builds) <= 2
+    params = cfg.build_params()
+    grid = cfg.build_grid()
+    kernel = cfg.build_kernel(grid)
+    tgrid = cfg.build_tgrid()
+    phi0, sigma0 = cfg.build_initial_state(grid)
+    controls = cfg.build_initial_controls(grid)
+    if command == "simulate":
+        simulate(phi0, sigma0, controls, params, kernel, tgrid, blowup_guard=cfg.blowup_guard)
+    else:
+        spec = cfg.build_cost(grid, kernel, params, tgrid)
+        if command == "optimize":
+            report = pgd_optimize(controls, cfg.build_box(grid), spec, params, kernel, tgrid,
+                                  phi0, sigma0, opts=cfg.pgd_options(),
+                                  blowup_guard=cfg.blowup_guard)
+            assert report.iterations >= 1
+        else:
+            result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid,
+                                   np.random.default_rng(cfg.seed), blowup_guard=cfg.blowup_guard,
+                                   n_duality=1, n_fd=1, n_taylor=1)
+            assert result.passed
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("grid_name", ["grid1d", "grid2d"])

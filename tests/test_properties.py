@@ -136,7 +136,7 @@ def test_tangent_and_adjoint_are_exact_transposes(run):
              rng.standard_normal(seeds), rng.standard_normal(seeds))
     gap = duality_gap(traj, *probe)
     assert gap <= 1e-10
-    # along the held copy the sweeps read the held products: the same bits
+    # along the held copy the sweeps read the held P' gap: the same bits
     assert duality_gap(hold_linearisation(traj), *probe) == gap
 
 
