@@ -98,8 +98,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
-                  _corrupt_adjoint: bool = False) -> int:
+def cmd_gradcheck(cfg: RunConfig, quiet: bool = False) -> int:
     params = cfg.build_params()
     grid = cfg.build_grid()
     kernel = cfg.build_kernel(grid)
@@ -110,7 +109,7 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False,
     rng = np.random.default_rng(cfg.seed)
 
     result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel, tgrid, rng,
-                           blowup_guard=cfg.blowup_guard, corrupt_adjoint=_corrupt_adjoint)
+                           blowup_guard=cfg.blowup_guard)
 
     _say(quiet, f"duality gap (max over {len(result.duality_gaps)} probes): "
                 f"{result.max_duality_gap:.3e}")

@@ -28,6 +28,10 @@ whose addition leaves every nonzero value as it is, so the results keep
 their bits; with chi > 0 every expression is evaluated in the order written
 above. P(phi) gap is formed once per step.
 
+_step_terms forms the explicit terms (mu, P(phi) gap, S_phi), which
+mass_balance_residual reads too, and implicit_solves the two updates, which
+the tangent step runs on the terms' linearisations.
+
 StepOperators holds every operator a step applies. On a 1D grid of at most
 geometry.DENSE_MAX_CELLS cells each one is a dense matrix (the Laplacian L
 here, the convolution on the kernel, the two solves as symmetrised
@@ -76,10 +80,6 @@ class State:
     def __post_init__(self):
         if self.phi.grid != self.sigma.grid:
             raise FieldShapeError("phi and sigma live on different grids")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.phi.grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,14 +206,16 @@ def _mu_and_gap(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma:
 
 
 def _step_terms(params: ModelParams, kernel: KernelData, phi: np.ndarray, sigma: np.ndarray,
-                j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The explicit factors of one step: mu, gap, P(phi) and h(phi), given
-    j_phi = J*phi."""
+                u: np.ndarray, j_phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The explicit terms of one step, given j_phi = J*phi: mu, P(phi) gap
+    and the phi source S_phi = P(phi) gap - h(phi) u; the one place the
+    source is formed."""
     mu, gap = _mu_and_gap(params, kernel, phi, sigma, j_phi)
     prolif = params.proliferation.evaluate(phi)
     distrib = (prolif if params.distribution_is_proliferation
                else params.distribution.evaluate(phi))
-    return mu, gap, prolif, distrib
+    prolif_gap = prolif * gap
+    return mu, prolif_gap, prolif_gap - distrib * u
 
 
 def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray, u: np.ndarray,
@@ -238,23 +240,27 @@ def linearise_step(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray, u: np
             params.A * POTENTIAL.evaluate(phi, 2) + params.B * ops.kernel.a)
 
 
+def implicit_solves(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray, mu: np.ndarray,
+                    source: np.ndarray, prolif_gap: np.ndarray, v: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """phi' and sigma' of a step from its explicit terms, the chi term only
+    when chi is non-zero. The step map is linear in them, so the tangent
+    step passes their linearisations."""
+    phi_new = phi + ops.solve_phi_increment(ops.lap(mu) + source)
+    rhs_sigma = sigma / ops.dt
+    if ops.params.chi:
+        rhs_sigma -= ops.params.chi * ops.lap(phi_new)
+    rhs_sigma -= prolif_gap
+    rhs_sigma += v
+    return phi_new, ops.solve_sigma(rhs_sigma)
+
+
 def _step_core(ops: StepOperators, phi: np.ndarray, sigma: np.ndarray,
                u: np.ndarray, v: np.ndarray, j_phi: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """One step from (phi, sigma) under (u, v), given j_phi = J*phi."""
-    params = ops.params
-    mu, gap, prolif, distrib = _step_terms(params, ops.kernel, phi, sigma, j_phi)
-
-    prolif_gap = prolif * gap
-    rhs_phi = ops.lap(mu) + (prolif_gap - distrib * u)
-    phi_new = phi + ops.solve_phi_increment(rhs_phi)
-
-    rhs_sigma = sigma / ops.dt
-    if params.chi:
-        rhs_sigma -= params.chi * ops.lap(phi_new)
-    rhs_sigma -= prolif_gap
-    rhs_sigma += v
-    return phi_new, ops.solve_sigma(rhs_sigma)
+    mu, prolif_gap, source = _step_terms(ops.params, ops.kernel, phi, sigma, u, j_phi)
+    return implicit_solves(ops, phi, sigma, mu, source, prolif_gap, v)
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,9 +410,9 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
 
     Integrating the phi update over the domain kills every Laplacian term
     (the Neumann stencil has exactly zero column sums), leaving
-    d/dt mass(phi) = <P gap - h u, 1>. Returns max_n |defect| / scale.
-    controls and params must be the ones traj was simulated with
-    (StaleTrajectoryError otherwise).
+    d/dt mass(phi) = <S_phi, 1>, S_phi from _step_terms. Returns
+    max_n |defect| / scale. controls and params must be the ones traj was
+    simulated with (StaleTrajectoryError otherwise).
     """
     if controls is not traj.controls:
         raise StaleTrajectoryError("trajectory was simulated with other controls")
@@ -416,10 +422,9 @@ def mass_balance_residual(traj: StateTrajectory, controls: ControlPair,
     worst = 0.0
     for n in range(traj.steps):
         rate = (np.sum(traj.phi[n + 1]) - np.sum(traj.phi[n])) * vol / dt
-        phi = traj.phi[n]
-        _, gap, prolif, distrib = _step_terms(params, traj.ops.kernel, phi, traj.sigma[n],
-                                              traj.ops.conv(phi))
-        source = float(np.sum(prolif * gap - distrib * controls.u[n])) * vol
+        _, _, source = _step_terms(params, traj.ops.kernel, traj.phi[n], traj.sigma[n],
+                                   controls.u[n], traj.ops.conv(traj.phi[n]))
+        source = float(np.sum(source)) * vol
         scale = max(1.0, abs(rate), abs(source))
         worst = max(worst, abs(rate - source) / scale)
     return worst

@@ -6,7 +6,7 @@ acceptance suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,13 +135,12 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     """Full verification sweep from one seeded generator.
 
     The base trajectory is computed once and shared by every probe. The
-    duality probes and the gradient's adjoint sweep run along its held copy
-    (hold_linearisation), which holds P'(phi_n) gap_n in one array; the
-    reduced gradient is formed from that adjoint pointed back at the plain
-    base, so the array goes first, and the FD and Taylor probes run along
-    the base. The gradient is formed after the duality probes, which do not
-    read it, and released before the Taylor probes. Every forward sweep runs
-    under blowup_guard, as in simulate.
+    duality probes run along its held copy (hold_linearisation), which
+    holds P'(phi_n) gap_n in one array; the copy goes after them, and the
+    gradient's adjoint sweep, the FD and the Taylor probes run along the
+    plain base, as PGD's adjoint does. The gradient is formed after the
+    duality probes, which do not read it, and released before the Taylor
+    probes. Every forward sweep runs under blowup_guard, as in simulate.
     corrupt_adjoint is a negative-control hook: it biases the adjoint
     gradient by 0.1% plus an offset before the FD comparison, which a healthy
     check must flag.
@@ -164,12 +163,9 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
              np.empty(seed_shape))
     gaps = [duality_gap(held, *[rng.standard_normal(out=buffer) for buffer in probe])
             for _ in range(n_duality)]
-    del probe
+    del probe, held  # the held array goes before the adjoint sweep
 
-    adjoint = replace(adjoint_sweep(held, spec, params, kernel), traj=base)
-    del held  # the held array goes before the gradient is formed
-    grad = reduced_gradient(adjoint, spec)
-    del adjoint
+    grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
     per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)

@@ -186,8 +186,9 @@ def ellipticity_margin(params: ModelParams, kernel: KernelData) -> float:
     return params.A * POTENTIAL.second_derivative_min + params.B * float(np.min(kernel.a))
 
 
-def require_ellipticity(params: ModelParams, kernel: KernelData) -> float:
-    """Gate used before any solve: raise unless c0 > chi^2."""
+def require_ellipticity(params: ModelParams, kernel: KernelData) -> None:
+    """Gate used before any solve: raise unless c0 > chi^2
+    (ellipticity_margin gives c0)."""
     margin = ellipticity_margin(params, kernel)
     threshold = params.chi * params.chi
     if not (margin > threshold):
@@ -195,4 +196,3 @@ def require_ellipticity(params: ModelParams, kernel: KernelData) -> float:
             f"ellipticity hypothesis fails: c0 = {margin:.6g} <= chi^2 = {threshold:.6g} "
             "(need A*min F'' + B*min a > chi^2)"
         )
-    return margin

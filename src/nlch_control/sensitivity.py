@@ -2,8 +2,8 @@
 (VJP), computed by reverse time sweep over the recorded trajectory.
 
 The forward step is linear in its unknown, so differentiating it amounts to
-replaying the same two SPD solves on linearised right-hand sides; the
-transpose reverses the elementary operations, reusing the self-transposed
+replaying its two SPD solves, forward.implicit_solves, on linearised terms;
+the transpose reverses the elementary operations, reusing the self-transposed
 implicit solves, the symmetric Laplacian, and the symmetric convolution.
 Gradients produced this way match finite differences of the discrete cost to
 truncation error, which is the property the optimiser relies on. A
@@ -21,8 +21,8 @@ holding the one factor that needs the convolution J*phi_n, P'(phi_n) gap_n,
 as a (steps, cells) array (StateTrajectory.held), which linearise_step then
 reads instead of convolving. Both give the same bits, and the held rows
 cannot meet another trajectory's states. gradcheck runs its duality probes
-and its gradient's adjoint sweep along a held copy; PGD does not, as each
-of its trajectories gets one adjoint sweep.
+along a held copy; a trajectory that gets one sweep, such as the one each
+adjoint of gradcheck and PGD runs along, does not need it.
 
 One backward loop, _reverse_sweep, serves both transposed products. It
 hands out each step's two transposed solves together with h(phi_n) from the
@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import FieldShapeError
 from .geometry import qt_inner_product
-from .forward import ControlPair, StateTrajectory, StepOperators, linearise_step
+from .forward import (ControlPair, StateTrajectory, StepOperators, implicit_solves,
+                      linearise_step)
 from .kernels import KernelData
 from .physics import ModelParams
 
@@ -92,8 +93,8 @@ class AdjointTrajectory:
 def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarray,
                   rho: np.ndarray, du: np.ndarray, dv: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Tangent of one step at the base point linearised by linearise_step;
-    the chi terms only when chi is non-zero."""
+    """Tangent of one step at the base point linearised by linearise_step:
+    implicit_solves on the linearised terms; chi terms only if chi != 0."""
     params = ops.params
     chi = params.chi
     prolif, distrib, distrib_du, prolif_d_gap, stiffness = lin
@@ -105,13 +106,7 @@ def _tangent_core(ops: StepOperators, lin: tuple[np.ndarray, ...], xi: np.ndarra
         dgap = rho - eta
     d_prolif_gap = prolif_d_gap * xi + prolif * dgap
     d_source = d_prolif_gap - distrib_du * xi - distrib * du
-    xi_new = xi + ops.solve_phi_increment(ops.lap(eta) + d_source)
-    rhs_sigma = rho / ops.dt
-    if chi:
-        rhs_sigma -= chi * ops.lap(xi_new)
-    rhs_sigma -= d_prolif_gap
-    rhs_sigma += dv
-    return xi_new, ops.solve_sigma(rhs_sigma)
+    return implicit_solves(ops, xi, rho, eta, d_source, d_prolif_gap, dv)
 
 
 def _adjoint_core(ops: StepOperators, lin: tuple[np.ndarray, ...], p_bar: np.ndarray,

@@ -109,7 +109,7 @@ def random_run(rng, grid: GridSpec, params: ModelParams, steps: int = 20,
 def one_step(state: State, u: ScalarField, v: ScalarField, params: ModelParams,
              kernel, dt: float) -> State:
     """One time step of the scheme, taken by simulate over a one-step grid."""
-    controls = ControlPair(state.grid, u.values[None], v.values[None])
+    controls = ControlPair(state.phi.grid, u.values[None], v.values[None])
     traj = simulate(state.phi, state.sigma, controls, params, kernel, TimeGrid(dt, 1),
                     record_monitors=False)
     return traj.state(1)

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import hashlib
 import importlib.machinery
 import json
@@ -18,6 +19,7 @@ from nlch_control.cli import (EXIT_CHECK, EXIT_OK, EXIT_SOLVER, EXIT_VALIDATION,
 from nlch_control.config import config_from_dict, config_json
 from nlch_control.errors import ConfigError, FieldShapeError, GridError
 from nlch_control.forward import DEFAULT_BLOWUP_GUARD
+from nlch_control.gradcheck import run_gradcheck
 from nlch_control.snapshots import (MANIFEST_NAME, read_snapshot, write_snapshot)
 
 
@@ -456,12 +458,14 @@ def test_broken_superlu_extension_exits_3(tmp_path, monkeypatch, capsys, broken)
     assert solvers._SUPERLU not in sys.modules
 
 
-def test_cmd_gradcheck_passes_and_corruption_detected(tmp_path):
+def test_cmd_gradcheck_passes_and_corruption_detected(tmp_path, monkeypatch):
     path = write_cfg(tmp_path, {"time": {"T": 0.15, "steps": 10},
                                 "grid": {"cells": [16]}})
     cfg = load_config(path)
     assert cmd_gradcheck(cfg, quiet=True) == EXIT_OK
-    assert cmd_gradcheck(cfg, quiet=True, _corrupt_adjoint=True) == EXIT_CHECK
+    monkeypatch.setattr("nlch_control.cli.run_gradcheck",
+                        functools.partial(run_gradcheck, corrupt_adjoint=True))
+    assert cmd_gradcheck(cfg, quiet=True) == EXIT_CHECK
 
 
 def test_cmd_gradcheck_zero_weights(tmp_path):

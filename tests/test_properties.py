@@ -6,8 +6,10 @@ a fixed share of draws), and builds B so that the ellipticity gate
 A min F'' + B min a > chi^2 holds by construction. The duality property also
 draws 1D grids of 257-900 cells, the FFT convolution and LU solves; the mass
 property does not, since its gate of 1e-12 sits at the round-off floor of
-the balance on such grids. The last property draws 2D grids, kernels and
-widths alone and checks the convolution against its dense operator. The
+the balance on such grids. The energy property draws every branch with
+the reactions off (P = 0, u = v = 0, chi = 0), the gradient flow, whose
+monitored energy must not rise. The last property draws 2D grids, kernels
+and widths alone and checks the convolution against its dense operator. The
 draws are derandomised. Hypothesis also draws constants it finds in the
 loaded modules, so which examples run can depend on what else the session
 imports; the properties must hold on the whole drawn domain.
@@ -49,9 +51,10 @@ class Run:
 
 
 @st.composite
-def admissible_runs(draw, chi_max: float, large_1d: bool = False):
+def admissible_runs(draw, chi_max: float, large_1d: bool = False, reactions: bool = True):
     # large_1d adds 1D grids past DENSE_MAX_CELLS (FFT convolution, LU
-    # solves) with at most 3 steps
+    # solves) with at most 3 steps; reactions=False draws the gradient flow,
+    # P = 0 and u = v = 0, with its own dt and phi0 (with chi_max = 0, chi = 0)
     forms = (["large-1d"] if large_1d else []) + ["dense-1d", "2d"]
     form = draw(st.sampled_from(forms))
     if form == "dense-1d":
@@ -76,23 +79,41 @@ def admissible_runs(draw, chi_max: float, large_1d: bool = False):
     params = ModelParams(
         A=A, B=B, chi=chi,
         proliferation=ProliferationSpec(draw(st.sampled_from(["smoothed_ramp",
-                                                              "constant_zero"]))),
+                                                              "constant_zero"]))
+                                        if reactions else "constant_zero"),
         distribution=DistributionSpec(draw(st.sampled_from(["same_as_p", "constant_one"]))),
         lambda_s=draw(st.floats(1.0, 3.0)),
     )
     steps = draw(st.integers(1, 3 if form == "large-1d" else 5))
-    # mass_balance_residual divides a difference of masses by dt, so its
-    # round-off floor is about eps |mass| / dt; at dt = 1e-3 a correct run can
-    # read 1e-12, so dt starts at 1e-2, where the floor is a decade lower
-    tgrid = TimeGrid(steps * draw(st.floats(1e-2, 4e-2)), steps)
+    if reactions:
+        # mass_balance_residual divides a difference of masses by dt, so its
+        # round-off floor is about eps |mass| / dt; at dt = 1e-3 a correct run
+        # can read 1e-12, so dt starts at 1e-2, where the floor is a decade lower
+        dt = draw(st.floats(1e-2, 4e-2))
+    else:
+        # the stabilised step decreases the energy at any dt while |phi|
+        # stays moderate: with phi0 = m + a U(-1, 1), m in [-0.6, 0.6], every
+        # branch decreased it (and tripped no guard) for dt = 1e-3 .. 10 and a
+        # up to 1.8, over 400 draws per 2D and dense 1D branch and 100 on the
+        # large one; with normal noise of scale 0.7-1.0 in place of U the first
+        # increases and guard trips came at sup |phi0| = 2.24. So dt spans
+        # those four decades and a <= 0.9 keeps sup |phi0| <= 1.5
+        dt = 10.0 ** draw(st.floats(-3.0, 1.0))
+        amplitude = draw(st.floats(0.0, 0.9))
+    tgrid = TimeGrid(steps * dt, steps)
 
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     n = grid.num_cells
-    phi0 = ScalarField(grid, draw(st.floats(-0.6, 0.6)) + 0.3 * rng.standard_normal(n))
+    mean = draw(st.floats(-0.6, 0.6))
+    if reactions:
+        phi0 = ScalarField(grid, mean + 0.3 * rng.standard_normal(n))
+    else:
+        phi0 = ScalarField(grid, mean + amplitude * (2.0 * rng.random(n) - 1.0))
     sigma0 = ScalarField(grid, 0.5 * rng.random(n))
-    controls = ControlPair(grid, 0.2 * rng.standard_normal((steps, n)),
-                           0.2 * rng.standard_normal((steps, n)))
+    controls = (ControlPair(grid, 0.2 * rng.standard_normal((steps, n)),
+                            0.2 * rng.standard_normal((steps, n)))
+                if reactions else ControlPair.zeros(grid, steps))
     return Run(grid, kernel_spec, params, tgrid, phi0, sigma0, controls, seed)
 
 
@@ -105,6 +126,13 @@ def test_forward_run_balances_mass_and_repeats_bitwise(run):
     assert np.array_equal(traj.phi, again.phi)
     assert np.array_equal(traj.sigma, again.sigma)
     assert traj.monitors == again.monitors
+
+
+@PROPERTY_SETTINGS
+@given(admissible_runs(chi_max=0.0, large_1d=True, reactions=False))
+def test_gradient_flow_never_raises_the_energy(run):
+    energy = [row[2] for row in run.simulate().monitors]
+    assert max(np.diff(energy)) <= 1e-12 * max(1.0, abs(energy[0]))
 
 
 def large_1d_run(chi: float) -> Run:
