@@ -17,7 +17,8 @@ on stderr, --quiet or not.
 Every output file is a deterministic function of (config, seed): numbers are
 serialised with repr, manifests carry no timestamps, and all randomness flows
 from the single config seed. A run refuses to write into a directory that
-already holds a manifest.
+already holds a manifest or cannot be made, and optimize refuses all-zero
+cost weights before it makes one.
 """
 
 from __future__ import annotations
@@ -57,7 +58,10 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
         raise ConfigError(
             [f"output directory {out} already holds a run manifest; refusing to overwrite"]
         )
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file by that name, or in its path
+        raise ConfigError([f"cannot make output directory {out}: {exc}"]) from exc
     return out
 
 
@@ -70,13 +74,15 @@ def _snapshot_steps(total: int, stride: int) -> list[int]:
     return sorted(picks)
 
 
-def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
+def _run_inputs(cfg: RunConfig) -> tuple:
+    """(grid, kernel, params, tgrid, phi0, sigma0, initial controls)."""
     grid = cfg.build_grid()
-    kernel = cfg.build_kernel(grid)
-    params = cfg.build_params()
-    tgrid = cfg.build_tgrid()
-    phi0, sigma0 = cfg.build_initial_state(grid)
-    controls = cfg.build_initial_controls(grid)
+    return (grid, cfg.build_kernel(grid), cfg.build_params(), cfg.build_tgrid(),
+            *cfg.build_initial_state(grid), cfg.build_initial_controls(grid))
+
+
+def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
+    grid, kernel, params, tgrid, phi0, sigma0, controls = _run_inputs(cfg)
     out = _prepare_outdir(cfg)
 
     traj = simulate(phi0, sigma0, controls, params, kernel, tgrid,
@@ -99,12 +105,7 @@ def cmd_simulate(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def cmd_gradcheck(cfg: RunConfig, quiet: bool = False) -> int:
-    params = cfg.build_params()
-    grid = cfg.build_grid()
-    kernel = cfg.build_kernel(grid)
-    tgrid = cfg.build_tgrid()
-    phi0, sigma0 = cfg.build_initial_state(grid)
-    controls = cfg.build_initial_controls(grid)
+    grid, kernel, params, tgrid, phi0, sigma0, controls = _run_inputs(cfg)
     spec = cfg.build_cost(grid, kernel, params, tgrid)
     rng = np.random.default_rng(cfg.seed)
 
@@ -123,14 +124,10 @@ def cmd_gradcheck(cfg: RunConfig, quiet: bool = False) -> int:
 
 
 def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
-    params = cfg.build_params()
-    grid = cfg.build_grid()
-    kernel = cfg.build_kernel(grid)
-    tgrid = cfg.build_tgrid()
-    phi0, sigma0 = cfg.build_initial_state(grid)
-    c0 = cfg.build_initial_controls(grid)
+    grid, kernel, params, tgrid, phi0, sigma0, c0 = _run_inputs(cfg)
     box = cfg.build_box(grid)
     spec = cfg.build_cost(grid, kernel, params, tgrid)
+    spec.validate()  # before the output directory is made
     out = _prepare_outdir(cfg)
 
     def progress(k, j_val, resid, step, ls, _iterate):
@@ -183,13 +180,8 @@ def cmd_optimize(cfg: RunConfig, quiet: bool = False) -> int:
 def cmd_validate(cfg: RunConfig, quiet: bool = False) -> int:
     """Build every input a run reads, files included, short of simulating:
     manufactured cost targets realise their controls but are not run."""
-    grid = cfg.build_grid()
-    kernel = cfg.build_kernel(grid)
-    params = cfg.build_params()
+    grid, kernel, params, tgrid, *_ = _run_inputs(cfg)
     margin = ellipticity_margin(params, kernel)
-    tgrid = cfg.build_tgrid()
-    cfg.build_initial_state(grid)
-    cfg.build_initial_controls(grid)
     cfg.build_box(grid)
     targets = cfg.data["cost"]["targets"]
     if targets["kind"] == "manufactured":

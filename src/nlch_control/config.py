@@ -1,6 +1,15 @@
 """Run configuration: a documented JSON format, validated in one pass that
 collects every failure instead of stopping at the first.
 
+Each rule on a value is checked once, by the object it concerns: the pass
+builds it and lists each of its failures under the section's name. These
+are GridSpec, ModelParams with physics.require_ellipticity (applied to the
+raw A, B and chi), build_kernel, TimeGrid, forward.require_guard (solver),
+CostSpec (the weights) and BoxConstraints (number bounds), these two on a
+two-cell grid, and PgdOptions, which takes any tol: with tol <= 0 a run
+never converges and stops at max_iter. The pass itself checks the seed, the
+snapshot stride, bump centres, that named files exist and that the grid fits.
+
 That pass merges the defaults and brings every value into its canonical
 JSON form, and that normalised dict (RunConfig.data) is the configuration:
 the builders read it, and config_json serialises it for the config_sha256 of
@@ -58,17 +67,17 @@ import json
 import numbers
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
-from .control import BoxConstraints, CostSpec, PgdOptions
+from .control import COST_WEIGHTS, BoxConstraints, CostSpec, PgdOptions
 from .errors import ConfigError, NLCHError
-from .forward import DEFAULT_BLOWUP_GUARD, ControlPair, TimeGrid, simulate
+from .forward import DEFAULT_BLOWUP_GUARD, ControlPair, TimeGrid, require_guard, simulate
 from .geometry import GridSpec, ScalarField
 from .kernels import KernelData, KernelSpec, build_kernel
-from .physics import POTENTIAL, DistributionSpec, ModelParams, ProliferationSpec
+from .physics import DistributionSpec, ModelParams, ProliferationSpec, require_ellipticity
 
-_WEIGHTS = ("alpha_omega", "alpha_q", "beta_omega", "beta_q", "alpha_u", "beta_v")
 _BOUNDS = ("u_min", "u_max", "v_min", "v_max")
 
 
@@ -185,7 +194,7 @@ class RunConfig:
 
     def build_cost(self, grid: GridSpec, kernel: KernelData, params: ModelParams,
                    tgrid: TimeGrid) -> CostSpec:
-        weights = {name: self.data["cost"][name] for name in _WEIGHTS}
+        weights = {name: self.data["cost"][name] for name in COST_WEIGHTS}
         t = self.data["cost"]["targets"]
         if t["kind"] == "zero":
             return CostSpec(grid, **weights)
@@ -405,17 +414,19 @@ def config_from_dict(raw: dict, base_dir: str = ".") -> RunConfig:
     return cfg
 
 
+def _built(failures: list[str], section: str, build, *args, **kwargs):
+    """build(*args, **kwargs), or None after listing each failure under section."""
+    try:
+        return build(*args, **kwargs)
+    except NLCHError as exc:
+        failures.extend(f"{section}: {message}" for message in str(exc).split("; "))
+        return None
+
+
 def _validate(cfg: RunConfig, failures: list[str]):
     d = cfg.data
-    grid = None
-    try:
-        grid = cfg.build_grid()
-    except NLCHError as exc:
-        failures.append(f"grid: {exc}")
-    try:
-        cfg.build_params()
-    except NLCHError as exc:
-        failures.append(f"model: {exc}")
+    grid = _built(failures, "grid", cfg.build_grid)
+    _built(failures, "model", cfg.build_params)
     kernel = None
     fits = grid is not None
     if grid is not None:
@@ -426,56 +437,40 @@ def _validate(cfg: RunConfig, failures: list[str]):
             # index range raises ValueError ("Maximum allowed dimension
             # exceeded", "array is too big"), not MemoryError
             np.empty(grid.num_cells)
-            kernel = cfg.build_kernel(grid)
-        except NLCHError as exc:
-            failures.append(f"kernel: {exc}")
+            kernel = _built(failures, "kernel", cfg.build_kernel, grid)
         except (MemoryError, ValueError) as exc:
             fits = False
             failures.append(f"grid.cells {d['grid']['cells']}: the grid does not fit in "
                             f"memory ({exc})")
-    m = d["model"]
     if kernel is not None:
-        # computed from raw values so the message appears even when the
-        # A, B > 0 invariant already failed (e.g. B = 0)
-        margin = (m["A"] * POTENTIAL.second_derivative_min
-                  + m["B"] * float(np.min(kernel.a)))
-        if not (margin > m["chi"] ** 2):
-            failures.append(
-                f"hypothesis violation: c0 = {margin:.6g} <= chi^2 = {m['chi'] ** 2:.6g} "
-                "(need A*min F'' + B*min a > chi^2)"
-            )
-    if d["time"]["T"] <= 0.0:
-        failures.append(f"time.T must be positive, got {d['time']['T']}")
-    steps = d["time"]["steps"]
-    if steps <= 0:
-        failures.append(f"time.steps must be positive, got {steps}")
-    elif fits:
+        # the raw A, B and chi, so the margin is reported also when they fail
+        # ModelParams (e.g. B = 0)
+        _built(failures, "model", require_ellipticity, SimpleNamespace(**d["model"]), kernel)
+    tgrid = _built(failures, "time", cfg.build_tgrid)
+    if tgrid is not None and fits:
         try:
             # the two (steps + 1, cells) states every run stores, asked for
             # like the one field above and never written
-            np.empty((2, steps + 1, grid.num_cells))
+            np.empty((2, tgrid.steps + 1, grid.num_cells))
         except (MemoryError, ValueError) as exc:
-            failures.append(f"time.steps {steps}: the trajectory does not fit in memory ({exc})")
+            failures.append(f"time.steps {tgrid.steps}: the trajectory does not fit in "
+                            f"memory ({exc})")
     if d["seed"] < 0:
         failures.append(f"seed must be nonnegative, got {d['seed']}")
-    if d["solver"]["blowup_guard"] <= 0.0:
-        failures.append("solver.blowup_guard must be positive")
-    if any(d["cost"][name] < 0 for name in _WEIGHTS):
-        failures.append("cost weights must be nonnegative")
-    # the all-weights-zero gate applies only when optimizing; gradcheck may
-    # legitimately run a zero-cost configuration (all gradients zero)
+    _built(failures, "solver", require_guard, cfg.blowup_guard)
+    # weights and number bounds hold on any grid, so two cells report them also
+    # when the grid fails or does not fit; all-zero weights are optimize's gate
+    two_cells = GridSpec([2], [1.0])
+    _built(failures, "cost", CostSpec, two_cells,
+           **{name: d["cost"][name] for name in COST_WEIGHTS})
     box = d["box"]
+    bounds = []
     for c in "uv":
-        lower, upper = box[f"{c}_min"], box[f"{c}_max"]
-        if not (isinstance(lower, dict) or isinstance(upper, dict)) and lower > upper:
-            failures.append(f"box: {c}_min > {c}_max")
-    opt = d["optimizer"]
-    if opt["tol"] <= 0.0:
-        failures.append("optimizer.tol must be positive")
-    if opt["max_iter"] < 0:
-        failures.append("optimizer.max_iter must be nonnegative")
-    if opt["tau0"] <= 0.0:
-        failures.append("optimizer.tau0 must be positive")
+        pair = [box[f"{c}_min"], box[f"{c}_max"]]
+        # a pair with a file bound is checked pointwise where build_box reads it
+        bounds += [0.0, 0.0] if any(isinstance(b, dict) for b in pair) else pair
+    _built(failures, "box", BoxConstraints.constant, two_cells, *bounds)
+    _built(failures, "optimizer", cfg.pgd_options)
     if d["output"]["snapshot_stride"] < 0:
         failures.append("output.snapshot_stride must be nonnegative")
     targets = d["cost"]["targets"]

@@ -25,6 +25,8 @@ from .sensitivity import AdjointTrajectory, adjoint_sweep, step_blocks
 ARMIJO_FRACTION = 1e-4
 # a line search whose step fraction alpha halves below this is exhausted
 ALPHA_FLOOR = 1e-14
+# the weights of CostSpec, in the order of its fields
+COST_WEIGHTS = ("alpha_omega", "alpha_q", "beta_omega", "beta_q", "alpha_u", "beta_v")
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,8 +58,10 @@ class CostSpec:
     sigma_q: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if any(w < 0.0 for w in self._weights()):
-            raise HypothesisViolationError("cost weights must be nonnegative")
+        failures = [f"{name} must be >= 0, got {w}"
+                    for name, w in zip(COST_WEIGHTS, self._weights()) if w < 0.0]
+        if failures:
+            raise HypothesisViolationError("; ".join(failures))
         for name, ndim in (("phi_omega", 1), ("sigma_omega", 1), ("phi_q", 2), ("sigma_q", 2)):
             values = getattr(self, name)
             if values is None:
@@ -65,8 +69,7 @@ class CostSpec:
             object.__setattr__(self, name, cell_array(values, self.grid, name, ndim))
 
     def _weights(self) -> tuple[float, ...]:
-        return (self.alpha_omega, self.alpha_q, self.beta_omega,
-                self.beta_q, self.alpha_u, self.beta_v)
+        return tuple(getattr(self, name) for name in COST_WEIGHTS)
 
     def validate(self):
         """Admissibility gate: at least one weight must be active."""
@@ -97,10 +100,10 @@ class BoxConstraints:
     def __post_init__(self):
         for name in ("u_min", "u_max", "v_min", "v_max"):
             object.__setattr__(self, name, cell_array(getattr(self, name), self.grid, name))
-        if np.any(self.u_min > self.u_max):
-            raise HypothesisViolationError("box constraints need u_min <= u_max pointwise")
-        if np.any(self.v_min > self.v_max):
-            raise HypothesisViolationError("box constraints need v_min <= v_max pointwise")
+        failures = [f"{c}_min must be <= {c}_max at every cell" for c in "uv"
+                    if np.any(getattr(self, f"{c}_min") > getattr(self, f"{c}_max"))]
+        if failures:
+            raise HypothesisViolationError("; ".join(failures))
 
     @classmethod
     def constant(cls, grid: GridSpec, u_min: float, u_max: float,

@@ -6,7 +6,8 @@ solver failures to 3, verification failures to 4.
 
 
 class NLCHError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors. An object that checks several
+    fields lists every failing one in its message, joined by "; "."""
 
 
 class GridError(NLCHError):

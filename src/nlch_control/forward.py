@@ -62,10 +62,13 @@ class TimeGrid:
     steps: int
 
     def __post_init__(self):
-        if not (self.T > 0.0):
-            raise FieldShapeError(f"final time must be positive, got {self.T}")
-        if self.steps < 1:
-            raise FieldShapeError(f"step count must be positive, got {self.steps}")
+        failures = []
+        if not self.T > 0.0:
+            failures.append(f"final time must be positive, got {self.T}")
+        if not self.steps >= 1:
+            failures.append(f"step count must be positive, got {self.steps}")
+        if failures:
+            raise FieldShapeError("; ".join(failures))
 
     @property
     def dt(self) -> float:
@@ -175,6 +178,12 @@ def step_operators(grid: GridSpec, params: ModelParams, kernel: KernelData,
         ops = StepOperators(grid, params, kernel, dt)
         slot[:] = [key, ops]
     return slot[1]
+
+
+def require_guard(blowup_guard: float) -> None:
+    """FieldShapeError unless blowup_guard > 0 (inf switches the guard off)."""
+    if not blowup_guard > 0.0:
+        raise FieldShapeError(f"blowup guard must be > 0, got {blowup_guard}")
 
 
 def _guard_step(n: int, phi_new: np.ndarray, sigma_new: np.ndarray,
@@ -319,14 +328,12 @@ def simulate(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     (does not copy) the controls and the operator bundle it stepped with.
     record_monitors=False skips the per-step energy evaluation; optimisation
     inner loops use it, artifact-producing runs keep it on. blowup_guard
-    must be > 0 (inf switches the guard off); any other value, NaN
-    included, raises FieldShapeError before the first step.
+    must pass require_guard, checked before the first step.
     """
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
         raise TypeError("simulate: solver_options must be None; there is no solver choice")
-    if not blowup_guard > 0.0:
-        raise FieldShapeError(f"blowup guard must be > 0, got {blowup_guard}")
+    require_guard(blowup_guard)
     require_ellipticity(params, kernel)
     grid = phi0.grid
     if sigma0.grid != grid:

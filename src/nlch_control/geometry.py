@@ -106,7 +106,7 @@ def cell_array(values, grid: GridSpec, name: str, ndim: int = 1) -> np.ndarray:
     not (steps, cells)."""
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != ndim or arr.shape[-1] != grid.num_cells:
-        raise FieldShapeError(f"{name} has shape {arr.shape}; need {ndim} axes, "
+        raise FieldShapeError(f"{name} has shape {arr.shape}, need {ndim} axes, "
                               f"the last of {grid.num_cells} cells")
     # a slice, not an index, so an empty axis stays empty
     held = arr[tuple(slice(1) if s == 0 else slice(None) for s in arr.strides)]

@@ -67,7 +67,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise KernelResolutionError(
-                f"unknown kernel family {self.family!r}; choose from {_FAMILIES}"
+                f"unknown kernel family {self.family!r}, choose from {_FAMILIES}"
             )
         if not (0.0 < self.amplitude < np.inf):
             raise KernelResolutionError("kernel amplitude must be positive and finite")
@@ -263,7 +263,7 @@ def build_kernel(spec: KernelSpec, grid: GridSpec) -> KernelData:
     """
     if spec.width < 0.5 * max(grid.spacing):
         raise KernelResolutionError(
-            f"kernel width {spec.width} under-resolved on spacing {grid.spacing}; "
+            f"kernel width {spec.width} under-resolved on spacing {grid.spacing}: "
             "need width >= spacing / 2"
         )
     np.empty(_largest_tables(spec, grid))

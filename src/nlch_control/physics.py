@@ -187,12 +187,12 @@ def ellipticity_margin(params: ModelParams, kernel: KernelData) -> float:
 
 
 def require_ellipticity(params: ModelParams, kernel: KernelData) -> None:
-    """Gate used before any solve: raise unless c0 > chi^2
-    (ellipticity_margin gives c0)."""
+    """Gate used before any solve: raise unless c0 > chi^2 (ellipticity_margin
+    gives c0). Reads only A, B and chi, so it gates raw configuration values."""
     margin = ellipticity_margin(params, kernel)
     threshold = params.chi * params.chi
     if not (margin > threshold):
         raise HypothesisViolationError(
-            f"ellipticity hypothesis fails: c0 = {margin:.6g} <= chi^2 = {threshold:.6g} "
+            f"ellipticity hypothesis violation: c0 = {margin:.6g} <= chi^2 = {threshold:.6g} "
             "(need A*min F'' + B*min a > chi^2)"
         )

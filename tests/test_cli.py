@@ -90,6 +90,89 @@ def test_config_collects_multiple_failures(tmp_path):
     assert len(failures) >= 4
 
 
+@pytest.mark.parametrize("overrides,failure", [
+    ({"time": {"T": 0.0}}, "time: final time must be positive, got 0.0"),
+    ({"time": {"steps": 0}}, "time: step count must be positive, got 0"),
+    ({"cost": {"beta_q": -1.0}}, "cost: beta_q must be >= 0, got -1.0"),
+    ({"box": {"u_min": 1.0, "u_max": -1.0}}, "box: u_min must be <= u_max at every cell"),
+    ({"box": {"v_min": 1.0, "v_max": -1.0}}, "box: v_min must be <= v_max at every cell"),
+    ({"optimizer": {"max_iter": -1}}, "optimizer: max_iter must be >= 0, got -1"),
+    ({"optimizer": {"tau0": 0.0}}, "optimizer: tau0 must be finite and > 0, got 0.0"),
+    ({"solver": {"blowup_guard": -1.0}}, "solver: blowup guard must be > 0, got -1.0"),
+    ({"model": {"A": 5.0}}, "model: ellipticity hypothesis violation: c0 = -3.91402 <= chi^2 = 0"),
+    ({"model": {"B": 0.0}}, "model: ellipticity hypothesis violation: c0 = -0.5 <= chi^2 = 0"),
+], ids=["T", "steps", "weight", "u-box", "v-box", "max_iter", "tau0", "guard",
+        "ellipticity-A", "ellipticity-B"])
+def test_each_rule_is_the_message_of_the_object_that_owns_it(tmp_path, capsys, overrides,
+                                                              failure):
+    # validation builds the object a rule belongs to (TimeGrid, CostSpec,
+    # BoxConstraints, PgdOptions, the guard and ellipticity checks) and lists
+    # its message once, under the section's name
+    path = write_cfg(tmp_path, overrides)
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    assert lines[0] == "error: invalid configuration:"
+    assert sum(line.startswith(f"  - {failure}") for line in lines) == 1
+
+
+def test_every_failure_of_an_object_is_listed(tmp_path):
+    path = write_cfg(tmp_path, {"time": {"T": -1.0, "steps": 0},
+                                "box": {"u_min": 2.0, "u_max": -2.0,
+                                        "v_min": 1.0, "v_max": -1.0}})
+    with pytest.raises(ConfigError) as exc_info:
+        load_config(path)
+    assert exc_info.value.failures == ["time: final time must be positive, got -1.0",
+                                       "time: step count must be positive, got 0",
+                                       "box: u_min must be <= u_max at every cell",
+                                       "box: v_min must be <= v_max at every cell"]
+
+
+def test_nonpositive_tol_validates_and_runs_max_iter_iterations(tmp_path, monkeypatch,
+                                                               capsys):
+    # the rule is PgdOptions': any tol but NaN. A run never stops "converged"
+    # on a negative tol, so it takes every one of its max_iter iterations
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"optimizer": {"tol": -1.0, "max_iter": 4}})
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_OK
+    assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_OK
+    report = json.loads((tmp_path / "out" / "projection_report.json").read_text())
+    assert report["termination"] == "max_iterations"
+    assert report["iterations"] == 4
+    assert "not converged (max_iterations)" in capsys.readouterr().err
+
+
+def test_optimize_with_zero_weights_exits_2_before_making_the_output(tmp_path, monkeypatch,
+                                                                    capsys):
+    # a zero cost is a valid configuration (gradcheck checks its zero
+    # gradients), but optimize refuses it before it makes the output directory
+    monkeypatch.chdir(tmp_path)
+    path = write_cfg(tmp_path, {"cost": {"alpha_omega": 0.0, "alpha_u": 0.0, "beta_v": 0.0}})
+    assert main(["validate", "--config", str(path), "--quiet"]) == EXIT_OK
+    assert main(["optimize", "--config", str(path), "--quiet"]) == EXIT_VALIDATION
+    assert "cost weights must not all be zero" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command,flag,directory", [
+    ("simulate", False, "taken"), ("optimize", False, "taken"),
+    ("simulate", True, "taken"), ("optimize", True, "taken/inside"),
+], ids=["simulate", "optimize", "simulate-out", "optimize-out-below-a-file"])
+def test_output_directory_that_is_a_file_exits_2(tmp_path, monkeypatch, capsys, command,
+                                                 flag, directory):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("a file\n")
+    if flag:
+        argv = ["--config", str(write_cfg(tmp_path)), "--out", directory]
+    else:
+        argv = ["--config", str(write_cfg(tmp_path, {"output": {"directory": directory}}))]
+    assert main([command, *argv, "--quiet"]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: invalid configuration:\n  - cannot make output directory "
+                          f"{directory}: ")
+    assert err.count("\n") == 2
+    assert (tmp_path / "taken").read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("key", ["method", "cg_tol", "cg_max_iter"])
 def test_removed_solver_keys_are_unknown(tmp_path, capsys, key):
     # the solver choice is gone; a config that still sets one of its keys
