@@ -1,7 +1,9 @@
 """Verification sweeps for the sensitivity machinery: transpose duality
 probes, finite-difference checks of the reduced gradient, and the Taylor
-remainder order of the tangent. Shared by the gradcheck CLI command and the
-acceptance suite.
+remainder order of the tangent. The finite-difference and Taylor checks
+share their random directions, and each direction is probed once, so a
+perturbed run that both checks read runs once. Shared by the gradcheck CLI
+command and the acceptance suite.
 """
 
 from __future__ import annotations
@@ -72,57 +74,85 @@ def _rerun(base: StateTrajectory, direction: ControlPair, eps: float) -> StateTr
                     base.tgrid, blowup_guard=base.blowup_guard, record_monitors=False)
 
 
-def _taylor_remainder(base: StateTrajectory, tangent: TangentTrajectory,
-                      direction: ControlPair, eps: float) -> float:
-    """|| S(c + eps d) - S(c) - eps T(d) ||_QT. Each remainder is formed as
-    (a - b) - c inside the perturbed run's own state arrays, once the rest
-    of that run (its controls) is dropped."""
+def _probe_rerun(base: StateTrajectory, direction: ControlPair, eps: float,
+                 spec: CostSpec | None, tangent: TangentTrajectory | None
+                 ) -> tuple[float | None, float | None]:
+    """Run S(c + eps d) once and read what a probe asks of it: its cost under
+    spec, and, given the tangent T(d), the Taylor remainder
+    || S(c + eps d) - S(c) - eps T(d) ||_QT (None for what is not asked).
+    The cost is read first; the remainder is then formed as (a - b) - c
+    inside the run's own state arrays, once the rest of the run (its
+    controls) is dropped."""
     traj = _rerun(base, direction, eps)
+    value = None if spec is None else cost(traj, spec)
+    if tangent is None:
+        return value, None
     rem_phi, rem_sigma = traj.phi, traj.sigma
     del traj
     rem_phi -= base.phi
     rem_phi -= eps * tangent.xi
     rem_sigma -= base.sigma
     rem_sigma -= eps * tangent.rho
-    return trajectory_qt_norm(rem_phi, rem_sigma, base.grid, base.tgrid.dt)
+    return value, trajectory_qt_norm(rem_phi, rem_sigma, base.grid, base.tgrid.dt)
+
+
+def _probe(base: StateTrajectory, direction: ControlPair, fd: tuple[CostSpec, float] | None,
+           taylor: bool) -> tuple[tuple[float, ...], tuple[float, tuple[float, ...]] | None]:
+    """Probe S around the controls c of base along one direction d.
+
+    With fd = (spec, <grad, d>), the relative error of that directional
+    derivative against central finite differences of cost(S(c)), one entry
+    per eps of FD_EPSILONS (empty without fd). With taylor, the observed
+    order of || S(c + eps d) - S(c) - eps T(d) || in eps over
+    TAYLOR_EPSILONS, as the fitted log-log slope with the raw remainders
+    (None without taylor); an exact tangent makes the remainder quadratic.
+    Each perturbed run exists only while it is read. The Taylor remainder at
+    an eps that the FD also steps by is read from the FD's +eps run, so a
+    direction that serves both checks runs 13 sweeps, not 10 + 5.
+    """
+    tangent = tangent_sweep(base, direction) if taylor else None
+    remainders = {}
+    errors = []
+    if fd is not None:
+        spec, directional = fd
+        for eps in FD_EPSILONS:
+            shared = tangent if eps in TAYLOR_EPSILONS else None
+            cost_plus, remainder = _probe_rerun(base, direction, eps, spec, shared)
+            if remainder is not None:
+                remainders[eps] = remainder
+            cost_minus, _ = _probe_rerun(base, direction, -eps, spec, None)
+            fd_value = (cost_plus - cost_minus) / (2.0 * eps)
+            scale = max(abs(directional), abs(fd_value))
+            errors.append(0.0 if scale < 1e-14 else abs(fd_value - directional) / scale)
+    if tangent is None:
+        return tuple(errors), None
+    for eps in TAYLOR_EPSILONS:
+        if eps not in remainders:
+            remainders[eps] = _probe_rerun(base, direction, eps, None, tangent)[1]
+    measured = tuple(remainders[eps] for eps in TAYLOR_EPSILONS)
+    log_eps = np.log(np.asarray(TAYLOR_EPSILONS))
+    log_rem = np.log(np.maximum(np.asarray(measured), 1e-300))
+    slope = float(np.polyfit(log_eps, log_rem, 1)[0])
+    return tuple(errors), (slope, measured)
 
 
 def taylor_remainder_order(base: StateTrajectory, direction: ControlPair
                            ) -> tuple[float, tuple[float, ...]]:
     """Observed order of || S(c + eps d) - S(c) - eps T(d) || in eps, with
-    S(c) the trajectory base, over eps in TAYLOR_EPSILONS.
-
-    An exact tangent makes the remainder quadratic; the fitted log-log slope
-    is returned together with the raw remainders.
+    S(c) the trajectory base, over eps in TAYLOR_EPSILONS: the Taylor-only
+    probe. Returns the fitted log-log slope and the raw remainders.
     """
-    tangent = tangent_sweep(base, direction)
-    remainders = [_taylor_remainder(base, tangent, direction, eps) for eps in TAYLOR_EPSILONS]
-    log_eps = np.log(np.asarray(TAYLOR_EPSILONS))
-    log_rem = np.log(np.maximum(np.asarray(remainders), 1e-300))
-    slope = float(np.polyfit(log_eps, log_rem, 1)[0])
-    return slope, tuple(remainders)
+    return _probe(base, direction, None, True)[1]
 
 
 def fd_gradient_errors(base: StateTrajectory, grad: ControlPair, direction: ControlPair,
                        spec: CostSpec) -> tuple[float, ...]:
     """Relative error of the directional derivative <grad, direction> against
     central finite differences of cost(simulate(c)) around the controls c of
-    base, one entry per epsilon of FD_EPSILONS.
+    base, one entry per epsilon of FD_EPSILONS: the FD-only probe.
     """
     directional = control_inner_qt(grad, direction, base.tgrid.dt)
-
-    errors = []
-    for eps in FD_EPSILONS:
-        # each perturbed run exists only while its cost is evaluated
-        cost_plus = cost(_rerun(base, direction, eps), spec)
-        cost_minus = cost(_rerun(base, direction, -eps), spec)
-        fd = (cost_plus - cost_minus) / (2.0 * eps)
-        scale = max(abs(directional), abs(fd))
-        if scale < 1e-14:
-            errors.append(0.0)
-        else:
-            errors.append(abs(fd - directional) / scale)
-    return tuple(errors)
+    return _probe(base, direction, (spec, directional), False)[0]
 
 
 def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
@@ -139,11 +169,19 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     holds P'(phi_n) gap_n in one array; the copy goes after them, and the
     gradient's adjoint sweep, the FD and the Taylor probes run along the
     plain base, as PGD's adjoint does. The gradient is formed after the
-    duality probes, which do not read it, and released before the Taylor
-    probes. Every forward sweep runs under blowup_guard, as in simulate.
-    corrupt_adjoint is a negative-control hook: it biases the adjoint
-    gradient by 0.1% plus an offset before the FD comparison, which a healthy
-    check must flag.
+    duality probes, which do not read it.
+
+    Then max(n_fd, n_taylor) random directions are drawn, each probed once
+    (_probe): direction k serves the FD check if k < n_fd and the Taylor
+    check if k < n_taylor, so the Taylor probes run along the FD
+    directions, and a Taylor rerun at an eps the FD also steps by is the
+    FD's +eps run. Every <grad, d_k> is formed first and the gradient is
+    released before the probes; the generator is then set back to its
+    state before the first direction, so each probe redraws its direction
+    bit for bit. Every forward sweep runs under blowup_guard, as in
+    simulate. corrupt_adjoint is a negative-control hook: it biases the
+    adjoint gradient by 0.1% plus an offset before the FD comparison, which
+    a healthy check must flag.
     """
     # solver_options stays, as None only, until perfbench/workloads.py stops passing it
     if solver_options is not None:
@@ -168,17 +206,25 @@ def run_gradcheck(phi0: ScalarField, sigma0: ScalarField, controls: ControlPair,
     grad = reduced_gradient(adjoint_sweep(base, spec, params, kernel), spec)
     if corrupt_adjoint:
         grad = ControlPair(grid, grad.u * 1.001 + 1e-6, grad.v * 1.001 + 1e-6)
-    per_dir_errors = [fd_gradient_errors(base, grad, _random_controls(rng, grid, steps), spec)
-                      for _ in range(n_fd)]
+    first_direction = rng.bit_generator.state
+    directionals = [control_inner_qt(grad, _random_controls(rng, grid, steps), tgrid.dt)
+                    for _ in range(n_fd)]
+    del grad  # the probes read only the base trajectory
+    rng.bit_generator.state = first_direction
+
+    per_dir_errors, orders = [], []
+    for k in range(max(n_fd, n_taylor)):
+        errors, taylor = _probe(base, _random_controls(rng, grid, steps),
+                                (spec, directionals[k]) if k < n_fd else None, k < n_taylor)
+        if k < n_fd:
+            per_dir_errors.append(errors)
+        if taylor is not None:
+            orders.append(taylor[0])
     fd_table = tuple(
         (eps, tuple(per_dir_errors[j][i] for j in range(n_fd)))
         for i, eps in enumerate(FD_EPSILONS)
     )
     fd_plateau = tuple(float(np.min(errs)) for errs in per_dir_errors)
-    del grad  # the Taylor probes read only the base trajectory
-
-    orders = [taylor_remainder_order(base, _random_controls(rng, grid, steps))[0]
-              for _ in range(n_taylor)]
 
     return GradcheckResult(
         duality_gaps=tuple(gaps),

@@ -725,7 +725,8 @@ def whole_array_defect(controls, traj, adj, spec, box):
 
 
 def whole_array_taylor_remainder(base, tangent, direction, eps):
-    """gradcheck._taylor_remainder() on fresh arrays: c + eps d, then (a - b) - c."""
+    """The remainder gradcheck._probe_rerun() reads, on fresh arrays: c + eps d,
+    then (a - b) - c."""
     start = base.state(0)
     perturbed = ControlPair(base.grid, base.controls.u + eps * direction.u,
                             base.controls.v + eps * direction.v)
@@ -752,7 +753,7 @@ def test_blockwise_consumers_give_the_whole_array_bits(cells, extent, kernel_spe
     # steps at a time and reuse their buffers; every number must be the one
     # the whole-array expressions give. The dense 1D trajectory is one block,
     # the 2D one (1200 cells, 3 rows a block) three, the last one short
-    from nlch_control.gradcheck import _taylor_remainder
+    from nlch_control.gradcheck import _probe_rerun
     from nlch_control.sensitivity import step_blocks, tangent_sweep
 
     grid = GridSpec(cells, extent)
@@ -795,7 +796,7 @@ def test_blockwise_consumers_give_the_whole_array_bits(cells, extent, kernel_spe
     direction = random_controls(rng, grid, steps)
     tangent = tangent_sweep(traj, direction)
     for eps in (1e-1, 1e-3):
-        assert (bits(_taylor_remainder(traj, tangent, direction, eps))
+        assert (bits(_probe_rerun(traj, direction, eps, None, tangent)[1])
                 == bits(whole_array_taylor_remainder(traj, tangent, direction, eps)))
 
 

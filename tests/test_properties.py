@@ -11,7 +11,9 @@ the reactions off (P = 0, u = v = 0, chi = 0), the gradient flow, whose
 monitored energy must not rise. The last property draws 2D grids, kernels
 and widths alone and checks the convolution against its dense operator. The
 PGD property draws small 1D and 2D runs with tracking costs and per-cell
-boxes and checks what an optimisation run promises. The draws are
+boxes and checks what an optimisation run promises. The gradcheck property
+draws every branch, the large 1D one included, with a tracking cost, and
+checks the duality and finite-difference gates of run_gradcheck. The draws are
 derandomised. Hypothesis also draws constants it finds in the
 loaded modules, so which examples run can depend on what else the session
 imports; the properties must hold on the whole drawn domain.
@@ -31,6 +33,7 @@ from nlch_control import (BoxConstraints, ControlPair, CostSpec, GridSpec, Kerne
 from nlch_control import control
 from nlch_control.control import control_inner_qt, projection_report
 from nlch_control.geometry import DENSE_MAX_CELLS
+from nlch_control.gradcheck import run_gradcheck
 from nlch_control.kernels import convolution_matrix, convolve_array
 from nlch_control.physics import POTENTIAL, DistributionSpec, ProliferationSpec
 from nlch_control.sensitivity import hold_linearisation
@@ -191,23 +194,29 @@ def test_2d_convolution_matches_dense_operator(n0, n1, e0, e1, family, width_fac
     assert np.all(np.abs(got - matrix @ f) <= 1e-12 * (np.abs(matrix) @ np.abs(f)))
 
 
-@st.composite
-def pgd_problems(draw):
-    """A small admissible run with a tracking cost and a per-cell box: each
-    tracking weight 0 or in [0.1, 2], both Tikhonov weights 10^U(-3, 0) (the
-    projection formula divides by them), bounds within [-1, 1], the scale of
-    the rounding slack below. Over 500 draws the box bound a median 57 % of
-    the final u, and 88 % of the runs ended "converged", in at most 69
-    iterations."""
-    run = draw(admissible_runs(chi_max=0.5))
+def draw_tracking_cost(draw, run: Run, rng: np.random.Generator) -> CostSpec:
+    """A tracking cost on run's grid: each tracking weight 0 or in [0.1, 2],
+    both Tikhonov weights 10^U(-3, 0), targets from rng."""
     n = run.grid.num_cells
-    rng = np.random.default_rng(run.seed + 2)
     tracking = {name: draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
                 for name in ("alpha_omega", "alpha_q", "beta_omega", "beta_q")}
-    spec = CostSpec(run.grid, **tracking, alpha_u=10.0 ** draw(st.floats(-3.0, 0.0)),
+    return CostSpec(run.grid, **tracking, alpha_u=10.0 ** draw(st.floats(-3.0, 0.0)),
                     beta_v=10.0 ** draw(st.floats(-3.0, 0.0)),
                     phi_omega=0.5 * rng.standard_normal(n), sigma_omega=0.5 * rng.random(n),
                     phi_q=0.5 * rng.standard_normal((1, n)), sigma_q=0.5 * rng.random((1, n)))
+
+
+@st.composite
+def pgd_problems(draw):
+    """A small admissible run with a tracking cost and a per-cell box: the
+    projection formula divides by the Tikhonov weights, and the bounds lie
+    within [-1, 1], the scale of the rounding slack below. Over 500 draws
+    the box bound a median 57 % of the final u, and 88 % of the runs ended
+    "converged", in at most 69 iterations."""
+    run = draw(admissible_runs(chi_max=0.5))
+    n = run.grid.num_cells
+    rng = np.random.default_rng(run.seed + 2)
+    spec = draw_tracking_cost(draw, run, rng)
     centre = draw(st.floats(-0.5, 0.5))
     half = 0.05 + 0.45 * rng.random((2, n))
     box = BoxConstraints(run.grid, centre - half[0], centre + half[0],
@@ -268,3 +277,25 @@ def test_pgd_keeps_its_promises(problem):
                                  record_monitors=False), spec)
 
         assert abs((cost_at(h) - cost_at(-h)) / (2.0 * h) - slope) <= 1e-6 * slope
+
+
+@st.composite
+def gradcheck_problems(draw):
+    run = draw(admissible_runs(chi_max=0.5, large_1d=True))
+    return run, draw_tracking_cost(draw, run, np.random.default_rng(run.seed + 2))
+
+
+@PROPERTY_SETTINGS
+@given(gradcheck_problems())
+def test_gradcheck_gates_hold(problem):
+    # the duality and FD gates of run_gradcheck on every branch. The Taylor
+    # gate is left out: on short horizons the remainder at the smallest eps
+    # reaches the round-off floor of the states, where a correct tangent can
+    # read an order under 1.9
+    run, spec = problem
+    result = run_gradcheck(run.phi0, run.sigma0, run.controls, spec, run.params,
+                           build_kernel(run.kernel_spec, run.grid), run.tgrid,
+                           np.random.default_rng(run.seed + 3), n_duality=2, n_fd=2,
+                           n_taylor=0)
+    assert all(gap <= 1e-10 for gap in result.duality_gaps)
+    assert all(plateau <= 1e-5 for plateau in result.fd_plateau)

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nlch_control import (ControlPair, CostSpec, GridSpec, KernelSpec, ModelParams,
-                          ScalarField, TimeGrid, adjoint_sweep, build_kernel,
-                          duality_gap, simulate, tangent_sweep)
+                          ScalarField, TimeGrid, adjoint_sweep, build_kernel, cost,
+                          duality_gap, reduced_gradient, simulate, tangent_sweep)
 from nlch_control.errors import StaleTrajectoryError
-from nlch_control.gradcheck import (GradcheckResult, run_gradcheck, taylor_remainder_order,
-                                    trajectory_qt_norm)
+from nlch_control.gradcheck import (FD_EPSILONS, GradcheckResult, fd_gradient_errors,
+                                    run_gradcheck, taylor_remainder_order, trajectory_qt_norm)
 from nlch_control.kernels import convolve_array
 from nlch_control.physics import DistributionSpec, ProliferationSpec
 from nlch_control.sensitivity import vjp_sweep
@@ -293,7 +293,10 @@ def test_sweeps_reject_stale_trajectory(base_setup, grid1d, kernel1d, params):
 def test_gradcheck_sweep_count(monkeypatch, rng, base_setup, grid1d, kernel1d, params,
                                tgrid20):
     # the base trajectory, its adjoint and the gradient are computed once and
-    # shared by every probe; each probe pays only for its own sweeps
+    # shared by every probe; each direction pays only for its own sweeps: 10
+    # reruns (+-eps at 5 step sizes) for the FD check, a tangent and 4 reruns
+    # for the Taylor check, and 13 when it serves both, since its Taylor
+    # reruns at eps = 1e-3 and 1e-4 are the FD's +eps reruns
     from nlch_control import gradcheck, sensitivity
 
     phi0, sigma0, controls, _ = base_setup
@@ -312,13 +315,44 @@ def test_gradcheck_sweep_count(monkeypatch, rng, base_setup, grid1d, kernel1d, p
                          (sensitivity, "vjp_sweep")):
         counted(module, name)
     spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
-    n_duality, n_fd, n_taylor = 3, 2, 2
-    result = gradcheck.run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d,
-                                     tgrid20, rng, n_duality=n_duality, n_fd=n_fd,
-                                     n_taylor=n_taylor)
-    assert result.passed
-    assert len(sweeps) == (2 + 2 * n_duality + 2 * n_fd * len(gradcheck.FD_EPSILONS)
-                           + n_taylor * (1 + len(gradcheck.TAYLOR_EPSILONS)))
+    n_duality = 3
+    for n_fd, n_taylor in ((2, 2), (1, 3), (3, 1)):
+        sweeps.clear()
+        result = gradcheck.run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d,
+                                         tgrid20, rng, n_duality=n_duality, n_fd=n_fd,
+                                         n_taylor=n_taylor)
+        assert result.passed
+        both = min(n_fd, n_taylor)
+        assert len(sweeps) == (2 + 2 * n_duality + 13 * both + 10 * (n_fd - both)
+                               + 5 * (n_taylor - both))
+
+
+@pytest.mark.parametrize("n_fd, n_taylor", [(1, 3), (2, 2), (3, 1)])
+def test_shared_probes_keep_the_standalone_bits(base_setup, grid1d, kernel1d, params, tgrid20,
+                                                n_fd, n_taylor):
+    # direction k serves the FD check if k < n_fd and the Taylor check if
+    # k < n_taylor, drawn after the duality probes' directions and seeds;
+    # the FD table and the Taylor orders are the bits of the FD-only and
+    # Taylor-only probes along the same directions
+    phi0, sigma0, controls, traj = base_setup
+    spec = CostSpec(grid1d, alpha_omega=1.0, alpha_u=1e-2, beta_v=1e-2)
+    n_duality = 2
+    result = run_gradcheck(phi0, sigma0, controls, spec, params, kernel1d, tgrid20,
+                           np.random.default_rng(5), n_duality=n_duality, n_fd=n_fd,
+                           n_taylor=n_taylor)
+    rng = np.random.default_rng(5)
+    shape, seeds = (tgrid20.steps, grid1d.num_cells), (tgrid20.steps + 1, grid1d.num_cells)
+    for _ in range(n_duality):
+        for size in (shape, shape, seeds, seeds):
+            rng.standard_normal(size)
+    directions = [ControlPair(grid1d, rng.standard_normal(shape), rng.standard_normal(shape))
+                  for _ in range(max(n_fd, n_taylor))]
+    grad = reduced_gradient(adjoint_sweep(traj, spec, params, kernel1d), spec)
+    errors = [fd_gradient_errors(traj, grad, d, spec) for d in directions[:n_fd]]
+    assert result.fd_table == tuple((eps, tuple(e[i] for e in errors))
+                                    for i, eps in enumerate(FD_EPSILONS))
+    assert result.taylor_orders == tuple(taylor_remainder_order(traj, d)[0]
+                                         for d in directions[:n_taylor])
 
 
 @pytest.mark.parametrize("cells", [256, 257])
@@ -464,15 +498,23 @@ def test_max_duality_gap_propagates_nan():
 
 
 def test_fd_plateau_propagates_nan(monkeypatch, base_setup, grid1d, kernel1d, params, tgrid20):
-    # a NaN relative error at any step size makes the direction's plateau NaN
+    # a NaN relative error at any step size makes the direction's plateau NaN:
+    # here the +eps run at the second FD step size reads a NaN cost
     from nlch_control import gradcheck
 
     phi0, sigma0, controls, _ = base_setup
-    monkeypatch.setattr(gradcheck, "fd_gradient_errors",
-                        lambda *args: (1e-9, NAN, 1e-9, 1e-9, 1e-9))
+    calls = []
+
+    def nan_third_cost(traj, spec):
+        calls.append(1)
+        return NAN if len(calls) == 3 else cost(traj, spec)
+
+    monkeypatch.setattr(gradcheck, "cost", nan_third_cost)
     result = run_gradcheck(phi0, sigma0, controls, CostSpec(grid1d, alpha_omega=1.0), params,
                            kernel1d, tgrid20, np.random.default_rng(0),
                            n_duality=0, n_fd=1, n_taylor=0)
+    errors = [errs[0] for _, errs in result.fd_table]
+    assert [math.isnan(e) for e in errors] == [False, True, False, False, False]
     assert math.isnan(result.fd_plateau[0])
     assert not result.passed
 
@@ -535,21 +577,21 @@ def _gradcheck_2d_peak(cells, steps, **probes):
 @pytest.mark.parametrize("cells, steps, bound", [((64, 64), 10, 12.3), ((32, 32), 40, 12.4)],
                          ids=["64x64-10", "32x32-40"])
 def test_gradcheck_peak_traced_memory(cells, steps, bound):
-    # the gradcheck-2d model, two probes of each kind (so each kind draws
-    # again after a probe has run): the duality probes draw into four
-    # buffers and read the one linearisation factor held on the base
-    # trajectory's copy, which goes before the reduced gradient is formed,
-    # after the duality probes, and the gradient goes before the Taylor
-    # probes, each FD and Taylor probe draws its direction as it starts and
-    # drops it when it ends, each perturbed control is eps d plus c in one
-    # array, and each Taylor remainder is formed inside its perturbed run's
-    # state arrays. The peak measured 11.01 (in the duality probes) and
-    # 11.16 (in the FD and Taylor probes) (steps + 1, cells) arrays with
-    # numpy 2.4.6. The 64 x 64 bound is that peak plus 1.25 arrays for
-    # other numpy versions, rounded up; the 32 x 32 bound is kept. Holding
-    # every FD direction to the end, each duality probe's arrays into the
-    # next draw and the whole-trajectory h(phi) factor of the VJP read 24.7
-    # and 24.2.
+    # the gradcheck-2d model, two duality probes and two directions that
+    # serve both the FD and the Taylor check (so each phase draws again
+    # after a probe has run): the duality probes draw into four buffers and
+    # read the one linearisation factor held on the base trajectory's copy,
+    # which goes before the reduced gradient is formed, after the duality
+    # probes; the gradient goes once every <g, d> is formed, before the
+    # probes; each probe draws its direction as it starts and drops it when
+    # it ends, each perturbed control is eps d plus c in one array, and each
+    # Taylor remainder is formed inside its perturbed run's state arrays,
+    # after that run's cost is read. The peak measured 10.90 and 11.18
+    # (steps + 1, cells) arrays with numpy 2.4.6, both in the FD and Taylor
+    # probes (the duality probes read 10.82 and 10.01). Both bounds leave
+    # more than 1.2 arrays for other numpy versions. Holding every FD
+    # direction to the end, each duality probe's arrays into the next draw
+    # and the whole-trajectory h(phi) factor of the VJP read 24.7 and 24.2.
     peak, passed, _ = _gradcheck_2d_peak(cells, steps, n_duality=2, n_fd=2, n_taylor=2)
     assert passed
     assert peak <= bound
